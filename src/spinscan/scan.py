@@ -22,6 +22,8 @@ from .constants import CONSTANTS
 from .spincore import (
     ProbeSpec,
     ResonancePair,
+    _check_exchange_range,
+    _exchange_formula,
     eigensolve,
     exchange_constant,
     spin_operators,
@@ -55,6 +57,14 @@ _MIN_TIP_SITE_DISTANCE = 0.1
 # the asymptotic exchange constant are both out of their validity range.
 _MIN_HEIGHT = 1.0
 
+# Largest raster (pixels) a scan accepts; grid sizes are checked against
+# it before any array is allocated.  A 1000 x 1000 map fits.
+_MAX_PIXELS = 1_000_000
+
+# Bytes of one (tips, sites) float64 plane in the field sums: about
+# 1 MiB keeps a block's dozen planes in cache.
+_BLOCK_BYTES = 1 << 20
+
 _ISO_FREQ_TOL_GHZ = 1e-3   # 1 MHz bisection stop
 _ISO_MAX_ITER = 100
 
@@ -76,6 +86,13 @@ class ScanConfig:
     resonance_convention: str = "transition"
 
     def __post_init__(self):
+        values = (self.height, self.step, *self.x_range, *self.y_range, *self.b_ext)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(
+                "scan height, step, ranges and field must be finite, got "
+                f"height={self.height}, step={self.step}, x_range={self.x_range}, "
+                f"y_range={self.y_range}, b_ext={self.b_ext}"
+            )
         if self.step <= 0:
             raise ValueError(f"scan step must be positive, got {self.step}")
         if self.height < _MIN_HEIGHT:
@@ -106,10 +123,29 @@ class ScanConfig:
         return self.mode in ("exchange", "both")
 
 
+def _axis_len(lo: float, hi: float, step: float) -> int:
+    """Number of points lo, lo+step, ... up to hi (inclusive when commensurate)."""
+    return int(np.floor((hi - lo) / step + 1e-9)) + 1
+
+
 def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
     """Points lo, lo+step, ... up to hi (inclusive when commensurate)."""
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    return lo + step * np.arange(_axis_len(lo, hi, step))
+
+
+def _scan_axes(cfg: ScanConfig):
+    """x and y axes of cfg's raster, after checking the pixel budget."""
+    nx = _axis_len(cfg.x_range[0], cfg.x_range[1], cfg.step)
+    ny = _axis_len(cfg.y_range[0], cfg.y_range[1], cfg.step)
+    if nx * ny > _MAX_PIXELS:
+        raise ValueError(
+            f"scan grid of {nx} x {ny} pixels exceeds the {_MAX_PIXELS} pixel "
+            "budget; use a larger step or a smaller range"
+        )
+    return (
+        _grid_axis(cfg.x_range[0], cfg.x_range[1], cfg.step),
+        _grid_axis(cfg.y_range[0], cfg.y_range[1], cfg.step),
+    )
 
 
 @dataclass
@@ -220,27 +256,60 @@ def _batch_effective_fields(
 
     tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla,
     b_ex (p, 3) ueV).  Rejects tips within the minimum distance of any
-    site, reporting the offending tip coordinates.
+    site, reporting the closest tip-site pair.
+
+    Tips are taken in blocks of _BLOCK_BYTES // (8 n_sites) rows, so
+    memory stays bounded whatever the batch size.  Each site sum is a
+    row-wise np.sum over a C-contiguous (rows, sites) plane, so a tip's
+    fields do not depend on which block, or which batch, it falls in.
     """
-    disp = tips[:, None, :] - tex.positions[None, :, :]
-    dist = np.linalg.norm(disp, axis=2)
-    if np.min(dist) < _MIN_TIP_SITE_DISTANCE:
-        p, i = np.unravel_index(np.argmin(dist), dist.shape)
+    n = tex.n_sites
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    site_x, site_y, site_z = tex.positions.T.copy()
+    spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
+    stray_pref = -tex.g * CONSTANTS.stray_prefactor_per_mu_b
+    b_stray = np.empty((tips.shape[0], 3))
+    b_ex = np.empty((tips.shape[0], 3))
+    # Closest (distance, tip, site) so far; ties keep the first pair in
+    # row-major order.
+    nearest = (np.inf, 0, 0)
+
+    for start in range(0, tips.shape[0], rows):
+        block = slice(start, start + rows)
+        t = tips[block]
+        dx = t[:, 0, None] - site_x
+        dy = t[:, 1, None] - site_y
+        dz = t[:, 2, None] - site_z
+        d2 = dx * dx + dy * dy + dz * dz
+        dist = np.sqrt(d2)
+        k = int(np.argmin(dist))
+        if dist.flat[k] < nearest[0]:
+            nearest = (float(dist.flat[k]), start + k // n, k % n)
+        if nearest[0] < _MIN_TIP_SITE_DISTANCE:
+            # The call fails; later blocks only look for a closer pair.
+            continue
+
+        j = _exchange_formula(dist, exchange_prefactor)
+        b_ex[block, 0] = np.sum(j * spin_x, axis=1)
+        b_ex[block, 1] = np.sum(j * spin_y, axis=1)
+        b_ex[block, 2] = np.sum(j * spin_z, axis=1)
+
+        # B = sum_i q d_i - pref s_i with pref = -g C / d^3 and
+        # q = 3 pref (s . d) / d^2, d the tip-site displacement.
+        pref = stray_pref / (d2 * dist)
+        q = (3.0 * pref) * (dx * spin_x + dy * spin_y + dz * spin_z) / d2
+        b_stray[block, 0] = np.sum(q * dx, axis=1) - np.sum(pref * spin_x, axis=1)
+        b_stray[block, 1] = np.sum(q * dy, axis=1) - np.sum(pref * spin_y, axis=1)
+        b_stray[block, 2] = np.sum(q * dz, axis=1) - np.sum(pref * spin_z, axis=1)
+
+    r_min, p, i = nearest
+    if r_min < _MIN_TIP_SITE_DISTANCE:
         x, y, z = tips[p]
         raise ValueError(
-            f"tip at ({x:.4g}, {y:.4g}, {z:.4g}) A is {dist[p, i]:.4g} A from "
+            f"tip at ({x:.4g}, {y:.4g}, {z:.4g}) A is {r_min:.4g} A from "
             f"sample site {i} (minimum {_MIN_TIP_SITE_DISTANCE} A)"
         )
-    rhat = disp / dist[..., None]
-    spins = tex.spin_vectors
-    s_dot_r = np.einsum("pnk,nk->pn", rhat, spins)
-    pref = -tex.g * CONSTANTS.stray_prefactor_per_mu_b / dist**3
-    b_stray = np.sum(
-        pref[..., None] * (3.0 * rhat * s_dot_r[..., None] - spins[None, :, :]),
-        axis=1,
-    )
-    j = exchange_constant(dist, prefactor=exchange_prefactor)
-    b_ex = np.sum(j[..., None] * spins[None, :, :], axis=1)
+    _check_exchange_range(r_min, stacklevel=2)
     return b_stray, b_ex
 
 
@@ -322,8 +391,7 @@ def scan_constant_height(
     Rows are distributed over a thread pool and reassembled by row
     index, so the output is bit-identical for any worker count.
     """
-    xs = _grid_axis(cfg.x_range[0], cfg.x_range[1], cfg.step)
-    ys = _grid_axis(cfg.y_range[0], cfg.y_range[1], cfg.step)
+    xs, ys = _scan_axes(cfg)
     nx, ny = len(xs), len(ys)
     f_minus = np.empty((ny, nx))
     f_plus = np.empty((ny, nx))
@@ -395,8 +463,7 @@ def scan_iso_frequency(
         raise ValueError(f"z_min must be >= {_MIN_HEIGHT} A, got {z_min}")
     if z_max <= z_min:
         raise ValueError("z_max must exceed z_min")
-    xs = _grid_axis(cfg.x_range[0], cfg.x_range[1], cfg.step)
-    ys = _grid_axis(cfg.y_range[0], cfg.y_range[1], cfg.step)
+    xs, ys = _scan_axes(cfg)
     grid_x, grid_y = np.meshgrid(xs, ys)
     px = grid_x.ravel()
     py = grid_y.ravel()

@@ -42,6 +42,11 @@ _STEP_TOL = 1e-9          # relative step size declaring convergence
 _MAX_ITER = 200
 _WINDOW_HALF_WIDTHS = 20.0  # measurement window half-width in linewidths
 
+# Largest Poisson mean numpy's sampler accepts (its POISSON_LAM_MAX).
+_MAX_BASELINE_COUNTS = float(
+    np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
+)
+
 
 @dataclass(frozen=True)
 class SpectrumConfig:
@@ -68,8 +73,12 @@ class SpectrumConfig:
             raise ValueError("f_stop must exceed f_start")
         if not 0.0 <= self.contrast < 1.0:
             raise ValueError(f"contrast must be in [0, 1), got {self.contrast}")
-        if self.baseline_counts <= 0:
-            raise ValueError("baseline_counts must be positive")
+        if not 0.0 < self.baseline_counts <= _MAX_BASELINE_COUNTS:
+            raise ValueError(
+                "baseline_counts must be positive, finite and at most "
+                f"{_MAX_BASELINE_COUNTS:.6g} (numpy's Poisson limit), "
+                f"got {self.baseline_counts}"
+            )
         if self.linewidth_fwhm <= 0:
             raise ValueError("linewidth_fwhm must be positive")
 

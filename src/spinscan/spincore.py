@@ -150,6 +150,34 @@ def exchange_pair_hamiltonian(
     )
 
 
+def _check_exchange_range(r_min: float, stacklevel: int) -> None:
+    """Reject r_min <= 0; warn once when r_min is below the validity range.
+
+    stacklevel counts from the caller of this function, as in
+    warnings.warn.
+    """
+    if r_min <= 0.0:
+        raise ValueError(f"exchange constant requires r > 0, got {r_min}")
+    if r_min < 2.0:
+        warnings.warn(
+            f"exchange constant evaluated at r = {r_min:g} A, below "
+            "the 2 A validity range of the asymptotic form",
+            stacklevel=stacklevel + 1,
+        )
+
+
+def _exchange_formula(r: np.ndarray, prefactor: str) -> np.ndarray:
+    """J(r) in ueV without range checks; callers check the distances."""
+    if prefactor == "rydberg":
+        e0_uev = CONSTANTS.rydberg * 1e6
+    elif prefactor == "hartree":
+        e0_uev = CONSTANTS.hartree * 1e6
+    else:
+        raise ValueError(f"prefactor must be 'rydberg' or 'hartree', got {prefactor!r}")
+    x = r / CONSTANTS.bohr_radius
+    return 1.641 * e0_uev * x**2.5 * np.exp(-2.0 * x)
+
+
 def exchange_constant(r, prefactor: str = "rydberg"):
     """Distance-dependent exchange constant J(r) in ueV, r in angstrom.
 
@@ -161,22 +189,10 @@ def exchange_constant(r, prefactor: str = "rydberg"):
     Accepts a scalar or an ndarray of distances.
     """
     r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr <= 0.0):
-        raise ValueError(f"exchange constant requires r > 0, got {np.min(r_arr)}")
-    if np.any(r_arr < 2.0):
-        warnings.warn(
-            f"exchange constant evaluated at r = {np.min(r_arr):g} A, below "
-            "the 2 A validity range of the asymptotic form",
-            stacklevel=2,
-        )
-    if prefactor == "rydberg":
-        e0_uev = CONSTANTS.rydberg * 1e6
-    elif prefactor == "hartree":
-        e0_uev = CONSTANTS.hartree * 1e6
-    else:
-        raise ValueError(f"prefactor must be 'rydberg' or 'hartree', got {prefactor!r}")
-    x = r_arr / CONSTANTS.bohr_radius
-    j = 1.641 * e0_uev * x**2.5 * np.exp(-2.0 * x)
+    if r_arr.size:
+        # fmin skips NaN entries: a NaN distance neither raises nor warns.
+        _check_exchange_range(float(np.fmin.reduce(r_arr, axis=None)), stacklevel=2)
+    j = _exchange_formula(r_arr, prefactor)
     return float(j) if np.isscalar(r) else j
 
 

@@ -320,11 +320,16 @@ def load_texture(path) -> SpinTexture:
                         path, lineno, f"header {tokens[0]!r} takes exactly one value"
                     )
                 try:
-                    header[tokens[0]] = header_keys[tokens[0]](tokens[1])
+                    value = header_keys[tokens[0]](tokens[1])
                 except ValueError:
                     raise _parse_error(
                         path, lineno, f"cannot parse {tokens[1]!r} for {tokens[0]!r}"
                     ) from None
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise _parse_error(
+                        path, lineno, f"non-finite value {tokens[1]!r} for {tokens[0]!r}"
+                    )
+                header[tokens[0]] = value
                 continue
             if len(tokens) != 6:
                 raise _parse_error(
@@ -336,6 +341,8 @@ def load_texture(path) -> SpinTexture:
                 values = [float(t) for t in tokens]
             except ValueError:
                 raise _parse_error(path, lineno, f"non-numeric site line {line!r}") from None
+            if not np.all(np.isfinite(values)):
+                raise _parse_error(path, lineno, f"non-finite site line {line!r}")
             sdir = np.array(values[3:])
             norm = np.linalg.norm(sdir)
             if abs(norm - 1.0) > 1e-3:

@@ -139,6 +139,28 @@ def test_scan_malformed_texture_is_input_error(workdir):
     assert "bad.spintex:1" in r.stderr
 
 
+def test_scan_non_finite_texture_is_input_error(workdir):
+    good = (workdir / "t.spintex").read_text().splitlines()
+    first_site = next(
+        i for i, ln in enumerate(good) if len(ln.split("#")[0].split()) == 6
+    )
+    good[first_site] = "nan 0 0 0 0 1"
+    (workdir / "nan.spintex").write_text("\n".join(good) + "\n")
+    r = run_cli("scan", "--texture", "nan.spintex", "--out", "x.csv", cwd=workdir)
+    assert r.returncode == 3
+    assert f"nan.spintex:{first_site + 1}: non-finite site line" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", [["scan"], ["isoscan", "--fsource", "100"]])
+def test_scan_over_pixel_budget_is_usage_error(workdir, command):
+    r = run_cli(*command, "--texture", "t.spintex", "--step", "1e-6",
+                "--out", "x.csv", cwd=workdir)
+    assert r.returncode == 2
+    assert "pixel budget" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
 def test_scan_invalid_height_is_usage_error(workdir):
     r = run_cli("scan", "--texture", "t.spintex", "--height", -4,
                 "--out", "x.csv", cwd=workdir)
@@ -236,6 +258,15 @@ def test_spectrum_from_texture_and_tip(workdir):
     rep = read_report(workdir / "rept.txt")
     # Exchange-dominated pixel: both branches far above the zero-field line.
     assert float(rep["peak1_center_ghz"]) > 100.0
+
+
+@pytest.mark.parametrize("baseline", ["1e30", "nan", "inf"])
+def test_spectrum_baseline_out_of_range_is_usage_error(workdir, baseline):
+    r = run_cli("spectrum", "--resonances", "3.482", "--baseline", baseline,
+                "--out", "sb.csv", cwd=workdir)
+    assert r.returncode == 2
+    assert "Poisson limit" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
 
 
 def test_spectrum_requires_source(workdir):

@@ -5,8 +5,12 @@ crossover radius) come from independent oracle evaluations of the
 closed-form field sums and a 9-level exact pair diagonalization.
 """
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinscan import (
     CONSTANTS,
@@ -14,6 +18,7 @@ from spinscan import (
     ScanConfig,
     SpinTexture,
     apply_pattern,
+    build_forward,
     build_lattice,
     distance_sweep,
     effective_fields_at,
@@ -25,6 +30,7 @@ from spinscan import (
     scan_iso_frequency,
     stray_field,
 )
+from spinscan.scan import _BLOCK_BYTES, _batch_effective_fields
 
 H_GHZ = CONSTANTS.h_planck
 D_UEV = 14.4
@@ -123,6 +129,111 @@ def test_mode_gating(single_site):
     assert pairs["exchange"].f_plus > pairs["both"].f_plus > pairs["dipolar"].f_plus
 
 
+# ------------------------------------------------------- blocked field kernel
+
+
+def _dense_fields(tips, tex, exchange_prefactor="rydberg"):
+    """Oracle: both field sums over one dense (tips, sites, 3) array."""
+    disp = tips[:, None, :] - tex.positions[None, :, :]
+    dist = np.linalg.norm(disp, axis=2)
+    rhat = disp / dist[..., None]
+    spins = tex.spin_vectors
+    s_dot_r = np.einsum("pnk,nk->pn", rhat, spins)
+    pref = -tex.g * CONSTANTS.stray_prefactor_per_mu_b / dist**3
+    b_stray = np.sum(
+        pref[..., None] * (3.0 * rhat * s_dot_r[..., None] - spins[None, :, :]),
+        axis=1,
+    )
+    j = exchange_constant(dist, prefactor=exchange_prefactor)
+    b_ex = np.sum(j[..., None] * spins[None, :, :], axis=1)
+    return b_stray, b_ex
+
+
+@pytest.fixture(scope="module")
+def tilted_neel():
+    """12x12 Neel lattice, a = 3 A, spins tilted 35 degrees off z."""
+    theta, phi = np.radians(35.0), np.radians(20.0)
+    direction = (np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta))
+    lat = build_lattice("square", 3.0, 12, 12)
+    return apply_pattern(lat, "AFM-Neel", direction=direction, spin_mag=0.5, g=2.0)
+
+
+@pytest.fixture(scope="module")
+def mixed_tips(tilted_neel):
+    """Tips over the lattice at heights 2.5-10 A, spanning several blocks."""
+    rng = np.random.default_rng(4)
+    n = 4 * _BLOCK_BYTES // (8 * tilted_neel.n_sites) + 17
+    return np.column_stack(
+        [rng.uniform(-3.0, 36.0, (n, 2)), rng.uniform(2.5, 10.0, n)]
+    )
+
+
+@pytest.mark.parametrize("prefactor", ["rydberg", "hartree"])
+def test_blocked_fields_match_dense_oracle(tilted_neel, mixed_tips, prefactor):
+    # The Neel sums cancel to near zero at some tips, so the tolerance is
+    # relative to each channel's largest component.
+    got = _batch_effective_fields(mixed_tips, tilted_neel, prefactor)
+    want = _dense_fields(mixed_tips, tilted_neel, prefactor)
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=5))
+def test_blocked_fields_independent_of_batch_split(tilted_neel, mixed_tips, cuts):
+    # Worker-count determinism rests on this: a tip's fields are the same
+    # bits whichever batch, and which block within it, the tip lands in.
+    whole = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg")
+    pieces = [
+        _batch_effective_fields(part, tilted_neel, "rydberg")
+        for part in np.split(mixed_tips, sorted(set(cuts)))
+        if len(part)
+    ]
+    for k in range(2):
+        assert np.array_equal(whole[k], np.concatenate([p[k] for p in pieces]))
+
+
+def test_near_range_warning_once_with_global_minimum(fm_5x5):
+    # Heights fall across a batch of several blocks, so every block sees a
+    # different closest distance; one warning reports the smallest.
+    n = 3 * _BLOCK_BYTES // (8 * fm_5x5.n_sites)
+    heights = np.linspace(1.9, 1.3, n)
+    tips = np.column_stack([np.full(n, 6.0), np.full(n, 6.0), heights])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _batch_effective_fields(tips, fm_5x5, "rydberg")
+    messages = [str(w.message) for w in caught]
+    assert len(messages) == 1
+    assert "r = 1.3 A" in messages[0]
+
+
+def test_too_close_error_names_closest_pair(fm_5x5):
+    # Two offending tips in different blocks: the error names the closer
+    # one and its site, not the first one found.
+    n = 3 * _BLOCK_BYTES // (8 * fm_5x5.n_sites)
+    tips = np.column_stack([np.full(n, 7.5), np.full(n, 7.5), np.full(n, 4.0)])
+    tips[5] = fm_5x5.positions[3] + (0.0, 0.0, 0.08)
+    tips[n - 2] = fm_5x5.positions[17] + (0.0, 0.0, 0.05)
+    x, y, _ = fm_5x5.positions[17]
+    with pytest.raises(ValueError) as err:
+        _batch_effective_fields(tips, fm_5x5, "rydberg")
+    assert f"tip at ({x:.4g}, {y:.4g}, 0.05) A is 0.05 A from sample site 17" in str(
+        err.value
+    )
+
+
+def test_scan_shift_matches_forward_kernel(fm_5x5):
+    # Exchange mode, collinear +z FM, zero field: the upper branch sits at
+    # D/h plus the axial exchange shift, which is the forward model A @ m_z.
+    cfg = ScanConfig(height=4.0, x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=0.75)
+    rmap = scan_constant_height(cfg, fm_5x5)
+    fwd = build_forward(fm_5x5, cfg.x_range, cfg.y_range, cfg.step, cfg.height,
+                        "exchange")
+    m_z = fm_5x5.spin_mag * fm_5x5.spin_dirs[:, 2]
+    shift = rmap.f_plus.ravel() - cfg.probe.d_zfs / H_GHZ
+    assert np.allclose(shift, fwd.a @ m_z, rtol=1e-10, atol=0.0)
+
+
 # ------------------------------------------------------------------ rasters
 
 
@@ -187,6 +298,10 @@ def test_scan_config_validation():
         ScanConfig(x_range=(5.0, 1.0))
     with pytest.raises(ValueError):
         ScanConfig(exchange_prefactor="bogus")
+    with pytest.raises(ValueError, match="finite"):
+        ScanConfig(step=float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        ScanConfig(x_range=(0.0, float("inf")))
 
 
 # ---------------------------------------------------------------- iso scans

@@ -104,6 +104,11 @@ def test_config_validation():
         SpectrumConfig(contrast=1.0)
     with pytest.raises(ValueError):
         SpectrumConfig(baseline_counts=0.0)
+    # numpy's Poisson sampler refuses means above about 9.2e18.
+    for bad in (float("nan"), float("inf"), 1e30):
+        with pytest.raises(ValueError, match="Poisson limit"):
+            SpectrumConfig(baseline_counts=bad)
+    SpectrumConfig(baseline_counts=9e18)
 
 
 def test_spectrum_validation():

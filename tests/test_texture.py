@@ -207,6 +207,27 @@ def test_load_rejects_non_numeric(tmp_path):
         load_texture(p)
 
 
+@pytest.mark.parametrize("site", ["nan 0 0 0 0 1", "0 inf 0 0 0 1", "0 0 0 nan 0 1"])
+def test_load_rejects_non_finite_site(tmp_path, site):
+    p = tmp_path / "bad.spintex"
+    p.write_text(
+        "spintex 1\nlattice square\na_angstrom 3\nnx 1\nny 1\n"
+        f"spin_magnitude 0.5\ng_factor 2\n{site}\n"
+    )
+    with pytest.raises(TextureParseError, match=":8: non-finite"):
+        load_texture(p)
+
+
+def test_load_rejects_non_finite_header(tmp_path):
+    p = tmp_path / "bad.spintex"
+    p.write_text(
+        "spintex 1\nlattice square\na_angstrom 3\nnx 1\nny 1\n"
+        "spin_magnitude nan\ng_factor 2\n0 0 0 0 0 1\n"
+    )
+    with pytest.raises(TextureParseError, match=":6: non-finite"):
+        load_texture(p)
+
+
 def test_load_rejects_far_from_unit_direction(tmp_path):
     p = tmp_path / "bad.spintex"
     p.write_text(
