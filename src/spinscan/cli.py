@@ -393,8 +393,8 @@ def cmd_reconstruct(parser, args, config) -> int:
     glob = _globals_from(settings, args)
     tex = load_texture(args.texture)
     lam = settings.get(args.lam, "reconstruct", "lam", 1e-6, float)
-    if lam < 0:
-        parser.error(f"--lam must be >= 0, got {lam}")
+    if not 0 <= lam < np.inf:
+        parser.error(f"--lam must be finite and >= 0, got {lam}")
     synthetic = bool(
         args.synthetic or settings.get(None, "reconstruct", "synthetic", False, bool)
     )
@@ -446,7 +446,6 @@ def cmd_reconstruct(parser, args, config) -> int:
         "rank_deficient": result.report.rank_deficient,
         "residual_norm": result.residual_norm,
         "lam": result.lam,
-        "iterations": result.iterations,
     }
     params = {
         **glob,
@@ -619,7 +618,7 @@ def main(argv=None) -> int:
     try:
         config = fileio.load_config(args.config) if args.config else {}
         return args.func(parser, args, config)
-    except TextureParseError as exc:
+    except (TextureParseError, fileio.MapParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except np.linalg.LinAlgError as exc:

@@ -20,6 +20,7 @@ __all__ = [
     "echo_lines",
     "write_map_csv",
     "load_map_csv",
+    "MapParseError",
     "write_error_map_csv",
     "write_iso_csv",
     "write_sweep_csv",
@@ -90,6 +91,11 @@ def _parse_comment_meta(lines: list[str]) -> dict:
     return meta
 
 
+class MapParseError(ValueError):
+    """Malformed map CSV; message carries the path and, for a bad row,
+    its line number."""
+
+
 def load_map_csv(path) -> ResonanceMap:
     """Read a map CSV back into a ResonanceMap (field channels absent).
 
@@ -110,36 +116,42 @@ def load_map_csv(path) -> ResonanceMap:
                 continue
             parts = line.split(",")
             if len(parts) != 4:
-                raise ValueError(
+                raise MapParseError(
                     f"{path}:{lineno}: map rows need 4 columns, got {len(parts)}"
                 )
             try:
                 rows.append([float(p) for p in parts])
             except ValueError:
-                raise ValueError(
+                raise MapParseError(
                     f"{path}:{lineno}: non-numeric map row {line!r}"
                 ) from None
     if not rows:
-        raise ValueError(f"{path}: no data rows")
+        raise MapParseError(f"{path}: no data rows")
     data = np.array(rows)
     meta = _parse_comment_meta(comments)
 
     xs = np.unique(data[:, 0])
     ys = np.unique(data[:, 1])
-    nx = int(meta.get("map_nx", len(xs)))
-    ny = int(meta.get("map_ny", len(ys)))
+    try:
+        nx = int(meta.get("map_nx", len(xs)))
+        ny = int(meta.get("map_ny", len(ys)))
+        x0 = float(meta.get("map_x0_angstrom", xs[0]))
+        y0 = float(meta.get("map_y0_angstrom", ys[0]))
+        step = float(meta.get("map_step_angstrom", xs[1] - xs[0] if len(xs) > 1 else 1.0))
+        height = float(meta.get("map_height_angstrom", 0.0))
+    except ValueError as exc:
+        raise MapParseError(f"{path}: malformed grid header: {exc}") from None
     if nx * ny != data.shape[0]:
-        raise ValueError(
+        raise MapParseError(
             f"{path}: {data.shape[0]} rows do not fill a {nx} x {ny} grid"
         )
-    step = float(meta.get("map_step_angstrom", xs[1] - xs[0] if len(xs) > 1 else 1.0))
     return ResonanceMap(
-        x0=float(meta.get("map_x0_angstrom", xs[0])),
-        y0=float(meta.get("map_y0_angstrom", ys[0])),
+        x0=x0,
+        y0=y0,
         step=step,
         nx=nx,
         ny=ny,
-        height=float(meta.get("map_height_angstrom", 0.0)),
+        height=height,
         mode=meta.get("map_mode", "unknown"),
         f_minus=data[:, 2].reshape(ny, nx),
         f_plus=data[:, 3].reshape(ny, nx),

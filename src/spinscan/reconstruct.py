@@ -3,10 +3,12 @@
 For collinear spins along z the axial resonance shift is linear in the
 per-site moments m_z: exchange rows of the forward kernel are J(r)/h,
 dipolar rows are the probe Zeeman shift of the per-moment stray-field
-z-component.  Tikhonov-regularized least squares is solved by conjugate
-gradient on the normal equations; the conditioning report quantifies how
-ill-posed each mode is (the dipolar kernel at large height has a
-near-null space, so its inversion is effectively non-unique).
+z-component.  One thin SVD A = U diag(s) V^T serves both the
+conditioning report and the Tikhonov solution at any lam, through the
+filter factors s / (s^2 + lam) (Hansen, Rank-Deficient and Discrete
+Ill-Posed Problems, SIAM 1998).  The report quantifies how ill-posed
+each mode is: the dipolar kernel at large height has a near-null space,
+so its inversion is effectively non-unique.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import warnings
 import numpy as np
 
 from .constants import CONSTANTS
-from .scan import _MIN_HEIGHT, _grid_axis
+from .scan import _MIN_HEIGHT, _scan_axes
 from .spincore import exchange_constant
 from .texture import SpinTexture
 
@@ -31,8 +33,11 @@ __all__ = [
     "lcurve",
 ]
 
-_CG_REL_TOL = 1e-10
 _RANK_DEFICIENT_RATIO = 1e-12
+
+# Largest (pixels x sites) float64 kernel build_forward assembles, checked
+# before allocating; assembly holds several temporaries of that size.
+_MAX_KERNEL_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,8 @@ class ConditioningReport:
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    """Recovered per-site moments plus solver and conditioning details."""
+    """Recovered per-site moments plus solver and conditioning details;
+    iterations is always 0, since the solve is direct."""
 
     m_z: np.ndarray
     residual_norm: float
@@ -115,13 +121,21 @@ def build_forward(
     along z for the shift to be linear in m_z.
     """
     _check_collinear(tex)
-    if height < _MIN_HEIGHT:
-        raise ValueError(f"height must be >= {_MIN_HEIGHT} A, got {height}")
+    if not _MIN_HEIGHT <= height < np.inf:
+        raise ValueError(
+            f"height must be finite and >= {_MIN_HEIGHT} A, got {height}"
+        )
     if mode not in ("dipolar", "exchange", "both"):
         raise ValueError(f"unknown forward mode {mode!r}")
 
-    xs = _grid_axis(x_range[0], x_range[1], step)
-    ys = _grid_axis(y_range[0], y_range[1], step)
+    xs, ys = _scan_axes(x_range, y_range, step)
+    kernel_bytes = 8 * len(xs) * len(ys) * tex.n_sites
+    if kernel_bytes > _MAX_KERNEL_BYTES:
+        raise ValueError(
+            f"forward kernel of {len(xs) * len(ys)} pixels x {tex.n_sites} sites "
+            f"exceeds the {_MAX_KERNEL_BYTES >> 20} MiB budget; use a larger "
+            "step or a smaller range"
+        )
     grid_x, grid_y = np.meshgrid(xs, ys)
     tips = np.column_stack(
         [grid_x.ravel(), grid_y.ravel(), np.full(grid_x.size, float(height))]
@@ -161,108 +175,89 @@ def build_forward(
     )
 
 
-def conditioning_report(a) -> ConditioningReport:
-    """Extremal singular values of the kernel via eigenanalysis of A^T A."""
-    mat = a.a if isinstance(a, ForwardOperator) else np.asarray(a, dtype=float)
-    if mat.shape[1] > 200:
-        raise ValueError(
-            f"dense conditioning analysis supports up to 200 sites, "
-            f"got {mat.shape[1]}"
-        )
-    gram = mat.T @ mat
-    eigenvalues, eigenvectors = np.linalg.eigh(gram)
-    sigmas = np.sqrt(np.clip(eigenvalues, 0.0, None))
-    sigma_max = float(sigmas[-1])
-    sigma_min = float(sigmas[0])
-    cond = sigma_max / sigma_min if sigma_min > 0 else float("inf")
+def _factor(a: np.ndarray):
+    """Thin SVD of the kernel.  With fewer pixels than sites all of V^T is
+    kept, so its last rows span the null space."""
+    return np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
+
+
+def _report(factors) -> ConditioningReport:
+    _, s, vt = factors
+    sigma_max = float(s[0])
+    sigma_min = float(s[-1]) if s.size == vt.shape[0] else 0.0
     return ConditioningReport(
         sigma_max=sigma_max,
         sigma_min=sigma_min,
-        cond=cond,
-        near_null_vector=eigenvectors[:, 0],
+        cond=sigma_max / sigma_min if sigma_min > 0 else float("inf"),
+        near_null_vector=vt[-1],
     )
 
 
-def _conjugate_gradient(mat_vec, b: np.ndarray, max_iter: int, rel_tol: float):
-    """Textbook CG for a symmetric positive (semi)definite system."""
-    x = np.zeros_like(b)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    b_norm = np.sqrt(float(b @ b))
-    if b_norm == 0.0:
-        return x, 0
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        ap = mat_vec(p)
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            break
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= rel_tol * b_norm:
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return x, iterations
+def conditioning_report(a) -> ConditioningReport:
+    """Extremal singular values of the kernel and the right singular
+    vector of the smallest one."""
+    mat = a.a if isinstance(a, ForwardOperator) else np.asarray(a, dtype=float)
+    return _report(_factor(mat))
+
+
+def _prepare(fwd: ForwardOperator, y, lambdas):
+    """Checked observation vector and lam values, plus the kernel's SVD."""
+    lambdas = [float(lam) for lam in lambdas]
+    if not all(0.0 <= lam < np.inf for lam in lambdas):
+        raise ValueError(f"regularization strength must be finite and >= 0: {lambdas}")
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != fwd.a.shape[0]:
+        raise ValueError(
+            f"observation vector has {y.size} entries, kernel has "
+            f"{fwd.a.shape[0]} pixels"
+        )
+    return y, lambdas, _factor(fwd.a)
+
+
+def _filtered(a: np.ndarray, factors, y: np.ndarray, lam: float):
+    """Tikhonov solution from the SVD factors, and its residual norm; at
+    lam = 0 components with s <= _RANK_DEFICIENT_RATIO s_max are dropped."""
+    u, s, vt = factors
+    if lam == 0.0:
+        keep = s > _RANK_DEFICIENT_RATIO * s[0]
+        gain = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+    else:
+        gain = s / (s * s + lam)
+    m = vt[: s.size].T @ (gain * (u.T @ y))
+    return m, float(np.linalg.norm(a @ m - y))
 
 
 def solve_tikhonov(fwd: ForwardOperator, y, lam: float) -> ReconstructionResult:
     """Minimize ||A m - y||^2 + lam ||m||^2 over per-site moments m.
 
-    Conjugate gradient on (A^T A + lam I) m = A^T y from m = 0, stopping
-    at relative residual 1e-10 or 10 x site count iterations.  With
-    lam = 0 and a rank-deficient kernel the iterate CG returns is the
-    minimum-norm-seeking one; the conditioning report flags the
-    deficiency.
+    m = V diag(s / (s^2 + lam)) U^T y from one SVD of A.  With lam = 0
+    this is the minimum-norm least-squares solution; a rank-deficient
+    kernel draws a warning, since the minimizer is then not unique.
     """
-    if lam < 0:
-        raise ValueError(f"regularization strength must be >= 0, got {lam}")
-    a = fwd.a
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != a.shape[0]:
-        raise ValueError(
-            f"observation vector has {y.size} entries, kernel has "
-            f"{a.shape[0]} pixels"
-        )
-    report = conditioning_report(fwd)
+    y, (lam,), factors = _prepare(fwd, y, [lam])
+    report = _report(factors)
     if lam == 0.0 and report.rank_deficient:
         warnings.warn(
             "lam = 0 with a rank-deficient kernel "
             f"(cond = {report.cond:.3e}); solution is not unique",
             stacklevel=2,
         )
-
-    b = a.T @ y
-
-    def normal_op(v: np.ndarray) -> np.ndarray:
-        return a.T @ (a @ v) + lam * v
-
-    m, iterations = _conjugate_gradient(
-        normal_op, b, max_iter=10 * a.shape[1], rel_tol=_CG_REL_TOL
-    )
-    residual = float(np.linalg.norm(a @ m - y))
+    m, residual = _filtered(fwd.a, factors, y, lam)
     return ReconstructionResult(
-        m_z=m,
-        residual_norm=residual,
-        lam=float(lam),
-        iterations=iterations,
-        report=report,
+        m_z=m, residual_norm=residual, lam=lam, iterations=0, report=report
     )
 
 
 def lcurve(fwd: ForwardOperator, y, lambdas) -> list:
     """Tabulate (lam, residual norm, solution norm) over a lam grid.
 
-    A plain sampling helper for manual regularization choice; no corner
-    detection or automatic selection.
+    One SVD serves every lam, and each row equals what solve_tikhonov
+    returns.  A plain sampling helper for manual regularization choice;
+    no corner detection or automatic selection.
     """
+    y, lambdas, factors = _prepare(fwd, y, lambdas)
     rows = []
     for lam in lambdas:
-        result = solve_tikhonov(fwd, y, float(lam))
-        rows.append(
-            (float(lam), result.residual_norm, float(np.linalg.norm(result.m_z)))
-        )
+        m, residual = _filtered(fwd.a, factors, y, lam)
+        rows.append((lam, residual, float(np.linalg.norm(m))))
     return rows

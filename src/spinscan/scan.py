@@ -123,28 +123,25 @@ class ScanConfig:
         return self.mode in ("exchange", "both")
 
 
-def _axis_len(lo: float, hi: float, step: float) -> int:
-    """Number of points lo, lo+step, ... up to hi (inclusive when commensurate)."""
-    return int(np.floor((hi - lo) / step + 1e-9)) + 1
-
-
-def _grid_axis(lo: float, hi: float, step: float) -> np.ndarray:
-    """Points lo, lo+step, ... up to hi (inclusive when commensurate)."""
-    return lo + step * np.arange(_axis_len(lo, hi, step))
-
-
-def _scan_axes(cfg: ScanConfig):
-    """x and y axes of cfg's raster, after checking the pixel budget."""
-    nx = _axis_len(cfg.x_range[0], cfg.x_range[1], cfg.step)
-    ny = _axis_len(cfg.y_range[0], cfg.y_range[1], cfg.step)
+def _scan_axes(x_range, y_range, step: float):
+    """Axes lo, lo+step, ... up to hi (inclusive when commensurate) over
+    x_range and y_range, after checking the values and the pixel budget."""
+    if not (step > 0 and np.all(np.isfinite((step, *x_range, *y_range)))):
+        raise ValueError(
+            f"grid step must be positive and step and ranges finite, got "
+            f"step={step}, x_range={x_range}, y_range={y_range}"
+        )
+    nx, ny = (np.floor((hi - lo) / step + 1e-9) + 1 for lo, hi in (x_range, y_range))
+    if nx < 1 or ny < 1:
+        raise ValueError("grid ranges must satisfy min <= max")
     if nx * ny > _MAX_PIXELS:
         raise ValueError(
-            f"scan grid of {nx} x {ny} pixels exceeds the {_MAX_PIXELS} pixel "
-            "budget; use a larger step or a smaller range"
+            f"scan grid of {nx:.0f} x {ny:.0f} pixels exceeds the {_MAX_PIXELS} "
+            "pixel budget; use a larger step or a smaller range"
         )
     return (
-        _grid_axis(cfg.x_range[0], cfg.x_range[1], cfg.step),
-        _grid_axis(cfg.y_range[0], cfg.y_range[1], cfg.step),
+        x_range[0] + step * np.arange(int(nx)),
+        y_range[0] + step * np.arange(int(ny)),
     )
 
 
@@ -391,7 +388,7 @@ def scan_constant_height(
     Rows are distributed over a thread pool and reassembled by row
     index, so the output is bit-identical for any worker count.
     """
-    xs, ys = _scan_axes(cfg)
+    xs, ys = _scan_axes(cfg.x_range, cfg.y_range, cfg.step)
     nx, ny = len(xs), len(ys)
     f_minus = np.empty((ny, nx))
     f_plus = np.empty((ny, nx))
@@ -463,7 +460,7 @@ def scan_iso_frequency(
         raise ValueError(f"z_min must be >= {_MIN_HEIGHT} A, got {z_min}")
     if z_max <= z_min:
         raise ValueError("z_max must exceed z_min")
-    xs, ys = _scan_axes(cfg)
+    xs, ys = _scan_axes(cfg.x_range, cfg.y_range, cfg.step)
     grid_x, grid_y = np.meshgrid(xs, ys)
     px = grid_x.ravel()
     py = grid_y.ravel()

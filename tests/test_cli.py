@@ -304,6 +304,46 @@ def test_reconstruct_negative_lam_is_usage_error(workdir):
     assert r.returncode == 2
 
 
+def test_reconstruct_over_pixel_budget_is_usage_error(workdir):
+    r = run_cli("reconstruct", "--texture", "t.spintex", "--synthetic",
+                "--step", "1e-6", "--out", "x.txt", cwd=workdir)
+    assert r.returncode == 2
+    assert "pixel budget" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_reconstruct_over_kernel_budget_is_usage_error(workdir):
+    # 641 x 641 pixels fit the pixel budget; 25 sites make the kernel too big.
+    r = run_cli("reconstruct", "--texture", "t.spintex", "--synthetic",
+                "--step", "0.01875", "--out", "x.txt", cwd=workdir)
+    assert r.returncode == 2
+    assert "MiB budget" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_reconstruct_225_sites(workdir):
+    r = run_cli("texture", "--lattice", "square", "--a", 3, "--nx", 15, "--ny", 15,
+                "--pattern", "afm-neel", "--out", "neel15.spintex", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    r = run_cli("reconstruct", "--texture", "neel15.spintex", "--synthetic",
+                "--mode", "exchange", "--height", 4, "--step", 1.0,
+                "--lam", "1e-6", "--out", "mom15.txt", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    assert "(225 sites)" in r.stdout
+    assert "iterations" not in r.stdout
+
+
+def test_reconstruct_malformed_map_is_input_error(workdir):
+    (workdir / "bad.csv").write_text(
+        "x_angstrom,y_angstrom,f_minus_ghz,f_plus_ghz\n0,0,3.4,3.5\n0,0,abc,3\n"
+    )
+    r = run_cli("reconstruct", "--texture", "t.spintex", "--map", "bad.csv",
+                "--out", "x.txt", cwd=workdir)
+    assert r.returncode == 3
+    assert "bad.csv:3: non-numeric map row" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
 def test_reconstruct_lcurve_table(workdir):
     r = run_cli("reconstruct", "--texture", "t.spintex", "--synthetic",
                 "--mode", "exchange", "--height", 4, "--step", 1.5,

@@ -1,9 +1,11 @@
-"""Forward kernels, conditioning analysis, and Tikhonov-CG inversion.
+"""Forward kernels, conditioning analysis, and SVD Tikhonov inversion.
 
 Frozen conditioning numbers (exchange kernel at 4 A over the 5x5
 lattice, dipolar kernel at 100 A) come from an independent dense
 eigenanalysis oracle run once and recorded here.
 """
+
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +75,27 @@ def test_forward_rejects_low_height(fm_5x5):
         build_forward(fm_5x5, height=0.5, mode="exchange", **GRID)
 
 
+@pytest.mark.parametrize("height", [np.nan, np.inf])
+def test_forward_rejects_non_finite_height(fm_5x5, height):
+    with pytest.raises(ValueError, match="finite"):
+        build_forward(fm_5x5, height=height, mode="exchange", **GRID)
+
+
+def test_forward_checks_grid_and_kernel_budget(fm_5x5):
+    # 641 x 641 pixels is inside the scan's pixel budget, but the kernel
+    # over 25 sites (78 MiB) is refused before anything is allocated.
+    with pytest.raises(ValueError, match="MiB budget"):
+        build_forward(fm_5x5, x_range=(0.0, 12.0), y_range=(0.0, 12.0),
+                      step=0.01875, height=4.0, mode="exchange")
+    with pytest.raises(ValueError, match="pixel budget"):
+        build_forward(fm_5x5, x_range=(0.0, 12.0), y_range=(0.0, 12.0),
+                      step=1e-6, height=4.0, mode="exchange")
+    for step in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError, match="step"):
+            build_forward(fm_5x5, x_range=(0.0, 12.0), y_range=(0.0, 12.0),
+                          step=step, height=4.0, mode="exchange")
+
+
 # ------------------------------------------------------------- conditioning
 
 
@@ -89,7 +112,7 @@ def test_dipolar_kernel_far_field_rank_deficient(fm_5x5):
     rep = conditioning_report(build_forward(fm_5x5, height=100.0,
                                             mode="dipolar", **GRID))
     # Individual site kernels are numerically indistinguishable at 25 x
-    # the lattice constant: the Gram spectrum collapses.
+    # the lattice constant: the singular spectrum collapses.
     assert rep.rank_deficient
     assert rep.cond > 1e6
     # The near-null witness certifies non-uniqueness: a unit moment
@@ -104,6 +127,28 @@ def test_identity_kernel_cond_one():
     rep = conditioning_report(np.eye(7))
     assert rep.cond == pytest.approx(1.0, abs=1e-12)
     assert rep.sigma_max == pytest.approx(1.0, abs=1e-12)
+
+
+def test_dipolar_cond_is_finite_svd_ratio(fm_5x5):
+    # The SVD resolves sigma_min below sqrt(eps) sigma_max, where the Gram
+    # route underflowed to cond = inf.
+    a = build_forward(fm_5x5, height=100.0, mode="dipolar", **GRID).a
+    rep = conditioning_report(a)
+    sv = np.linalg.svd(a, compute_uv=False)
+    assert np.isfinite(rep.cond)
+    assert rep.cond == pytest.approx(sv[0] / sv[-1], rel=1e-6)
+    assert rep.sigma_max == pytest.approx(sv[0], rel=1e-12)
+
+
+def test_fewer_pixels_than_sites_is_rank_deficient(fm_5x5):
+    # One pixel cannot see 25 sites: the report names a null vector of
+    # the single row and an infinite condition number.
+    fwd = build_forward(fm_5x5, x_range=(6.0, 6.0), y_range=(6.0, 6.0),
+                        step=1.0, height=4.0, mode="exchange")
+    rep = conditioning_report(fwd)
+    assert rep.sigma_min == 0.0 and rep.cond == np.inf and rep.rank_deficient
+    assert rep.sigma_max == pytest.approx(np.linalg.norm(fwd.a), rel=1e-12)
+    assert abs(fwd.a @ rep.near_null_vector).max() < 1e-12 * rep.sigma_max
 
 
 def test_duplicated_rows_leave_cond_invariant(fm_5x5):
@@ -143,7 +188,7 @@ def test_solution_matches_dense_normal_equations(fm_5x5, rng):
     res = solve_tikhonov(fwd, y, lam)
     dense = np.linalg.solve(fwd.a.T @ fwd.a + lam * np.eye(25), fwd.a.T @ y)
     assert np.max(np.abs(res.m_z - dense)) < 1e-9
-    # CG is deterministic: rerun is bit-identical.
+    # The solve is deterministic: rerun is bit-identical.
     res2 = solve_tikhonov(fwd, y, lam)
     assert np.array_equal(res.m_z, res2.m_z)
 
@@ -191,3 +236,41 @@ def test_lcurve_monotone_tradeoff(neel_5x5, rng):
     norms = [r[2] for r in rows]
     assert all(np.diff(residuals) >= 0)  # residual grows with lam
     assert all(np.diff(norms) <= 0)      # solution norm shrinks with lam
+
+
+def test_lcurve_rows_equal_per_lam_solves(neel_5x5, rng):
+    for height, mode in ((4.0, "exchange"), (100.0, "dipolar")):
+        fwd = build_forward(neel_5x5, height=height, mode=mode, **GRID)
+        m_true = neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2]
+        y = fwd.a @ m_true + rng.normal(scale=1e-9, size=fwd.a.shape[0])
+        lambdas = [0.0, 1e-14, 1e-8, 1e-2, 1e3]
+        rows = lcurve(fwd, y, lambdas)
+        for lam, row in zip(lambdas, rows):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                res = solve_tikhonov(fwd, y, lam)
+            assert row == (lam, res.residual_norm, float(np.linalg.norm(res.m_z)))
+
+
+def test_unregularized_solve_matches_lstsq(neel_5x5):
+    m_true = neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2]
+    fwd = build_forward(neel_5x5, height=4.0, mode="exchange", **GRID)
+    y = fwd.a @ m_true
+    res = solve_tikhonov(fwd, y, lam=0.0)
+    ref = np.linalg.lstsq(fwd.a, y, rcond=1e-12)[0]
+    assert np.linalg.norm(res.m_z - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    # At 100 A the minimum-norm solution keeps singular values down to
+    # about 6e-12 sigma_max, so rounding in y alone moves either solver's
+    # m by up to eps sigma_max / s_kept (~3e-5 relative).  The fitted data
+    # and the numerical rank are what both must agree on.
+    fwd = build_forward(neel_5x5, height=100.0, mode="dipolar", **GRID)
+    y = fwd.a @ m_true
+    with pytest.warns(UserWarning):
+        res = solve_tikhonov(fwd, y, lam=0.0)
+    ref, _, rank, sv = np.linalg.lstsq(fwd.a, y, rcond=1e-12)
+    assert np.linalg.norm(fwd.a @ (res.m_z - ref)) <= 1e-9 * np.linalg.norm(y)
+    kept = sv[sv > 1e-12 * sv[0]]
+    assert rank == kept.size < 25
+    bound = 10 * np.finfo(float).eps * sv[0] / kept[-1]
+    assert np.linalg.norm(res.m_z - ref) <= bound * np.linalg.norm(ref)
