@@ -21,6 +21,7 @@ from .constants import CONSTANTS
 from .reconstruct import build_forward, lcurve, solve_tikhonov
 from .scan import (
     ScanConfig,
+    _check_height,
     distance_sweep,
     probe_hamiltonian_at,
     scan_constant_height,
@@ -344,6 +345,7 @@ def cmd_spectrum(parser, args, config) -> int:
     elif args.texture is not None:
         if args.tip is None:
             parser.error("--tip x,y,z is required with --texture")
+        _check_height(args.tip[2], "--tip z")
         tex = load_texture(args.texture)
         cfg = _scan_config(parser, settings, args, glob, tex)
         h = probe_hamiltonian_at(np.asarray(args.tip, dtype=float), tex, cfg)
@@ -394,7 +396,10 @@ def cmd_reconstruct(parser, args, config) -> int:
     tex = load_texture(args.texture)
     lam = settings.get(args.lam, "reconstruct", "lam", 1e-6, float)
     if not 0 <= lam < np.inf:
-        parser.error(f"--lam must be finite and >= 0, got {lam}")
+        raise ValueError(f"--lam must be finite and >= 0, got {lam}")
+    lcurve_lams = args.lcurve or []
+    if not all(0 <= lam_k < np.inf for lam_k in lcurve_lams):
+        raise ValueError(f"--lcurve values must be finite and >= 0, got {lcurve_lams}")
     synthetic = bool(
         args.synthetic or settings.get(None, "reconstruct", "synthetic", False, bool)
     )
@@ -462,8 +467,8 @@ def cmd_reconstruct(parser, args, config) -> int:
     for key, value in report.items():
         print(f"{key} = {fileio.format_value(value)}")
 
-    if args.lcurve:
-        for lam_k, residual, norm in lcurve(fwd, y, args.lcurve):
+    if lcurve_lams:
+        for lam_k, residual, norm in lcurve(fwd, y, lcurve_lams):
             print(
                 f"lcurve: lam = {lam_k:.9g}, residual = {residual:.9g}, "
                 f"norm = {norm:.9g}"

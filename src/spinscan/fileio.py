@@ -120,11 +120,16 @@ def load_map_csv(path) -> ResonanceMap:
                     f"{path}:{lineno}: map rows need 4 columns, got {len(parts)}"
                 )
             try:
-                rows.append([float(p) for p in parts])
+                values = [float(p) for p in parts]
             except ValueError:
                 raise MapParseError(
                     f"{path}:{lineno}: non-numeric map row {line!r}"
                 ) from None
+            if not np.all(np.isfinite(values)):
+                raise MapParseError(
+                    f"{path}:{lineno}: non-finite value in map row {line!r}"
+                )
+            rows.append(values)
     if not rows:
         raise MapParseError(f"{path}: no data rows")
     data = np.array(rows)

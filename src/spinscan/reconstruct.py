@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .constants import CONSTANTS
-from .scan import _MIN_HEIGHT, _scan_axes
+from .scan import _check_height, _scan_axes
 from .spincore import exchange_constant
 from .texture import SpinTexture
 
@@ -121,10 +121,7 @@ def build_forward(
     along z for the shift to be linear in m_z.
     """
     _check_collinear(tex)
-    if not _MIN_HEIGHT <= height < np.inf:
-        raise ValueError(
-            f"height must be finite and >= {_MIN_HEIGHT} A, got {height}"
-        )
+    _check_height(height, "height")
     if mode not in ("dipolar", "exchange", "both"):
         raise ValueError(f"unknown forward mode {mode!r}")
 

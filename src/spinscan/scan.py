@@ -57,6 +57,11 @@ _MIN_TIP_SITE_DISTANCE = 0.1
 # the asymptotic exchange constant are both out of their validity range.
 _MIN_HEIGHT = 1.0
 
+# Maximum tip height (angstrom), 1 um: far past where either interaction
+# is measurable, and far below the heights where J's x^2.5 factor (about
+# 1e122 A) or the squared tip-site distance (about 1e154 A) overflows.
+_MAX_HEIGHT = 1e4
+
 # Largest raster (pixels) a scan accepts; grid sizes are checked against
 # it before any array is allocated.  A 1000 x 1000 map fits.
 _MAX_PIXELS = 1_000_000
@@ -95,10 +100,7 @@ class ScanConfig:
             )
         if self.step <= 0:
             raise ValueError(f"scan step must be positive, got {self.step}")
-        if self.height < _MIN_HEIGHT:
-            raise ValueError(
-                f"scan height must be >= {_MIN_HEIGHT} A, got {self.height}"
-            )
+        _check_height(self.height, "scan height")
         if self.x_range[1] < self.x_range[0] or self.y_range[1] < self.y_range[0]:
             raise ValueError("scan ranges must satisfy min <= max")
         if self.mode not in _MODES:
@@ -121,6 +123,15 @@ class ScanConfig:
     @property
     def include_exchange(self) -> bool:
         return self.mode in ("exchange", "both")
+
+
+def _check_height(height: float, name: str) -> None:
+    """Reject a tip height outside [_MIN_HEIGHT, _MAX_HEIGHT], or NaN."""
+    if not _MIN_HEIGHT <= height <= _MAX_HEIGHT:
+        raise ValueError(
+            f"{name} must be finite and within [{_MIN_HEIGHT:g}, "
+            f"{_MAX_HEIGHT:g}] A, got {height}"
+        )
 
 
 def _scan_axes(x_range, y_range, step: float):
@@ -456,8 +467,8 @@ def scan_iso_frequency(
     endpoint values do not bracket f_source are marked NaN rather than
     extrapolated.
     """
-    if z_min < _MIN_HEIGHT:
-        raise ValueError(f"z_min must be >= {_MIN_HEIGHT} A, got {z_min}")
+    _check_height(z_min, "z_min")
+    _check_height(z_max, "z_max")
     if z_max <= z_min:
         raise ValueError("z_max must exceed z_min")
     xs, ys = _scan_axes(cfg.x_range, cfg.y_range, cfg.step)

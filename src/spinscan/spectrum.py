@@ -2,12 +2,19 @@
 
 A spectrum is photoluminescence counts versus drive frequency.  On
 resonance the counts dip by a Lorentzian contrast; off resonance they sit
-at the baseline.  Counts are Poisson draws from the mean curve using a
-counter-based generator keyed by (seed, point index), so any execution
-order or parallel split reproduces the same spectrum bit for bit.
+at the baseline.  Counts are Poisson draws from the mean curve.  Each
+measurement window draws all its points in one call from its own
+counter-based Philox stream, keyed (seed, stream): stream = 2 pixel +
+branch in a map (branch 0 for a merged or joint window) and 0 for
+synthesize.  Any execution order or block split therefore reproduces
+the same spectra bit for bit, and no two seeds share a stream.
 
 Fitting is a damped Gauss-Newton (Levenberg-Marquardt) iteration on the
 mean model with an analytic Jacobian; no external optimizer is involved.
+fit_lorentzians fits one spectrum.  measure_map runs the same iteration
+on stacked windows of equal length and peak count, each window with its
+own damping and accept/reject, in blocks bounded by the scan's
+_BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scan import ResonanceMap
+from .scan import _BLOCK_BYTES, ResonanceMap
 from .spincore import ResonancePair
 
 __all__ = [
@@ -34,12 +41,15 @@ __all__ = [
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Key offset separating the upper-branch window stream from the lower one
-# when a pixel is measured as two disjoint spectra (64-bit golden ratio).
-_BRANCH_KEY_OFFSET = 0x9E3779B97F4A7C15
-
+# Levenberg-Marquardt schedule: damping starts at _LAM_START, grows 10x per
+# failed try (up to _MAX_TRIES tries, or until a rejected step takes it
+# past _LAM_MAX) and shrinks 0.3x per accepted step, floored at _LAM_MIN.
 _STEP_TOL = 1e-9          # relative step size declaring convergence
 _MAX_ITER = 200
+_MAX_TRIES = 25
+_LAM_START = 1e-3
+_LAM_MAX = 1e14
+_LAM_MIN = 1e-12
 _WINDOW_HALF_WIDTHS = 20.0  # measurement window half-width in linewidths
 
 # Largest Poisson mean numpy's sampler accepts (its POISSON_LAM_MAX).
@@ -130,33 +140,24 @@ def _lorentzian(u: np.ndarray, gamma: float) -> np.ndarray:
 
 
 def _mean_curve(freqs: np.ndarray, centers, cfg: SpectrumConfig) -> np.ndarray:
+    """Mean counts at freqs (..., n) with dips at centers (..., k)."""
     gamma = cfg.linewidth_fwhm / 2.0
-    dip = np.zeros_like(freqs)
-    for f0 in centers:
-        dip += cfg.contrast * _lorentzian(freqs - f0, gamma)
+    centers = np.asarray(centers, dtype=float)
+    dip = np.zeros(np.broadcast_shapes(freqs.shape, centers.shape[:-1] + (1,)))
+    for k in range(centers.shape[-1]):
+        dip += cfg.contrast * _lorentzian(freqs - centers[..., k, None], gamma)
     return cfg.baseline_counts * (1.0 - dip)
 
 
-def _poisson_counts(means: np.ndarray, seed: int) -> np.ndarray:
-    """Per-point Poisson draws keyed by (seed, point index)."""
-    key_hi = np.uint64(seed & _MASK64)
-    counts = np.empty_like(means)
-    for i, mu in enumerate(means):
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([key_hi, np.uint64(i)], dtype=np.uint64))
-        )
-        counts[i] = gen.poisson(mu)
-    return counts
+def _window_points(f_start, f_stop, f_step: float):
+    """Points of the window f_start, f_start + f_step, ... up to f_stop."""
+    return np.floor((f_stop - f_start) / f_step + 1e-9) + 1
 
 
-def _synthesize_window(
-    f_start: float, f_stop: float, centers, cfg: SpectrumConfig, seed: int
-) -> Spectrum:
-    n = int(np.floor((f_stop - f_start) / cfg.f_step + 1e-9)) + 1
-    freqs = f_start + cfg.f_step * np.arange(n)
-    means = _mean_curve(freqs, centers, cfg)
-    counts = means if cfg.noiseless else _poisson_counts(means, seed)
-    return Spectrum(frequencies=freqs, counts=counts)
+def _poisson_counts(means: np.ndarray, seed: int, stream: int) -> np.ndarray:
+    """One window's Poisson draws from the Philox stream keyed (seed, stream)."""
+    key = np.array([seed & _MASK64, stream], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).poisson(means).astype(float)
 
 
 def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
@@ -170,7 +171,11 @@ def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
             "the spectrum is flat",
             stacklevel=2,
         )
-    return _synthesize_window(cfg.f_start, cfg.f_stop, centers, cfg, cfg.seed)
+    n = int(_window_points(cfg.f_start, cfg.f_stop, cfg.f_step))
+    freqs = cfg.f_start + cfg.f_step * np.arange(n)
+    means = _mean_curve(freqs, centers, cfg)
+    counts = means if cfg.noiseless else _poisson_counts(means, cfg.seed, 0)
+    return Spectrum(frequencies=freqs, counts=counts)
 
 
 def lorentzian_model(theta: np.ndarray, freqs: np.ndarray):
@@ -180,25 +185,35 @@ def lorentzian_model(theta: np.ndarray, freqs: np.ndarray):
     model = b (1 - sum_k c_k L(f - f0_k; w_k)) with L peak-normalized.
     Returns (model (n,), jacobian (n, len(theta))).
     """
-    b = theta[0]
-    n_peaks = (len(theta) - 1) // 3
-    n = freqs.size
-    dip = np.zeros(n)
-    jac = np.zeros((n, len(theta)))
+    model, jac = _batch_model(
+        np.asarray(theta, dtype=float)[None], np.asarray(freqs, dtype=float)[None]
+    )
+    return model[0], jac[0].T
+
+
+def _batch_model(theta: np.ndarray, freqs: np.ndarray):
+    """lorentzian_model of stacked windows: theta (B, P), freqs (B, n).
+
+    Returns (model (B, n), jacobian (B, P, n)); the points stay on the
+    last axis, so sums over them are row-wise reductions.
+    """
+    b = theta[:, 0, None]
+    n_peaks = (theta.shape[1] - 1) // 3
+    dip = np.zeros(freqs.shape)
+    jac = np.empty((theta.shape[0], theta.shape[1], freqs.shape[1]))
     for k in range(n_peaks):
-        f0, w, c = theta[1 + 3 * k : 4 + 3 * k]
-        gamma = abs(w) / 2.0
+        f0, w, c = (theta[:, j, None] for j in range(1 + 3 * k, 4 + 3 * k))
+        gamma = np.abs(w) / 2.0
         u = freqs - f0
         denom = u**2 + gamma**2
         lor = gamma**2 / denom
         dip += c * lor
-        w_sign = 1.0 if w >= 0 else -1.0
+        w_sign = np.where(w >= 0, 1.0, -1.0)
         jac[:, 1 + 3 * k] = -b * c * 2.0 * gamma**2 * u / denom**2
         jac[:, 2 + 3 * k] = -b * c * gamma * u**2 / denom**2 * w_sign
         jac[:, 3 + 3 * k] = -b * lor
-    model = b * (1.0 - dip)
     jac[:, 0] = 1.0 - dip
-    return model, jac
+    return b * (1.0 - dip), jac
 
 
 def _initial_guess(
@@ -207,8 +222,6 @@ def _initial_guess(
     """Parameter vector start: supplied peak guesses or deepest local minima."""
     counts = spec.counts.astype(float)
     freqs = spec.frequencies
-    baseline = float(np.percentile(counts, 90))
-    f_step = float(np.median(np.diff(freqs)))
 
     if guesses is not None:
         if len(guesses) != n_peaks:
@@ -219,6 +232,8 @@ def _initial_guess(
         widths = [g[1] for g in guesses]
         contrasts = [g[2] for g in guesses]
     else:
+        baseline = float(np.percentile(counts, 90))
+        f_step = float(np.median(np.diff(freqs)))
         # Moving-average smoothing suppresses shot noise before the
         # greedy deepest-minimum search.  Edge padding keeps the window
         # ends from reading as spurious minima.
@@ -242,18 +257,30 @@ def _initial_guess(
             float(np.clip(1.0 - smooth[i] / max(baseline, 1e-300), 1e-3, 0.99))
             for i in picked
         ]
+    return _start_theta(counts, freqs, centers, widths, contrasts)
 
+
+def _start_theta(counts, freqs, centers, widths, contrasts) -> np.ndarray:
+    """Start vectors (..., 1 + 3k) of windows (..., n) from peak guesses.
+
+    centers (..., k) are sorted; widths and contrasts broadcast against
+    them.  The baseline starts at the 90th percentile of the counts.
+    """
+    f_step = np.median(np.diff(freqs, axis=-1), axis=-1)
     # Overlapping starts make the Jacobian rank-deficient; spread them by
     # one frequency step.
-    centers = sorted(centers)
-    for k in range(1, n_peaks):
-        if centers[k] - centers[k - 1] < 0.5 * f_step:
-            centers[k] = centers[k - 1] + f_step
-
-    theta = [baseline]
-    for f0, w, c in zip(centers, widths, contrasts):
-        theta.extend([f0, w, c])
-    return np.array(theta)
+    centers = np.sort(np.asarray(centers, dtype=float), axis=-1)
+    for k in range(1, centers.shape[-1]):
+        close = centers[..., k] - centers[..., k - 1] < 0.5 * f_step
+        centers[..., k] = np.where(
+            close, centers[..., k - 1] + f_step, centers[..., k]
+        )
+    theta = np.empty(centers.shape[:-1] + (1 + 3 * centers.shape[-1],))
+    theta[..., 0] = np.percentile(counts, 90, axis=-1)
+    theta[..., 1::3] = centers
+    theta[..., 2::3] = widths
+    theta[..., 3::3] = contrasts
+    return theta
 
 
 def fit_lorentzians(
@@ -280,14 +307,14 @@ def fit_lorentzians(
     model, jac = lorentzian_model(theta, freqs)
     resid = model - counts
     cost = float(resid @ resid)
-    lam = 1e-3
+    lam = _LAM_START
     converged = False
     n_iter = 0
     for n_iter in range(1, _MAX_ITER + 1):
         hess = jac.T @ jac
         grad = jac.T @ resid
         accepted = False
-        for _ in range(25):
+        for _ in range(_MAX_TRIES):
             damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-12))
             try:
                 step = np.linalg.solve(damped, -grad)
@@ -302,13 +329,13 @@ def fit_lorentzians(
                 accepted = True
                 break
             lam *= 10.0
-            if lam > 1e14:
+            if lam > _LAM_MAX:
                 break
         if not accepted:
             break
         rel_step = np.linalg.norm(step) / max(np.linalg.norm(theta), 1e-300)
         theta, model, jac, resid, cost = trial, model_t, jac_t, resid_t, cost_t
-        lam = max(lam * 0.3, 1e-12)
+        lam = max(lam * 0.3, _LAM_MIN)
         if rel_step < _STEP_TOL:
             converged = True
             break
@@ -350,72 +377,211 @@ def fit_lorentzians(
     )
 
 
-def _measure_pixel(
-    f_minus: float, f_plus: float, cfg: SpectrumConfig, seed: int
-):
-    """Measure one pixel's branch pair; returns (fitted pair, error)."""
-    half = _WINDOW_HALF_WIDTHS * cfg.linewidth_fwhm
-    sep = f_plus - f_minus
-    truth = (f_minus, f_plus)
-    guess = lambda c: (c, cfg.linewidth_fwhm, cfg.contrast)  # noqa: E731
+def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of a * b over the last axis, one row-wise reduction per row."""
+    return np.sum(a * b, axis=-1)
 
+
+def _normal_equations(jac: np.ndarray, resid: np.ndarray):
+    """Gauss-Newton matrices (B, P, P) and gradients (B, P) of stacked
+    Jacobians (B, P, n) and residuals (B, n)."""
+    hess = np.empty(jac.shape[:2] + jac.shape[1:2])
+    for i in range(jac.shape[1]):
+        hess[:, i] = _row_dot(jac[:, i, None], jac)
+    return hess, _row_dot(jac, resid[:, None])
+
+
+def _solve_damped(damped: np.ndarray, rhs: np.ndarray):
+    """Stacked solve of damped (B, P, P) against rhs (B, P).
+
+    A singular system fails only its own window: it gets a NaN step and
+    a True flag in the returned mask, as fit_lorentzians retries it.
+    """
+    singular = np.zeros(len(rhs), dtype=bool)
     try:
-        if sep <= cfg.f_step:
-            # Branches unresolved at this step size: one merged dip.
-            spec = _synthesize_window(
-                f_minus - half, f_plus + half, truth, cfg, seed
-            )
-            fit = fit_lorentzians(spec, 1, [guess(0.5 * (f_minus + f_plus))])
-            fitted = (fit.peaks[0].center, fit.peaks[0].center)
-        elif sep <= 2.0 * half:
-            # Both branches inside one window: joint two-dip fit.
-            spec = _synthesize_window(
-                f_minus - half, f_plus + half, truth, cfg, seed
-            )
-            fit = fit_lorentzians(spec, 2, [guess(f_minus), guess(f_plus)])
-            fitted = (fit.peaks[0].center, fit.peaks[1].center)
-        else:
-            # Far-separated branches: one window per branch.  The other
-            # branch's dip is negligible that far outside its window.
-            centers = []
-            for branch, f0 in enumerate(truth):
-                branch_seed = (seed + branch * _BRANCH_KEY_OFFSET) & _MASK64
-                spec = _synthesize_window(
-                    f0 - half, f0 + half, truth, cfg, branch_seed
-                )
-                fit = fit_lorentzians(spec, 1, [guess(f0)])
-                centers.append(fit.peaks[0].center)
-            fitted = tuple(centers)
-    except (ValueError, np.linalg.LinAlgError):
-        return (np.nan, np.nan), np.inf
+        return np.linalg.solve(damped, rhs[..., None])[..., 0], singular
+    except np.linalg.LinAlgError:
+        step = np.full(rhs.shape, np.nan)
+        for i in range(len(rhs)):
+            try:
+                step[i] = np.linalg.solve(damped[i], rhs[i])
+            except np.linalg.LinAlgError:
+                singular[i] = True
+        return step, singular
 
-    error = max(abs(fitted[0] - f_minus), abs(fitted[1] - f_plus))
-    return fitted, error
+
+def _fit_block(freqs: np.ndarray, counts: np.ndarray, theta: np.ndarray):
+    """Levenberg-Marquardt on stacked windows of one length and peak count.
+
+    freqs and counts are (B, n), theta the (B, P) start vectors.  Each
+    window follows fit_lorentzians' damping schedule and accept/reject
+    on its own; all sums over points are row-wise reductions, so a
+    window's result does not depend on which other windows share its
+    block.  Returns the final (B, P) parameters.
+    """
+    theta = theta.copy()
+    n_win, n_par = theta.shape
+    model, jac = _batch_model(theta, freqs)
+    resid = model - counts
+    cost = _row_dot(resid, resid)
+    hess, grad = _normal_equations(jac, resid)
+    lam = np.full(n_win, _LAM_START)
+    n_iter = np.ones(n_win, dtype=int)
+    tries = np.zeros(n_win, dtype=int)
+    done = np.zeros(n_win, dtype=bool)
+    diag = np.arange(n_par)
+    live = np.arange(n_win)
+    while live.size:
+        damped = hess[live]
+        damped[:, diag, diag] += lam[live, None] * np.maximum(
+            damped[:, diag, diag], 1e-12
+        )
+        step, singular = _solve_damped(damped, -grad[live])
+        tried, step = live[~singular], step[~singular]
+        model_t, jac_t = _batch_model(theta[tried] + step, freqs[tried])
+        resid_t = model_t - counts[tried]
+        cost_t = _row_dot(resid_t, resid_t)
+        ok = cost_t <= cost[tried]
+
+        acc, step = tried[ok], step[ok]
+        rel_step = np.sqrt(_row_dot(step, step)) / np.maximum(
+            np.sqrt(_row_dot(theta[acc], theta[acc])), 1e-300
+        )
+        theta[acc] += step
+        cost[acc] = cost_t[ok]
+        hess[acc], grad[acc] = _normal_equations(jac_t[ok], resid_t[ok])
+        lam[acc] = np.maximum(lam[acc] * 0.3, _LAM_MIN)
+        done[acc] = (rel_step < _STEP_TOL) | (n_iter[acc] == _MAX_ITER)
+        n_iter[acc] += 1
+        tries[acc] = 0
+
+        rejected = tried[~ok]
+        failed = np.concatenate([live[singular], rejected])
+        lam[failed] *= 10.0
+        tries[failed] += 1
+        done[failed] = tries[failed] == _MAX_TRIES
+        done[rejected] |= lam[rejected] > _LAM_MAX
+        live = live[~done[live]]
+    return theta
+
+
+def _fit_windows(
+    f_start: np.ndarray,
+    n_points: int,
+    truth: np.ndarray,
+    guesses: np.ndarray,
+    streams: np.ndarray,
+    cfg: SpectrumConfig,
+):
+    """Synthesize and fit a block of windows of equal length and peak count.
+
+    f_start (B,) GHz; truth (B, 2) the resonances the spectra hold;
+    guesses (B, k) the start centres; streams (B,) the Philox stream of
+    each window.  Returns the fitted centres (B, k), sorted, and a mask
+    of the windows whose synthesis succeeded (the others hold NaN).
+    """
+    freqs = f_start[:, None] + cfg.f_step * np.arange(n_points)
+    means = _mean_curve(freqs, truth, cfg)
+    ok = ~np.any(np.diff(freqs, axis=1) <= 0, axis=1)
+    if cfg.noiseless:
+        counts = means
+        ok &= ~np.any(counts < 0, axis=1)
+    else:
+        counts = np.empty_like(means)
+        for i, stream in enumerate(streams):
+            try:
+                counts[i] = _poisson_counts(means[i], cfg.seed, int(stream))
+            except ValueError:  # a negative mean (overlapping deep dips)
+                ok[i] = False
+    centers = np.full(guesses.shape, np.nan)
+    if np.any(ok):
+        freqs, counts = freqs[ok], counts[ok]
+        theta = _start_theta(
+            counts, freqs, guesses[ok], cfg.linewidth_fwhm, cfg.contrast
+        )
+        theta = _fit_block(freqs, counts, theta)
+        centers[ok] = np.sort(theta[:, 1::3], axis=1)
+    return centers, ok
 
 
 def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
     """Emulate readout of every map pixel: synthesize, fit, compare.
 
     The window per pixel is auto-sized to +/- 20 linewidths around each
-    true branch (joint when the branches are closer than that).  The
-    per-pixel seed is cfg.seed XOR the row-major pixel index, making the
-    result independent of any pixel execution order.  Returns the fitted
-    map (field channels dropped) and an error map holding the worse
-    branch deviation |fitted - true| per pixel; failed fits hold inf.
+    true branch.  Branches closer than one frequency step share one
+    window and one merged dip; branches within 40 linewidths share one
+    window with a joint two-dip fit; farther branches get one window
+    each.  A window's counts come from the Philox stream (cfg.seed,
+    2 pixel + branch), pixel the row-major index and branch 0 for a
+    shared window, so the result is independent of any execution order.
+    All windows are fitted together, grouped by length and peak count,
+    in blocks whose working set stays within _BLOCK_BYTES.
+
+    Returns the fitted map (field channels dropped) and an error map
+    holding the worse branch deviation |fitted - true| per pixel.
+    Pixels whose window could not be synthesized or fitted (too few
+    points, negative mean counts, non-finite resonances) hold NaN
+    resonances and an infinite error.
     """
-    fitted_minus = np.empty_like(rmap.f_minus)
-    fitted_plus = np.empty_like(rmap.f_plus)
-    error = np.empty_like(rmap.f_minus)
-    for iy in range(rmap.ny):
-        for ix in range(rmap.nx):
-            pixel_index = iy * rmap.nx + ix
-            seed = (cfg.seed ^ pixel_index) & _MASK64
-            (fm, fp), err = _measure_pixel(
-                float(rmap.f_minus[iy, ix]), float(rmap.f_plus[iy, ix]), cfg, seed
+    f_minus = rmap.f_minus.ravel()
+    f_plus = rmap.f_plus.ravel()
+    half = _WINDOW_HALF_WIDTHS * cfg.linewidth_fwhm
+    finite = np.isfinite(f_minus) & np.isfinite(f_plus)
+    sep = np.zeros(f_minus.shape)
+    sep[finite] = f_plus[finite] - f_minus[finite]
+    split = sep > 2.0 * half
+    joint = ~split & (sep > cfg.f_step)
+
+    # Windows in stream order: branch 0 of every pixel, branch 1 of split
+    # pixels.  A window spans [lo - half, hi + half].
+    pixel = np.repeat(np.flatnonzero(finite), 2)
+    branch = np.tile([0, 1], pixel.size // 2)
+    keep = (branch == 0) | split[pixel]
+    pixel, branch = pixel[keep], branch[keep]
+    lo = np.where(branch == 1, f_plus[pixel], f_minus[pixel])
+    hi = np.where(split[pixel] & (branch == 0), f_minus[pixel], f_plus[pixel])
+    n_peaks = np.where(joint[pixel], 2, 1)
+    n_points = _window_points(lo - half, hi + half, cfg.f_step).astype(np.int64)
+    truth = np.column_stack([f_minus[pixel], f_plus[pixel]])
+    guesses = np.column_stack([lo, hi])
+    guesses[n_peaks == 1, 0] = 0.5 * (lo + hi)[n_peaks == 1]
+
+    # Fitted (lower, upper) centre per window; a one-dip window repeats it.
+    fit = np.full((pixel.size, 2), np.nan)
+    fitted_ok = np.zeros(pixel.size, dtype=bool)
+    key = 2 * n_points + n_peaks
+    order = np.argsort(key, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        if group.size == 0:
+            continue
+        k, n = int(n_peaks[group[0]]), int(n_points[group[0]])
+        if n < 5 * k:
+            continue  # too few points to fit k dips
+        # A block's working set is about eight of its (rows, 1 + 3k, n)
+        # float64 Jacobians; keep it within _BLOCK_BYTES.
+        rows = max(1, _BLOCK_BYTES // (64 * (1 + 3 * k) * n))
+        for start in range(0, group.size, rows):
+            w = group[start : start + rows]
+            centers, fitted_ok[w] = _fit_windows(
+                lo[w] - half, n, truth[w], guesses[w, :k], 2 * pixel[w] + branch[w],
+                cfg,
             )
-            fitted_minus[iy, ix] = fm
-            fitted_plus[iy, ix] = fp
-            error[iy, ix] = err
+            fit[w] = centers[:, [0, k - 1]]
+
+    fitted_minus = np.full(f_minus.shape, np.nan)
+    fitted_plus = np.full(f_plus.shape, np.nan)
+    first = branch == 0
+    fitted_minus[pixel[first]] = fit[first, 0]
+    fitted_plus[pixel[first]] = fit[first, 1]
+    fitted_plus[pixel[~first]] = fit[~first, 0]
+    failed = ~finite
+    failed[pixel[~fitted_ok]] = True
+    error = np.maximum(np.abs(fitted_minus - f_minus), np.abs(fitted_plus - f_plus))
+    fitted_minus[failed] = np.nan
+    fitted_plus[failed] = np.nan
+    error[failed] = np.inf
+
+    shape = rmap.f_minus.shape
     fitted = ResonanceMap(
         x0=rmap.x0,
         y0=rmap.y0,
@@ -424,7 +590,7 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
         ny=rmap.ny,
         height=rmap.height,
         mode=rmap.mode,
-        f_minus=fitted_minus,
-        f_plus=fitted_plus,
+        f_minus=fitted_minus.reshape(shape),
+        f_plus=fitted_plus.reshape(shape),
     )
-    return fitted, error
+    return fitted, error.reshape(shape)

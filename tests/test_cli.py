@@ -344,6 +344,27 @@ def test_reconstruct_malformed_map_is_input_error(workdir):
     assert len(r.stderr.strip().splitlines()) == 1
 
 
+def test_reconstruct_non_finite_map_is_input_error(workdir):
+    (workdir / "nan.csv").write_text(
+        "x_angstrom,y_angstrom,f_minus_ghz,f_plus_ghz\n0,0,3.4,3.5\n0,1,3.4,nan\n"
+    )
+    r = run_cli("reconstruct", "--texture", "t.spintex", "--map", "nan.csv",
+                "--out", "x.txt", cwd=workdir)
+    assert r.returncode == 3
+    assert "nan.csv:3: non-finite value" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+
+
+def test_reconstruct_bad_lcurve_fails_before_any_output(workdir):
+    r = run_cli("reconstruct", "--texture", "t.spintex", "--synthetic",
+                "--lcurve", "nan,1", "--out", "lc_bad.txt", cwd=workdir)
+    assert r.returncode == 2
+    assert "--lcurve" in r.stderr
+    assert len(r.stderr.strip().splitlines()) == 1
+    assert r.stdout == ""
+    assert not (workdir / "lc_bad.txt").exists()
+
+
 def test_reconstruct_lcurve_table(workdir):
     r = run_cli("reconstruct", "--texture", "t.spintex", "--synthetic",
                 "--mode", "exchange", "--height", 4, "--step", 1.5,

@@ -75,6 +75,12 @@ def test_forward_rejects_low_height(fm_5x5):
         build_forward(fm_5x5, height=0.5, mode="exchange", **GRID)
 
 
+def test_forward_rejects_height_above_ceiling(fm_5x5):
+    # 1e150 A would overflow the squared tip-site distance.
+    with pytest.raises(ValueError, match="within"):
+        build_forward(fm_5x5, height=1e150, mode="exchange", **GRID)
+
+
 @pytest.mark.parametrize("height", [np.nan, np.inf])
 def test_forward_rejects_non_finite_height(fm_5x5, height):
     with pytest.raises(ValueError, match="finite"):

@@ -288,6 +288,8 @@ def test_signal_conventions(fm_5x5):
 def test_scan_config_validation():
     with pytest.raises(ValueError):
         ScanConfig(height=0.5)  # below the 1 A tip-height floor
+    with pytest.raises(ValueError, match="within"):
+        ScanConfig(height=1e150)  # above the 1 um ceiling
     with pytest.raises(ValueError):
         ScanConfig(step=0.0)
     with pytest.raises(ValueError):
@@ -338,6 +340,8 @@ def test_iso_frequency_rejects_bad_bracket(single_site):
     cfg = ScanConfig(x_range=(0.0, 0.0), y_range=(0.0, 0.0), step=1.0)
     with pytest.raises(ValueError):
         scan_iso_frequency(cfg, single_site, 100.0, 8.0, 3.0)
+    with pytest.raises(ValueError, match="z_max"):
+        scan_iso_frequency(cfg, single_site, 100.0, 2.0, 1e150)
 
 
 # ---------------------------------------------------------------- pair mode

@@ -5,9 +5,11 @@ established with an independent Monte Carlo before freezing; Jacobian
 correctness is checked against central finite differences.
 """
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
+from spinscan import spectrum
 from spinscan import (
     ResonancePair,
     ScanConfig,
@@ -264,3 +266,142 @@ def test_measure_map_merged_branches():
     fitted, err = measure_map(rmap, SpectrumConfig(seed=9))
     assert fitted.f_minus[0, 0] == fitted.f_plus[0, 0]
     assert err[0, 0] < 5e-3
+
+
+# ------------------------------------------------------ batched map readout
+
+
+def _row_map(f_minus, f_plus):
+    from spinscan.scan import ResonanceMap
+
+    f_minus = np.asarray(f_minus, dtype=float)[None, :]
+    f_plus = np.asarray(f_plus, dtype=float)[None, :]
+    return ResonanceMap(x0=0.0, y0=0.0, step=1.0, nx=f_minus.size, ny=1,
+                        height=4.0, mode="exchange", f_minus=f_minus, f_plus=f_plus)
+
+
+def _oracle_measure(rmap, cfg):
+    """measure_map rebuilt window by window on fit_lorentzians."""
+    half = spectrum._WINDOW_HALF_WIDTHS * cfg.linewidth_fwhm
+    guess = lambda c: (c, cfg.linewidth_fwhm, cfg.contrast)  # noqa: E731
+
+    def fit(lo, hi, truth, stream, guesses):
+        n = int(np.floor((hi - lo) / cfg.f_step + 1e-9)) + 1
+        freqs = lo + cfg.f_step * np.arange(n)
+        means = spectrum._mean_curve(freqs, truth, cfg)
+        counts = (means if cfg.noiseless
+                  else spectrum._poisson_counts(means, cfg.seed, stream))
+        peaks = fit_lorentzians(Spectrum(freqs, counts), len(guesses), guesses).peaks
+        return peaks[0].center, peaks[-1].center
+
+    fitted, error = [], []
+    for p, (fm, fp) in enumerate(zip(rmap.f_minus.ravel(), rmap.f_plus.ravel())):
+        sep, truth = fp - fm, (fm, fp)
+        try:
+            if sep <= cfg.f_step:
+                pair = fit(fm - half, fp + half, truth, 2 * p, [guess(0.5 * (fm + fp))])
+            elif sep <= 2 * half:
+                pair = fit(fm - half, fp + half, truth, 2 * p, [guess(fm), guess(fp)])
+            else:
+                pair = tuple(fit(f0 - half, f0 + half, truth, 2 * p + b, [guess(f0)])[0]
+                             for b, f0 in enumerate(truth))
+        except ValueError:
+            fitted.append((np.nan, np.nan))
+            error.append(np.inf)
+            continue
+        fitted.append(pair)
+        error.append(max(abs(pair[0] - fm), abs(pair[1] - fp)))
+    return np.array(fitted), np.array(error)
+
+
+# Merged (equal branches), joint (branches 0.1-1.9 GHz apart) and split
+# (4.2-8 GHz apart) pixels, plus a nearly merged pair and a NaN pixel.
+_BRANCH_GAPS = [0.0, 0.0, 0.05, 0.3, 1.0, 1.9, 3.0, 4.2, 8.0, 0.02]
+MIXED = _row_map([F0 - g / 2 for g in _BRANCH_GAPS] + [np.nan],
+                 [F0 + g / 2 for g in _BRANCH_GAPS] + [F0])
+
+
+@pytest.mark.parametrize("cfg", [
+    SpectrumConfig(seed=3),
+    SpectrumConfig(seed=3, noiseless=True),
+    # Deep dips: overlapping branches drive the mean counts negative.
+    SpectrumConfig(seed=5, contrast=0.7),
+    SpectrumConfig(seed=5, contrast=0.7, noiseless=True),
+])
+def test_measure_map_matches_per_window_fits(cfg):
+    fitted, error = measure_map(MIXED, cfg)
+    want, want_error = _oracle_measure(MIXED, cfg)
+    got = np.column_stack([fitted.f_minus.ravel(), fitted.f_plus.ravel()])
+    error = error.ravel()
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.isinf(error), np.isinf(want_error))
+    assert np.array_equal(np.isnan(error), np.isnan(want_error))
+    ok = np.isfinite(want)
+    assert np.max(np.abs(got[ok] - want[ok])) < 1e-9
+    ok = np.isfinite(want_error)
+    assert np.max(np.abs(error[ok] - want_error[ok])) < 1e-9
+    assert np.isinf(error[-1])  # the NaN pixel
+
+
+def test_measure_map_marks_short_windows_failed():
+    # At a 0.6 GHz step these joint windows have 8 and 9 points, too few
+    # for two dips, in both paths.
+    rmap = _row_map([F0 - 0.35, F0 - 0.5], [F0 + 0.35, F0 + 0.5])
+    cfg = SpectrumConfig(seed=2, f_step=0.6)
+    fitted, error = measure_map(rmap, cfg)
+    want, want_error = _oracle_measure(rmap, cfg)
+    assert np.all(np.isinf(want_error)) and np.all(np.isinf(error))
+    assert np.all(np.isnan(want)) and np.all(np.isnan(fitted.f_plus))
+
+
+@pytest.fixture(scope="module")
+def window_block():
+    """Twelve equal-length windows per peak count, as measure_map builds them."""
+    cfg = SpectrumConfig(seed=17)
+    half = spectrum._WINDOW_HALF_WIDTHS * cfg.linewidth_fwhm
+    offsets = np.linspace(-0.3, 0.3, 12)
+    single = dict(f_start=F0 + offsets - half, n_points=201,
+                  truth=np.column_stack([F0 + offsets, F0 + offsets + 5.0]),
+                  guesses=(F0 + offsets)[:, None], streams=2 * np.arange(12))
+    lo, hi = F0 + offsets - 0.6, F0 + offsets + 0.6
+    joint = dict(f_start=lo - half, n_points=261, truth=np.column_stack([lo, hi]),
+                 guesses=np.column_stack([lo, hi]), streams=2 * np.arange(12) + 1)
+    return cfg, (single, joint)
+
+
+@settings(max_examples=25, deadline=None)
+@given(order=st.permutations(range(12)),
+       cuts=st.lists(st.integers(min_value=1, max_value=11), max_size=4))
+def test_batched_fits_independent_of_block_split_and_order(window_block, order, cuts):
+    cfg, groups = window_block
+    order = np.array(order)
+    for windows in groups:
+        whole, ok = spectrum._fit_windows(**windows, cfg=cfg)
+        assert ok.all()
+        parts = np.split(order, sorted(set(cuts)))
+        pieced = np.empty_like(whole)
+        for part in parts:
+            sub = {k: (v[part] if isinstance(v, np.ndarray) else v)
+                   for k, v in windows.items()}
+            pieced[part] = spectrum._fit_windows(**sub, cfg=cfg)[0]
+        assert np.array_equal(pieced, whole)
+
+
+def test_measure_map_independent_of_block_budget(monkeypatch):
+    cfg = SpectrumConfig(seed=4)
+    fitted, error = measure_map(MIXED, cfg)
+    monkeypatch.setattr(spectrum, "_BLOCK_BYTES", 1)  # one window per block
+    fitted_1, error_1 = measure_map(MIXED, cfg)
+    assert np.array_equal(fitted.f_plus, fitted_1.f_plus, equal_nan=True)
+    assert np.array_equal(fitted.f_minus, fitted_1.f_minus, equal_nan=True)
+    assert np.array_equal(error, error_1, equal_nan=True)
+
+
+def test_seeds_do_not_share_streams():
+    # Seed s keyed pixel p by s XOR p, so seeds 0 and 1 measured two
+    # identical pixels with the same two streams, swapped.
+    rmap = _row_map([3.0, 3.0], [3.9, 3.9])
+    a, _ = measure_map(rmap, SpectrumConfig(seed=0))
+    b, _ = measure_map(rmap, SpectrumConfig(seed=1))
+    assert not np.array_equal(a.f_plus[0], b.f_plus[0, ::-1])
+    assert not np.array_equal(a.f_plus[0], b.f_plus[0])
