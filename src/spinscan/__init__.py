@@ -19,6 +19,7 @@ from .reconstruct import (
     solve_tikhonov,
 )
 from .scan import (
+    Grid,
     IsoScanMap,
     PairModeResult,
     ResonanceMap,

@@ -22,6 +22,7 @@ from .reconstruct import build_forward, lcurve, solve_tikhonov
 from .scan import (
     ScanConfig,
     _check_height,
+    _check_lateral,
     distance_sweep,
     probe_hamiltonian_at,
     scan_constant_height,
@@ -94,11 +95,10 @@ class _Settings:
             return tuple(float(p) for p in parts)
         return cast(raw)
 
-    def require(self, parser, flag_value, section: str, key: str, flag: str,
-                cast=str):
+    def require(self, flag_value, section: str, key: str, flag: str, cast=str):
         value = self.get(flag_value, section, key, default=None, cast=cast)
         if value is None:
-            parser.error(f"missing required {flag} (or [{section}] {key} in config)")
+            raise ValueError(f"missing required {flag} (or [{section}] {key} in config)")
         return value
 
 
@@ -148,7 +148,7 @@ def _texture_bbox(tex):
     return (float(xs.min()), float(xs.max())), (float(ys.min()), float(ys.max()))
 
 
-def _scan_config(parser, settings: _Settings, args, glob: dict, tex) -> ScanConfig:
+def _scan_config(settings: _Settings, args, glob: dict, tex) -> ScanConfig:
     bbox_x, bbox_y = _texture_bbox(tex)
     get = settings.get
     x_min = get(args.xmin, "scan", "x_min", bbox_x[0], float)
@@ -183,16 +183,15 @@ def _scan_params(cfg: ScanConfig, glob: dict, texture_path) -> dict:
     }
 
 
-def cmd_texture(parser, args, config) -> int:
+def cmd_texture(args, config) -> int:
     settings = _Settings(config)
-    lattice_type = settings.require(parser, args.lattice, "texture", "lattice",
-                                    "--lattice")
-    a = settings.require(parser, args.a, "texture", "a", "--a", float)
-    nx = settings.require(parser, args.nx, "texture", "nx", "--nx", int)
-    ny = settings.require(parser, args.ny, "texture", "ny", "--ny", int)
+    lattice_type = settings.require(args.lattice, "texture", "lattice", "--lattice")
+    a = settings.require(args.a, "texture", "a", "--a", float)
+    nx = settings.require(args.nx, "texture", "nx", "--nx", int)
+    ny = settings.require(args.ny, "texture", "ny", "--ny", int)
     pattern_name = settings.get(args.pattern, "texture", "pattern", "fm").lower()
     if pattern_name not in _PATTERN_NAMES:
-        parser.error(
+        raise ValueError(
             f"unknown pattern {pattern_name!r}; "
             f"expected one of {sorted(_PATTERN_NAMES)}"
         )
@@ -202,7 +201,7 @@ def cmd_texture(parser, args, config) -> int:
     )
     norm = np.linalg.norm(direction)
     if norm == 0:
-        parser.error("--dir must be a nonzero vector")
+        raise ValueError("--dir must be a nonzero vector")
     direction = direction / norm
     spin_mag = settings.get(args.spin_mag, "texture", "spin_mag", 0.5, float)
     sample_g = settings.get(args.sample_g, "texture", "sample_g", 2.0, float)
@@ -229,12 +228,12 @@ def cmd_texture(parser, args, config) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(parser, args, config) -> int:
+def cmd_sweep(args, config) -> int:
     settings = _Settings(config)
     glob = _globals_from(settings, args)
-    r_min = settings.require(parser, args.rmin, "sweep", "r_min", "--rmin", float)
-    r_max = settings.require(parser, args.rmax, "sweep", "r_max", "--rmax", float)
-    points = settings.require(parser, args.points, "sweep", "points", "--points", int)
+    r_min = settings.require(args.rmin, "sweep", "r_min", "--rmin", float)
+    r_max = settings.require(args.rmax, "sweep", "r_max", "--rmax", float)
+    points = settings.require(args.points, "sweep", "points", "--points", int)
     log_spacing = bool(
         args.log or settings.get(None, "sweep", "log", False, bool)
     )
@@ -265,11 +264,11 @@ def cmd_sweep(parser, args, config) -> int:
     return EXIT_OK
 
 
-def cmd_scan(parser, args, config) -> int:
+def cmd_scan(args, config) -> int:
     settings = _Settings(config)
     glob = _globals_from(settings, args)
     tex = load_texture(args.texture)
-    cfg = _scan_config(parser, settings, args, glob, tex)
+    cfg = _scan_config(settings, args, glob, tex)
     workers = settings.get(args.workers, "scan", "workers", 1, int)
 
     rmap = scan_constant_height(cfg, tex, workers=workers)
@@ -302,13 +301,12 @@ def cmd_scan(parser, args, config) -> int:
     return EXIT_OK
 
 
-def cmd_isoscan(parser, args, config) -> int:
+def cmd_isoscan(args, config) -> int:
     settings = _Settings(config)
     glob = _globals_from(settings, args)
     tex = load_texture(args.texture)
-    cfg = _scan_config(parser, settings, args, glob, tex)
-    f_source = settings.require(parser, args.fsource, "isoscan", "f_source",
-                                "--fsource", float)
+    cfg = _scan_config(settings, args, glob, tex)
+    f_source = settings.require(args.fsource, "isoscan", "f_source", "--fsource", float)
     z_min = settings.get(args.zmin, "isoscan", "z_min", 1.0, float)
     z_max = settings.get(args.zmax, "isoscan", "z_max", 20.0, float)
 
@@ -327,12 +325,12 @@ def cmd_isoscan(parser, args, config) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(parser, args, config) -> int:
+def cmd_spectrum(args, config) -> int:
     settings = _Settings(config)
     glob = _globals_from(settings, args)
 
     if args.resonances is not None and args.texture is not None:
-        parser.error("--resonances and --texture are mutually exclusive")
+        raise ValueError("--resonances and --texture are mutually exclusive")
     if args.resonances is not None:
         values = args.resonances
         if len(values) == 1:
@@ -341,17 +339,19 @@ def cmd_spectrum(parser, args, config) -> int:
             lo, hi = sorted(values)
             pair = ResonancePair(f_minus=lo, f_plus=hi)
         else:
-            parser.error("--resonances takes one or two frequencies in GHz")
+            raise ValueError("--resonances takes one or two frequencies in GHz")
     elif args.texture is not None:
         if args.tip is None:
-            parser.error("--tip x,y,z is required with --texture")
+            raise ValueError("--tip x,y,z is required with --texture")
+        _check_lateral(args.tip[0], "--tip x")
+        _check_lateral(args.tip[1], "--tip y")
         _check_height(args.tip[2], "--tip z")
         tex = load_texture(args.texture)
-        cfg = _scan_config(parser, settings, args, glob, tex)
+        cfg = _scan_config(settings, args, glob, tex)
         h = probe_hamiltonian_at(np.asarray(args.tip, dtype=float), tex, cfg)
         pair = probe_resonances(h)
     else:
-        parser.error("one of --resonances or --texture is required")
+        raise ValueError("one of --resonances or --texture is required")
 
     # Auto window: cover both branches with 20-linewidth margins unless
     # explicit bounds are given.
@@ -390,7 +390,7 @@ def cmd_spectrum(parser, args, config) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(parser, args, config) -> int:
+def cmd_reconstruct(args, config) -> int:
     settings = _Settings(config)
     glob = _globals_from(settings, args)
     tex = load_texture(args.texture)
@@ -409,12 +409,11 @@ def cmd_reconstruct(parser, args, config) -> int:
         height = settings.get(args.height, "reconstruct", "height",
                               rmap.height, float)
         mode = settings.get(args.mode, "reconstruct", "mode", rmap.mode)
-        grid = ((rmap.x0, rmap.x0 + rmap.step * (rmap.nx - 1)),
-                (rmap.y0, rmap.y0 + rmap.step * (rmap.ny - 1)))
+        grid = (rmap.x_range, rmap.y_range)
         step = rmap.step
     else:
         if not synthetic:
-            parser.error("either --map or --synthetic is required")
+            raise ValueError("either --map or --synthetic is required")
         bbox_x, bbox_y = _texture_bbox(tex)
         height = settings.get(args.height, "reconstruct", "height", 4.0, float)
         mode = settings.get(args.mode, "reconstruct", "mode", "exchange")
@@ -489,6 +488,14 @@ def _square_cell_indices(tex):
     return np.column_stack([ix, iy])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one line, like every other CLI failure."""
+
+    def error(self, message):
+        print(f"error: {message}", file=sys.stderr)
+        sys.exit(EXIT_USAGE)
+
+
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="key = value config file with sections")
@@ -512,7 +519,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"probe g-factor (default {CONSTANTS.g_e_default})",
     )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinscan",
         description="Scanning spin-defect magnetometry simulator",
     )
@@ -622,7 +629,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = fileio.load_config(args.config) if args.config else {}
-        return args.func(parser, args, config)
+        return args.func(args, config)
     except (TextureParseError, fileio.MapParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

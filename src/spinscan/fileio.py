@@ -12,7 +12,7 @@ import configparser
 
 import numpy as np
 
-from .scan import IsoScanMap, ResonanceMap, SweepCurve
+from .scan import Grid, IsoScanMap, ResonanceMap, SweepCurve
 from .spectrum import FitResult, Spectrum
 
 __all__ = [
@@ -58,6 +58,14 @@ def _write_lines(path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _grid_rows(grid: Grid, *columns) -> list[str]:
+    """CSV rows 'x,y,values...' over the grid's pixels, x varying fastest."""
+    tips = grid.tips(0.0)
+    columns = (tips[:, 0], tips[:, 1], *(np.ravel(c) for c in columns))
+    rows = zip(*(c.tolist() for c in columns))
+    return [",".join(f"{v:.9g}" for v in row) for row in rows]
+
+
 def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:
     """Resonance map as CSV, row-major with x varying fastest."""
     meta = {
@@ -71,13 +79,7 @@ def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:
     }
     lines = echo_lines("map", {**params, **meta})
     lines.append("x_angstrom,y_angstrom,f_minus_ghz,f_plus_ghz")
-    xs, ys = rmap.xs, rmap.ys
-    for iy in range(rmap.ny):
-        for ix in range(rmap.nx):
-            lines.append(
-                f"{xs[ix]:.9g},{ys[iy]:.9g},"
-                f"{rmap.f_minus[iy, ix]:.9g},{rmap.f_plus[iy, ix]:.9g}"
-            )
+    lines += _grid_rows(rmap, rmap.f_minus, rmap.f_plus)
     _write_lines(path, lines)
 
 
@@ -167,10 +169,7 @@ def write_error_map_csv(path, rmap: ResonanceMap, error: np.ndarray, params: dic
     """Per-pixel |fitted - true| (GHz) on the map grid."""
     lines = echo_lines("error-map", params)
     lines.append("x_angstrom,y_angstrom,error_ghz")
-    xs, ys = rmap.xs, rmap.ys
-    for iy in range(rmap.ny):
-        for ix in range(rmap.nx):
-            lines.append(f"{xs[ix]:.9g},{ys[iy]:.9g},{error[iy, ix]:.9g}")
+    lines += _grid_rows(rmap, error)
     _write_lines(path, lines)
 
 
@@ -183,10 +182,7 @@ def write_iso_csv(path, iso: IsoScanMap, params: dict) -> None:
     }
     lines = echo_lines("isoscan", {**params, **meta})
     lines.append("x_angstrom,y_angstrom,z_angstrom")
-    xs, ys = iso.xs, iso.ys
-    for iy in range(iso.ny):
-        for ix in range(iso.nx):
-            lines.append(f"{xs[ix]:.9g},{ys[iy]:.9g},{iso.heights[iy, ix]:.9g}")
+    lines += _grid_rows(iso, iso.heights)
     _write_lines(path, lines)
 
 

@@ -19,8 +19,7 @@ import warnings
 import numpy as np
 
 from .constants import CONSTANTS
-from .scan import _check_height, _scan_axes
-from .spincore import exchange_constant
+from .scan import Grid, _check_height, _walk_pairs
 from .texture import SpinTexture
 
 __all__ = [
@@ -42,27 +41,10 @@ _MAX_KERNEL_BYTES = 1 << 26
 
 @dataclass(frozen=True)
 class ForwardOperator:
-    """Kernel A (pixels x sites, GHz per unit z-moment) plus geometry."""
+    """Kernel A (pixels x sites, GHz per unit z-moment) on its scan grid."""
 
     a: np.ndarray
-    site_positions: np.ndarray
-    x0: float
-    y0: float
-    step: float
-    nx: int
-    ny: int
-    height: float
-    mode: str
-    g_probe: float
-    g_sample: float
-
-    @property
-    def n_pixels(self) -> int:
-        return self.a.shape[0]
-
-    @property
-    def n_sites(self) -> int:
-        return self.a.shape[1]
+    grid: Grid
 
 
 @dataclass(frozen=True)
@@ -125,51 +107,30 @@ def build_forward(
     if mode not in ("dipolar", "exchange", "both"):
         raise ValueError(f"unknown forward mode {mode!r}")
 
-    xs, ys = _scan_axes(x_range, y_range, step)
-    kernel_bytes = 8 * len(xs) * len(ys) * tex.n_sites
-    if kernel_bytes > _MAX_KERNEL_BYTES:
+    grid = Grid.from_ranges(x_range, y_range, step)
+    n_pixels = grid.nx * grid.ny
+    if 8 * n_pixels * tex.n_sites > _MAX_KERNEL_BYTES:
         raise ValueError(
-            f"forward kernel of {len(xs) * len(ys)} pixels x {tex.n_sites} sites "
+            f"forward kernel of {n_pixels} pixels x {tex.n_sites} sites "
             f"exceeds the {_MAX_KERNEL_BYTES >> 20} MiB budget; use a larger "
             "step or a smaller range"
         )
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    tips = np.column_stack(
-        [grid_x.ravel(), grid_y.ravel(), np.full(grid_x.size, float(height))]
-    )
-    disp = tips[:, None, :] - tex.positions[None, :, :]
-    dist = np.linalg.norm(disp, axis=2)
+    a = np.zeros((n_pixels, tex.n_sites))
+    zeeman = g_probe * CONSTANTS.mu_b
 
-    a = np.zeros((tips.shape[0], tex.n_sites))
-    if mode in ("exchange", "both"):
-        a += exchange_constant(dist, prefactor=exchange_prefactor) / CONSTANTS.h_planck
-    if mode in ("dipolar", "both"):
-        # Stray-field z-component of a unit moment along z:
-        # Bz = -(mu0 g mu_B / 4 pi r^3)(3 rhat_z^2 - 1).
-        rhat_z = disp[:, :, 2] / dist
-        bz = (
-            -tex.g
-            * CONSTANTS.stray_prefactor_per_mu_b
-            / dist**3
-            * (3.0 * rhat_z**2 - 1.0)
-        )
-        a += g_probe * CONSTANTS.mu_b * bz / CONSTANTS.h_planck
+    def fill_block(rows, dx, dy, dz, d2, j, pref):
+        if mode in ("exchange", "both"):
+            a[rows] += j / CONSTANTS.h_planck
+        if mode in ("dipolar", "both"):
+            # Bz of a unit z-moment is pref (3 dz^2 / d^2 - 1).
+            bz = pref * (3.0 * dz * dz / d2 - 1.0)
+            a[rows] += zeeman * bz / CONSTANTS.h_planck
+
+    _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, fill_block)
 
     if not np.all(np.isfinite(a)):
         raise ArithmeticError("forward kernel contains non-finite entries")
-    return ForwardOperator(
-        a=a,
-        site_positions=tex.positions.copy(),
-        x0=float(xs[0]),
-        y0=float(ys[0]),
-        step=float(step),
-        nx=len(xs),
-        ny=len(ys),
-        height=float(height),
-        mode=mode,
-        g_probe=float(g_probe),
-        g_sample=float(tex.g),
-    )
+    return ForwardOperator(a=a, grid=grid)
 
 
 def _factor(a: np.ndarray):

@@ -13,7 +13,7 @@ mean-field sum.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -22,10 +22,12 @@ from .constants import CONSTANTS
 from .spincore import (
     ProbeSpec,
     ResonancePair,
+    _batch_resonances,
     _check_exchange_range,
     _exchange_formula,
     eigensolve,
     exchange_constant,
+    exchange_pair_hamiltonian,
     spin_operators,
     zeeman_hamiltonian,
     zfs_hamiltonian,
@@ -33,6 +35,7 @@ from .spincore import (
 from .texture import SampleSite, SpinTexture
 
 __all__ = [
+    "Grid",
     "ScanConfig",
     "ResonanceMap",
     "IsoScanMap",
@@ -62,6 +65,11 @@ _MIN_HEIGHT = 1.0
 # 1e122 A) or the squared tip-site distance (about 1e154 A) overflows.
 _MAX_HEIGHT = 1e4
 
+# Largest |x| or |y| of a tip (angstrom), 100 um: far past any texture
+# rastered at angstrom steps, and far below the coordinates (about
+# 1e154 A) where the squared tip-site distance overflows.
+_MAX_LATERAL = 1e6
+
 # Largest raster (pixels) a scan accepts; grid sizes are checked against
 # it before any array is allocated.  A 1000 x 1000 map fits.
 _MAX_PIXELS = 1_000_000
@@ -69,6 +77,8 @@ _MAX_PIXELS = 1_000_000
 # Bytes of one (tips, sites) float64 plane in the field sums: about
 # 1 MiB keeps a block's dozen planes in cache.
 _BLOCK_BYTES = 1 << 20
+
+_EPS = np.finfo(float).eps
 
 _ISO_FREQ_TOL_GHZ = 1e-3   # 1 MHz bisection stop
 _ISO_MAX_ITER = 100
@@ -134,48 +144,51 @@ def _check_height(height: float, name: str) -> None:
         )
 
 
-def _scan_axes(x_range, y_range, step: float):
-    """Axes lo, lo+step, ... up to hi (inclusive when commensurate) over
-    x_range and y_range, after checking the values and the pixel budget."""
-    if not (step > 0 and np.all(np.isfinite((step, *x_range, *y_range)))):
+def _check_lateral(value: float, name: str) -> None:
+    """Reject a tip x or y outside [-_MAX_LATERAL, _MAX_LATERAL], or NaN."""
+    if not abs(value) <= _MAX_LATERAL:
         raise ValueError(
-            f"grid step must be positive and step and ranges finite, got "
-            f"step={step}, x_range={x_range}, y_range={y_range}"
+            f"{name} must be finite and within +/-{_MAX_LATERAL:g} A, got {value}"
         )
-    nx, ny = (np.floor((hi - lo) / step + 1e-9) + 1 for lo, hi in (x_range, y_range))
-    if nx < 1 or ny < 1:
-        raise ValueError("grid ranges must satisfy min <= max")
-    if nx * ny > _MAX_PIXELS:
-        raise ValueError(
-            f"scan grid of {nx:.0f} x {ny:.0f} pixels exceeds the {_MAX_PIXELS} "
-            "pixel budget; use a larger step or a smaller range"
-        )
-    return (
-        x_range[0] + step * np.arange(int(nx)),
-        y_range[0] + step * np.arange(int(ny)),
-    )
 
 
-@dataclass
-class ResonanceMap:
-    """Raster grid of probe resonances; row-major with x varying fastest.
-
-    f_minus/f_plus are (ny, nx) GHz arrays; b_stray (tesla) and b_ex
-    (ueV) are optional (ny, nx, 3) diagnostic channels, absent on maps
-    loaded from CSV.
-    """
+@dataclass(frozen=True)
+class Grid:
+    """Raster of nx x ny pixels at (x0 + step ix, y0 + step iy), row-major
+    with x varying fastest.  from_ranges is the checked constructor."""
 
     x0: float
     y0: float
     step: float
     nx: int
     ny: int
-    height: float
-    mode: str
-    f_minus: np.ndarray
-    f_plus: np.ndarray
-    b_stray: Optional[np.ndarray] = None
-    b_ex: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_ranges(cls, x_range, y_range, step: float) -> "Grid":
+        """Pixels lo, lo+step, ... up to hi (inclusive when commensurate) over
+        x_range and y_range, after checking the values and the pixel budget.
+
+        A grid rebuilt from its own x_range, y_range and step is the same
+        grid: the count allows for the rounding of hi - lo, 1e-9 of a step
+        plus the float resolution of the coordinates (at most half a step).
+        """
+        if not 0.0 < step < np.inf:
+            raise ValueError(f"grid step must be positive and finite, got {step}")
+        for name, value in zip(("x_min", "x_max", "y_min", "y_max"), (*x_range, *y_range)):
+            _check_lateral(value, name)
+        nx, ny = (
+            np.floor((hi - lo) / step + min(0.5, 1e-9 + _EPS * (abs(lo) + abs(hi)) / step))
+            + 1
+            for lo, hi in (x_range, y_range)
+        )
+        if nx < 1 or ny < 1:
+            raise ValueError("grid ranges must satisfy min <= max")
+        if nx * ny > _MAX_PIXELS:
+            raise ValueError(
+                f"scan grid of {nx:.0f} x {ny:.0f} pixels exceeds the {_MAX_PIXELS} "
+                "pixel budget; use a larger step or a smaller range"
+            )
+        return cls(float(x_range[0]), float(y_range[0]), float(step), int(nx), int(ny))
 
     @property
     def xs(self) -> np.ndarray:
@@ -184,6 +197,39 @@ class ResonanceMap:
     @property
     def ys(self) -> np.ndarray:
         return self.y0 + self.step * np.arange(self.ny)
+
+    @property
+    def x_range(self) -> tuple:
+        return (self.x0, self.x0 + self.step * (self.nx - 1))
+
+    @property
+    def y_range(self) -> tuple:
+        return (self.y0, self.y0 + self.step * (self.ny - 1))
+
+    def tips(self, z) -> np.ndarray:
+        """(nx ny, 3) tip positions in pixel order; z is one height or one
+        per pixel."""
+        grid_x, grid_y = np.meshgrid(self.xs, self.ys)
+        return np.column_stack(
+            [grid_x.ravel(), grid_y.ravel(), np.broadcast_to(z, (grid_x.size,))]
+        )
+
+
+@dataclass(frozen=True)
+class ResonanceMap(Grid):
+    """Raster grid of probe resonances.
+
+    f_minus/f_plus are (ny, nx) GHz arrays; b_stray (tesla) and b_ex
+    (ueV) are optional (ny, nx, 3) diagnostic channels, absent on maps
+    loaded from CSV.
+    """
+
+    height: float
+    mode: str
+    f_minus: np.ndarray
+    f_plus: np.ndarray
+    b_stray: Optional[np.ndarray] = None
+    b_ex: Optional[np.ndarray] = None
 
     def signal(self, convention: str = "transition") -> np.ndarray:
         """Scalar per-pixel signal: upper branch, or branch splitting."""
@@ -196,30 +242,17 @@ class ResonanceMap:
         )
 
 
-@dataclass
-class IsoScanMap:
+@dataclass(frozen=True)
+class IsoScanMap(Grid):
     """Per-pixel heights (angstrom) where f_plus equals the source frequency.
 
     Pixels with no bracketed root in [z_min, z_max] hold NaN.
     """
 
-    x0: float
-    y0: float
-    step: float
-    nx: int
-    ny: int
     f_source: float
     z_min: float
     z_max: float
     heights: np.ndarray
-
-    @property
-    def xs(self) -> np.ndarray:
-        return self.x0 + self.step * np.arange(self.nx)
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self.y0 + self.step * np.arange(self.ny)
 
 
 @dataclass(frozen=True)
@@ -257,34 +290,31 @@ class PairModeResult:
     labeled_energies: dict
 
 
-def _batch_effective_fields(
-    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str
-):
-    """Stray and exchange field sums for a batch of tip positions.
+def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, visit):
+    """Walk the (tip, site) pairs in row blocks of tips.
 
-    tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla,
-    b_ex (p, 3) ueV).  Rejects tips within the minimum distance of any
-    site, reporting the closest tip-site pair.
-
-    Tips are taken in blocks of _BLOCK_BYTES // (8 n_sites) rows, so
-    memory stays bounded whatever the batch size.  Each site sum is a
-    row-wise np.sum over a C-contiguous (rows, sites) plane, so a tip's
-    fields do not depend on which block, or which batch, it falls in.
+    tips: (p, 3) angstrom.  Calls visit(rows, dx, dy, dz, d2, j, pref)
+    per block of _BLOCK_BYTES // (8 n_sites) tips: rows is the block's
+    slice of tips, the rest are C-contiguous (rows, sites) planes of the
+    tip-site displacement, its squared length d2, J(r) in ueV and the
+    dipolar prefactor pref = -g C / r^3 (tesla per unit spin).  visit is
+    a callback, not a generator's consumer, so a block's planes are freed
+    as the next block's replace them rather than held alongside them
+    (about 5% slower field sums).  After the last
+    block it rejects tips within the minimum distance of any site,
+    naming the closest pair, and warns once if J was evaluated below its
+    validity range.
     """
     n = tex.n_sites
     rows = max(1, _BLOCK_BYTES // (8 * n))
     site_x, site_y, site_z = tex.positions.T.copy()
-    spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
     stray_pref = -tex.g * CONSTANTS.stray_prefactor_per_mu_b
-    b_stray = np.empty((tips.shape[0], 3))
-    b_ex = np.empty((tips.shape[0], 3))
     # Closest (distance, tip, site) so far; ties keep the first pair in
     # row-major order.
     nearest = (np.inf, 0, 0)
 
     for start in range(0, tips.shape[0], rows):
-        block = slice(start, start + rows)
-        t = tips[block]
+        t = tips[start : start + rows]
         dx = t[:, 0, None] - site_x
         dy = t[:, 1, None] - site_y
         dz = t[:, 2, None] - site_z
@@ -294,21 +324,11 @@ def _batch_effective_fields(
         if dist.flat[k] < nearest[0]:
             nearest = (float(dist.flat[k]), start + k // n, k % n)
         if nearest[0] < _MIN_TIP_SITE_DISTANCE:
-            # The call fails; later blocks only look for a closer pair.
+            # The walk fails; later blocks only look for a closer pair.
             continue
-
         j = _exchange_formula(dist, exchange_prefactor)
-        b_ex[block, 0] = np.sum(j * spin_x, axis=1)
-        b_ex[block, 1] = np.sum(j * spin_y, axis=1)
-        b_ex[block, 2] = np.sum(j * spin_z, axis=1)
-
-        # B = sum_i q d_i - pref s_i with pref = -g C / d^3 and
-        # q = 3 pref (s . d) / d^2, d the tip-site displacement.
         pref = stray_pref / (d2 * dist)
-        q = (3.0 * pref) * (dx * spin_x + dy * spin_y + dz * spin_z) / d2
-        b_stray[block, 0] = np.sum(q * dx, axis=1) - np.sum(pref * spin_x, axis=1)
-        b_stray[block, 1] = np.sum(q * dy, axis=1) - np.sum(pref * spin_y, axis=1)
-        b_stray[block, 2] = np.sum(q * dz, axis=1) - np.sum(pref * spin_z, axis=1)
+        visit(slice(start, start + rows), dx, dy, dz, d2, j, pref)
 
     r_min, p, i = nearest
     if r_min < _MIN_TIP_SITE_DISTANCE:
@@ -317,7 +337,37 @@ def _batch_effective_fields(
             f"tip at ({x:.4g}, {y:.4g}, {z:.4g}) A is {r_min:.4g} A from "
             f"sample site {i} (minimum {_MIN_TIP_SITE_DISTANCE} A)"
         )
-    _check_exchange_range(r_min, stacklevel=2)
+    # Point the warning at whoever called the walker's caller.
+    _check_exchange_range(r_min, stacklevel=3)
+
+
+def _batch_effective_fields(
+    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str
+):
+    """Stray and exchange field sums for a batch of tip positions.
+
+    tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla,
+    b_ex (p, 3) ueV).  Each site sum is a row-wise np.sum over a
+    C-contiguous (rows, sites) plane, so a tip's fields do not depend on
+    which block, or which batch, it falls in.
+    """
+    spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
+    b_stray = np.empty((tips.shape[0], 3))
+    b_ex = np.empty((tips.shape[0], 3))
+
+    def add_block(rows, dx, dy, dz, d2, j, pref):
+        b_ex[rows, 0] = np.sum(j * spin_x, axis=1)
+        b_ex[rows, 1] = np.sum(j * spin_y, axis=1)
+        b_ex[rows, 2] = np.sum(j * spin_z, axis=1)
+
+        # B = sum_i q d_i - pref s_i with q = 3 pref (s . d) / d^2, d the
+        # tip-site displacement.
+        q = (3.0 * pref) * (dx * spin_x + dy * spin_y + dz * spin_z) / d2
+        b_stray[rows, 0] = np.sum(q * dx, axis=1) - np.sum(pref * spin_x, axis=1)
+        b_stray[rows, 1] = np.sum(q * dy, axis=1) - np.sum(pref * spin_y, axis=1)
+        b_stray[rows, 2] = np.sum(q * dz, axis=1) - np.sum(pref * spin_z, axis=1)
+
+    _walk_pairs(tips, tex, exchange_prefactor, add_block)
     return b_stray, b_ex
 
 
@@ -343,17 +393,6 @@ def _batch_hamiltonians(
     return h
 
 
-def _batch_resonances(h: np.ndarray):
-    """Vectorized probe_resonances over stacked 3x3 Hamiltonians."""
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
-    overlap = np.abs(eigenvectors[:, 1, :]) ** 2
-    ref = np.argmax(overlap, axis=1)
-    e_ref = eigenvalues[np.arange(h.shape[0]), ref]
-    diffs = np.sort(np.abs(eigenvalues - e_ref[:, None]), axis=1)
-    # Column 0 is the reference state's zero self-difference.
-    return diffs[:, 1] / CONSTANTS.h_planck, diffs[:, 2] / CONSTANTS.h_planck
-
-
 def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "rydberg"):
     """Summed stray field (tesla) and exchange field (ueV) at one tip position.
 
@@ -373,22 +412,11 @@ def probe_hamiltonian_at(tip_pos, tex: SpinTexture, cfg: ScanConfig) -> np.ndarr
     return _batch_hamiltonians(b_stray, b_ex, cfg)[0]
 
 
-def _scan_rows(cfg: ScanConfig, tex: SpinTexture, xs: np.ndarray, ys: np.ndarray):
-    """Resonances and field channels for a block of scan rows."""
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    tips = np.column_stack(
-        [grid_x.ravel(), grid_y.ravel(), np.full(grid_x.size, cfg.height)]
-    )
+def _scan_tips(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray):
+    """(f_minus, f_plus, b_stray, b_ex) at each tip position."""
     b_stray, b_ex = _batch_effective_fields(tips, tex, cfg.exchange_prefactor)
-    h = _batch_hamiltonians(b_stray, b_ex, cfg)
-    f_minus, f_plus = _batch_resonances(h)
-    shape = (len(ys), len(xs))
-    return (
-        f_minus.reshape(shape),
-        f_plus.reshape(shape),
-        b_stray.reshape(shape + (3,)),
-        b_ex.reshape(shape + (3,)),
-    )
+    f_minus, f_plus = _batch_resonances(_batch_hamiltonians(b_stray, b_ex, cfg))
+    return f_minus, f_plus, b_stray, b_ex
 
 
 def scan_constant_height(
@@ -399,59 +427,43 @@ def scan_constant_height(
     Rows are distributed over a thread pool and reassembled by row
     index, so the output is bit-identical for any worker count.
     """
-    xs, ys = _scan_axes(cfg.x_range, cfg.y_range, cfg.step)
-    nx, ny = len(xs), len(ys)
-    f_minus = np.empty((ny, nx))
-    f_plus = np.empty((ny, nx))
-    b_stray = np.empty((ny, nx, 3))
-    b_ex = np.empty((ny, nx, 3))
+    grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
+    tips = grid.tips(cfg.height)
+    f_minus = np.empty(tips.shape[0])
+    f_plus = np.empty(tips.shape[0])
+    b_stray = np.empty(tips.shape)
+    b_ex = np.empty(tips.shape)
 
     workers = max(1, int(workers))
-    n_chunks = min(workers * 4, ny) or 1
-    row_chunks = np.array_split(np.arange(ny), n_chunks)
+    row_chunks = np.array_split(np.arange(grid.ny), min(workers * 4, grid.ny))
+    blocks = [slice(rows[0] * grid.nx, (rows[-1] + 1) * grid.nx) for rows in row_chunks]
 
-    def run_chunk(rows):
-        return rows, _scan_rows(cfg, tex, xs, ys[rows])
+    def run_chunk(block):
+        return block, _scan_tips(cfg, tex, tips[block])
 
     if workers == 1:
-        results = [run_chunk(rows) for rows in row_chunks if rows.size]
+        results = [run_chunk(block) for block in blocks]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(run_chunk, [rows for rows in row_chunks if rows.size])
-            )
-    for rows, (fm, fp, bs, bx) in results:
-        f_minus[rows] = fm
-        f_plus[rows] = fp
-        b_stray[rows] = bs
-        b_ex[rows] = bx
+            results = list(pool.map(run_chunk, blocks))
+    for block, (fm, fp, bs, bx) in results:
+        f_minus[block] = fm
+        f_plus[block] = fp
+        b_stray[block] = bs
+        b_ex[block] = bx
 
     if not (np.all(np.isfinite(f_minus)) and np.all(np.isfinite(f_plus))):
         raise ArithmeticError("scan produced non-finite resonance values")
+    shape = (grid.ny, grid.nx)
     return ResonanceMap(
-        x0=float(xs[0]),
-        y0=float(ys[0]),
-        step=cfg.step,
-        nx=nx,
-        ny=ny,
+        **asdict(grid),
         height=cfg.height,
         mode=cfg.mode,
-        f_minus=f_minus,
-        f_plus=f_plus,
-        b_stray=b_stray,
-        b_ex=b_ex,
+        f_minus=f_minus.reshape(shape),
+        f_plus=f_plus.reshape(shape),
+        b_stray=b_stray.reshape(shape + (3,)),
+        b_ex=b_ex.reshape(shape + (3,)),
     )
-
-
-def _f_plus_at_heights(
-    cfg: ScanConfig, tex: SpinTexture, x: np.ndarray, y: np.ndarray, z: np.ndarray
-) -> np.ndarray:
-    """Upper-branch resonance for per-pixel tip heights."""
-    tips = np.column_stack([x, y, z])
-    b_stray, b_ex = _batch_effective_fields(tips, tex, cfg.exchange_prefactor)
-    h = _batch_hamiltonians(b_stray, b_ex, cfg)
-    _, f_plus = _batch_resonances(h)
-    return f_plus
 
 
 def scan_iso_frequency(
@@ -471,16 +483,13 @@ def scan_iso_frequency(
     _check_height(z_max, "z_max")
     if z_max <= z_min:
         raise ValueError("z_max must exceed z_min")
-    xs, ys = _scan_axes(cfg.x_range, cfg.y_range, cfg.step)
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    px = grid_x.ravel()
-    py = grid_y.ravel()
-    n = px.size
+    grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
+    n = grid.nx * grid.ny
 
     lo = np.full(n, z_min)
     hi = np.full(n, z_max)
-    f_lo = _f_plus_at_heights(cfg, tex, px, py, lo) - f_source
-    f_hi = _f_plus_at_heights(cfg, tex, px, py, hi) - f_source
+    f_lo = _scan_tips(cfg, tex, grid.tips(lo))[1] - f_source
+    f_hi = _scan_tips(cfg, tex, grid.tips(hi))[1] - f_source
     bracketed = f_lo * f_hi <= 0.0
 
     heights = np.full(n, np.nan)
@@ -491,9 +500,7 @@ def scan_iso_frequency(
         mid = 0.5 * (lo + hi)
         idx = np.where(active)[0]
         f_mid = np.empty(n)
-        f_mid[idx] = (
-            _f_plus_at_heights(cfg, tex, px[idx], py[idx], mid[idx]) - f_source
-        )
+        f_mid[idx] = _scan_tips(cfg, tex, grid.tips(mid)[idx])[1] - f_source
         converged = np.zeros(n, dtype=bool)
         converged[idx] = np.abs(f_mid[idx]) < _ISO_FREQ_TOL_GHZ
         newly = active & converged
@@ -512,15 +519,11 @@ def scan_iso_frequency(
     heights[active] = 0.5 * (lo[active] + hi[active])
 
     return IsoScanMap(
-        x0=float(xs[0]),
-        y0=float(ys[0]),
-        step=cfg.step,
-        nx=len(xs),
-        ny=len(ys),
+        **asdict(grid),
         f_source=float(f_source),
         z_min=float(z_min),
         z_max=float(z_max),
-        heights=heights.reshape(len(ys), len(xs)),
+        heights=heights.reshape(grid.ny, grid.nx),
     )
 
 
@@ -551,11 +554,7 @@ def pair_mode_resonance(
     eye_t = np.eye(dim_t)
     eye_s = np.eye(dim_s)
     h = np.kron(zfs_hamiltonian(cfg.probe), eye_s).astype(complex)
-    h += j_uev * (
-        np.kron(_SPIN1.sx, ops_s.sx)
-        + np.kron(_SPIN1.sy, ops_s.sy)
-        + np.kron(_SPIN1.sz, ops_s.sz)
-    )
+    h += exchange_pair_hamiltonian(j_uev, _SPIN1, ops_s)
     b_ext = np.asarray(cfg.b_ext, dtype=float)
     if np.any(b_ext != 0.0):
         h += np.kron(zeeman_hamiltonian(cfg.probe.g, b_ext, _SPIN1), eye_s)

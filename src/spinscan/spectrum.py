@@ -20,7 +20,7 @@ _BLOCK_BYTES.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -582,15 +582,11 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
     error[failed] = np.inf
 
     shape = rmap.f_minus.shape
-    fitted = ResonanceMap(
-        x0=rmap.x0,
-        y0=rmap.y0,
-        step=rmap.step,
-        nx=rmap.nx,
-        ny=rmap.ny,
-        height=rmap.height,
-        mode=rmap.mode,
+    fitted = replace(
+        rmap,
         f_minus=fitted_minus.reshape(shape),
         f_plus=fitted_plus.reshape(shape),
+        b_stray=None,
+        b_ex=None,
     )
     return fitted, error.reshape(shape)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONSTANTS, energy_to_frequency
+from .constants import CONSTANTS
 
 __all__ = [
     "SpinOperatorSet",
@@ -214,17 +214,35 @@ def stray_field(r_vec, spin_vec, g: float) -> np.ndarray:
     return prefactor * (3.0 * rhat * np.dot(spin, rhat) - spin)
 
 
-def eigensolve(h: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
-    h = np.asarray(h)
+def _check_hermitian(h: np.ndarray) -> None:
     deviation = np.max(np.abs(h - h.conj().T))
     scale = max(np.max(np.abs(h)), 1.0)
     if deviation > _HERMITICITY_TOL * scale:
         raise ValueError(
             f"matrix is not Hermitian (max deviation {deviation:.3e})"
         )
+
+
+def eigensolve(h: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending."""
+    h = np.asarray(h)
+    _check_hermitian(h)
     eigenvalues, eigenvectors = np.linalg.eigh(h)
     return EigenDecomposition(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+
+
+def _batch_resonances(h: np.ndarray):
+    """(f_minus, f_plus) GHz arrays of stacked (p, 3, 3) probe
+    Hamiltonians in ueV, by the reference-state rule of probe_resonances."""
+    eigenvalues, eigenvectors = np.linalg.eigh(h)
+    overlap = np.abs(eigenvectors[:, 1, :]) ** 2
+    # argmax returns the first maximum; eigenvalues ascend, so ties in
+    # overlap already resolve toward the lower-energy state.
+    ref = np.argmax(overlap, axis=1)
+    e_ref = eigenvalues[np.arange(h.shape[0]), ref]
+    diffs = np.sort(np.abs(eigenvalues - e_ref[:, None]), axis=1)
+    # Column 0 is the reference state's zero self-difference.
+    return diffs[:, 1] / CONSTANTS.h_planck, diffs[:, 2] / CONSTANTS.h_planck
 
 
 def probe_resonances(h_probe: np.ndarray) -> ResonancePair:
@@ -236,14 +254,7 @@ def probe_resonances(h_probe: np.ndarray) -> ResonancePair:
     ascending.  Overlap-based labeling keeps the branches continuous as
     transverse fields mix the m states.
     """
-    decomp = eigensolve(h_probe)
-    overlap = np.abs(decomp.eigenvectors[1, :]) ** 2
-    # argmax returns the first maximum; eigenvalues ascend, so ties in
-    # overlap already resolve toward the lower-energy state.
-    ref = int(np.argmax(overlap))
-    others = [k for k in range(3) if k != ref]
-    freqs = sorted(
-        energy_to_frequency(abs(decomp.eigenvalues[k] - decomp.eigenvalues[ref]))
-        for k in others
-    )
-    return ResonancePair(f_minus=float(freqs[0]), f_plus=float(freqs[1]))
+    h = np.asarray(h_probe)
+    _check_hermitian(h)
+    f_minus, f_plus = _batch_resonances(h[None])
+    return ResonancePair(f_minus=float(f_minus[0]), f_plus=float(f_plus[0]))

@@ -71,3 +71,17 @@ def test_numeric_flags_keep_the_exit_contract(texture, command, step, height,
     assert code in CONTRACT
     assert len(stderr) <= 1, stderr
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--xmin=1e300", "--xmax=1e300"],
+    ["spectrum", "--tip=1e300,0,4"],
+    ["spectrum"],                                  # --texture without --tip
+    ["reconstruct", "--synthetic", "--lam", "-1e300"],  # argparse's own error
+])
+def test_usage_errors_are_one_line(texture, argv):
+    out = texture.with_name("usage.out")
+    code, stderr, caught = run([*argv, "--texture", texture, "--out", out])
+    assert code == 2
+    assert len(stderr) == 1, stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

@@ -17,6 +17,7 @@ from spinscan import (
     build_forward,
     build_lattice,
     conditioning_report,
+    exchange_constant,
     lcurve,
     scan_constant_height,
     solve_tikhonov,
@@ -61,6 +62,30 @@ def test_forward_shape_and_units(fm_5x5):
     assert col.max() == pytest.approx(
         exchange_constant(4.0) / CONSTANTS.h_planck, rel=1e-12
     )
+
+
+def _dense_forward(tex, tips, mode):
+    """Oracle: the forward kernel over one dense (tips, sites, 3) array."""
+    disp = tips[:, None, :] - tex.positions[None, :, :]
+    dist = np.linalg.norm(disp, axis=2)
+    a = np.zeros(dist.shape)
+    if mode in ("exchange", "both"):
+        a += exchange_constant(dist) / CONSTANTS.h_planck
+    if mode in ("dipolar", "both"):
+        rhat_z = disp[:, :, 2] / dist
+        bz = -tex.g * CONSTANTS.stray_prefactor_per_mu_b / dist**3 * (3 * rhat_z**2 - 1)
+        a += CONSTANTS.g_e_default * CONSTANTS.mu_b * bz / CONSTANTS.h_planck
+    return a
+
+
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+@pytest.mark.parametrize("height", [3.0, 12.0])
+def test_forward_matches_dense_oracle(neel_5x5, mode, height):
+    fwd = build_forward(neel_5x5, height=height, mode=mode, **GRID)
+    grid_x, grid_y = np.meshgrid(0.75 * np.arange(17), 0.75 * np.arange(17))
+    tips = np.column_stack([grid_x.ravel(), grid_y.ravel(), np.full(17 * 17, height)])
+    want = _dense_forward(neel_5x5, tips, mode)
+    assert np.max(np.abs(fwd.a - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_forward_rejects_transverse_texture():

@@ -6,10 +6,11 @@ closed-form field sums and a 9-level exact pair diagonalization.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spinscan import (
@@ -30,7 +31,8 @@ from spinscan import (
     scan_iso_frequency,
     stray_field,
 )
-from spinscan.scan import _BLOCK_BYTES, _batch_effective_fields
+from spinscan import scan
+from spinscan.scan import _BLOCK_BYTES, _MAX_LATERAL, Grid, _batch_effective_fields
 
 H_GHZ = CONSTANTS.h_planck
 D_UEV = 14.4
@@ -179,8 +181,12 @@ def test_blocked_fields_match_dense_oracle(tilted_neel, mixed_tips, prefactor):
 
 
 @settings(max_examples=20, deadline=None)
-@given(st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=5))
-def test_blocked_fields_independent_of_batch_split(tilted_neel, mixed_tips, cuts):
+@given(
+    st.lists(st.integers(min_value=1, max_value=2000), min_size=1, max_size=5),
+    st.integers(min_value=1, max_value=300),
+)
+def test_blocked_fields_independent_of_batch_split(tilted_neel, mixed_tips, neel_5x5,
+                                                   cuts, block_rows):
     # Worker-count determinism rests on this: a tip's fields are the same
     # bits whichever batch, and which block within it, the tip lands in.
     whole = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg")
@@ -191,6 +197,11 @@ def test_blocked_fields_independent_of_batch_split(tilted_neel, mixed_tips, cuts
     ]
     for k in range(2):
         assert np.array_equal(whole[k], np.concatenate([p[k] for p in pieces]))
+    # The forward kernel walks the same blocks: any block size, same bits.
+    args = (neel_5x5, (-1.0, 13.0), (-1.0, 13.0), 0.5, 3.0, "both")
+    default = build_forward(*args).a
+    with mock.patch.object(scan, "_BLOCK_BYTES", 8 * neel_5x5.n_sites * block_rows):
+        assert np.array_equal(build_forward(*args).a, default)
 
 
 def test_near_range_warning_once_with_global_minimum(fm_5x5):
@@ -220,6 +231,27 @@ def test_too_close_error_names_closest_pair(fm_5x5):
     assert f"tip at ({x:.4g}, {y:.4g}, 0.05) A is 0.05 A from sample site 17" in str(
         err.value
     )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=-_MAX_LATERAL, max_value=_MAX_LATERAL),
+    st.floats(min_value=-_MAX_LATERAL, max_value=_MAX_LATERAL),
+    st.floats(min_value=1e-6, max_value=1e3),
+    st.integers(min_value=1, max_value=1000),
+    st.integers(min_value=1, max_value=1000),
+)
+def test_grid_rebuilt_from_its_ranges_is_the_same_grid(x0, y0, step, nx, ny):
+    # reconstruct --map rebuilds the map's grid from its ranges and step.
+    grid = Grid(x0, y0, step, nx, ny)
+    assume(max(map(abs, grid.x_range + grid.y_range)) <= _MAX_LATERAL)
+    assert Grid.from_ranges(grid.x_range, grid.y_range, grid.step) == grid
+
+
+@pytest.mark.parametrize("x_range", [(0.0, 2e6), (-1e300, 0.0), (np.nan, 0.0)])
+def test_grid_rejects_far_lateral_coordinates(x_range):
+    with pytest.raises(ValueError, match="within"):
+        Grid.from_ranges(x_range, (0.0, 1.0), 0.5)
 
 
 def test_scan_shift_matches_forward_kernel(fm_5x5):
