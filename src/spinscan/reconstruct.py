@@ -19,7 +19,7 @@ import warnings
 import numpy as np
 
 from .constants import CONSTANTS
-from .scan import Grid, _check_height, _walk_pairs
+from .scan import _MAX_KERNEL_BYTES, Grid, _check_height, _walk_pairs
 from .texture import SpinTexture
 
 __all__ = [
@@ -33,10 +33,6 @@ __all__ = [
 ]
 
 _RANK_DEFICIENT_RATIO = 1e-12
-
-# Largest (pixels x sites) float64 kernel build_forward assembles, checked
-# before allocating; assembly holds several temporaries of that size.
-_MAX_KERNEL_BYTES = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -159,7 +155,8 @@ def conditioning_report(a) -> ConditioningReport:
 
 
 def _prepare(fwd: ForwardOperator, y, lambdas):
-    """Checked observation vector and lam values, plus the kernel's SVD."""
+    """Checked lam values, the kernel's SVD, the coefficients c = U^T y
+    and the norm of the part of y outside the range of U."""
     lambdas = [float(lam) for lam in lambdas]
     if not all(0.0 <= lam < np.inf for lam in lambdas):
         raise ValueError(f"regularization strength must be finite and >= 0: {lambdas}")
@@ -169,20 +166,27 @@ def _prepare(fwd: ForwardOperator, y, lambdas):
             f"observation vector has {y.size} entries, kernel has "
             f"{fwd.a.shape[0]} pixels"
         )
-    return y, lambdas, _factor(fwd.a)
+    factors = _factor(fwd.a)
+    c = factors[0].T @ y
+    return lambdas, factors, c, float(np.linalg.norm(y - factors[0] @ c))
 
 
-def _filtered(a: np.ndarray, factors, y: np.ndarray, lam: float):
-    """Tikhonov solution from the SVD factors, and its residual norm; at
-    lam = 0 components with s <= _RANK_DEFICIENT_RATIO s_max are dropped."""
-    u, s, vt = factors
+def _filtered(factors, c, outside: float, lam: float):
+    """Tikhonov solution from the SVD factors and c = U^T y, and its
+    residual norm free of the cancellation in ||A m - y||: the filtered
+    ||diag(lam / (s^2 + lam)) c|| combined with the norm outside of y
+    beyond the range of U.  At lam = 0 components with s <=
+    _RANK_DEFICIENT_RATIO s_max are dropped, so wholly filtered."""
+    _, s, vt = factors
     if lam == 0.0:
         keep = s > _RANK_DEFICIENT_RATIO * s[0]
         gain = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
+        lost = np.where(keep, 0.0, 1.0)
     else:
         gain = s / (s * s + lam)
-    m = vt[: s.size].T @ (gain * (u.T @ y))
-    return m, float(np.linalg.norm(a @ m - y))
+        lost = lam / (s * s + lam)
+    m = vt[: s.size].T @ (gain * c)
+    return m, float(np.hypot(np.linalg.norm(lost * c), outside))
 
 
 def solve_tikhonov(fwd: ForwardOperator, y, lam: float) -> ReconstructionResult:
@@ -192,7 +196,7 @@ def solve_tikhonov(fwd: ForwardOperator, y, lam: float) -> ReconstructionResult:
     this is the minimum-norm least-squares solution; a rank-deficient
     kernel draws a warning, since the minimizer is then not unique.
     """
-    y, (lam,), factors = _prepare(fwd, y, [lam])
+    (lam,), factors, c, outside = _prepare(fwd, y, [lam])
     report = _report(factors)
     if lam == 0.0 and report.rank_deficient:
         warnings.warn(
@@ -200,7 +204,7 @@ def solve_tikhonov(fwd: ForwardOperator, y, lam: float) -> ReconstructionResult:
             f"(cond = {report.cond:.3e}); solution is not unique",
             stacklevel=2,
         )
-    m, residual = _filtered(fwd.a, factors, y, lam)
+    m, residual = _filtered(factors, c, outside, lam)
     return ReconstructionResult(
         m_z=m, residual_norm=residual, lam=lam, iterations=0, report=report
     )
@@ -213,9 +217,9 @@ def lcurve(fwd: ForwardOperator, y, lambdas) -> list:
     returns.  A plain sampling helper for manual regularization choice;
     no corner detection or automatic selection.
     """
-    y, lambdas, factors = _prepare(fwd, y, lambdas)
+    lambdas, factors, c, outside = _prepare(fwd, y, lambdas)
     rows = []
     for lam in lambdas:
-        m, residual = _filtered(fwd.a, factors, y, lam)
+        m, residual = _filtered(factors, c, outside, lam)
         rows.append((lam, residual, float(np.linalg.norm(m))))
     return rows

@@ -4,10 +4,12 @@ The probe couples to the sample through two channels evaluated at the tip
 position: the summed dipolar stray field of all sample spins (tesla) and
 the summed exchange field (an energy vector in ueV contracting J(r_i)
 with each classical spin vector).  Constant-height scans diagonalize the
-resulting 3x3 probe Hamiltonian per pixel; iso-frequency scans invert
-the upper resonance branch for height by bisection; pair mode treats one
-sample site quantum-mechanically as an exactness oracle for the
-mean-field sum.
+resulting 3x3 probe Hamiltonian per pixel, with the field sums from one
+exact FFT convolution when the sites sit on the pixel lattice at one
+height (the dense blocked sum, used otherwise, is its oracle);
+iso-frequency scans invert the upper resonance branch for height by
+bisection; pair mode treats one sample site quantum-mechanically as an
+exactness oracle for the mean-field sum.
 """
 
 from __future__ import annotations
@@ -77,6 +79,10 @@ _MAX_PIXELS = 1_000_000
 # Bytes of one (tips, sites) float64 plane in the field sums: about
 # 1 MiB keeps a block's dozen planes in cache.
 _BLOCK_BYTES = 1 << 20
+
+# Largest working set (bytes) of one interaction kernel, checked before
+# allocating: the FFT path's images and spectra, or build_forward's kernel.
+_MAX_KERNEL_BYTES = 1 << 26
 
 _EPS = np.finfo(float).eps
 
@@ -221,7 +227,7 @@ class ResonanceMap(Grid):
 
     f_minus/f_plus are (ny, nx) GHz arrays; b_stray (tesla) and b_ex
     (ueV) are optional (ny, nx, 3) diagnostic channels, absent on maps
-    loaded from CSV.
+    loaded from CSV (b_stray also in exchange mode).
     """
 
     height: float
@@ -300,10 +306,9 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, vis
     dipolar prefactor pref = -g C / r^3 (tesla per unit spin).  visit is
     a callback, not a generator's consumer, so a block's planes are freed
     as the next block's replace them rather than held alongside them
-    (about 5% slower field sums).  After the last
-    block it rejects tips within the minimum distance of any site,
-    naming the closest pair, and warns once if J was evaluated below its
-    validity range.
+    (about 5% slower field sums).  After the last block it rejects tips
+    within the minimum distance of any site, naming the closest pair, and
+    warns once if J was evaluated below its validity range.
     """
     n = tex.n_sites
     rows = max(1, _BLOCK_BYTES // (8 * n))
@@ -342,23 +347,25 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, vis
 
 
 def _batch_effective_fields(
-    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str
+    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, stray: bool = True
 ):
     """Stray and exchange field sums for a batch of tip positions.
 
-    tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla,
-    b_ex (p, 3) ueV).  Each site sum is a row-wise np.sum over a
-    C-contiguous (rows, sites) plane, so a tip's fields do not depend on
-    which block, or which batch, it falls in.
+    tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla, or None when
+    stray is False, b_ex (p, 3) ueV).  Each site sum is a row-wise
+    np.sum over a C-contiguous (rows, sites) plane, so a tip's fields do
+    not depend on which block, or which batch, it falls in.
     """
     spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
-    b_stray = np.empty((tips.shape[0], 3))
+    b_stray = np.empty((tips.shape[0], 3)) if stray else None
     b_ex = np.empty((tips.shape[0], 3))
 
     def add_block(rows, dx, dy, dz, d2, j, pref):
         b_ex[rows, 0] = np.sum(j * spin_x, axis=1)
         b_ex[rows, 1] = np.sum(j * spin_y, axis=1)
         b_ex[rows, 2] = np.sum(j * spin_z, axis=1)
+        if not stray:
+            return
 
         # B = sum_i q d_i - pref s_i with q = 3 pref (s . d) / d^2, d the
         # tip-site displacement.
@@ -369,6 +376,83 @@ def _batch_effective_fields(
 
     _walk_pairs(tips, tex, exchange_prefactor, add_block)
     return b_stray, b_ex
+
+
+def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig, b_stray, b_ex) -> bool:
+    """Fill b_stray (unless None) and b_ex, each (nx ny, 3), at every pixel
+    by exact zero-padded FFT convolution and return True; return False,
+    for the dense sum, unless all sites lie at one z at least 2 A (J's
+    validity bound, so no distance check can fire) below the tips, their
+    x and y differ by whole steps up to the rounding of the coordinates,
+    and the padded planes fit _MAX_KERNEL_BYTES."""
+    pos = tex.positions
+    if np.any(pos[:, 2] != pos[0, 2]) or not cfg.height - pos[0, 2] >= 2.0:
+        return False
+    index, corner = [], []
+    for c in (pos[:, 0], pos[:, 1]):
+        k = np.round((c - c[0]) / grid.step)
+        if np.any(np.abs(c - c[0] - k * grid.step) > 4.0 * _EPS * np.max(np.abs(c))):
+            return False
+        index.append(k - k.min())  # cast to int once known to fit the budget
+        corner.append(c[np.argmin(k)])
+    mx, my = (int(i.max()) + 1 for i in index)
+    # The (ny+my-1) x (nx+mx-1) grid of pixel-site offsets.
+    kernel = Grid(grid.x0 - grid.step * (mx - 1), grid.y0 - grid.step * (my - 1),
+                  grid.step, grid.nx + mx - 1, grid.ny + my - 1)
+    # Pad each axis to the next 2^i 3^j 5^k: numpy has no next_fast_len, and
+    # its FFTs run several times faster there than at nearby primes.  The
+    # budget counts 7 kernel images, 3 tip coordinates and 8 half spectra.
+    odd = [3**j * 5**k for j in range(40) for k in range(30)]
+    shape = tuple(min(q << (-(-n // q) - 1).bit_length() for q in odd)
+                  for n in (kernel.ny, kernel.nx))
+    if 18 * 8 * shape[0] * shape[1] > _MAX_KERNEL_BYTES:
+        return False
+
+    # Kernel images from the dense sum over one site, in small tip blocks:
+    # J, which a unit spin along b gives as b_ex[:, b], and the symmetric
+    # stray tensor T[a, b] = B_a of a unit spin along b, for a >= b.  All
+    # are allocated up front, and the outputs before them, so that the
+    # heap is reused from one scan to the next rather than fragmented.
+    stray, prefactor = b_stray is not None, cfg.exchange_prefactor
+    tips = kernel.tips(cfg.height)
+    keys = ["j"] + [(a, b) for b in range(3) for a in range(b, 3)] * stray
+    images = {key: np.empty(len(tips)) for key in keys}
+    for b in range(3 if stray else 1):
+        unit = SpinTexture([[*corner, pos[0, 2]]], [np.eye(3)[b]], 1.0, tex.g)
+        for start in range(0, len(tips), _BLOCK_BYTES // 64):
+            rows = slice(start, start + _BLOCK_BYTES // 64)
+            bs, bx = _batch_effective_fields(tips[rows], unit, prefactor, stray)
+            images["j"][rows] = bx[:, b]
+            for a in range(b, 3) if stray else ():
+                images[a, b][rows] = bs[:, a]
+    del tips
+
+    # Convolve, transforming one kernel image at a time and freeing it;
+    # pixel (iy, ix) reads the circular convolution at (iy+my-1, ix+mx-1),
+    # which the padding keeps free of wrap-around.
+    spins = np.zeros((3, my, mx))
+    spins[:, index[1].astype(int), index[0].astype(int)] = tex.spin_vectors.T
+    spin_hat = [np.fft.rfft2(s, shape) for s in spins]
+    valid = (slice(my - 1, my - 1 + grid.ny), slice(mx - 1, mx - 1 + grid.nx))
+
+    def spectrum(key):
+        return np.fft.rfft2(images.pop(key).reshape(kernel.ny, kernel.nx), shape)
+
+    def to_pixels(spectra, out):
+        for a, s in enumerate(spectra):
+            out.reshape(grid.ny, grid.nx, 3)[..., a] = np.fft.irfft2(s, shape)[valid]
+
+    j_hat = spectrum("j")
+    to_pixels((j_hat * s for s in spin_hat), b_ex)
+    del j_hat
+    acc = [np.zeros_like(spin_hat[0]) for _ in range(3 * stray)]
+    for a, b in keys[1:]:
+        t_hat = spectrum((a, b))
+        acc[a] += t_hat * spin_hat[b]
+        if a != b:
+            acc[b] += t_hat * spin_hat[a]
+    to_pixels(acc, b_stray)  # no spectra, and b_stray None, without stray
+    return True
 
 
 def _batch_hamiltonians(
@@ -412,11 +496,11 @@ def probe_hamiltonian_at(tip_pos, tex: SpinTexture, cfg: ScanConfig) -> np.ndarr
     return _batch_hamiltonians(b_stray, b_ex, cfg)[0]
 
 
-def _scan_tips(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray):
-    """(f_minus, f_plus, b_stray, b_ex) at each tip position."""
-    b_stray, b_ex = _batch_effective_fields(tips, tex, cfg.exchange_prefactor)
-    f_minus, f_plus = _batch_resonances(_batch_hamiltonians(b_stray, b_ex, cfg))
-    return f_minus, f_plus, b_stray, b_ex
+def _f_plus(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray) -> np.ndarray:
+    """Upper resonance branch (GHz) at each tip position."""
+    stray = cfg.include_dipolar
+    fields = _batch_effective_fields(tips, tex, cfg.exchange_prefactor, stray)
+    return _batch_resonances(_batch_hamiltonians(*fields, cfg))[1]
 
 
 def scan_constant_height(
@@ -424,33 +508,39 @@ def scan_constant_height(
 ) -> ResonanceMap:
     """Raster the tip at fixed height and record both resonance branches.
 
-    Rows are distributed over a thread pool and reassembled by row
-    index, so the output is bit-identical for any worker count.
+    Fields come from one exact FFT convolution when the sites sit on the
+    pixel lattice (_lattice_fields), else from dense sums per row chunk;
+    chunks fill disjoint slices on a thread pool, so the output is
+    bit-identical for any worker count.  b_stray is None in exchange mode.
     """
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
-    tips = grid.tips(cfg.height)
-    f_minus = np.empty(tips.shape[0])
-    f_plus = np.empty(tips.shape[0])
-    b_stray = np.empty(tips.shape)
-    b_ex = np.empty(tips.shape)
+    n = grid.nx * grid.ny
+    f_minus, f_plus = np.empty(n), np.empty(n)
+    b_stray = np.empty((n, 3)) if cfg.include_dipolar else None
+    b_ex = np.empty((n, 3))
+    fft = _lattice_fields(grid, tex, cfg, b_stray, b_ex)
+    tips = None if fft else grid.tips(cfg.height)
+
+    def run_chunk(block):
+        if tips is not None:
+            bs, b_ex[block] = _batch_effective_fields(
+                tips[block], tex, cfg.exchange_prefactor, cfg.include_dipolar
+            )
+            if bs is not None:
+                b_stray[block] = bs
+        bs = None if b_stray is None else b_stray[block]
+        f_minus[block], f_plus[block] = _batch_resonances(
+            _batch_hamiltonians(bs, b_ex[block], cfg)
+        )
 
     workers = max(1, int(workers))
     row_chunks = np.array_split(np.arange(grid.ny), min(workers * 4, grid.ny))
     blocks = [slice(rows[0] * grid.nx, (rows[-1] + 1) * grid.nx) for rows in row_chunks]
-
-    def run_chunk(block):
-        return block, _scan_tips(cfg, tex, tips[block])
-
     if workers == 1:
-        results = [run_chunk(block) for block in blocks]
+        list(map(run_chunk, blocks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_chunk, blocks))
-    for block, (fm, fp, bs, bx) in results:
-        f_minus[block] = fm
-        f_plus[block] = fp
-        b_stray[block] = bs
-        b_ex[block] = bx
+            list(pool.map(run_chunk, blocks))
 
     if not (np.all(np.isfinite(f_minus)) and np.all(np.isfinite(f_plus))):
         raise ArithmeticError("scan produced non-finite resonance values")
@@ -461,7 +551,7 @@ def scan_constant_height(
         mode=cfg.mode,
         f_minus=f_minus.reshape(shape),
         f_plus=f_plus.reshape(shape),
-        b_stray=b_stray.reshape(shape + (3,)),
+        b_stray=None if b_stray is None else b_stray.reshape(shape + (3,)),
         b_ex=b_ex.reshape(shape + (3,)),
     )
 
@@ -488,8 +578,8 @@ def scan_iso_frequency(
 
     lo = np.full(n, z_min)
     hi = np.full(n, z_max)
-    f_lo = _scan_tips(cfg, tex, grid.tips(lo))[1] - f_source
-    f_hi = _scan_tips(cfg, tex, grid.tips(hi))[1] - f_source
+    f_lo = _f_plus(cfg, tex, grid.tips(lo)) - f_source
+    f_hi = _f_plus(cfg, tex, grid.tips(hi)) - f_source
     bracketed = f_lo * f_hi <= 0.0
 
     heights = np.full(n, np.nan)
@@ -500,7 +590,7 @@ def scan_iso_frequency(
         mid = 0.5 * (lo + hi)
         idx = np.where(active)[0]
         f_mid = np.empty(n)
-        f_mid[idx] = _scan_tips(cfg, tex, grid.tips(mid)[idx])[1] - f_source
+        f_mid[idx] = _f_plus(cfg, tex, grid.tips(mid)[idx]) - f_source
         converged = np.zeros(n, dtype=bool)
         converged[idx] = np.abs(f_mid[idx]) < _ISO_FREQ_TOL_GHZ
         newly = active & converged

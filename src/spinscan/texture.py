@@ -288,6 +288,8 @@ def load_texture(path) -> SpinTexture:
     Spin directions off unit length by more than 1e-3 are rejected;
     smaller deviations are renormalized with a warning.
     """
+    from .scan import _MAX_HEIGHT, _MAX_LATERAL  # scan imports this module
+
     header_keys = {
         "lattice": str,
         "a_angstrom": float,
@@ -343,6 +345,10 @@ def load_texture(path) -> SpinTexture:
                 raise _parse_error(path, lineno, f"non-numeric site line {line!r}") from None
             if not np.all(np.isfinite(values)):
                 raise _parse_error(path, lineno, f"non-finite site line {line!r}")
+            x, y, z = map(abs, values[:3])
+            if max(x, y) > _MAX_LATERAL or z > _MAX_HEIGHT:
+                bounds = f"|x|, |y| <= {_MAX_LATERAL:g} A or |z| <= {_MAX_HEIGHT:g} A"
+                raise _parse_error(path, lineno, f"site beyond {bounds}: {line!r}")
             sdir = np.array(values[3:])
             norm = np.linalg.norm(sdir)
             if abs(norm - 1.0) > 1e-3:

@@ -85,3 +85,18 @@ def test_usage_errors_are_one_line(texture, argv):
     assert code == 2
     assert len(stderr) == 1, stderr
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_far_texture_site_is_an_input_error(texture):
+    # A site past the engine's lateral bound is refused where the file
+    # is read, before its squared distances can overflow.
+    far = texture.with_name("far.spintex")
+    lines = texture.read_text(encoding="utf-8").splitlines()
+    k = next(i for i, line in enumerate(lines) if line[:1].isdigit())
+    lines[k] = " ".join(["1e200", *lines[k].split()[1:]])
+    far.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, stderr, caught = run(["scan", "--texture", far, "--xmin=0", "--xmax=3",
+                                "--ymin=0", "--ymax=3", "--out", far.with_suffix(".csv")])
+    assert code == 3
+    assert len(stderr) == 1 and f"{far}:{k + 1}:" in stderr[0], stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

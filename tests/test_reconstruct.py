@@ -269,6 +269,37 @@ def test_lcurve_monotone_tradeoff(neel_5x5, rng):
     assert all(np.diff(norms) <= 0)      # solution norm shrinks with lam
 
 
+def _filter_factor_residual(a, y, lam):
+    """Oracle: the Tikhonov residual from a full SVD, ||diag(f) U^T y||
+    with f = lam / (s^2 + lam) and f = 1 beyond the rank."""
+    u, s, _ = np.linalg.svd(a)
+    f = np.ones(u.shape[0])
+    if lam == 0.0:
+        f[: s.size] = s <= 1e-12 * s[0]
+    else:
+        f[: s.size] = lam / (s * s + lam)
+    return np.linalg.norm(f * (u.T @ y))
+
+
+@pytest.mark.parametrize("mode, height", [("exchange", 4.0), ("both", 4.0),
+                                          ("dipolar", 60.0)])
+def test_residual_norm_is_cancellation_free(neel_5x5, rng, mode, height):
+    # ||A m - y|| is all cancellation once the fit is good; the reported
+    # residual must match the filter-factor form, noiseless or not.
+    fwd = build_forward(neel_5x5, height=height, mode=mode, **GRID)
+    clean = fwd.a @ (neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2])
+    noisy = clean + rng.normal(scale=1e-6 * np.abs(clean).max(), size=clean.size)
+    lambdas = [0.0, 1e-12, 1e-8, 1e-4, 1.0, 1e4]
+    for y, lams in ((clean, [1e-6]), (noisy, lambdas)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # lam = 0 on the dipolar kernel
+            rows = lcurve(fwd, y, lams)
+        for lam, (_, residual, _) in zip(lams, rows):
+            want = _filter_factor_residual(fwd.a, y, lam)
+            assert residual == pytest.approx(want, rel=1e-6), (lam, residual, want)
+        assert all(np.diff([r[1] for r in rows]) >= 0)
+
+
 def test_lcurve_rows_equal_per_lam_solves(neel_5x5, rng):
     for height, mode in ((4.0, "exchange"), (100.0, "dipolar")):
         fwd = build_forward(neel_5x5, height=height, mode=mode, **GRID)

@@ -5,6 +5,7 @@ crossover radius) come from independent oracle evaluations of the
 closed-form field sums and a 9-level exact pair diagonalization.
 """
 
+import contextlib
 import warnings
 from unittest import mock
 
@@ -32,7 +33,14 @@ from spinscan import (
     stray_field,
 )
 from spinscan import scan
-from spinscan.scan import _BLOCK_BYTES, _MAX_LATERAL, Grid, _batch_effective_fields
+from spinscan.scan import (
+    _BLOCK_BYTES,
+    _MAX_LATERAL,
+    Grid,
+    _batch_effective_fields,
+    _batch_hamiltonians,
+)
+from spinscan.spincore import _batch_resonances
 
 H_GHZ = CONSTANTS.h_planck
 D_UEV = 14.4
@@ -231,6 +239,116 @@ def test_too_close_error_names_closest_pair(fm_5x5):
     assert f"tip at ({x:.4g}, {y:.4g}, 0.05) A is 0.05 A from sample site 17" in str(
         err.value
     )
+
+
+def test_exchange_mode_skips_stray_sums(tilted_neel, mixed_tips):
+    # The stray sums are skipped when the mode drops them; what the mode
+    # keeps is the same bits as when they were summed and ignored.
+    full = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg")
+    skipped = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", stray=False)
+    assert skipped[0] is None
+    assert np.array_equal(skipped[1], full[1])
+    # In a scan, dense or FFT, the map's f+- are the bits the stray sums
+    # would have given, had they been summed and ignored.
+    cfg = ScanConfig(height=4.0, mode="exchange", step=0.6)
+    tips = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(cfg.height)
+    b_stray, b_ex = _batch_effective_fields(tips, tilted_neel, "rydberg")
+    dense = mock.patch.object(scan, "_lattice_fields", return_value=False)
+    for path in (contextlib.nullcontext(), dense):
+        with path:
+            rmap = scan_constant_height(cfg, tilted_neel)
+        assert rmap.b_stray is None
+        h = _batch_hamiltonians(b_stray, rmap.b_ex.reshape(-1, 3), cfg)
+        f_minus, f_plus = _batch_resonances(h)
+        assert np.array_equal(rmap.f_minus.ravel(), f_minus)
+        assert np.array_equal(rmap.f_plus.ravel(), f_plus)
+    assert np.array_equal(rmap.b_ex.reshape(-1, 3), b_ex)
+
+
+# ----------------------------------------------------------- FFT lattice sums
+
+
+def _fft_fields(grid, tex, cfg):
+    """(b_stray or None, b_ex) from the FFT path, or None where it declines."""
+    n = grid.nx * grid.ny
+    fields = (np.empty((n, 3)) if cfg.include_dipolar else None, np.empty((n, 3)))
+    return fields if scan._lattice_fields(grid, tex, cfg, *fields) else None
+
+
+def _tilted_texture(lattice, pattern="AFM-Neel"):
+    return apply_pattern(lattice, pattern, direction=(0.36, -0.48, 0.8), spin_mag=0.5,
+                         g=2.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2.5, 3.0, 4.2]),
+    st.integers(min_value=1, max_value=8),
+    st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+    st.tuples(st.integers(-30, 40), st.integers(-30, 40)),
+    st.tuples(st.integers(1, 60), st.integers(1, 60)),
+    st.sampled_from([2.0, 3.0, 7.5]),
+    st.sampled_from(["exchange", "dipolar", "both"]),
+)
+def test_fft_fields_match_dense_sum(a, multiple, frac, start, size, height, mode):
+    # Steps a whole fraction of the lattice constant, pixels offset from
+    # the sites by any sub-step fraction, windows on, around and off the
+    # lattice.  The FFT's rounding is spread evenly over the image, so the
+    # scale is each channel's largest value over the sites: a window in a
+    # Neel texture's cancelling tail may hold only far smaller fields.
+    step = a / multiple
+    tex = _tilted_texture(build_lattice("square", a, 5, 4))
+    grid = Grid((start[0] + frac[0]) * step, (start[1] + frac[1]) * step, step, *size)
+    cfg = ScanConfig(height=height, step=step, mode=mode)
+    got = _fft_fields(grid, tex, cfg)
+    assert got is not None
+    want = _batch_effective_fields(grid.tips(height), tex, "rydberg")
+    scale = _batch_effective_fields(tex.positions + (0.0, 0.0, height), tex, "rydberg")
+    assert (got[0] is None) == (mode == "exchange")
+    for g, w, top in zip(got, want, scale):
+        if g is not None:
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(top))
+
+
+def _off_lattice_cases(fm_5x5):
+    nudged = fm_5x5.positions.copy()
+    nudged[7, 0] += 1e-9
+    lifted = fm_5x5.positions.copy()
+    lifted[7, 2] = 0.5
+    far = np.array([[0.0, 0.0, 0.0], [3000.0, 3000.0, 0.0]])
+    return [
+        ("triangular", _tilted_texture(build_lattice("triangular", 3.0, 5, 5), "FM"), 4.0),
+        ("nudged", SpinTexture(nudged, fm_5x5.spin_dirs, 0.5, 2.0), 4.0),
+        ("two heights", SpinTexture(lifted, fm_5x5.spin_dirs, 0.5, 2.0), 4.0),
+        ("close", fm_5x5, 1.5),
+        ("over budget", SpinTexture(far, [[0.0, 0.0, 1.0]] * 2, 0.5, 2.0), 4.0),
+    ]
+
+
+def test_fft_path_applies_on_the_pixel_lattice(fm_5x5):
+    # The control for the fall-back cases below.
+    grid = Grid.from_ranges((0.0, 12.0), (0.0, 12.0), 0.5)
+    assert _fft_fields(grid, fm_5x5, ScanConfig(height=4.0, step=0.5)) is not None
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_fft_path_falls_back_to_the_dense_sum(fm_5x5, case):
+    name, tex, height = _off_lattice_cases(fm_5x5)[case]
+    cfg = ScanConfig(height=height, x_range=(0.0, 12.0), y_range=(6.0, 6.0), step=0.5,
+                     mode="both")
+    grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert _fft_fields(grid, tex, cfg) is None, name
+        rmap = scan_constant_height(cfg, tex)
+    # One row, one chunk: the dense sum warns once below 2 A.
+    assert len(caught) == (1 if name == "close" else 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with mock.patch.object(scan, "_lattice_fields", return_value=False):
+            dense = scan_constant_height(cfg, tex)
+    for key in ("f_minus", "f_plus", "b_stray", "b_ex"):
+        assert np.array_equal(getattr(rmap, key), getattr(dense, key)), (name, key)
 
 
 @settings(max_examples=200, deadline=None)
