@@ -46,7 +46,6 @@ from .spincore import (
     ProbeSpec,
     ResonancePair,
     SpinOperatorSet,
-    dipole_pair_hamiltonian,
     eigensolve,
     exchange_constant,
     exchange_pair_hamiltonian,

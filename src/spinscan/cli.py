@@ -1,9 +1,11 @@
 """Command-line frontend tying the simulation chain together.
 
 Subcommands: texture, sweep, scan, isoscan, spectrum, reconstruct.
-Every command accepts --config <file> ('key = value' lines under
-bracketed sections); explicit flags override config values, and the
-effective configuration is echoed as '#' comments into every output.
+Each command declares only the settings it reads.  A setting takes its
+flag when given, else its key of the --config file ('key = value' lines
+under bracketed sections), else its default, which is read from the
+library function or dataclass that uses it.  The effective
+configuration is echoed as '#' comments into every output.
 
 Exit codes: 0 success, 2 usage or validation error, 3 input-file error,
 4 numerical failure.
@@ -12,6 +14,7 @@ Exit codes: 0 success, 2 usage or validation error, 3 input-file error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -20,6 +23,9 @@ from . import fileio
 from .constants import CONSTANTS
 from .reconstruct import build_forward, lcurve, solve_tikhonov
 from .scan import (
+    _CONVENTIONS,
+    _MODES,
+    _PREFACTORS,
     ScanConfig,
     _check_height,
     _check_lateral,
@@ -28,9 +34,16 @@ from .scan import (
     scan_constant_height,
     scan_iso_frequency,
 )
-from .spectrum import SpectrumConfig, fit_lorentzians, measure_map, synthesize
+from .spectrum import (
+    _WINDOW_HALF_WIDTHS,
+    SpectrumConfig,
+    fit_lorentzians,
+    measure_map,
+    synthesize,
+)
 from .spincore import ProbeSpec, ResonancePair, probe_resonances
 from .texture import (
+    _PATTERNS,
     TextureParseError,
     apply_pattern,
     build_lattice,
@@ -43,7 +56,21 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
-_PATTERN_NAMES = {"fm": "FM", "afm-neel": "AFM-Neel", "stripe": "stripe"}
+_PATTERN_NAMES = {name.lower(): name for name in _PATTERNS}
+
+# [global] config key -> its flag and argparse keywords; the key is the dest.
+_GLOBALS = {
+    "seed": ("--seed", {"type": int, "help": "base RNG seed"}),
+    "exchange_prefactor": ("--prefactor", {
+        "choices": _PREFACTORS, "help": "exchange energy prefactor convention"}),
+    "resonance_convention": ("--convention", {
+        "choices": _CONVENTIONS, "help": "resonance reporting convention"}),
+    "probe_d_uev": ("--d-zfs", {
+        "type": float, "help": "probe zero-field splitting in ueV"}),
+    "probe_g": ("--probe-g", {"type": float, "help": "probe g-factor"}),
+}
+
+_REQUIRED = object()  # default of a setting that its flag or config must give
 
 
 def _vec3(text: str) -> tuple:
@@ -74,105 +101,104 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"cannot parse boolean value {text!r}")
 
 
-class _Settings:
-    """Flag-over-config-over-default value resolution for one command."""
-
-    def __init__(self, config: dict):
-        self.config = config
-
-    def get(self, flag_value, section: str, key: str, default=None, cast=str):
-        if flag_value is not None:
-            return flag_value
-        raw = self.config.get(section, {}).get(key)
-        if raw is None:
-            return default
-        if cast is bool:
-            return _parse_bool(raw)
-        if cast is tuple:
-            parts = raw.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"config {section}.{key}: need three components")
-            return tuple(float(p) for p in parts)
-        return cast(raw)
-
-    def require(self, flag_value, section: str, key: str, flag: str, cast=str):
-        value = self.get(flag_value, section, key, default=None, cast=cast)
-        if value is None:
-            raise ValueError(f"missing required {flag} (or [{section}] {key} in config)")
-        return value
+def _default(owner, name: str):
+    """Default of parameter `name` of a function or dataclass."""
+    return inspect.signature(owner).parameters[name].default
 
 
-def _globals_from(settings: _Settings, args) -> dict:
-    return {
-        "seed": settings.get(args.seed, "global", "seed", 0, int),
-        "exchange_prefactor": settings.get(
-            args.prefactor, "global", "exchange_prefactor", "rydberg"
-        ),
-        "resonance_convention": settings.get(
-            args.convention, "global", "resonance_convention", "transition"
-        ),
-        "probe_d_uev": settings.get(args.d_zfs, "global", "probe_d_uev", 14.4, float),
-        "probe_g": settings.get(
-            args.probe_g, "global", "probe_g", CONSTANTS.g_e_default, float
-        ),
-    }
+def _arg(p, flag: str, key: str, default=None, *,
+         config_only: bool = False, **kwargs) -> None:
+    """Declare one setting of the command parser p.
+
+    The setting takes its flag when given, else `key` ('section.key') of
+    the config file, else `default` (_REQUIRED: one of the first two must
+    give it).  A config_only setting is not on p's command line; its
+    flag then only describes how a config value is cast.
+    """
+    if default is not None and default is not _REQUIRED:
+        kwargs["help"] = (
+            f"{kwargs.get('help', '')} (default {fileio.format_value(default)})"
+        ).lstrip()
+    owner = argparse.ArgumentParser(add_help=False) if config_only else p
+    action = owner.add_argument(flag, default=None, **kwargs)
+    p.get_default("settings").append((action, key, default))
 
 
-def _spectrum_config(settings: _Settings, args, glob: dict,
-                     f_start=None, f_stop=None) -> SpectrumConfig:
-    get = settings.get
-    return SpectrumConfig(
-        f_start=get(f_start, "spectrum", "f_start", 2.5, float),
-        f_stop=get(f_stop, "spectrum", "f_stop", 4.5, float),
-        f_step=get(getattr(args, "fstep", None), "spectrum", "f_step", 0.02, float),
-        linewidth_fwhm=get(
-            getattr(args, "linewidth", None), "spectrum", "linewidth_fwhm", 0.1, float
-        ),
-        contrast=get(
-            getattr(args, "contrast", None), "spectrum", "contrast", 0.1, float
-        ),
-        baseline_counts=get(
-            getattr(args, "baseline", None), "spectrum", "baseline_counts", 1e5, float
-        ),
-        seed=glob["seed"],
-        noiseless=bool(
-            getattr(args, "noiseless", False)
-            or get(None, "spectrum", "noiseless", False, bool)
-        ),
-    )
+def _global_arg(p, name: str, default) -> None:
+    flag, kwargs = _GLOBALS[name]
+    _arg(p, flag, f"global.{name}", default, dest=name, **kwargs)
 
 
-def _texture_bbox(tex):
-    xs = tex.positions[:, 0]
-    ys = tex.positions[:, 1]
-    return (float(xs.min()), float(xs.max())), (float(ys.min()), float(ys.max()))
+def _from_config(action, raw: str, section: str, key: str):
+    """A config string cast by its flag's own type and choices."""
+    cast = action.type or (_parse_bool if action.const is True else str)
+    try:
+        value = cast(raw)
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise ValueError(f"config [{section}] {key}: {exc}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(
+            f"config [{section}] {key}: {value!r} is not one of {list(action.choices)}"
+        )
+    return value
 
 
-def _scan_config(settings: _Settings, args, glob: dict, tex) -> ScanConfig:
-    bbox_x, bbox_y = _texture_bbox(tex)
-    get = settings.get
-    x_min = get(args.xmin, "scan", "x_min", bbox_x[0], float)
-    x_max = get(args.xmax, "scan", "x_max", bbox_x[1], float)
-    y_min = get(args.ymin, "scan", "y_min", bbox_y[0], float)
-    y_max = get(args.ymax, "scan", "y_max", bbox_y[1], float)
+def _resolve(args, config: dict) -> None:
+    """Set each declared setting from its flag, else config, else default."""
+    for action, key, value in args.settings:
+        if getattr(args, action.dest, None) is not None:
+            continue
+        section, _, name = key.partition(".")
+        raw = config.get(section, {}).get(name)
+        if raw is not None:
+            value = _from_config(action, raw, section, name)
+        elif value is _REQUIRED:
+            raise ValueError(
+                f"missing required {action.option_strings[0]} "
+                f"(or [{section}] {name} in config)"
+            )
+        setattr(args, action.dest, value)
+
+
+def _echo_globals(args) -> dict:
+    return {name: getattr(args, name) for name in _GLOBALS if hasattr(args, name)}
+
+
+def _grid(args, tex) -> dict:
+    """x_range, y_range and step; an edge left unset is the texture's."""
+    box = (*tex.positions[:, :2].min(axis=0), *tex.positions[:, :2].max(axis=0))
+    flags = (args.xmin, args.ymin, args.xmax, args.ymax)
+    x0, y0, x1, y1 = (float(b) if f is None else f for f, b in zip(flags, box))
+    return {"x_range": (x0, x1), "y_range": (y0, y1), "step": args.step}
+
+
+def _probe_config(args, **fields) -> ScanConfig:
+    """ScanConfig of the probe, coupling and field settings plus `fields`."""
     return ScanConfig(
-        height=get(args.height, "scan", "height", 4.0, float),
-        x_range=(x_min, x_max),
-        y_range=(y_min, y_max),
-        step=get(args.step, "scan", "step", 0.25, float),
-        mode=get(args.mode, "scan", "mode", "exchange"),
-        b_ext=get(args.bext, "scan", "b_ext", (0.0, 0.0, 0.0), tuple),
-        probe=ProbeSpec(d_zfs=glob["probe_d_uev"], g=glob["probe_g"]),
-        exchange_prefactor=glob["exchange_prefactor"],
-        resonance_convention=glob["resonance_convention"],
+        mode=args.mode,
+        b_ext=args.bext,
+        probe=ProbeSpec(d_zfs=args.probe_d_uev, g=args.probe_g),
+        exchange_prefactor=args.exchange_prefactor,
+        **fields,
     )
 
 
-def _scan_params(cfg: ScanConfig, glob: dict, texture_path) -> dict:
+def _spectrum_config(args, **window) -> SpectrumConfig:
+    return SpectrumConfig(
+        **window,
+        f_step=args.f_step,
+        linewidth_fwhm=args.linewidth_fwhm,
+        contrast=args.contrast,
+        baseline_counts=args.baseline_counts,
+        seed=args.seed,
+        noiseless=args.noiseless,
+    )
+
+
+def _raster_params(args, cfg: ScanConfig) -> dict:
     return {
-        **glob,
-        "texture": str(texture_path),
-        "height_angstrom": cfg.height,
+        **_echo_globals(args),
+        "texture": str(args.texture),
         "x_min_angstrom": cfg.x_range[0],
         "x_max_angstrom": cfg.x_range[1],
         "y_min_angstrom": cfg.y_range[0],
@@ -183,44 +209,28 @@ def _scan_params(cfg: ScanConfig, glob: dict, texture_path) -> dict:
     }
 
 
-def cmd_texture(args, config) -> int:
-    settings = _Settings(config)
-    lattice_type = settings.require(args.lattice, "texture", "lattice", "--lattice")
-    a = settings.require(args.a, "texture", "a", "--a", float)
-    nx = settings.require(args.nx, "texture", "nx", "--nx", int)
-    ny = settings.require(args.ny, "texture", "ny", "--ny", int)
-    pattern_name = settings.get(args.pattern, "texture", "pattern", "fm").lower()
-    if pattern_name not in _PATTERN_NAMES:
-        raise ValueError(
-            f"unknown pattern {pattern_name!r}; "
-            f"expected one of {sorted(_PATTERN_NAMES)}"
-        )
-    direction = np.asarray(
-        settings.get(args.dir, "texture", "direction", (0.0, 0.0, 1.0), tuple),
-        dtype=float,
-    )
+def cmd_texture(args) -> int:
+    direction = np.asarray(args.dir, dtype=float)
     norm = np.linalg.norm(direction)
     if norm == 0:
         raise ValueError("--dir must be a nonzero vector")
     direction = direction / norm
-    spin_mag = settings.get(args.spin_mag, "texture", "spin_mag", 0.5, float)
-    sample_g = settings.get(args.sample_g, "texture", "sample_g", 2.0, float)
 
-    lattice = build_lattice(lattice_type, a, nx, ny)
+    lattice = build_lattice(args.lattice, args.a, args.nx, args.ny)
     tex = apply_pattern(
-        lattice, _PATTERN_NAMES[pattern_name], direction, spin_mag, sample_g
+        lattice, _PATTERN_NAMES[args.pattern], direction, args.spin_mag, args.sample_g
     )
     echo = fileio.echo_lines(
         "texture",
         {
-            "lattice": lattice_type,
-            "a_angstrom": a,
-            "nx": nx,
-            "ny": ny,
-            "pattern": pattern_name,
+            "lattice": args.lattice,
+            "a_angstrom": args.a,
+            "nx": args.nx,
+            "ny": args.ny,
+            "pattern": args.pattern,
             "direction": ",".join(f"{d:.9g}" for d in direction),
-            "spin_mag": spin_mag,
-            "sample_g": sample_g,
+            "spin_mag": args.spin_mag,
+            "sample_g": args.sample_g,
         },
     )
     save_texture(tex, args.out, header_comments=echo)
@@ -228,32 +238,22 @@ def cmd_texture(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(args, config) -> int:
-    settings = _Settings(config)
-    glob = _globals_from(settings, args)
-    r_min = settings.require(args.rmin, "sweep", "r_min", "--rmin", float)
-    r_max = settings.require(args.rmax, "sweep", "r_max", "--rmax", float)
-    points = settings.require(args.points, "sweep", "points", "--points", int)
-    log_spacing = bool(
-        args.log or settings.get(None, "sweep", "log", False, bool)
-    )
-    spin_mag = settings.get(args.spin_mag, "sweep", "spin_mag", 0.5, float)
-
+def cmd_sweep(args) -> int:
     curve = distance_sweep(
-        r_min,
-        r_max,
-        points,
-        log_spacing=log_spacing,
-        exchange_prefactor=glob["exchange_prefactor"],
-        spin_mag=spin_mag,
+        args.rmin,
+        args.rmax,
+        args.points,
+        log_spacing=args.log,
+        exchange_prefactor=args.exchange_prefactor,
+        spin_mag=args.spin_mag,
     )
     params = {
-        **glob,
-        "r_min_angstrom": r_min,
-        "r_max_angstrom": r_max,
-        "points": points,
-        "log": log_spacing,
-        "spin_mag": spin_mag,
+        **_echo_globals(args),
+        "r_min_angstrom": args.rmin,
+        "r_max_angstrom": args.rmax,
+        "points": args.points,
+        "log": args.log,
+        "spin_mag": args.spin_mag,
     }
     fileio.write_sweep_csv(args.out, curve, params)
     if curve.crossover_r is not None:
@@ -264,15 +264,12 @@ def cmd_sweep(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args, config) -> int:
-    settings = _Settings(config)
-    glob = _globals_from(settings, args)
+def cmd_scan(args) -> int:
     tex = load_texture(args.texture)
-    cfg = _scan_config(settings, args, glob, tex)
-    workers = settings.get(args.workers, "scan", "workers", 1, int)
-
-    rmap = scan_constant_height(cfg, tex, workers=workers)
-    params = _scan_params(cfg, glob, args.texture)
+    cfg = _probe_config(args, height=args.height, **_grid(args, tex),
+                        resonance_convention=args.resonance_convention)
+    rmap = scan_constant_height(cfg, tex, workers=args.workers)
+    params = {**_raster_params(args, cfg), "height_angstrom": cfg.height}
     fileio.write_map_csv(args.out, rmap, params)
     print(f"wrote {args.out} ({rmap.nx} x {rmap.ny} pixels)")
     if args.pgm:
@@ -282,8 +279,7 @@ def cmd_scan(args, config) -> int:
         print(f"wrote {args.pgm}")
 
     if args.measure:
-        spec_cfg = _spectrum_config(settings, args, glob)
-        fitted, error = measure_map(rmap, spec_cfg)
+        fitted, error = measure_map(rmap, _spectrum_config(args))
         measured_out = args.measured_out or f"{args.out}.measured.csv"
         fileio.write_map_csv(measured_out, fitted, {**params, "measured": True})
         print(f"wrote {measured_out}")
@@ -301,21 +297,15 @@ def cmd_scan(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_isoscan(args, config) -> int:
-    settings = _Settings(config)
-    glob = _globals_from(settings, args)
+def cmd_isoscan(args) -> int:
     tex = load_texture(args.texture)
-    cfg = _scan_config(settings, args, glob, tex)
-    f_source = settings.require(args.fsource, "isoscan", "f_source", "--fsource", float)
-    z_min = settings.get(args.zmin, "isoscan", "z_min", 1.0, float)
-    z_max = settings.get(args.zmax, "isoscan", "z_max", 20.0, float)
-
-    iso = scan_iso_frequency(cfg, tex, f_source, z_min, z_max)
+    cfg = _probe_config(args, **_grid(args, tex))
+    iso = scan_iso_frequency(cfg, tex, args.fsource, args.zmin, args.zmax)
     params = {
-        **_scan_params(cfg, glob, args.texture),
-        "f_source_ghz": f_source,
-        "z_min_angstrom": z_min,
-        "z_max_angstrom": z_max,
+        **_raster_params(args, cfg),
+        "f_source_ghz": args.fsource,
+        "z_min_angstrom": args.zmin,
+        "z_max_angstrom": args.zmax,
     }
     fileio.write_iso_csv(args.out, iso, params)
     n_total = iso.heights.size
@@ -325,10 +315,7 @@ def cmd_isoscan(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_spectrum(args, config) -> int:
-    settings = _Settings(config)
-    glob = _globals_from(settings, args)
-
+def cmd_spectrum(args) -> int:
     if args.resonances is not None and args.texture is not None:
         raise ValueError("--resonances and --texture are mutually exclusive")
     if args.resonances is not None:
@@ -347,19 +334,20 @@ def cmd_spectrum(args, config) -> int:
         _check_lateral(args.tip[1], "--tip y")
         _check_height(args.tip[2], "--tip z")
         tex = load_texture(args.texture)
-        cfg = _scan_config(settings, args, glob, tex)
-        h = probe_hamiltonian_at(np.asarray(args.tip, dtype=float), tex, cfg)
+        h = probe_hamiltonian_at(np.asarray(args.tip, dtype=float), tex,
+                                 _probe_config(args))
         pair = probe_resonances(h)
     else:
         raise ValueError("one of --resonances or --texture is required")
 
-    # Auto window: cover both branches with 20-linewidth margins unless
-    # explicit bounds are given.
-    linewidth = settings.get(args.linewidth, "spectrum", "linewidth_fwhm", 0.1, float)
-    margin = 20.0 * linewidth
-    f_start = args.fstart if args.fstart is not None else pair.f_minus - margin
-    f_stop = args.fstop if args.fstop is not None else pair.f_plus + margin
-    spec_cfg = _spectrum_config(settings, args, glob, f_start=f_start, f_stop=f_stop)
+    # Without explicit bounds the window covers both branches with the
+    # margins of a measured window.
+    margin = _WINDOW_HALF_WIDTHS * args.linewidth_fwhm
+    spec_cfg = _spectrum_config(
+        args,
+        f_start=pair.f_minus - margin if args.fstart is None else args.fstart,
+        f_stop=pair.f_plus + margin if args.fstop is None else args.fstop,
+    )
 
     spectrum = synthesize(pair, spec_cfg)
     distinct = pair.f_plus - pair.f_minus > spec_cfg.f_step
@@ -367,7 +355,7 @@ def cmd_spectrum(args, config) -> int:
     fit = fit_lorentzians(spectrum, n_peaks)
 
     params = {
-        **glob,
+        **_echo_globals(args),
         "f_minus_ghz": pair.f_minus,
         "f_plus_ghz": pair.f_plus,
         "f_start_ghz": spec_cfg.f_start,
@@ -390,59 +378,43 @@ def cmd_spectrum(args, config) -> int:
     return EXIT_OK
 
 
-def cmd_reconstruct(args, config) -> int:
-    settings = _Settings(config)
-    glob = _globals_from(settings, args)
+def cmd_reconstruct(args) -> int:
     tex = load_texture(args.texture)
-    lam = settings.get(args.lam, "reconstruct", "lam", 1e-6, float)
-    if not 0 <= lam < np.inf:
-        raise ValueError(f"--lam must be finite and >= 0, got {lam}")
+    if not 0 <= args.lam < np.inf:
+        raise ValueError(f"--lam must be finite and >= 0, got {args.lam}")
     lcurve_lams = args.lcurve or []
     if not all(0 <= lam_k < np.inf for lam_k in lcurve_lams):
         raise ValueError(f"--lcurve values must be finite and >= 0, got {lcurve_lams}")
-    synthetic = bool(
-        args.synthetic or settings.get(None, "reconstruct", "synthetic", False, bool)
-    )
 
+    # Height and mode default to the map's own, else to ScanConfig's.
     if args.map is not None:
         rmap = fileio.load_map_csv(args.map)
-        height = settings.get(args.height, "reconstruct", "height",
-                              rmap.height, float)
-        mode = settings.get(args.mode, "reconstruct", "mode", rmap.mode)
-        grid = (rmap.x_range, rmap.y_range)
-        step = rmap.step
+        grid = {"x_range": rmap.x_range, "y_range": rmap.y_range, "step": rmap.step}
+        height, mode = rmap.height, rmap.mode
+    elif args.synthetic:
+        grid = _grid(args, tex)
+        height, mode = _default(ScanConfig, "height"), _default(ScanConfig, "mode")
     else:
-        if not synthetic:
-            raise ValueError("either --map or --synthetic is required")
-        bbox_x, bbox_y = _texture_bbox(tex)
-        height = settings.get(args.height, "reconstruct", "height", 4.0, float)
-        mode = settings.get(args.mode, "reconstruct", "mode", "exchange")
-        step = settings.get(args.step, "scan", "step", 0.25, float)
-        grid = (
-            (settings.get(args.xmin, "scan", "x_min", bbox_x[0], float),
-             settings.get(args.xmax, "scan", "x_max", bbox_x[1], float)),
-            (settings.get(args.ymin, "scan", "y_min", bbox_y[0], float),
-             settings.get(args.ymax, "scan", "y_max", bbox_y[1], float)),
-        )
+        raise ValueError("either --map or --synthetic is required")
+    height = height if args.height is None else args.height
+    mode = mode if args.mode is None else args.mode
 
     fwd = build_forward(
         tex,
-        grid[0],
-        grid[1],
-        step,
-        height,
-        mode,
-        exchange_prefactor=glob["exchange_prefactor"],
-        g_probe=glob["probe_g"],
+        **grid,
+        height=height,
+        mode=mode,
+        exchange_prefactor=args.exchange_prefactor,
+        g_probe=args.probe_g,
     )
-    if synthetic:
+    if args.synthetic:
         m_true = tex.spin_mag * tex.spin_dirs[:, 2]
         y = fwd.a @ m_true
     else:
         # Axial shift observable: upper branch minus the zero-field line.
-        y = (rmap.f_plus - glob["probe_d_uev"] / CONSTANTS.h_planck).ravel()
+        y = (rmap.f_plus - args.probe_d_uev / CONSTANTS.h_planck).ravel()
 
-    result = solve_tikhonov(fwd, y, lam)
+    result = solve_tikhonov(fwd, y, args.lam)
     report = {
         "sigma_max": result.report.sigma_max,
         "sigma_min": result.report.sigma_min,
@@ -452,12 +424,12 @@ def cmd_reconstruct(args, config) -> int:
         "lam": result.lam,
     }
     params = {
-        **glob,
+        **_echo_globals(args),
         "texture": str(args.texture),
-        "observations": "synthetic" if synthetic else str(args.map),
+        "observations": "synthetic" if args.synthetic else str(args.map),
         "mode": mode,
         "height_angstrom": height,
-        "step_angstrom": step,
+        "step_angstrom": grid["step"],
     }
     cell_index = _square_cell_indices(tex)
     fileio.write_moments(args.out, tex.positions, cell_index, result.m_z,
@@ -496,77 +468,91 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--config", help="key = value config file with sections")
-    shared.add_argument("--seed", type=int, help="base RNG seed (default 0)")
-    shared.add_argument(
-        "--prefactor",
-        choices=("rydberg", "hartree"),
-        help="exchange energy prefactor convention (default rydberg)",
-    )
-    shared.add_argument(
-        "--convention",
-        choices=("transition", "splitting"),
-        help="resonance reporting convention (default transition)",
-    )
-    shared.add_argument(
-        "--d-zfs", dest="d_zfs", type=float,
-        help="probe zero-field splitting in ueV (default 14.4)",
-    )
-    shared.add_argument(
-        "--probe-g", dest="probe_g", type=float,
-        help=f"probe g-factor (default {CONSTANTS.g_e_default})",
-    )
+def _grid_args(p) -> None:
+    """The settings _grid reads, under [scan]."""
+    _arg(p, "--step", "scan.step", _default(ScanConfig, "step"), type=float,
+         help="pixel step in angstrom")
+    for edge in ("xmin", "xmax", "ymin", "ymax"):
+        _arg(p, f"--{edge}", f"scan.{edge[0]}_{edge[1:]}", type=float,
+             help=f"{edge[1:]} {edge[0]} in angstrom (default: the texture's)")
 
+
+def _probe_args(p) -> None:
+    """The settings _probe_config reads."""
+    _arg(p, "--mode", "scan.mode", _default(ScanConfig, "mode"), choices=_MODES)
+    _arg(p, "--bext", "scan.b_ext", _default(ScanConfig, "b_ext"), type=_vec3,
+         help="external field Bx,By,Bz in tesla")
+    _global_arg(p, "exchange_prefactor", _default(ScanConfig, "exchange_prefactor"))
+    _global_arg(p, "probe_d_uev", _default(ProbeSpec, "d_zfs"))
+    _global_arg(p, "probe_g", _default(ProbeSpec, "g"))
+
+
+def _readout_args(p, config_only: bool = False) -> None:
+    """The settings _spectrum_config reads under [spectrum], and the seed."""
+    _global_arg(p, "seed", _default(SpectrumConfig, "seed"))
+    for flag, name, text in (
+        ("--fstep", "f_step", "sweep step in GHz"),
+        ("--linewidth", "linewidth_fwhm", "Lorentzian FWHM in GHz"),
+        ("--contrast", "contrast", "dip contrast"),
+        ("--baseline", "baseline_counts", "mean counts per point"),
+    ):
+        _arg(p, flag, f"spectrum.{name}", _default(SpectrumConfig, name),
+             config_only=config_only, dest=name, type=float, help=text)
+    _arg(p, "--noiseless", "spectrum.noiseless", _default(SpectrumConfig, "noiseless"),
+         config_only=config_only, action="store_true",
+         help="emit the mean curve without Poisson noise")
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="spinscan",
         description="Scanning spin-defect magnetometry simulator",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("texture", parents=[shared],
-                       help="generate a spin texture file")
-    p.add_argument("--lattice", choices=("square", "triangular", "honeycomb"))
-    p.add_argument("--a", type=float, help="lattice constant in angstrom")
-    p.add_argument("--nx", type=int)
-    p.add_argument("--ny", type=int)
-    p.add_argument("--pattern", help="fm, afm-neel, or stripe (default fm)")
-    p.add_argument("--dir", type=_vec3, help="spin direction x,y,z (default 0,0,1)")
-    p.add_argument("--spin-mag", dest="spin_mag", type=float,
-                   help="spin magnitude (default 0.5)")
-    p.add_argument("--sample-g", dest="sample_g", type=float,
-                   help="sample g-factor (default 2.0)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_texture)
+    def command(name, func, text):
+        p = sub.add_parser(name, help=text)
+        p.add_argument("--config", help="key = value config file with sections")
+        p.add_argument("--out", required=True)
+        p.set_defaults(func=func, settings=[])
+        return p
 
-    p = sub.add_parser("sweep", parents=[shared],
-                       help="interaction scales versus distance")
-    p.add_argument("--rmin", type=float)
-    p.add_argument("--rmax", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--log", action="store_true", help="logarithmic spacing")
-    p.add_argument("--spin-mag", dest="spin_mag", type=float,
-                   help="sample spin magnitude for the stray-field column")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
+    p = command("texture", cmd_texture, "generate a spin texture file")
+    _arg(p, "--lattice", "texture.lattice", _REQUIRED,
+         choices=("square", "triangular", "honeycomb"))
+    _arg(p, "--a", "texture.a", _REQUIRED, type=float,
+         help="lattice constant in angstrom")
+    _arg(p, "--nx", "texture.nx", _REQUIRED, type=int)
+    _arg(p, "--ny", "texture.ny", _REQUIRED, type=int)
+    _arg(p, "--pattern", "texture.pattern", "fm", type=str.lower,
+         choices=tuple(_PATTERN_NAMES))
+    _arg(p, "--dir", "texture.direction", _default(apply_pattern, "direction"),
+         type=_vec3, help="spin direction x,y,z")
+    _arg(p, "--spin-mag", "texture.spin_mag", _default(apply_pattern, "spin_mag"),
+         type=float, help="spin magnitude")
+    _arg(p, "--sample-g", "texture.sample_g", _default(apply_pattern, "g"),
+         type=float, help="sample g-factor")
 
-    def add_grid_flags(p):
-        p.add_argument("--height", type=float, help="tip height in angstrom")
-        p.add_argument("--step", type=float, help="pixel step in angstrom")
-        p.add_argument("--xmin", type=float)
-        p.add_argument("--xmax", type=float)
-        p.add_argument("--ymin", type=float)
-        p.add_argument("--ymax", type=float)
-        p.add_argument("--mode", choices=("dipolar", "exchange", "both"))
-        p.add_argument("--bext", type=_vec3, help="external field Bx,By,Bz in tesla")
+    p = command("sweep", cmd_sweep, "interaction scales versus distance")
+    _arg(p, "--rmin", "sweep.r_min", _REQUIRED, type=float)
+    _arg(p, "--rmax", "sweep.r_max", _REQUIRED, type=float)
+    _arg(p, "--points", "sweep.points", _REQUIRED, type=int)
+    _arg(p, "--log", "sweep.log", _default(distance_sweep, "log_spacing"),
+         action="store_true", help="logarithmic spacing")
+    _arg(p, "--spin-mag", "sweep.spin_mag", _default(distance_sweep, "spin_mag"),
+         type=float, help="sample spin magnitude for the stray-field column")
+    _global_arg(p, "exchange_prefactor", _default(distance_sweep, "exchange_prefactor"))
 
-    p = sub.add_parser("scan", parents=[shared],
-                       help="constant-height resonance map")
+    p = command("scan", cmd_scan, "constant-height resonance map")
     p.add_argument("--texture", required=True)
-    add_grid_flags(p)
-    p.add_argument("--workers", type=int, help="parallel row workers (default 1)")
-    p.add_argument("--out", required=True)
+    _arg(p, "--height", "scan.height", _default(ScanConfig, "height"), type=float,
+         help="tip height in angstrom")
+    _grid_args(p)
+    _probe_args(p)
+    _global_arg(p, "resonance_convention", _default(ScanConfig, "resonance_convention"))
+    _readout_args(p, config_only=True)
+    _arg(p, "--workers", "scan.workers", _default(scan_constant_height, "workers"),
+         type=int, help="parallel row workers")
     p.add_argument("--pgm", help="also render the map as 16-bit PGM")
     p.add_argument("--measure", action="store_true",
                    help="emulate readout of every pixel")
@@ -574,62 +560,55 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fitted map CSV (default <out>.measured.csv)")
     p.add_argument("--error-out", dest="error_out",
                    help="per-pixel |fitted - true| CSV")
-    p.set_defaults(func=cmd_scan)
 
-    p = sub.add_parser("isoscan", parents=[shared],
-                       help="iso-frequency height map")
+    p = command("isoscan", cmd_isoscan, "iso-frequency height map")
     p.add_argument("--texture", required=True)
-    add_grid_flags(p)
-    p.add_argument("--fsource", type=float, help="drive frequency in GHz")
-    p.add_argument("--zmin", type=float, help="lower height bound (default 1)")
-    p.add_argument("--zmax", type=float, help="upper height bound (default 20)")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_isoscan)
+    _grid_args(p)
+    _probe_args(p)
+    _arg(p, "--fsource", "isoscan.f_source", _REQUIRED, type=float,
+         help="drive frequency in GHz")
+    _arg(p, "--zmin", "isoscan.z_min", 1.0, type=float, help="lower height bound")
+    _arg(p, "--zmax", "isoscan.z_max", 20.0, type=float, help="upper height bound")
 
-    p = sub.add_parser("spectrum", parents=[shared],
-                       help="synthesize and fit a readout spectrum")
+    p = command("spectrum", cmd_spectrum, "synthesize and fit a readout spectrum")
     p.add_argument("--resonances", type=_float_list,
                    help="one or two resonance frequencies in GHz")
     p.add_argument("--texture", help="texture file (with --tip)")
     p.add_argument("--tip", type=_vec3, help="tip position x,y,z in angstrom")
-    add_grid_flags(p)
-    p.add_argument("--fstart", type=float, help="sweep start in GHz")
-    p.add_argument("--fstop", type=float, help="sweep stop in GHz")
-    p.add_argument("--fstep", type=float, help="sweep step in GHz (default 0.02)")
-    p.add_argument("--linewidth", type=float,
-                   help="Lorentzian FWHM in GHz (default 0.1)")
-    p.add_argument("--contrast", type=float, help="dip contrast (default 0.1)")
-    p.add_argument("--baseline", type=float,
-                   help="mean counts per point (default 1e5)")
-    p.add_argument("--noiseless", action="store_true",
-                   help="emit the mean curve without Poisson noise")
+    _probe_args(p)
+    _arg(p, "--fstart", "spectrum.f_start", type=float,
+         help="sweep start in GHz (default: below f_minus by the window margin)")
+    _arg(p, "--fstop", "spectrum.f_stop", type=float,
+         help="sweep stop in GHz (default: above f_plus by the window margin)")
+    _readout_args(p)
     p.add_argument("--npeaks", type=int, help="number of dips to fit")
-    p.add_argument("--out", required=True)
     p.add_argument("--report", help="write the fit report to this file")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("reconstruct", parents=[shared],
-                       help="invert a map back to per-site moments")
+    p = command("reconstruct", cmd_reconstruct, "invert a map back to per-site moments")
     p.add_argument("--texture", required=True, help="site geometry (and truth)")
     p.add_argument("--map", help="measured map CSV to invert")
-    p.add_argument("--synthetic", action="store_true",
-                   help="invert noiseless forward data from the texture itself")
-    add_grid_flags(p)
-    p.add_argument("--lam", type=float, help="Tikhonov strength (default 1e-6)")
+    _arg(p, "--synthetic", "reconstruct.synthetic", False, action="store_true",
+         help="invert noiseless forward data from the texture itself")
+    _arg(p, "--height", "reconstruct.height", type=float, help="tip height in "
+         f"angstrom (default: the map's, else {_default(ScanConfig, 'height')})")
+    _arg(p, "--mode", "reconstruct.mode", choices=_MODES,
+         help=f"default: the map's, else {_default(ScanConfig, 'mode')}")
+    _grid_args(p)
+    _global_arg(p, "exchange_prefactor", _default(build_forward, "exchange_prefactor"))
+    _global_arg(p, "probe_d_uev", _default(ProbeSpec, "d_zfs"))
+    _global_arg(p, "probe_g", _default(build_forward, "g_probe"))
+    _arg(p, "--lam", "reconstruct.lam", 1e-6, type=float, help="Tikhonov strength")
     p.add_argument("--lcurve", type=_float_list,
                    help="comma-separated lam grid to tabulate")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_reconstruct)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = fileio.load_config(args.config) if args.config else {}
-        return args.func(args, config)
+        _resolve(args, fileio.load_config(args.config) if args.config else {})
+        return args.func(args)
     except (TextureParseError, fileio.MapParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -328,7 +328,7 @@ def load_config(path) -> dict:
     """Parse a `key = value` config file with bracketed sections.
 
     Returns {section: {key: string value}}.  Unknown sections or keys
-    raise ValueError; value validation belongs to the owning module.
+    raise ValueError; the CLI casts each value by its flag's type.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path, encoding="utf-8") as fh:

@@ -34,7 +34,7 @@ from .spincore import (
     zeeman_hamiltonian,
     zfs_hamiltonian,
 )
-from .texture import SampleSite, SpinTexture
+from .texture import _BLOCK_BYTES, SampleSite, SpinTexture
 
 __all__ = [
     "Grid",
@@ -75,10 +75,6 @@ _MAX_LATERAL = 1e6
 # Largest raster (pixels) a scan accepts; grid sizes are checked against
 # it before any array is allocated.  A 1000 x 1000 map fits.
 _MAX_PIXELS = 1_000_000
-
-# Bytes of one (tips, sites) float64 plane in the field sums: about
-# 1 MiB keeps a block's dozen planes in cache.
-_BLOCK_BYTES = 1 << 20
 
 # Largest working set (bytes) of one interaction kernel, checked before
 # allocating: the FFT path's images and spectra, or build_forward's kernel.

@@ -24,7 +24,6 @@ __all__ = [
     "spin_operators",
     "zfs_hamiltonian",
     "zeeman_hamiltonian",
-    "dipole_pair_hamiltonian",
     "exchange_pair_hamiltonian",
     "exchange_constant",
     "stray_field",
@@ -109,34 +108,6 @@ def zeeman_hamiltonian(g: float, b_field, ops: SpinOperatorSet) -> np.ndarray:
     """Zeeman term g mu_B B . S with B in tesla; result in ueV."""
     b = np.asarray(b_field, dtype=float)
     return g * CONSTANTS.mu_b * (b[0] * ops.sx + b[1] * ops.sy + b[2] * ops.sz)
-
-
-def dipole_pair_hamiltonian(
-    g1: float,
-    g2: float,
-    r_vec,
-    ops1: SpinOperatorSet,
-    ops2: SpinOperatorSet,
-) -> np.ndarray:
-    """Magnetic dipole-dipole coupling of two spins separated by r_vec (angstrom).
-
-    H = -(mu0 g1 g2 mu_B^2 / 4 pi r^3) (3 (S1.rhat)(S2.rhat) - S1.S2)
-    on the tensor-product space, in ueV.
-    """
-    r = np.asarray(r_vec, dtype=float)
-    dist = float(np.linalg.norm(r))
-    if dist <= 0.0:
-        raise ValueError("dipole coupling requires a nonzero separation")
-    rhat = r / dist
-    prefactor = -g1 * g2 * CONSTANTS.dipole_energy_prefactor / dist**3
-    s1r = rhat[0] * ops1.sx + rhat[1] * ops1.sy + rhat[2] * ops1.sz
-    s2r = rhat[0] * ops2.sx + rhat[1] * ops2.sy + rhat[2] * ops2.sz
-    dot = (
-        np.kron(ops1.sx, ops2.sx)
-        + np.kron(ops1.sy, ops2.sy)
-        + np.kron(ops1.sz, ops2.sz)
-    )
-    return prefactor * (3.0 * np.kron(s1r, s2r) - dot)
 
 
 def exchange_pair_hamiltonian(

@@ -30,6 +30,10 @@ _MIN_SITE_SEPARATION = 0.1
 
 _PATTERNS = ("FM", "AFM-Neel", "stripe")
 
+# Bytes of one float64 plane per block of a pairwise sum, (sites, sites)
+# here and (tips, sites) in the scan: about 1 MiB keeps a block in cache.
+_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SampleSite:
@@ -124,17 +128,26 @@ class SpinTexture:
 
 
 def _check_distinct(positions: np.ndarray) -> None:
-    """Reject site lists with any pair closer than the duplicate threshold."""
+    """Reject site lists with any pair closer than the duplicate threshold.
+
+    Rows i are compared with sites j > i in blocks of about _BLOCK_BYTES
+    per distance plane, so memory stays linear in the sites.  The pair
+    reported is the first closest one in row-major order.
+    """
     n = positions.shape[0]
-    if n < 2:
-        return
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    dist[np.diag_indices(n)] = np.inf
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
-    if dist[i, j] <= _MIN_SITE_SEPARATION:
+    rows = max(1, _BLOCK_BYTES // (8 * n))
+    best, pair = np.inf, (0, 0)
+    for start in range(0, n - 1, rows):
+        block, rest = positions[start:start + rows], positions[start:]
+        dx, dy, dz = (block[:, k, None] - rest[None, :, k] for k in range(3))
+        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        dist[np.tri(*dist.shape, dtype=bool)] = np.inf  # j <= i
+        i, j = np.unravel_index(np.argmin(dist), dist.shape)
+        if dist[i, j] < best:
+            best, pair = dist[i, j], (start + i, start + j)
+    if best <= _MIN_SITE_SEPARATION:
         raise ValueError(
-            f"sites {i} and {j} are {dist[i, j]:.4g} A apart "
+            f"sites {pair[0]} and {pair[1]} are {best:.4g} A apart "
             f"(minimum separation {_MIN_SITE_SEPARATION} A)"
         )
 

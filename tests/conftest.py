@@ -1,14 +1,17 @@
 """Shared fixtures, the CLI launcher and the acceptance-criteria summary hook."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spinscan import apply_pattern, build_lattice
+from spinscan import apply_pattern, build_lattice, cli
 
 ACCEPTANCE_LINES: list = []
 
@@ -33,6 +36,19 @@ def run_cli(*args, cwd):
         text=True,
         timeout=240,
     )
+
+
+def run_main(argv):
+    """Exit code, stderr lines and warnings of one in-process CLI run."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        try:
+            code = cli.main([str(a) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue().strip().splitlines(), caught
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -9,14 +9,12 @@ is part of the output and stays allowed.  Values are passed as
 checks instead of stopping in argparse.
 """
 
-import contextlib
-import io
 import math
-import warnings
 
 from hypothesis import given, settings, strategies as st
 import pytest
 
+from conftest import run_main as run
 from spinscan import cli
 
 CONTRACT = {0, 2, 3, 4}
@@ -37,19 +35,6 @@ def texture(tmp_path_factory):
     return path
 
 
-def run(argv):
-    """Exit code, stderr lines and warnings of one in-process CLI run."""
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, \
-            contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        warnings.simplefilter("always")
-        try:
-            code = cli.main([str(a) for a in argv])
-        except SystemExit as exc:
-            code = exc.code
-    return code, err.getvalue().strip().splitlines(), caught
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     command=st.sampled_from(["scan", "spectrum", "reconstruct"]),
@@ -61,11 +46,12 @@ def run(argv):
 def test_numeric_flags_keep_the_exit_contract(texture, command, step, height,
                                               lam, baseline):
     out = texture.with_name(f"{command}.out")
-    argv = [command, "--texture", texture, f"--step={step}", f"--height={height}",
-            "--mode", "both", "--out", out]
-    if command == "spectrum":
+    argv = [command, "--texture", texture, "--mode", "both", "--out", out]
+    if command == "spectrum":  # its height is the --tip z; it has no grid
         argv += [f"--tip=1.5,1.5,{height}", f"--baseline={baseline}"]
-    elif command == "reconstruct":
+    else:
+        argv += [f"--step={step}", f"--height={height}"]
+    if command == "reconstruct":
         argv += ["--synthetic", f"--lam={lam}"]
     code, stderr, caught = run(argv)
     assert code in CONTRACT

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from spinscan import (
     CONSTANTS,
     ProbeSpec,
-    dipole_pair_hamiltonian,
     eigensolve,
     exchange_constant,
     exchange_pair_hamiltonian,
@@ -107,36 +106,6 @@ def test_exchange_pair_spin_half_multiplet():
     h = exchange_pair_hamiltonian(8.0, o, o)
     vals = np.sort(np.linalg.eigvalsh(h))
     assert np.allclose(vals, [-6.0, 2.0, 2.0, 2.0], atol=1e-12)
-
-
-def test_dipole_pair_axial_eigenvalues():
-    # Two spin-1/2, g = 2, separation r along z. With
-    # C = g1 g2 (mu0/4pi) mu_B^2 / r^3, 3 S1z S2z - S1.S2 has eigenvalues
-    # {1/2, 1/2, 0, -1}, so -C (3 S1r S2r - S1.S2) gives {-C/2, -C/2, 0, C}.
-    o = spin_operators(0.5)
-    r = 5.0
-    c = 4.0 * CONSTANTS.dipole_energy_prefactor / r**3
-    h = dipole_pair_hamiltonian(2.0, 2.0, (0.0, 0.0, r), o, o)
-    vals = np.sort(np.linalg.eigvalsh(h))
-    assert np.allclose(vals, [-c / 2, -c / 2, 0.0, c], atol=1e-12)
-
-
-def test_dipole_pair_rotation_invariance(rng):
-    # The eigenvalue multiset depends only on |r|, not its direction.
-    o = spin_operators(0.5)
-    ref = np.sort(np.linalg.eigvalsh(
-        dipole_pair_hamiltonian(2.0, 2.0, (0.0, 0.0, 4.0), o, o)))
-    for _ in range(5):
-        d = rng.normal(size=3)
-        d *= 4.0 / np.linalg.norm(d)
-        vals = np.sort(np.linalg.eigvalsh(dipole_pair_hamiltonian(2.0, 2.0, d, o, o)))
-        assert np.allclose(vals, ref, atol=1e-12)
-
-
-def test_dipole_pair_rejects_zero_separation():
-    o = spin_operators(0.5)
-    with pytest.raises(ValueError):
-        dipole_pair_hamiltonian(2.0, 2.0, (0.0, 0.0, 0.0), o, o)
 
 
 # ------------------------------------------------------------ exchange J(r)

@@ -1,10 +1,14 @@
 """Lattice construction, spin patterns, and the spintex file format."""
 
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinscan import texture
 from spinscan import (
     SpinTexture,
     TextureParseError,
@@ -148,6 +152,49 @@ def test_texture_rejects_coincident_sites():
             spin_mag=0.5,
             g=2.0,
         )
+
+
+def closest_pair_oracle(positions):
+    """The full-matrix duplicate check: its error text, or None."""
+    dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
+    dist[np.diag_indices(len(dist))] = np.inf
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    if dist[i, j] > 0.1:
+        return None
+    return f"sites {i} and {j} are {dist[i, j]:.4g} A apart (minimum separation 0.1 A)"
+
+
+# Coordinates that make exact duplicates, ties and pairs just either
+# side of the 0.1 A threshold.
+NEAR = [0.0, 0.05, 0.1 - 1e-12, 0.1, 0.1 + 1e-12, 0.3, 1.0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    sites=st.lists(st.tuples(*[st.sampled_from(NEAR)] * 3), min_size=1, max_size=12),
+    block_rows=st.integers(1, 13),
+)
+def test_blocked_distinct_check_matches_full_matrix(sites, block_rows):
+    positions = np.array(sites)
+    with mock.patch.object(texture, "_BLOCK_BYTES", 8 * len(sites) * block_rows):
+        try:
+            texture._check_distinct(positions)
+            message = None
+        except ValueError as exc:
+            message = str(exc)
+    assert message == closest_pair_oracle(positions)
+
+
+def test_distinct_check_memory_is_linear_in_sites():
+    lat = build_lattice("square", 3.0, 56, 56)  # 3,136 sites
+    tracemalloc.start()
+    try:
+        apply_pattern(lat, "FM")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The full (n, n, 3) comparison would need 236 MB for its first array.
+    assert peak < 16 * 2**20
 
 
 def test_texture_rejects_negative_spin_mag():
