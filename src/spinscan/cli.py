@@ -195,6 +195,17 @@ def _spectrum_config(args, **window) -> SpectrumConfig:
     )
 
 
+def _readout_params(spec_cfg: SpectrumConfig) -> dict:
+    """Header echo of the readout settings that every window shares."""
+    return {
+        "f_step_ghz": spec_cfg.f_step,
+        "linewidth_fwhm_ghz": spec_cfg.linewidth_fwhm,
+        "contrast": spec_cfg.contrast,
+        "baseline_counts": spec_cfg.baseline_counts,
+        "noiseless": spec_cfg.noiseless,
+    }
+
+
 def _raster_params(args, cfg: ScanConfig) -> dict:
     return {
         **_echo_globals(args),
@@ -279,7 +290,9 @@ def cmd_scan(args) -> int:
         print(f"wrote {args.pgm}")
 
     if args.measure:
-        fitted, error = measure_map(rmap, _spectrum_config(args))
+        spec_cfg = _spectrum_config(args)
+        fitted, error = measure_map(rmap, spec_cfg)
+        params = {**params, **_readout_params(spec_cfg)}
         measured_out = args.measured_out or f"{args.out}.measured.csv"
         fileio.write_map_csv(measured_out, fitted, {**params, "measured": True})
         print(f"wrote {measured_out}")
@@ -360,11 +373,7 @@ def cmd_spectrum(args) -> int:
         "f_plus_ghz": pair.f_plus,
         "f_start_ghz": spec_cfg.f_start,
         "f_stop_ghz": spec_cfg.f_stop,
-        "f_step_ghz": spec_cfg.f_step,
-        "linewidth_fwhm_ghz": spec_cfg.linewidth_fwhm,
-        "contrast": spec_cfg.contrast,
-        "baseline_counts": spec_cfg.baseline_counts,
-        "noiseless": spec_cfg.noiseless,
+        **_readout_params(spec_cfg),
         "n_peaks": n_peaks,
     }
     fileio.write_spectrum_csv(args.out, spectrum, params)

@@ -7,9 +7,9 @@ with each classical spin vector).  Constant-height scans diagonalize the
 resulting 3x3 probe Hamiltonian per pixel, with the field sums from one
 exact FFT convolution when the sites sit on the pixel lattice at one
 height (the dense blocked sum, used otherwise, is its oracle);
-iso-frequency scans invert the upper resonance branch for height by
-bisection; pair mode treats one sample site quantum-mechanically as an
-exactness oracle for the mean-field sum.
+iso-frequency scans invert the upper resonance branch for height by a
+bracketed Illinois secant (regula falsi); pair mode treats one sample
+site quantum-mechanically as an exactness oracle for the mean-field sum.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ _MAX_KERNEL_BYTES = 1 << 26
 
 _EPS = np.finfo(float).eps
 
-_ISO_FREQ_TOL_GHZ = 1e-3   # 1 MHz bisection stop
+_ISO_FREQ_TOL_GHZ = 1e-3   # 1 MHz stop of the iso-frequency root finder
 _ISO_MAX_ITER = 100
 
 _SPIN1 = spin_operators(1.0)
@@ -561,48 +561,66 @@ def scan_iso_frequency(
 ) -> IsoScanMap:
     """Per-pixel height where the upper branch crosses f_source (GHz).
 
-    Bisection between z_min and z_max to |delta f| < 1 MHz.  Pixels whose
-    endpoint values do not bracket f_source are marked NaN rather than
-    extrapolated.
+    A vectorized Illinois regula falsi (Dowell & Jarratt 1971) keeps each
+    pixel's bracket [lo, hi] from [z_min, z_max] and stops at the first
+    point with |delta f| < 1 MHz, or at the bracket midpoint after
+    _ISO_MAX_ITER rounds.  Pixels whose endpoint values do not bracket
+    f_source are marked NaN rather than extrapolated.
     """
     _check_height(z_min, "z_min")
     _check_height(z_max, "z_max")
     if z_max <= z_min:
         raise ValueError("z_max must exceed z_min")
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
-    n = grid.nx * grid.ny
+    xy = grid.tips(0.0)[:, :2]
+    n = len(xy)
 
-    lo = np.full(n, z_min)
-    hi = np.full(n, z_max)
-    f_lo = _f_plus(cfg, tex, grid.tips(lo)) - f_source
-    f_hi = _f_plus(cfg, tex, grid.tips(hi)) - f_source
-    bracketed = f_lo * f_hi <= 0.0
+    def offset(rows, z):
+        return _f_plus(cfg, tex, np.column_stack([xy[rows], z])) - f_source
 
+    # Secant variable with the sign of f_plus - f_source: the log of
+    # (f_plus - D/h) / (f_source - D/h), about linear in z since the
+    # exchange splitting decays about exponentially; the offset itself
+    # when f_source is at or below D/h.  Non-finite below D/h.
+    f_zfs = cfg.probe.d_zfs / CONSTANTS.h_planck
+
+    def secant_var(df):
+        if f_source <= f_zfs:
+            return df
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.log1p(df / (f_source - f_zfs))
+
+    ends = np.repeat([[float(z_min)], [float(z_max)]], n, axis=1)  # lo, hi
+    f_lo, f_hi = offset(slice(None), ends[0]), offset(slice(None), ends[1])
+    g = secant_var(np.stack([f_lo, f_hi]))
+    kept = np.full(n, -1)  # end kept last round: 0 lo, 1 hi
     heights = np.full(n, np.nan)
-    active = bracketed.copy()
+    active = np.flatnonzero(f_lo * f_hi <= 0.0)
     for _ in range(_ISO_MAX_ITER):
-        if not np.any(active):
+        if not active.size:
             break
-        mid = 0.5 * (lo + hi)
-        idx = np.where(active)[0]
-        f_mid = np.empty(n)
-        f_mid[idx] = _f_plus(cfg, tex, grid.tips(mid)[idx]) - f_source
-        converged = np.zeros(n, dtype=bool)
-        converged[idx] = np.abs(f_mid[idx]) < _ISO_FREQ_TOL_GHZ
-        newly = active & converged
-        heights[newly] = mid[newly]
-        active &= ~converged
-        # Keep the sign change between lo and hi: the root stays on the
-        # side where f changes sign relative to f_lo.
-        same_side = np.zeros(n, dtype=bool)
-        same_side[idx] = f_lo[idx] * f_mid[idx] > 0.0
-        move_lo = active & same_side
-        move_hi = active & ~same_side
-        lo[move_lo] = mid[move_lo]
-        f_lo[move_lo] = f_mid[move_lo]
-        hi[move_hi] = mid[move_hi]
-    # Any still-active pixels hit the iteration cap; report the midpoint.
-    heights[active] = 0.5 * (lo[active] + hi[active])
+        lo, hi = ends[:, active]
+        g_lo, g_hi = g[:, active]
+        with np.errstate(all="ignore"):
+            z = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        # Safeguard: a secant point that is non-finite or not strictly
+        # inside the bracket becomes the bracket midpoint.
+        z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
+        f_z = offset(active, z)
+        done = np.abs(f_z) < _ISO_FREQ_TOL_GHZ
+        heights[active[done]] = z[done]
+        active, z, f_z = active[~done], z[~done], f_z[~done]
+        # z replaces the end whose offset has its sign (0 lo, 1 hi), so the
+        # bracket keeps its sign change.  Illinois step: an end kept twice
+        # in a row has its g halved, which pulls the next point towards it.
+        moved = (f_lo[active] * f_z <= 0.0).astype(int)
+        stale = kept[active] == 1 - moved
+        g[1 - moved[stale], active[stale]] *= 0.5
+        ends[moved, active], g[moved, active] = z, secant_var(f_z)
+        f_lo[active] = np.where(moved == 0, f_z, f_lo[active])
+        kept[active] = 1 - moved
+    # Pixels still active hit the iteration cap; report the midpoint.
+    heights[active] = 0.5 * (ends[0, active] + ends[1, active])
 
     return IsoScanMap(
         **asdict(grid),

@@ -182,6 +182,21 @@ def test_scan_measure_pipeline(workdir):
     assert np.median(errs) < 5e-3
 
 
+def test_scan_measure_headers_echo_readout_settings(workdir):
+    headers = []
+    for width in (0.1, 0.3):
+        (workdir / "r.cfg").write_text(f"[spectrum]\nlinewidth_fwhm = {width}\n")
+        r = run_cli("scan", "--config", "r.cfg", "--texture", "t.spintex", "--height", 4,
+                    "--step", 3, "--measure", "--out", "m.csv", "--error-out", "e.csv",
+                    cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        headers.append([
+            [ln for ln in (workdir / name).read_text().splitlines() if ln.startswith("#")]
+            for name in ("m.csv.measured.csv", "e.csv")
+        ])
+    for name, first, second in zip(("measured", "error"), *headers):
+        assert first != second, name
+        assert "# linewidth_fwhm_ghz = 0.3" in second, name
 # ------------------------------------------------------------------ isoscan
 
 

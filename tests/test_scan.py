@@ -494,6 +494,96 @@ def test_iso_frequency_rejects_bad_bracket(single_site):
         scan_iso_frequency(cfg, single_site, 100.0, 2.0, 1e150)
 
 
+def _bisection_heights(cfg, tex, f_source, z_min, z_max):
+    """Oracle: per-pixel bisection with the same bracket test, 1 MHz stop
+    and iteration cap as scan_iso_frequency."""
+
+    def offset(x, y, z):
+        return scan._f_plus(cfg, tex, np.array([[x, y, z]]))[0] - f_source
+
+    heights = []
+    for x, y, _ in Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0):
+        lo, hi = z_min, z_max
+        f_lo = offset(x, y, lo)
+        if f_lo * offset(x, y, hi) > 0.0:
+            heights.append(np.nan)
+            continue
+        for _ in range(scan._ISO_MAX_ITER):
+            mid = 0.5 * (lo + hi)
+            f_mid = offset(x, y, mid)
+            if abs(f_mid) < scan._ISO_FREQ_TOL_GHZ:
+                break
+            if f_lo * f_mid > 0.0:
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        else:
+            mid = 0.5 * (lo + hi)
+        heights.append(mid)
+    return np.array(heights)
+
+
+@pytest.mark.parametrize("pattern, mode, b_ext, f_source", [
+    ("FM", "exchange", (0.0, 0.0, 0.0), 120.0),
+    ("AFM-Neel", "exchange", (0.0, 0.0, 0.0), 120.0),
+    ("FM", "both", (0.02, -0.01, 0.03), 120.0),
+    ("AFM-Neel", "both", (0.02, -0.01, 0.03), 5.0),  # near D/h = 3.48 GHz
+    ("FM", "exchange", (0.0, 0.0, 0.0), 5.0),
+    ("FM", "dipolar", (0.0, 0.0, 0.0), 8.0),  # most pixels unbracketed
+])
+def test_iso_frequency_matches_bisection(pattern, mode, b_ext, f_source):
+    tex = _tilted_texture(build_lattice("square", 3.0, 4, 4), pattern)
+    cfg = ScanConfig(x_range=(-1.5, 10.5), y_range=(-1.5, 10.5), step=1.5,
+                     mode=mode, b_ext=b_ext)
+    want = _bisection_heights(cfg, tex, f_source, 2.0, 12.0)
+    got = scan_iso_frequency(cfg, tex, f_source, 2.0, 12.0).heights.ravel()
+    bracketed = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), bracketed)
+    assert bracketed.any()
+    if mode == "dipolar":
+        assert bracketed.sum() < want.size / 2
+
+    xy = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0)[bracketed, :2]
+
+    def f_plus(z):
+        return scan._f_plus(cfg, tex, np.column_stack([xy, z]))
+
+    z = got[bracketed]
+    assert np.all(np.abs(f_plus(z) - f_source) < scan._ISO_FREQ_TOL_GHZ)
+    # Both stop within 1 MHz of the source, so they differ by at most
+    # 2 MHz over the local slope.
+    slope = (f_plus(z + 1e-4) - f_plus(z - 1e-4)) / 2e-4
+    assert np.all(np.abs(z - want[bracketed]) <= 2e-3 / np.abs(slope))
+
+
+def test_iso_frequency_work_per_pixel(monkeypatch):
+    # Bisection spends about 22 field evaluations per pixel here.
+    tex = _tilted_texture(build_lattice("square", 3.0, 8, 8), "FM")
+    cfg = ScanConfig(x_range=(0.0, 21.0), y_range=(0.0, 21.0), step=1.0)
+    rows = []
+    f_plus = scan._f_plus
+
+    def counting(cfg, tex, tips):
+        rows.append(len(tips))
+        return f_plus(cfg, tex, tips)
+
+    monkeypatch.setattr(scan, "_f_plus", counting)
+    iso = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0)
+    assert np.all(np.isfinite(iso.heights))
+    assert sum(rows) <= 8 * iso.heights.size
+
+
+def test_iso_frequency_safeguard_at_zero_field_end(monkeypatch, single_site):
+    # f_plus sits at D/h below z = 4, so the secant variable is -inf at
+    # z_min and the secant point lands on z_max; the safeguard bisects.
+    f_zfs = D_UEV / H_GHZ
+    monkeypatch.setattr(scan, "_f_plus",
+                        lambda cfg, tex, tips: f_zfs + 10.0 * np.maximum(tips[:, 2] - 4.0, 0.0))
+    cfg = ScanConfig(x_range=(0.0, 0.0), y_range=(0.0, 0.0), step=1.0)
+    iso = scan_iso_frequency(cfg, single_site, f_zfs + 20.0, 2.0, 12.0)
+    assert iso.heights[0, 0] == pytest.approx(6.0, abs=1e-4)
+
+
 # ---------------------------------------------------------------- pair mode
 
 
