@@ -3,17 +3,18 @@
 For collinear spins along z the axial resonance shift is linear in the
 per-site moments m_z: exchange rows of the forward kernel are J(r)/h,
 dipolar rows are the probe Zeeman shift of the per-moment stray-field
-z-component.  One thin SVD A = U diag(s) V^T serves both the
-conditioning report and the Tikhonov solution at any lam, through the
-filter factors s / (s^2 + lam) (Hansen, Rank-Deficient and Discrete
-Ill-Posed Problems, SIAM 1998).  The report quantifies how ill-posed
-each mode is: the dipolar kernel at large height has a near-null space,
-so its inversion is effectively non-unique.
+z-component.  One factorization per (kernel, observation) pair, QR
+first for a tall kernel, serves the conditioning report and the
+Tikhonov solution at any lam through the filter factors s / (s^2 + lam)
+(Hansen, Rank-Deficient and Discrete Ill-Posed Problems, SIAM 1998).
+The operator keeps the last one; its kernel is read-only.  The report
+quantifies how ill-posed each mode is: the dipolar kernel at large
+height has a near-null space, so its inversion is effectively non-unique.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 import warnings
 
 import numpy as np
@@ -37,10 +38,12 @@ _RANK_DEFICIENT_RATIO = 1e-12
 
 @dataclass(frozen=True)
 class ForwardOperator:
-    """Kernel A (pixels x sites, GHz per unit z-moment) on its scan grid."""
+    """Kernel A (pixels x sites, GHz per unit z-moment) on its scan grid;
+    A is read-only, so the factors kept for the last y cannot go stale."""
 
     a: np.ndarray
     grid: Grid
+    _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -126,6 +129,7 @@ def build_forward(
 
     if not np.all(np.isfinite(a)):
         raise ArithmeticError("forward kernel contains non-finite entries")
+    a.flags.writeable = False
     return ForwardOperator(a=a, grid=grid)
 
 
@@ -135,15 +139,36 @@ def _factor(a: np.ndarray):
     return np.linalg.svd(a, full_matrices=a.shape[0] < a.shape[1])
 
 
-def _report(factors) -> ConditioningReport:
-    _, s, vt = factors
+def _project(a: np.ndarray, y: np.ndarray):
+    """(s, V^T, c = U^T y, norm of y outside the range of U) for kernel a.
+    A tall kernel goes QR first (Golub & Van Loan, Matrix Computations,
+    5.4): the SVD of the sites x sites triangle R and z = Q^T y from the
+    stored reflectors, so no pixels x sites factor is formed and ||z[n:]||
+    is free of cancellation.  Other kernels take _factor's thin SVD."""
+    m, n = a.shape
+    if m <= n:
+        u, s, vt = _factor(a)
+        c = u.T @ y
+        return s, vt, c, float(np.linalg.norm(y - u @ c))
+    h, tau = np.linalg.qr(a, mode="raw")
+    u, s, vt = np.linalg.svd(np.triu(h[:, :n].T))
+    z = y.copy()
+    for k in range(n):
+        v = h[k, k + 1:]
+        w = tau[k] * (z[k] + v @ z[k + 1:])
+        z[k] -= w
+        z[k + 1:] -= w * v
+    return s, vt, u.T @ z[:n], float(np.linalg.norm(z[n:]))
+
+
+def _report(s: np.ndarray, vt: np.ndarray) -> ConditioningReport:
     sigma_max = float(s[0])
     sigma_min = float(s[-1]) if s.size == vt.shape[0] else 0.0
     return ConditioningReport(
         sigma_max=sigma_max,
         sigma_min=sigma_min,
         cond=sigma_max / sigma_min if sigma_min > 0 else float("inf"),
-        near_null_vector=vt[-1],
+        near_null_vector=vt[-1].copy(),
     )
 
 
@@ -151,12 +176,12 @@ def conditioning_report(a) -> ConditioningReport:
     """Extremal singular values of the kernel and the right singular
     vector of the smallest one."""
     mat = a.a if isinstance(a, ForwardOperator) else np.asarray(a, dtype=float)
-    return _report(_factor(mat))
+    return _report(*_factor(mat)[1:])
 
 
 def _prepare(fwd: ForwardOperator, y, lambdas):
-    """Checked lam values, the kernel's SVD, the coefficients c = U^T y
-    and the norm of the part of y outside the range of U."""
+    """Checked lam values and _project's factors for y, remembered on the
+    operator with a copy of y, so a solve and an L-curve share them."""
     lambdas = [float(lam) for lam in lambdas]
     if not all(0.0 <= lam < np.inf for lam in lambdas):
         raise ValueError(f"regularization strength must be finite and >= 0: {lambdas}")
@@ -166,18 +191,21 @@ def _prepare(fwd: ForwardOperator, y, lambdas):
             f"observation vector has {y.size} entries, kernel has "
             f"{fwd.a.shape[0]} pixels"
         )
-    factors = _factor(fwd.a)
-    c = factors[0].T @ y
-    return lambdas, factors, c, float(np.linalg.norm(y - factors[0] @ c))
+    n_bad = np.count_nonzero(~np.isfinite(y))
+    if n_bad:
+        raise ValueError(f"observation vector has {n_bad} non-finite entries")
+    if not (fwd._last and np.array_equal(fwd._last[0], y)):
+        fwd._last[:] = [y.copy(), _project(fwd.a, y)]
+    return lambdas, fwd._last[1]
 
 
-def _filtered(factors, c, outside: float, lam: float):
-    """Tikhonov solution from the SVD factors and c = U^T y, and its
+def _filtered(factors, lam: float):
+    """Tikhonov solution from (s, vt, c, outside), c = U^T y, and its
     residual norm free of the cancellation in ||A m - y||: the filtered
     ||diag(lam / (s^2 + lam)) c|| combined with the norm outside of y
     beyond the range of U.  At lam = 0 components with s <=
     _RANK_DEFICIENT_RATIO s_max are dropped, so wholly filtered."""
-    _, s, vt = factors
+    s, vt, c, outside = factors
     if lam == 0.0:
         keep = s > _RANK_DEFICIENT_RATIO * s[0]
         gain = np.divide(1.0, s, out=np.zeros_like(s), where=keep)
@@ -192,19 +220,20 @@ def _filtered(factors, c, outside: float, lam: float):
 def solve_tikhonov(fwd: ForwardOperator, y, lam: float) -> ReconstructionResult:
     """Minimize ||A m - y||^2 + lam ||m||^2 over per-site moments m.
 
-    m = V diag(s / (s^2 + lam)) U^T y from one SVD of A.  With lam = 0
+    m = V diag(s / (s^2 + lam)) U^T y from the SVD of A, taken QR first
+    for a tall kernel and shared with lcurve on the same y.  With lam = 0
     this is the minimum-norm least-squares solution; a rank-deficient
     kernel draws a warning, since the minimizer is then not unique.
     """
-    (lam,), factors, c, outside = _prepare(fwd, y, [lam])
-    report = _report(factors)
+    (lam,), factors = _prepare(fwd, y, [lam])
+    report = _report(*factors[:2])
     if lam == 0.0 and report.rank_deficient:
         warnings.warn(
             "lam = 0 with a rank-deficient kernel "
             f"(cond = {report.cond:.3e}); solution is not unique",
             stacklevel=2,
         )
-    m, residual = _filtered(factors, c, outside, lam)
+    m, residual = _filtered(factors, lam)
     return ReconstructionResult(
         m_z=m, residual_norm=residual, lam=lam, iterations=0, report=report
     )
@@ -213,13 +242,14 @@ def solve_tikhonov(fwd: ForwardOperator, y, lam: float) -> ReconstructionResult:
 def lcurve(fwd: ForwardOperator, y, lambdas) -> list:
     """Tabulate (lam, residual norm, solution norm) over a lam grid.
 
-    One SVD serves every lam, and each row equals what solve_tikhonov
-    returns.  A plain sampling helper for manual regularization choice;
-    no corner detection or automatic selection.
+    One factorization, shared with solve_tikhonov on the same y, serves
+    every lam, and each row equals what solve_tikhonov returns.  A plain
+    sampling helper for manual regularization choice; no corner
+    detection or automatic selection.
     """
-    lambdas, factors, c, outside = _prepare(fwd, y, lambdas)
+    lambdas, factors = _prepare(fwd, y, lambdas)
     rows = []
     for lam in lambdas:
-        m, residual = _filtered(factors, c, outside, lam)
+        m, residual = _filtered(factors, lam)
         rows.append((lam, residual, float(np.linalg.norm(m))))
     return rows

@@ -22,6 +22,7 @@ from spinscan import (
     scan_constant_height,
     solve_tikhonov,
 )
+from spinscan import reconstruct
 
 D_GHZ = 14.4 / CONSTANTS.h_planck
 GRID = dict(x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=0.75)
@@ -336,3 +337,115 @@ def test_unregularized_solve_matches_lstsq(neel_5x5):
     assert rank == kept.size < 25
     bound = 10 * np.finfo(float).eps * sv[0] / kept[-1]
     assert np.linalg.norm(res.m_z - ref) <= bound * np.linalg.norm(ref)
+
+
+# ------------------------------------------------------------ factorization
+
+ORACLE_GRIDS = {
+    "tall": GRID,
+    "square": dict(x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=3.0),
+    "wide": dict(x_range=(6.0, 6.0), y_range=(6.0, 6.0), step=1.0),
+}
+
+
+@pytest.mark.parametrize("grid", sorted(ORACLE_GRIDS))
+@pytest.mark.parametrize("height", [4.0, 60.0, 100.0])
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+def test_qr_first_matches_thin_svd_oracle(neel_5x5, rng, mode, height, grid):
+    # The QR-first factors must give the solution and report of
+    # _factor's thin SVD of the whole kernel.  m_z agrees to 1e-12 of its
+    # largest entry, plus the first-order effect of rounding in y,
+    # eps ||y|| times the largest filter gain, which dominates only for
+    # lam = 0 on ill-conditioned kernels (measured up to 9e-7 relative
+    # at 100 A dipolar, 3e-11 at 100 A exchange).
+    fwd = build_forward(neel_5x5, height=height, mode=mode, **ORACLE_GRIDS[grid])
+    ref_report = conditioning_report(fwd.a)
+    clean = fwd.a @ (neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2])
+    noisy = clean + rng.normal(scale=1e-6 * np.abs(clean).max(), size=clean.size)
+    eps = np.finfo(float).eps
+    u, s, vt = reconstruct._factor(fwd.a)
+    for y in (clean, noisy):
+        c = u.T @ y
+        oracle = (s, vt, c, float(np.linalg.norm(y - u @ c)))
+        for lam in (0.0, 1e-12, 1e-6, 1.0):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                res = solve_tikhonov(fwd, y, lam)
+            assert bool(caught) == (lam == 0.0 and ref_report.rank_deficient)
+            m_ref, _ = reconstruct._filtered(oracle, lam)
+            if lam == 0.0:
+                kept = s[s > 1e-12 * s[0]]
+                gain = 1.0 / kept[-1]
+            else:
+                gain = np.max(s / (s * s + lam))
+            tol = 1e-12 * np.abs(m_ref).max() + 10 * eps * np.linalg.norm(y) * gain
+            assert np.abs(res.m_z - m_ref).max() <= tol, (lam, tol)
+        rep = res.report
+        assert rep.sigma_max == pytest.approx(ref_report.sigma_max, rel=1e-12)
+        assert rep.rank_deficient == ref_report.rank_deficient
+        if ref_report.cond < 1e12:
+            assert rep.cond == pytest.approx(ref_report.cond, rel=1e-6)
+        if ref_report.rank_deficient:
+            assert np.linalg.norm(fwd.a @ rep.near_null_vector) < 1e-12 * rep.sigma_max
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_observation_rejected(fm_5x5, bad):
+    fwd = build_forward(fm_5x5, height=4.0, mode="exchange", **GRID)
+    y = np.zeros(fwd.a.shape[0])
+    y[[3, 7, 11]] = bad
+    with pytest.raises(ValueError, match="3 non-finite"):
+        solve_tikhonov(fwd, y, lam=1e-6)
+    with pytest.raises(ValueError, match="3 non-finite"):
+        lcurve(fwd, y, [1e-6, 1.0])
+
+
+def _counting_factor(monkeypatch):
+    calls = []
+    project = reconstruct._project
+
+    def counted(a, y):
+        calls.append(y.copy())
+        return project(a, y)
+
+    monkeypatch.setattr(reconstruct, "_project", counted)
+    return calls
+
+
+def test_solve_and_lcurve_factor_once(neel_5x5, rng, monkeypatch):
+    calls = _counting_factor(monkeypatch)
+    fwd = build_forward(neel_5x5, height=4.0, mode="exchange", **GRID)
+    y = fwd.a @ (neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2])
+    lambdas = [1e-8, 1e-6, 1.0]
+    res = solve_tikhonov(fwd, y, 1e-6)
+    rows = lcurve(fwd, y, lambdas)
+    assert len(calls) == 1
+    assert rows[1] == (1e-6, res.residual_norm, float(np.linalg.norm(res.m_z)))
+
+    # A new observation is factored again, and the rows are those of an
+    # operator that never saw the first one.
+    y2 = y + rng.normal(scale=1e-3, size=y.size)
+    rows2 = lcurve(fwd, y2, lambdas)
+    assert len(calls) == 2
+    fresh = build_forward(neel_5x5, height=4.0, mode="exchange", **GRID)
+    assert rows2 == lcurve(fresh, y2, lambdas)
+
+
+def test_memo_copies_the_observation(neel_5x5, monkeypatch):
+    calls = _counting_factor(monkeypatch)
+    fwd = build_forward(neel_5x5, height=4.0, mode="exchange", **GRID)
+    y = fwd.a @ (neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2])
+    solve_tikhonov(fwd, y, 1e-6)
+    # Had the operator kept a reference to y, the edited y would match
+    # it and the old factors would be reused.
+    y *= 2.0
+    res = solve_tikhonov(fwd, y, 1e-6)
+    assert len(calls) == 2
+    fresh = build_forward(neel_5x5, height=4.0, mode="exchange", **GRID)
+    assert np.array_equal(res.m_z, solve_tikhonov(fresh, y, 1e-6).m_z)
+
+
+def test_forward_kernel_is_read_only(fm_5x5):
+    fwd = build_forward(fm_5x5, height=4.0, mode="exchange", **GRID)
+    with pytest.raises(ValueError):
+        fwd.a[0, 0] = 1.0
