@@ -62,8 +62,9 @@ def _grid_rows(grid: Grid, *columns) -> list[str]:
     """CSV rows 'x,y,values...' over the grid's pixels, x varying fastest."""
     tips = grid.tips(0.0)
     columns = (tips[:, 0], tips[:, 1], *(np.ravel(c) for c in columns))
-    rows = zip(*(c.tolist() for c in columns))
-    return [",".join(f"{v:.9g}" for v in row) for row in rows]
+    # One %-format per row gives the bytes of format_value per value.
+    fmt = ",".join(["%.9g"] * len(columns))
+    return [fmt % row for row in zip(*(c.tolist() for c in columns))]
 
 
 def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:
@@ -229,7 +230,7 @@ def write_pgm(path, values: np.ndarray, params: dict) -> None:
     lines.append(f"{nx} {ny}")
     lines.append(str(PGM_MAXVAL))
     for iy in range(ny - 1, -1, -1):
-        lines.append(" ".join(str(v) for v in gray[iy]))
+        lines.append(" ".join(map(str, gray[iy].tolist())))
     _write_lines(path, lines)
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .scan import _MAX_KERNEL_BYTES, Grid, _check_height, _walk_pairs
+from .spincore import _check_exchange_range
 from .texture import SpinTexture
 
 __all__ = [
@@ -125,7 +126,8 @@ def build_forward(
             bz = pref * (3.0 * dz * dz / d2 - 1.0)
             a[rows] += zeeman * bz / CONSTANTS.h_planck
 
-    _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, fill_block)
+    r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, fill_block)
+    _check_exchange_range(r_min, stacklevel=2)
 
     if not np.all(np.isfinite(a)):
         raise ArithmeticError("forward kernel contains non-finite entries")

@@ -304,7 +304,8 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, vis
     as the next block's replace them rather than held alongside them
     (about 5% slower field sums).  After the last block it rejects tips
     within the minimum distance of any site, naming the closest pair, and
-    warns once if J was evaluated below its validity range.
+    returns the closest tip-site distance for the caller's validity-range
+    check, made once per public call.
     """
     n = tex.n_sites
     rows = max(1, _BLOCK_BYTES // (8 * n))
@@ -338,19 +339,22 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, vis
             f"tip at ({x:.4g}, {y:.4g}, {z:.4g}) A is {r_min:.4g} A from "
             f"sample site {i} (minimum {_MIN_TIP_SITE_DISTANCE} A)"
         )
-    # Point the warning at whoever called the walker's caller.
-    _check_exchange_range(r_min, stacklevel=3)
+    return r_min
 
 
 def _batch_effective_fields(
-    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, stray: bool = True
+    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, stray: bool = True,
+    nearest: Optional[list] = None,
 ):
     """Stray and exchange field sums for a batch of tip positions.
 
     tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla, or None when
     stray is False, b_ex (p, 3) ueV).  Each site sum is a row-wise
     np.sum over a C-contiguous (rows, sites) plane, so a tip's fields do
-    not depend on which block, or which batch, it falls in.
+    not depend on which block, or which batch, it falls in.  Warns if J
+    was evaluated below its validity range, unless nearest is a list:
+    then the closest tip-site distance is appended to it, for a caller
+    that sums in several batches to warn once.
     """
     spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
     b_stray = np.empty((tips.shape[0], 3)) if stray else None
@@ -370,7 +374,11 @@ def _batch_effective_fields(
         b_stray[rows, 1] = np.sum(q * dy, axis=1) - np.sum(pref * spin_y, axis=1)
         b_stray[rows, 2] = np.sum(q * dz, axis=1) - np.sum(pref * spin_z, axis=1)
 
-    _walk_pairs(tips, tex, exchange_prefactor, add_block)
+    r_min = _walk_pairs(tips, tex, exchange_prefactor, add_block)
+    if nearest is None:
+        _check_exchange_range(r_min, stacklevel=2)
+    else:
+        nearest.append(r_min)
     return b_stray, b_ex
 
 
@@ -492,10 +500,11 @@ def probe_hamiltonian_at(tip_pos, tex: SpinTexture, cfg: ScanConfig) -> np.ndarr
     return _batch_hamiltonians(b_stray, b_ex, cfg)[0]
 
 
-def _f_plus(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray) -> np.ndarray:
-    """Upper resonance branch (GHz) at each tip position."""
+def _f_plus(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray, nearest=None):
+    """Upper resonance branch (GHz) at each tip position; nearest as in
+    _batch_effective_fields."""
     stray = cfg.include_dipolar
-    fields = _batch_effective_fields(tips, tex, cfg.exchange_prefactor, stray)
+    fields = _batch_effective_fields(tips, tex, cfg.exchange_prefactor, stray, nearest)
     return _batch_resonances(_batch_hamiltonians(*fields, cfg))[1]
 
 
@@ -508,6 +517,7 @@ def scan_constant_height(
     pixel lattice (_lattice_fields), else from dense sums per row chunk;
     chunks fill disjoint slices on a thread pool, so the output is
     bit-identical for any worker count.  b_stray is None in exchange mode.
+    J below its validity range warns once, at the closest tip-site pair.
     """
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     n = grid.nx * grid.ny
@@ -516,11 +526,12 @@ def scan_constant_height(
     b_ex = np.empty((n, 3))
     fft = _lattice_fields(grid, tex, cfg, b_stray, b_ex)
     tips = None if fft else grid.tips(cfg.height)
+    nearest = []  # closest tip-site distance of each dense chunk
 
     def run_chunk(block):
         if tips is not None:
             bs, b_ex[block] = _batch_effective_fields(
-                tips[block], tex, cfg.exchange_prefactor, cfg.include_dipolar
+                tips[block], tex, cfg.exchange_prefactor, cfg.include_dipolar, nearest
             )
             if bs is not None:
                 b_stray[block] = bs
@@ -537,6 +548,7 @@ def scan_constant_height(
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run_chunk, blocks))
+    _check_exchange_range(min(nearest, default=np.inf), stacklevel=2)
 
     if not (np.all(np.isfinite(f_minus)) and np.all(np.isfinite(f_plus))):
         raise ArithmeticError("scan produced non-finite resonance values")
@@ -565,7 +577,8 @@ def scan_iso_frequency(
     pixel's bracket [lo, hi] from [z_min, z_max] and stops at the first
     point with |delta f| < 1 MHz, or at the bracket midpoint after
     _ISO_MAX_ITER rounds.  Pixels whose endpoint values do not bracket
-    f_source are marked NaN rather than extrapolated.
+    f_source are marked NaN rather than extrapolated.  J below its
+    validity range warns once, at the closest tip-site pair of any round.
     """
     _check_height(z_min, "z_min")
     _check_height(z_max, "z_max")
@@ -574,9 +587,10 @@ def scan_iso_frequency(
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     xy = grid.tips(0.0)[:, :2]
     n = len(xy)
+    nearest = []  # closest tip-site distance of each round
 
     def offset(rows, z):
-        return _f_plus(cfg, tex, np.column_stack([xy[rows], z])) - f_source
+        return _f_plus(cfg, tex, np.column_stack([xy[rows], z]), nearest) - f_source
 
     # Secant variable with the sign of f_plus - f_source: the log of
     # (f_plus - D/h) / (f_source - D/h), about linear in z since the
@@ -621,6 +635,7 @@ def scan_iso_frequency(
         kept[active] = 1 - moved
     # Pixels still active hit the iteration cap; report the midpoint.
     heights[active] = 0.5 * (ends[0, active] + ends[1, active])
+    _check_exchange_range(min(nearest, default=np.inf), stacklevel=2)
 
     return IsoScanMap(
         **asdict(grid),

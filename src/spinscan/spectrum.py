@@ -11,10 +11,10 @@ the same spectra bit for bit, and no two seeds share a stream.
 
 Fitting is a damped Gauss-Newton (Levenberg-Marquardt) iteration on the
 mean model with an analytic Jacobian; no external optimizer is involved.
-fit_lorentzians fits one spectrum.  measure_map runs the same iteration
-on stacked windows of equal length and peak count, each window with its
-own damping and accept/reject, in blocks bounded by the scan's
-_BLOCK_BYTES.
+One loop, _fit_block, fits stacked windows of equal length and peak
+count, each window with its own damping and accept/reject.
+fit_lorentzians is its one-window call; measure_map runs it in blocks
+bounded by the scan's _BLOCK_BYTES.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "synthesize",
     "fit_lorentzians",
     "measure_map",
-    "lorentzian_model",
 ]
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
@@ -178,24 +177,14 @@ def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
     return Spectrum(frequencies=freqs, counts=counts)
 
 
-def lorentzian_model(theta: np.ndarray, freqs: np.ndarray):
-    """Dip model and its analytic Jacobian.
-
-    theta = [baseline, center_1, fwhm_1, contrast_1, center_2, ...].
-    model = b (1 - sum_k c_k L(f - f0_k; w_k)) with L peak-normalized.
-    Returns (model (n,), jacobian (n, len(theta))).
-    """
-    model, jac = _batch_model(
-        np.asarray(theta, dtype=float)[None], np.asarray(freqs, dtype=float)[None]
-    )
-    return model[0], jac[0].T
-
-
 def _batch_model(theta: np.ndarray, freqs: np.ndarray):
-    """lorentzian_model of stacked windows: theta (B, P), freqs (B, n).
+    """Dip model and its analytic Jacobian for stacked windows.
 
-    Returns (model (B, n), jacobian (B, P, n)); the points stay on the
-    last axis, so sums over them are row-wise reductions.
+    theta (B, P) rows are [baseline, center_1, fwhm_1, contrast_1,
+    center_2, ...] and freqs (B, n) the windows' points.  model =
+    b (1 - sum_k c_k L(f - f0_k; w_k)) with L peak-normalized.  Returns
+    (model (B, n), jacobian (B, P, n)); the points stay on the last axis,
+    so sums over them are row-wise reductions.
     """
     b = theta[:, 0, None]
     n_peaks = (theta.shape[1] - 1) // 3
@@ -251,8 +240,7 @@ def _initial_guess(
         while len(picked) < n_peaks:
             picked.append(min(counts.size - 1, picked[-1] + exclusion))
         centers = [float(freqs[i]) for i in picked]
-        width0 = max(5.0 * f_step, 2.0 * f_step)
-        widths = [width0] * n_peaks
+        widths = [5.0 * f_step] * n_peaks
         contrasts = [
             float(np.clip(1.0 - smooth[i] / max(baseline, 1e-300), 1e-3, 0.99))
             for i in picked
@@ -289,9 +277,10 @@ def fit_lorentzians(
     """Least-squares fit of n_peaks Lorentzian dips plus a flat baseline.
 
     initial_guess, when given, is a sequence of (center, fwhm, contrast)
-    triples.  Damped Gauss-Newton with an analytic Jacobian; convergence
-    when the relative step falls below 1e-9, cap 200 iterations.
-    Non-convergence is flagged and the best iterate returned.
+    triples.  One window of _fit_block: convergence when the relative
+    step falls below 1e-9, cap 200 iterations.  Non-convergence is
+    flagged and the best iterate returned; standard errors come from
+    the Gauss-Newton matrix at that iterate.
     """
     if n_peaks < 1:
         raise ValueError(f"n_peaks must be >= 1, got {n_peaks}")
@@ -303,77 +292,31 @@ def fit_lorentzians(
     freqs = spec.frequencies
     counts = spec.counts.astype(float)
     theta = _initial_guess(spec, n_peaks, initial_guess)
-
-    model, jac = lorentzian_model(theta, freqs)
-    resid = model - counts
-    cost = float(resid @ resid)
-    lam = _LAM_START
-    converged = False
-    n_iter = 0
-    for n_iter in range(1, _MAX_ITER + 1):
-        hess = jac.T @ jac
-        grad = jac.T @ resid
-        accepted = False
-        for _ in range(_MAX_TRIES):
-            damped = hess + lam * np.diag(np.maximum(np.diag(hess), 1e-12))
-            try:
-                step = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + step
-            model_t, jac_t = lorentzian_model(trial, freqs)
-            resid_t = model_t - counts
-            cost_t = float(resid_t @ resid_t)
-            if cost_t <= cost:
-                accepted = True
-                break
-            lam *= 10.0
-            if lam > _LAM_MAX:
-                break
-        if not accepted:
-            break
-        rel_step = np.linalg.norm(step) / max(np.linalg.norm(theta), 1e-300)
-        theta, model, jac, resid, cost = trial, model_t, jac_t, resid_t, cost_t
-        lam = max(lam * 0.3, _LAM_MIN)
-        if rel_step < _STEP_TOL:
-            converged = True
-            break
+    theta, cost, hess, n_iter, converged = (
+        a[0] for a in _fit_block(freqs[None], counts[None], theta[None])
+    )
 
     # Standard errors from the quadratic model at the optimum.
-    dof = max(counts.size - theta.size, 1)
-    sigma2 = cost / dof
     try:
-        cov = sigma2 * np.linalg.pinv(jac.T @ jac)
-        center_err = [
-            float(np.sqrt(max(cov[1 + 3 * k, 1 + 3 * k], 0.0)))
-            for k in range(n_peaks)
-        ]
+        var = np.diag(cost / max(counts.size - theta.size, 1) * np.linalg.pinv(hess))
     except np.linalg.LinAlgError:
-        center_err = [float("nan")] * n_peaks
-
+        var = np.full(theta.size, np.nan)
+    stderr = np.sqrt(np.maximum(var[1::3], 0.0))
     peaks = sorted(
         (
-            PeakFit(
-                center=float(theta[1 + 3 * k]),
-                fwhm=float(abs(theta[2 + 3 * k])),
-                contrast=float(theta[3 + 3 * k]),
-                center_stderr=center_err[k],
-            )
-            for k in range(n_peaks)
+            PeakFit(center=float(c), fwhm=float(abs(w)), contrast=float(a),
+                    center_stderr=float(e))
+            for c, w, a, e in zip(theta[1::3], theta[2::3], theta[3::3], stderr)
         ),
         key=lambda p: p.center,
     )
-    if converged and not all(
-        freqs[0] <= p.center <= freqs[-1] for p in peaks
-    ):
-        converged = False
+    inside = all(freqs[0] <= p.center <= freqs[-1] for p in peaks)
     return FitResult(
         peaks=tuple(peaks),
         baseline=float(theta[0]),
         residual_norm=float(np.sqrt(cost)),
-        converged=converged,
-        n_iter=n_iter,
+        converged=bool(converged and inside),
+        n_iter=int(n_iter),
     )
 
 
@@ -395,7 +338,8 @@ def _solve_damped(damped: np.ndarray, rhs: np.ndarray):
     """Stacked solve of damped (B, P, P) against rhs (B, P).
 
     A singular system fails only its own window: it gets a NaN step and
-    a True flag in the returned mask, as fit_lorentzians retries it.
+    a True flag in the returned mask, and _fit_block retries it with
+    more damping.
     """
     singular = np.zeros(len(rhs), dtype=bool)
     try:
@@ -414,10 +358,16 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, theta: np.ndarray):
     """Levenberg-Marquardt on stacked windows of one length and peak count.
 
     freqs and counts are (B, n), theta the (B, P) start vectors.  Each
-    window follows fit_lorentzians' damping schedule and accept/reject
-    on its own; all sums over points are row-wise reductions, so a
-    window's result does not depend on which other windows share its
-    block.  Returns the final (B, P) parameters.
+    window keeps its own damping and accept/reject: an iteration tries
+    damped steps until one does not raise the cost, and the window stops
+    when its relative step falls below _STEP_TOL (converged), after
+    _MAX_ITER iterations, or when no try is accepted.  All sums over
+    points are row-wise reductions, so a window's result does not depend
+    on which other windows share its block.
+
+    Returns, per window, the last accepted parameters (B, P), their
+    cost (B,) and Gauss-Newton matrix (B, P, P), the index of the
+    iteration the window stopped in (B,) and the converged mask (B,).
     """
     theta = theta.copy()
     n_win, n_par = theta.shape
@@ -429,6 +379,7 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, theta: np.ndarray):
     n_iter = np.ones(n_win, dtype=int)
     tries = np.zeros(n_win, dtype=int)
     done = np.zeros(n_win, dtype=bool)
+    converged = np.zeros(n_win, dtype=bool)
     diag = np.arange(n_par)
     live = np.arange(n_win)
     while live.size:
@@ -451,8 +402,9 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, theta: np.ndarray):
         cost[acc] = cost_t[ok]
         hess[acc], grad[acc] = _normal_equations(jac_t[ok], resid_t[ok])
         lam[acc] = np.maximum(lam[acc] * 0.3, _LAM_MIN)
-        done[acc] = (rel_step < _STEP_TOL) | (n_iter[acc] == _MAX_ITER)
-        n_iter[acc] += 1
+        converged[acc] = rel_step < _STEP_TOL
+        done[acc] = converged[acc] | (n_iter[acc] == _MAX_ITER)
+        n_iter[acc[~done[acc]]] += 1
         tries[acc] = 0
 
         rejected = tried[~ok]
@@ -462,7 +414,7 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, theta: np.ndarray):
         done[failed] = tries[failed] == _MAX_TRIES
         done[rejected] |= lam[rejected] > _LAM_MAX
         live = live[~done[live]]
-    return theta
+    return theta, cost, hess, n_iter, converged
 
 
 def _fit_windows(
@@ -499,7 +451,7 @@ def _fit_windows(
         theta = _start_theta(
             counts, freqs, guesses[ok], cfg.linewidth_fwhm, cfg.contrast
         )
-        theta = _fit_block(freqs, counts, theta)
+        theta = _fit_block(freqs, counts, theta)[0]
         centers[ok] = np.sort(theta[:, 1::3], axis=1)
     return centers, ok
 

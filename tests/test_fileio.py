@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from spinscan.fileio import (
+    _grid_rows,
     load_config,
     load_map_csv,
     write_map_csv,
     write_pgm,
 )
-from spinscan.scan import ResonanceMap
+from spinscan.scan import Grid, ResonanceMap
 
 
 def _toy_map():
@@ -54,6 +55,22 @@ def test_map_csv_has_no_timestamps(tmp_path):
     text = path.read_text().lower()
     for token in ("date", "time", "20[0-9][0-9]-"):
         assert "date" not in text and "hostname" not in text
+
+
+def test_grid_rows_match_per_value_format():
+    # A data row is one %-format of the whole row; its bytes must be those
+    # of formatting each value on its own, edge values included.
+    rng = np.random.default_rng(5)
+    edge = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
+            2.2250738585072014e-308, 1.8e308, -1.8e308, 1.0 / 3.0, 123456789.5]
+    values = np.concatenate(
+        [edge, rng.standard_normal(52) * 10.0 ** rng.integers(-300, 300, 52)]
+    )
+    grid = Grid(-0.1, 2.0 / 3.0, 0.3, values.size, 1)
+    columns = (grid.tips(0.0)[:, 0], grid.tips(0.0)[:, 1], values, values[::-1])
+    want = [",".join(f"{v:.9g}" for v in row)
+            for row in zip(*(c.tolist() for c in columns))]
+    assert _grid_rows(grid, values, values[::-1]) == want
 
 
 def test_pgm_north_up(tmp_path):

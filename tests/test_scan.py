@@ -226,6 +226,32 @@ def test_near_range_warning_once_with_global_minimum(fm_5x5):
     assert "r = 1.3 A" in messages[0]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_warns_once_per_call(fm_5x5, workers):
+    # Off the pixel lattice the dense sum runs in four row chunks, each
+    # with its own closest distance; the scan warns once, at the smallest.
+    cfg = ScanConfig(height=1.5, x_range=(0.2, 1.1), y_range=(0.2, 1.1), step=0.3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan_constant_height(cfg, fm_5x5, workers=workers)
+    assert len(caught) == 1
+    assert f"r = {np.hypot(0.2 * np.sqrt(2.0), 1.5):g} A" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
+def test_iso_frequency_warns_once_per_call(fm_5x5):
+    # The rounds probe heights from z_min up, over and between sites; one
+    # warning names the closest pair of any round, the tip at z_min over
+    # a site.
+    cfg = ScanConfig(x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=1.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        scan_iso_frequency(cfg, fm_5x5, 30000.0, 1.2, 12.0)
+    assert len(caught) == 1
+    assert "r = 1.2 A" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
 def test_too_close_error_names_closest_pair(fm_5x5):
     # Two offending tips in different blocks: the error names the closer
     # one and its site, not the first one found.
@@ -563,9 +589,9 @@ def test_iso_frequency_work_per_pixel(monkeypatch):
     rows = []
     f_plus = scan._f_plus
 
-    def counting(cfg, tex, tips):
+    def counting(cfg, tex, tips, nearest):
         rows.append(len(tips))
-        return f_plus(cfg, tex, tips)
+        return f_plus(cfg, tex, tips, nearest)
 
     monkeypatch.setattr(scan, "_f_plus", counting)
     iso = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0)
@@ -578,7 +604,7 @@ def test_iso_frequency_safeguard_at_zero_field_end(monkeypatch, single_site):
     # z_min and the secant point lands on z_max; the safeguard bisects.
     f_zfs = D_UEV / H_GHZ
     monkeypatch.setattr(scan, "_f_plus",
-                        lambda cfg, tex, tips: f_zfs + 10.0 * np.maximum(tips[:, 2] - 4.0, 0.0))
+                        lambda cfg, tex, tips, nearest: f_zfs + 10.0 * np.maximum(tips[:, 2] - 4.0, 0.0))
     cfg = ScanConfig(x_range=(0.0, 0.0), y_range=(0.0, 0.0), step=1.0)
     iso = scan_iso_frequency(cfg, single_site, f_zfs + 20.0, 2.0, 12.0)
     assert iso.heights[0, 0] == pytest.approx(6.0, abs=1e-4)
