@@ -363,9 +363,15 @@ def cmd_spectrum(args) -> int:
     )
 
     spectrum = synthesize(pair, spec_cfg)
-    distinct = pair.f_plus - pair.f_minus > spec_cfg.f_step
-    n_peaks = args.npeaks if args.npeaks is not None else (2 if distinct else 1)
-    fit = fit_lorentzians(spectrum, n_peaks)
+    # Without --npeaks the fit starts, as measure_map's do, from the
+    # synthesized branches, or from their midpoint when they share a dip.
+    n_peaks, guess = args.npeaks, None
+    if n_peaks is None:
+        lo, hi = pair.f_minus, pair.f_plus
+        centers = (lo, hi) if hi - lo > spec_cfg.f_step else (0.5 * (lo + hi),)
+        guess = [(c, spec_cfg.linewidth_fwhm, spec_cfg.contrast) for c in centers]
+        n_peaks = len(guess)
+    fit = fit_lorentzians(spectrum, n_peaks, guess)
 
     params = {
         **_echo_globals(args),
@@ -610,13 +616,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lcurve", type=_float_list,
                    help="comma-separated lam grid to tabulate")
 
+    # The config schema: every key some command declares, valid in the
+    # config file of any command.
+    schema: dict = {}
+    for p in sub.choices.values():
+        for _, key, _ in p.get_default("settings"):
+            section, _, name = key.partition(".")
+            schema.setdefault(section, set()).add(name)
+    parser.set_defaults(schema=schema)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _resolve(args, fileio.load_config(args.config) if args.config else {})
+        _resolve(args, fileio.load_config(args.config, args.schema) if args.config else {})
         return args.func(args)
     except (TextureParseError, fileio.MapParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)

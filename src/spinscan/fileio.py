@@ -30,7 +30,6 @@ __all__ = [
     "write_moments",
     "fit_report_items",
     "load_config",
-    "CONFIG_SCHEMA",
 ]
 
 PGM_MAXVAL = 65535
@@ -58,13 +57,17 @@ def _write_lines(path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _rows(*columns) -> list[str]:
+    """CSV rows of the columns' values, each column raveled."""
+    # One %-format per row gives the bytes of format_value per value.
+    fmt = ",".join(["%.9g"] * len(columns))
+    return [fmt % row for row in zip(*(np.ravel(c).tolist() for c in columns))]
+
+
 def _grid_rows(grid: Grid, *columns) -> list[str]:
     """CSV rows 'x,y,values...' over the grid's pixels, x varying fastest."""
     tips = grid.tips(0.0)
-    columns = (tips[:, 0], tips[:, 1], *(np.ravel(c) for c in columns))
-    # One %-format per row gives the bytes of format_value per value.
-    fmt = ",".join(["%.9g"] * len(columns))
-    return [fmt % row for row in zip(*(c.tolist() for c in columns))]
+    return _rows(tips[:, 0], tips[:, 1], *columns)
 
 
 def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:
@@ -193,19 +196,14 @@ def write_sweep_csv(path, curve: SweepCurve, params: dict) -> None:
         meta["crossover_r_angstrom"] = curve.crossover_r
     lines = echo_lines("sweep", {**params, **meta})
     lines.append("r_angstrom,J_uev,Edd_uev,Bstray_T,f_ghz")
-    for k in range(curve.r.size):
-        lines.append(
-            f"{curve.r[k]:.9g},{curve.j_ex[k]:.9g},{curve.e_dd[k]:.9g},"
-            f"{curve.b_stray[k]:.9g},{curve.f_res[k]:.9g}"
-        )
+    lines += _rows(curve.r, curve.j_ex, curve.e_dd, curve.b_stray, curve.f_res)
     _write_lines(path, lines)
 
 
 def write_spectrum_csv(path, spec: Spectrum, params: dict) -> None:
     lines = echo_lines("spectrum", params)
     lines.append("f_ghz,counts")
-    for f, c in zip(spec.frequencies, spec.counts):
-        lines.append(f"{f:.9g},{c:.9g}")
+    lines += _rows(spec.frequencies, spec.counts)
     _write_lines(path, lines)
 
 
@@ -279,69 +277,25 @@ def write_moments(path, positions: np.ndarray, cell_index, m_z: np.ndarray,
     _write_lines(path, lines)
 
 
-# Config file schema: section -> allowed keys.  Unknown sections or keys
-# are rejected so typos cannot silently fall back to defaults.
-CONFIG_SCHEMA = {
-    "global": {
-        "seed",
-        "exchange_prefactor",
-        "resonance_convention",
-        "probe_d_uev",
-        "probe_g",
-    },
-    "texture": {
-        "lattice",
-        "a",
-        "nx",
-        "ny",
-        "pattern",
-        "direction",
-        "spin_mag",
-        "sample_g",
-    },
-    "sweep": {"r_min", "r_max", "points", "log", "spin_mag"},
-    "scan": {
-        "height",
-        "x_min",
-        "x_max",
-        "y_min",
-        "y_max",
-        "step",
-        "mode",
-        "b_ext",
-        "workers",
-    },
-    "isoscan": {"f_source", "z_min", "z_max"},
-    "spectrum": {
-        "f_start",
-        "f_stop",
-        "f_step",
-        "linewidth_fwhm",
-        "contrast",
-        "baseline_counts",
-        "noiseless",
-    },
-    "reconstruct": {"lam", "mode", "height", "synthetic"},
-}
-
-
-def load_config(path) -> dict:
+def load_config(path, schema: dict) -> dict:
     """Parse a `key = value` config file with bracketed sections.
 
-    Returns {section: {key: string value}}.  Unknown sections or keys
-    raise ValueError; the CLI casts each value by its flag's type.
+    schema maps each allowed section to its allowed keys.  Returns
+    {section: {key: string value}}.  Unknown sections or keys raise
+    ValueError, so a typo cannot silently fall back to a default; the
+    CLI casts each value by its flag's type.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh, source=str(path))
     config: dict = {}
     for section in parser.sections():
-        if section not in CONFIG_SCHEMA:
+        if section not in schema:
             raise ValueError(
                 f"{path}: unknown config section [{section}]; "
-                f"expected one of {sorted(CONFIG_SCHEMA)}"
+                f"expected one of {sorted(schema)}"
             )
-        allowed = CONFIG_SCHEMA[section]
+        allowed = schema[section]
         config[section] = {}
         for key, value in parser.items(section):
             if key not in allowed:

@@ -20,7 +20,7 @@ import warnings
 import numpy as np
 
 from .constants import CONSTANTS
-from .scan import _MAX_KERNEL_BYTES, Grid, _check_height, _walk_pairs
+from .scan import _MAX_KERNEL_BYTES, _MODES, Grid, _check_height, _walk_pairs
 from .spincore import _check_exchange_range
 from .texture import SpinTexture
 
@@ -104,7 +104,7 @@ def build_forward(
     """
     _check_collinear(tex)
     _check_height(height, "height")
-    if mode not in ("dipolar", "exchange", "both"):
+    if mode not in _MODES:
         raise ValueError(f"unknown forward mode {mode!r}")
 
     grid = Grid.from_ranges(x_range, y_range, step)

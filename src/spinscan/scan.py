@@ -28,7 +28,6 @@ from .spincore import (
     _check_exchange_range,
     _exchange_formula,
     eigensolve,
-    exchange_constant,
     exchange_pair_hamiltonian,
     spin_operators,
     zeeman_hamiltonian,
@@ -344,7 +343,7 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, vis
 
 def _batch_effective_fields(
     tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, stray: bool = True,
-    nearest: Optional[list] = None,
+    nearest: Optional[list] = None, stacklevel: int = 1,
 ):
     """Stray and exchange field sums for a batch of tip positions.
 
@@ -352,9 +351,10 @@ def _batch_effective_fields(
     stray is False, b_ex (p, 3) ueV).  Each site sum is a row-wise
     np.sum over a C-contiguous (rows, sites) plane, so a tip's fields do
     not depend on which block, or which batch, it falls in.  Warns if J
-    was evaluated below its validity range, unless nearest is a list:
-    then the closest tip-site distance is appended to it, for a caller
-    that sums in several batches to warn once.
+    was evaluated below its validity range, at stacklevel counted from
+    the caller as in warnings.warn, unless nearest is a list: then the
+    closest tip-site distance is appended to it, for a caller that sums
+    in several batches to warn once.
     """
     spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
     b_stray = np.empty((tips.shape[0], 3)) if stray else None
@@ -376,7 +376,7 @@ def _batch_effective_fields(
 
     r_min = _walk_pairs(tips, tex, exchange_prefactor, add_block)
     if nearest is None:
-        _check_exchange_range(r_min, stacklevel=2)
+        _check_exchange_range(r_min, stacklevel=stacklevel + 1)
     else:
         nearest.append(r_min)
     return b_stray, b_ex
@@ -489,14 +489,15 @@ def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "ry
     spin_mag * spin_dir of the texture.
     """
     tips = np.asarray(tip_pos, dtype=float)[None, :]
-    b_stray, b_ex = _batch_effective_fields(tips, tex, exchange_prefactor)
+    b_stray, b_ex = _batch_effective_fields(tips, tex, exchange_prefactor, stacklevel=2)
     return b_stray[0], b_ex[0]
 
 
 def probe_hamiltonian_at(tip_pos, tex: SpinTexture, cfg: ScanConfig) -> np.ndarray:
     """3x3 probe Hamiltonian (ueV) at one tip position under cfg.mode."""
     tips = np.asarray(tip_pos, dtype=float)[None, :]
-    b_stray, b_ex = _batch_effective_fields(tips, tex, cfg.exchange_prefactor)
+    b_stray, b_ex = _batch_effective_fields(tips, tex, cfg.exchange_prefactor,
+                                            stacklevel=2)
     return _batch_hamiltonians(b_stray, b_ex, cfg)[0]
 
 
@@ -667,7 +668,8 @@ def pair_mode_resonance(
     dist = float(np.linalg.norm(np.asarray(tip_pos, dtype=float) - site.position))
     if dist < _MIN_TIP_SITE_DISTANCE:
         raise ValueError(f"tip-site distance {dist:.4g} A below validity minimum")
-    j_uev = float(exchange_constant(dist, prefactor=cfg.exchange_prefactor))
+    _check_exchange_range(dist, stacklevel=2)
+    j_uev = float(_exchange_formula(np.asarray(dist), cfg.exchange_prefactor))
 
     dim_t, dim_s = 3, ops_s.dim
     eye_t = np.eye(dim_t)
@@ -748,7 +750,8 @@ def distance_sweep(
     else:
         r = np.linspace(r_min, r_max, n_points)
 
-    j_ex = exchange_constant(r, prefactor=exchange_prefactor)
+    _check_exchange_range(r_min, stacklevel=2)
+    j_ex = _exchange_formula(r, exchange_prefactor)
     dd_scale = g_probe * g_sample * CONSTANTS.dipole_energy_prefactor
     e_dd = dd_scale / r**3
     # On-axis stray field of a spin aligned with the axis: |3 rhat (S.rhat) - S|
@@ -757,10 +760,8 @@ def distance_sweep(
     f_res = j_ex / CONSTANTS.h_planck
 
     def gap(radius: float) -> float:
-        return float(
-            exchange_constant(radius, prefactor=exchange_prefactor)
-            - dd_scale / radius**3
-        )
+        j = _exchange_formula(np.asarray(radius), exchange_prefactor)
+        return float(j - dd_scale / radius**3)
 
     crossover = None
     signs = np.sign(j_ex - e_dd)

@@ -275,6 +275,19 @@ def test_spectrum_from_texture_and_tip(workdir):
     assert float(rep["peak1_center_ghz"]) > 100.0
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_spectrum_resolves_a_close_pair(workdir, seed):
+    # 0.05 GHz apart is 2.5 sweep steps: the fit starts from the two
+    # synthesized branches, not from a search for separate minima.
+    r = run_cli("spectrum", "--resonances", "3.40,3.45", "--seed", seed,
+                "--out", f"pair{seed}.csv", "--report", f"pair{seed}.txt", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    rep = read_report(workdir / f"pair{seed}.txt")
+    assert rep["converged"] == "true"
+    centers = [float(rep["peak1_center_ghz"]), float(rep["peak2_center_ghz"])]
+    assert np.allclose(centers, [3.40, 3.45], rtol=0.0, atol=0.010)
+
+
 @pytest.mark.parametrize("baseline", ["1e30", "nan", "inf"])
 def test_spectrum_baseline_out_of_range_is_usage_error(workdir, baseline):
     r = run_cli("spectrum", "--resonances", "3.482", "--baseline", baseline,

@@ -3,12 +3,15 @@
 Each command declares only the flags it reads.  A setting takes its
 flag, else its config key, else its default; a config value is cast by
 its flag's own type, and a bad one exits 2 with one line naming its key.
+A config file may set any key that some command declares.
 """
+
+from pathlib import Path
 
 import pytest
 
 from conftest import run_main
-from spinscan import cli, fileio
+from spinscan import cli
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +68,49 @@ def test_removed_flag_is_a_one_line_usage_error(workdir, command, flag):
     assert not (workdir / "x.out").exists()
 
 
-def test_every_config_key_feeds_a_declared_setting():
+def test_a_key_another_command_declares_is_accepted(workdir):
+    # One config file can serve every command: scan reads none of these
+    # keys, so its output matches a run without the config.
+    cfg = config(workdir, "shared.cfg", "[texture]\nlattice = square\n\n"
+                 "[sweep]\npoints = 5\n\n[isoscan]\nf_source = 100\n\n"
+                 "[reconstruct]\nlam = 1\n")
+    argv = ["scan", "--texture", workdir / "t.spintex", "--step", 1.5]
+    assert run_main([*argv, "--out", workdir / "plain.csv"])[0] == 0
+    code, stderr, _ = run_main([*argv, "--config", cfg, "--out", workdir / "shared.csv"])
+    assert code == 0, stderr
+    assert (workdir / "shared.csv").read_text() == (workdir / "plain.csv").read_text()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[scan]\naltitude = 4\n",
+     "unknown key 'altitude' in section [scan]; expected one of ['b_ext', 'height', "
+     "'mode', 'step', 'workers', 'x_max', 'x_min', 'y_max', 'y_min']"),
+    ("[orbit]\nheight = 4\n",
+     "unknown config section [orbit]; expected one of ['global', 'isoscan', "
+     "'reconstruct', 'scan', 'spectrum', 'sweep', 'texture']"),
+])
+def test_undeclared_key_or_section_is_one_line_naming_it(workdir, text, message):
+    cfg = config(workdir, "unknown.cfg", text)
+    code, stderr, _ = run_main(["scan", "--config", cfg, "--texture",
+                                workdir / "t.spintex", "--out", workdir / "u.out"])
+    assert code == 2
+    assert stderr == [f"error: {cfg}: {message}"]
+    assert not (workdir / "u.out").exists()
+
+
+def test_readme_lists_every_flag_and_config_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = readme.index("### Flags, config keys and defaults")
+    table = readme[start : readme.index("\n## ", start)]
+    rows = table.splitlines()
     sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
-    keys = {key for parser in sub.choices.values()
-            for _, key, _ in parser.get_default("settings")}
-    schema = {f"{s}.{k}" for s, names in fileio.CONFIG_SCHEMA.items() for k in names}
-    assert keys == schema
+    for parser in sub.choices.values():
+        for action, key, _ in parser.get_default("settings"):
+            flag, (section, name) = action.option_strings[0], key.split(".")
+            assert f"`{flag}`" in table, flag
+            assert any(f"[{section}] {name}`" in row
+                       or (f"[{section}]" in row and f"`{name}`" in row)
+                       for row in rows), key
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,5 +1,7 @@
 """Artifact file formats: map CSV round trip, PGM rendering, reports."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,10 @@ from spinscan.fileio import (
     load_map_csv,
     write_map_csv,
     write_pgm,
+    write_spectrum_csv,
+    write_sweep_csv,
 )
-from spinscan.scan import Grid, ResonanceMap
+from spinscan.scan import Grid, ResonanceMap, SweepCurve
 
 
 def _toy_map():
@@ -57,20 +61,37 @@ def test_map_csv_has_no_timestamps(tmp_path):
         assert "date" not in text and "hostname" not in text
 
 
-def test_grid_rows_match_per_value_format():
+def test_grid_rows_match_per_value_format(tmp_path):
     # A data row is one %-format of the whole row; its bytes must be those
-    # of formatting each value on its own, edge values included.
+    # of formatting each value on its own, edge values included.  The sweep
+    # and spectrum writers format their rows the same way.
     rng = np.random.default_rng(5)
     edge = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
             2.2250738585072014e-308, 1.8e308, -1.8e308, 1.0 / 3.0, 123456789.5]
     values = np.concatenate(
         [edge, rng.standard_normal(52) * 10.0 ** rng.integers(-300, 300, 52)]
     )
+
+    def per_value(*columns):
+        return [",".join(f"{v:.9g}" for v in row) for row in zip(*columns)]
+
     grid = Grid(-0.1, 2.0 / 3.0, 0.3, values.size, 1)
     columns = (grid.tips(0.0)[:, 0], grid.tips(0.0)[:, 1], values, values[::-1])
-    want = [",".join(f"{v:.9g}" for v in row)
-            for row in zip(*(c.tolist() for c in columns))]
-    assert _grid_rows(grid, values, values[::-1]) == want
+    assert _grid_rows(grid, values, values[::-1]) == per_value(
+        *(c.tolist() for c in columns))
+
+    curve = SweepCurve(values, values[::-1], -values, values * 0.5, np.roll(values, 7),
+                       crossover_r=None)
+    spec = SimpleNamespace(frequencies=values, counts=values[::-1])
+    for write, obj, columns in (
+        (write_sweep_csv, curve, (curve.r, curve.j_ex, curve.e_dd, curve.b_stray,
+                                  curve.f_res)),
+        (write_spectrum_csv, spec, (spec.frequencies, spec.counts)),
+    ):
+        path = tmp_path / "rows.csv"
+        write(path, obj, {})
+        rows = path.read_text().splitlines()[2:]  # after the echo and column names
+        assert rows == per_value(*columns), write.__name__
 
 
 def test_pgm_north_up(tmp_path):
@@ -100,12 +121,15 @@ def test_pgm_constant_field(tmp_path):
     assert all(int(t) == 0 for t in tokens[4:])
 
 
+SCHEMA = {"global": {"seed"}, "scan": {"height", "mode"}}
+
+
 def test_load_config_sections(tmp_path):
     p = tmp_path / "run.cfg"
     p.write_text(
         "[global]\nseed = 7\n\n[scan]\nheight = 5.5\nmode = dipolar\n"
     )
-    cfg = load_config(p)
+    cfg = load_config(p, SCHEMA)
     assert cfg["global"]["seed"] == "7"
     assert cfg["scan"]["height"] == "5.5"
 
@@ -114,8 +138,8 @@ def test_load_config_rejects_unknown(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("[scan]\naltitude = 4\n")
     with pytest.raises(ValueError, match="altitude"):
-        load_config(p)
+        load_config(p, SCHEMA)
     p2 = tmp_path / "bad2.cfg"
     p2.write_text("[orbit]\nheight = 4\n")
     with pytest.raises(ValueError, match="orbit"):
-        load_config(p2)
+        load_config(p2, SCHEMA)

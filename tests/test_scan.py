@@ -252,6 +252,23 @@ def test_iso_frequency_warns_once_per_call(fm_5x5):
     assert caught[0].filename == __file__
 
 
+@pytest.mark.parametrize("call, r_min", [
+    (lambda tex: effective_fields_at((0.0, 0.0, 1.5), tex), 1.5),
+    (lambda tex: probe_hamiltonian_at((0.0, 0.0, 1.5), tex, ScanConfig()), 1.5),
+    (lambda tex: pair_mode_resonance((0.0, 0.0, 1.5), tex.sites[0], ScanConfig()), 1.5),
+    # The crossover search evaluates J again below 2 A; it does not warn again.
+    (lambda tex: distance_sweep(0.3, 1e4, 500), 0.3),
+], ids=["effective_fields_at", "probe_hamiltonian_at", "pair_mode_resonance",
+        "distance_sweep"])
+def test_single_point_entries_warn_once_at_the_caller(fm_5x5, call, r_min):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(fm_5x5)
+    assert len(caught) == 1
+    assert f"r = {r_min:g} A" in str(caught[0].message)
+    assert caught[0].filename == __file__
+
+
 def test_too_close_error_names_closest_pair(fm_5x5):
     # Two offending tips in different blocks: the error names the closer
     # one and its site, not the first one found.
