@@ -279,6 +279,7 @@ def cmd_scan(args) -> int:
     tex = load_texture(args.texture)
     cfg = _probe_config(args, height=args.height, **_grid(args, tex),
                         resonance_convention=args.resonance_convention)
+    spec_cfg = _spectrum_config(args) if args.measure else None
     rmap = scan_constant_height(cfg, tex, workers=args.workers)
     params = {**_raster_params(args, cfg), "height_angstrom": cfg.height}
     fileio.write_map_csv(args.out, rmap, params)
@@ -290,7 +291,6 @@ def cmd_scan(args) -> int:
         print(f"wrote {args.pgm}")
 
     if args.measure:
-        spec_cfg = _spectrum_config(args)
         fitted, error = measure_map(rmap, spec_cfg)
         params = {**params, **_readout_params(spec_cfg)}
         measured_out = args.measured_out or f"{args.out}.measured.csv"

@@ -103,13 +103,15 @@ class MapParseError(ValueError):
 
 
 def load_map_csv(path) -> ResonanceMap:
-    """Read a map CSV back into a ResonanceMap (field channels absent).
+    """Read a map CSV back into a ResonanceMap.
 
     Grid metadata comes from the comment header when present, otherwise
-    it is inferred from the coordinate columns.
+    it is inferred from the coordinate columns.  Every row's x, y must be
+    its pixel's on that grid.
     """
     comments: list[str] = []
     rows: list[list[float]] = []
+    linenos: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -136,6 +138,7 @@ def load_map_csv(path) -> ResonanceMap:
                     f"{path}:{lineno}: non-finite value in map row {line!r}"
                 )
             rows.append(values)
+            linenos.append(lineno)
     if not rows:
         raise MapParseError(f"{path}: no data rows")
     data = np.array(rows)
@@ -148,13 +151,28 @@ def load_map_csv(path) -> ResonanceMap:
         ny = int(meta.get("map_ny", len(ys)))
         x0 = float(meta.get("map_x0_angstrom", xs[0]))
         y0 = float(meta.get("map_y0_angstrom", ys[0]))
-        step = float(meta.get("map_step_angstrom", xs[1] - xs[0] if len(xs) > 1 else 1.0))
+        spacing = xs if len(xs) > 1 else ys
+        step = float(meta.get("map_step_angstrom",
+                              spacing[1] - spacing[0] if len(spacing) > 1 else 1.0))
         height = float(meta.get("map_height_angstrom", 0.0))
     except ValueError as exc:
         raise MapParseError(f"{path}: malformed grid header: {exc}") from None
     if nx * ny != data.shape[0]:
         raise MapParseError(
             f"{path}: {data.shape[0]} rows do not fill a {nx} x {ny} grid"
+        )
+    # The writer prints 9 significant digits: allow their rounding of the
+    # row and of the header's origin and step.
+    origin = np.array([x0, y0])
+    want = Grid(x0, y0, step, nx, ny).tips(0.0)[:, :2]
+    tol = 1e-8 * (np.abs(want) + np.abs(origin) + np.abs(want - origin))
+    bad = np.flatnonzero(np.any(np.abs(data[:, :2] - want) > tol, axis=1))
+    if bad.size:
+        k = bad[0]
+        raise MapParseError(
+            f"{path}:{linenos[k]}: row at ({data[k, 0]:.9g}, {data[k, 1]:.9g}) A is "
+            f"not pixel ({k % nx}, {k // nx}) of the {nx} x {ny} grid, at "
+            f"({want[k, 0]:.9g}, {want[k, 1]:.9g}) A"
         )
     return ResonanceMap(
         x0=x0,

@@ -75,6 +75,10 @@ _MAX_LATERAL = 1e6
 # it before any array is allocated.  A 1000 x 1000 map fits.
 _MAX_PIXELS = 1_000_000
 
+# Largest distance sweep (points), checked before allocating; its CSV
+# stays near 70 MB, about 70 bytes a row.
+_MAX_SWEEP_POINTS = 1_000_000
+
 # Largest working set (bytes) of one interaction kernel, checked before
 # allocating: the FFT path's images and spectra, or build_forward's kernel.
 _MAX_KERNEL_BYTES = 1 << 26
@@ -218,19 +222,13 @@ class Grid:
 
 @dataclass(frozen=True)
 class ResonanceMap(Grid):
-    """Raster grid of probe resonances.
-
-    f_minus/f_plus are (ny, nx) GHz arrays; b_stray (tesla) and b_ex
-    (ueV) are optional (ny, nx, 3) diagnostic channels, absent on maps
-    loaded from CSV (b_stray also in exchange mode).
-    """
+    """Raster grid of probe resonances; f_minus/f_plus are (ny, nx) GHz
+    arrays."""
 
     height: float
     mode: str
     f_minus: np.ndarray
     f_plus: np.ndarray
-    b_stray: Optional[np.ndarray] = None
-    b_ex: Optional[np.ndarray] = None
 
     def signal(self, convention: str = "transition") -> np.ndarray:
         """Scalar per-pixel signal: upper branch, or branch splitting."""
@@ -342,19 +340,15 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, vis
 
 
 def _batch_effective_fields(
-    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, stray: bool = True,
-    nearest: Optional[list] = None, stacklevel: int = 1,
+    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, stray: bool = True
 ):
     """Stray and exchange field sums for a batch of tip positions.
 
     tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla, or None when
-    stray is False, b_ex (p, 3) ueV).  Each site sum is a row-wise
+    stray is False, b_ex (p, 3) ueV, r_min the closest tip-site distance
+    for the caller's validity-range check).  Each site sum is a row-wise
     np.sum over a C-contiguous (rows, sites) plane, so a tip's fields do
-    not depend on which block, or which batch, it falls in.  Warns if J
-    was evaluated below its validity range, at stacklevel counted from
-    the caller as in warnings.warn, unless nearest is a list: then the
-    closest tip-site distance is appended to it, for a caller that sums
-    in several batches to warn once.
+    not depend on which block, or which batch, it falls in.
     """
     spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
     b_stray = np.empty((tips.shape[0], 3)) if stray else None
@@ -375,28 +369,24 @@ def _batch_effective_fields(
         b_stray[rows, 2] = np.sum(q * dz, axis=1) - np.sum(pref * spin_z, axis=1)
 
     r_min = _walk_pairs(tips, tex, exchange_prefactor, add_block)
-    if nearest is None:
-        _check_exchange_range(r_min, stacklevel=stacklevel + 1)
-    else:
-        nearest.append(r_min)
-    return b_stray, b_ex
+    return b_stray, b_ex, r_min
 
 
-def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig, b_stray, b_ex) -> bool:
-    """Fill b_stray (unless None) and b_ex, each (nx ny, 3), at every pixel
-    by exact zero-padded FFT convolution and return True; return False,
-    for the dense sum, unless all sites lie at one z at least 2 A (J's
-    validity bound, so no distance check can fire) below the tips, their
-    x and y differ by whole steps up to the rounding of the coordinates,
-    and the padded planes fit _MAX_KERNEL_BYTES."""
+def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
+    """(b_stray, or None without the dipolar channel, b_ex), each (nx ny, 3),
+    at every pixel by exact zero-padded FFT convolution; None, for the
+    dense sum, unless all sites lie at one z at least 2 A (J's validity
+    bound, so no distance check can fire) below the tips, their x and y
+    differ by whole steps up to the rounding of the coordinates, and the
+    padded planes fit _MAX_KERNEL_BYTES."""
     pos = tex.positions
     if np.any(pos[:, 2] != pos[0, 2]) or not cfg.height - pos[0, 2] >= 2.0:
-        return False
+        return None
     index, corner = [], []
     for c in (pos[:, 0], pos[:, 1]):
         k = np.round((c - c[0]) / grid.step)
         if np.any(np.abs(c - c[0] - k * grid.step) > 4.0 * _EPS * np.max(np.abs(c))):
-            return False
+            return None
         index.append(k - k.min())  # cast to int once known to fit the budget
         corner.append(c[np.argmin(k)])
     mx, my = (int(i.max()) + 1 for i in index)
@@ -410,14 +400,16 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig, b_stray, b_ex
     shape = tuple(min(q << (-(-n // q) - 1).bit_length() for q in odd)
                   for n in (kernel.ny, kernel.nx))
     if 18 * 8 * shape[0] * shape[1] > _MAX_KERNEL_BYTES:
-        return False
+        return None
 
     # Kernel images from the dense sum over one site, in small tip blocks:
     # J, which a unit spin along b gives as b_ex[:, b], and the symmetric
     # stray tensor T[a, b] = B_a of a unit spin along b, for a >= b.  All
     # are allocated up front, and the outputs before them, so that the
     # heap is reused from one scan to the next rather than fragmented.
-    stray, prefactor = b_stray is not None, cfg.exchange_prefactor
+    stray, prefactor = cfg.include_dipolar, cfg.exchange_prefactor
+    n = grid.nx * grid.ny
+    b_stray, b_ex = np.empty((n, 3)) if stray else None, np.empty((n, 3))
     tips = kernel.tips(cfg.height)
     keys = ["j"] + [(a, b) for b in range(3) for a in range(b, 3)] * stray
     images = {key: np.empty(len(tips)) for key in keys}
@@ -425,7 +417,7 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig, b_stray, b_ex
         unit = SpinTexture([[*corner, pos[0, 2]]], [np.eye(3)[b]], 1.0, tex.g)
         for start in range(0, len(tips), _BLOCK_BYTES // 64):
             rows = slice(start, start + _BLOCK_BYTES // 64)
-            bs, bx = _batch_effective_fields(tips[rows], unit, prefactor, stray)
+            bs, bx, _ = _batch_effective_fields(tips[rows], unit, prefactor, stray)
             images["j"][rows] = bx[:, b]
             for a in range(b, 3) if stray else ():
                 images[a, b][rows] = bs[:, a]
@@ -456,7 +448,7 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig, b_stray, b_ex
         if a != b:
             acc[b] += t_hat * spin_hat[a]
     to_pixels(acc, b_stray)  # no spectra, and b_stray None, without stray
-    return True
+    return b_stray, b_ex
 
 
 def _batch_hamiltonians(
@@ -489,24 +481,26 @@ def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "ry
     spin_mag * spin_dir of the texture.
     """
     tips = np.asarray(tip_pos, dtype=float)[None, :]
-    b_stray, b_ex = _batch_effective_fields(tips, tex, exchange_prefactor, stacklevel=2)
+    b_stray, b_ex, r_min = _batch_effective_fields(tips, tex, exchange_prefactor)
+    _check_exchange_range(r_min, stacklevel=2)
     return b_stray[0], b_ex[0]
 
 
 def probe_hamiltonian_at(tip_pos, tex: SpinTexture, cfg: ScanConfig) -> np.ndarray:
     """3x3 probe Hamiltonian (ueV) at one tip position under cfg.mode."""
     tips = np.asarray(tip_pos, dtype=float)[None, :]
-    b_stray, b_ex = _batch_effective_fields(tips, tex, cfg.exchange_prefactor,
-                                            stacklevel=2)
+    b_stray, b_ex, r_min = _batch_effective_fields(tips, tex, cfg.exchange_prefactor)
+    _check_exchange_range(r_min, stacklevel=2)
     return _batch_hamiltonians(b_stray, b_ex, cfg)[0]
 
 
-def _f_plus(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray, nearest=None):
-    """Upper resonance branch (GHz) at each tip position; nearest as in
-    _batch_effective_fields."""
-    stray = cfg.include_dipolar
-    fields = _batch_effective_fields(tips, tex, cfg.exchange_prefactor, stray, nearest)
-    return _batch_resonances(_batch_hamiltonians(*fields, cfg))[1]
+def _branches(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray):
+    """(f_minus, f_plus) GHz at each tip position, from the dense field sums
+    under cfg.mode, and the closest tip-site distance."""
+    b_stray, b_ex, r_min = _batch_effective_fields(
+        tips, tex, cfg.exchange_prefactor, cfg.include_dipolar
+    )
+    return (*_batch_resonances(_batch_hamiltonians(b_stray, b_ex, cfg)), r_min)
 
 
 def scan_constant_height(
@@ -517,39 +511,35 @@ def scan_constant_height(
     Fields come from one exact FFT convolution when the sites sit on the
     pixel lattice (_lattice_fields), else from dense sums per row chunk;
     chunks fill disjoint slices on a thread pool, so the output is
-    bit-identical for any worker count.  b_stray is None in exchange mode.
-    J below its validity range warns once, at the closest tip-site pair.
+    bit-identical for any worker count.  J below its validity range
+    warns once, at the closest tip-site pair.
     """
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     n = grid.nx * grid.ny
     f_minus, f_plus = np.empty(n), np.empty(n)
-    b_stray = np.empty((n, 3)) if cfg.include_dipolar else None
-    b_ex = np.empty((n, 3))
-    fft = _lattice_fields(grid, tex, cfg, b_stray, b_ex)
-    tips = None if fft else grid.tips(cfg.height)
-    nearest = []  # closest tip-site distance of each dense chunk
+    fields = _lattice_fields(grid, tex, cfg)
+    tips = grid.tips(cfg.height) if fields is None else None
 
     def run_chunk(block):
-        if tips is not None:
-            bs, b_ex[block] = _batch_effective_fields(
-                tips[block], tex, cfg.exchange_prefactor, cfg.include_dipolar, nearest
-            )
-            if bs is not None:
-                b_stray[block] = bs
-        bs = None if b_stray is None else b_stray[block]
+        """Fill the block's branches; return its closest tip-site distance."""
+        if fields is None:
+            f_minus[block], f_plus[block], r_min = _branches(cfg, tex, tips[block])
+            return r_min
+        b_stray, b_ex = (None if b is None else b[block] for b in fields)
         f_minus[block], f_plus[block] = _batch_resonances(
-            _batch_hamiltonians(bs, b_ex[block], cfg)
+            _batch_hamiltonians(b_stray, b_ex, cfg)
         )
+        return np.inf  # the FFT path applies only 2 A or more above the sites
 
     workers = max(1, int(workers))
     row_chunks = np.array_split(np.arange(grid.ny), min(workers * 4, grid.ny))
     blocks = [slice(rows[0] * grid.nx, (rows[-1] + 1) * grid.nx) for rows in row_chunks]
     if workers == 1:
-        list(map(run_chunk, blocks))
+        r_min = min(map(run_chunk, blocks))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, blocks))
-    _check_exchange_range(min(nearest, default=np.inf), stacklevel=2)
+            r_min = min(pool.map(run_chunk, blocks))
+    _check_exchange_range(r_min, stacklevel=2)
 
     if not (np.all(np.isfinite(f_minus)) and np.all(np.isfinite(f_plus))):
         raise ArithmeticError("scan produced non-finite resonance values")
@@ -560,8 +550,6 @@ def scan_constant_height(
         mode=cfg.mode,
         f_minus=f_minus.reshape(shape),
         f_plus=f_plus.reshape(shape),
-        b_stray=None if b_stray is None else b_stray.reshape(shape + (3,)),
-        b_ex=b_ex.reshape(shape + (3,)),
     )
 
 
@@ -581,6 +569,8 @@ def scan_iso_frequency(
     f_source are marked NaN rather than extrapolated.  J below its
     validity range warns once, at the closest tip-site pair of any round.
     """
+    if not 0.0 < f_source < np.inf:
+        raise ValueError(f"f_source must be positive and finite, got {f_source}")
     _check_height(z_min, "z_min")
     _check_height(z_max, "z_max")
     if z_max <= z_min:
@@ -588,10 +578,12 @@ def scan_iso_frequency(
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     xy = grid.tips(0.0)[:, :2]
     n = len(xy)
-    nearest = []  # closest tip-site distance of each round
+    r_min = []  # closest tip-site distance of each round
 
     def offset(rows, z):
-        return _f_plus(cfg, tex, np.column_stack([xy[rows], z]), nearest) - f_source
+        _, f_plus, r = _branches(cfg, tex, np.column_stack([xy[rows], z]))
+        r_min.append(r)
+        return f_plus - f_source
 
     # Secant variable with the sign of f_plus - f_source: the log of
     # (f_plus - D/h) / (f_source - D/h), about linear in z since the
@@ -636,7 +628,7 @@ def scan_iso_frequency(
         kept[active] = 1 - moved
     # Pixels still active hit the iteration cap; report the midpoint.
     heights[active] = 0.5 * (ends[0, active] + ends[1, active])
-    _check_exchange_range(min(nearest, default=np.inf), stacklevel=2)
+    _check_exchange_range(min(r_min), stacklevel=2)
 
     return IsoScanMap(
         **asdict(grid),
@@ -741,10 +733,12 @@ def distance_sweep(
     field of a spin_mag moment, and f_res = J/h.  Also locates the
     exchange-dipolar crossover radius by bisection on J(r) - E_dd(r).
     """
-    if not 0.0 < r_min < r_max:
-        raise ValueError(f"need 0 < r_min < r_max, got {r_min}, {r_max}")
-    if n_points < 2:
-        raise ValueError(f"need at least 2 sweep points, got {n_points}")
+    if not 0.0 < r_min < r_max < np.inf:
+        raise ValueError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
+    if not 2 <= n_points <= _MAX_SWEEP_POINTS:
+        raise ValueError(
+            f"need 2 to {_MAX_SWEEP_POINTS} sweep points, got {n_points}"
+        )
     if log_spacing:
         r = np.geomspace(r_min, r_max, n_points)
     else:

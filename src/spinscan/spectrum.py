@@ -51,6 +51,11 @@ _LAM_MAX = 1e14
 _LAM_MIN = 1e-12
 _WINDOW_HALF_WIDTHS = 20.0  # measurement window half-width in linewidths
 
+# Largest readout window (points), checked before any window is built:
+# a two-dip fit's working set, about eight (7, n) float64 Jacobians, then
+# stays near 45 MB.
+_MAX_WINDOW_POINTS = 100_000
+
 # Largest Poisson mean numpy's sampler accepts (its POISSON_LAM_MAX).
 _MAX_BASELINE_COUNTS = float(
     np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
@@ -76,6 +81,12 @@ class SpectrumConfig:
     noiseless: bool = False
 
     def __post_init__(self):
+        values = (self.f_start, self.f_stop, self.f_step, self.linewidth_fwhm)
+        if not np.all(np.isfinite(values)):
+            raise ValueError(
+                "spectrum f_start, f_stop, f_step and linewidth_fwhm must be "
+                f"finite, got {values}"
+            )
         if self.f_step <= 0:
             raise ValueError(f"f_step must be positive, got {self.f_step}")
         if self.f_stop <= self.f_start:
@@ -90,6 +101,15 @@ class SpectrumConfig:
             )
         if self.linewidth_fwhm <= 0:
             raise ValueError("linewidth_fwhm must be positive")
+        # This window, or the widest measure_map window: a joint window of
+        # two branches 2 half-widths apart.
+        span = max(self.f_stop - self.f_start,
+                   4.0 * _WINDOW_HALF_WIDTHS * self.linewidth_fwhm)
+        if span / self.f_step + 1 > _MAX_WINDOW_POINTS:
+            raise ValueError(
+                f"readout windows up to {span:g} GHz wide at f_step = "
+                f"{self.f_step:g} GHz exceed the {_MAX_WINDOW_POINTS} point budget"
+            )
 
 
 @dataclass(frozen=True)
@@ -173,6 +193,12 @@ def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
     n = int(_window_points(cfg.f_start, cfg.f_stop, cfg.f_step))
     freqs = cfg.f_start + cfg.f_step * np.arange(n)
     means = _mean_curve(freqs, centers, cfg)
+    if np.any(means < 0):
+        depth = 1.0 - means.min() / cfg.baseline_counts
+        raise ValueError(
+            f"the dips overlap to a summed contrast of {depth:.4g} > 1, giving "
+            "negative mean counts; lower the contrast"
+        )
     counts = means if cfg.noiseless else _poisson_counts(means, cfg.seed, 0)
     return Spectrum(frequencies=freqs, counts=counts)
 
@@ -469,8 +495,8 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
     All windows are fitted together, grouped by length and peak count,
     in blocks whose working set stays within _BLOCK_BYTES.
 
-    Returns the fitted map (field channels dropped) and an error map
-    holding the worse branch deviation |fitted - true| per pixel.
+    Returns the fitted map and an error map holding the worse branch
+    deviation |fitted - true| per pixel.
     Pixels whose window could not be synthesized or fitted (too few
     points, negative mean counts, non-finite resonances) hold NaN
     resonances and an infinite error.
@@ -538,7 +564,5 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
         rmap,
         f_minus=fitted_minus.reshape(shape),
         f_plus=fitted_plus.reshape(shape),
-        b_stray=None,
-        b_ex=None,
     )
     return fitted, error.reshape(shape)

@@ -28,6 +28,11 @@ __all__ = [
 # Sites closer than this (angstrom) are treated as duplicates.
 _MIN_SITE_SEPARATION = 0.1
 
+# Largest lattice (sites) build_lattice builds, checked before any array
+# is allocated.  The duplicate-site check's work grows as the square of
+# the sites: 5e9 pair distances at the budget, a 316 x 316 square lattice.
+_MAX_SITES = 100_000
+
 _PATTERNS = ("FM", "AFM-Neel", "stripe")
 
 # Bytes of one float64 plane per block of a pairwise sum, (sites, sites)
@@ -160,10 +165,16 @@ def build_lattice(lattice_type: str, a: float, nx: int, ny: int) -> Lattice:
     honeycomb: same Bravais vectors with a two-site basis (0, 0) and
     (a/2, a/(2 sqrt(3))), nearest-neighbor distance a/sqrt(3).
     """
-    if a <= 0:
-        raise ValueError(f"lattice constant must be positive, got {a}")
+    if not 0 < a < np.inf:
+        raise ValueError(f"lattice constant must be positive and finite, got {a}")
     if nx < 1 or ny < 1:
         raise ValueError(f"lattice extents must be >= 1, got nx={nx}, ny={ny}")
+    n_sites = nx * ny * (2 if lattice_type == "honeycomb" else 1)
+    if n_sites > _MAX_SITES:
+        raise ValueError(
+            f"a {nx} x {ny} {lattice_type} lattice has {n_sites} sites, over the "
+            f"{_MAX_SITES} site budget"
+        )
 
     jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
     ii = ii.ravel()

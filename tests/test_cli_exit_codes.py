@@ -86,3 +86,56 @@ def test_far_texture_site_is_an_input_error(texture):
     assert code == 3
     assert len(stderr) == 1 and f"{far}:{k + 1}:" in stderr[0], stderr
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+TEXTURE = object()  # stands for the texture fixture's path in an argv
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    # Sizes far past memory, refused before anything is allocated.
+    (["texture", "--lattice", "square", "--a", "3", "--nx", "1000000",
+      "--ny", "1000000"], None, "site budget"),
+    (["sweep", "--rmin", "1", "--rmax", "2", "--points", "1000000000000"], None,
+     "sweep points"),
+    (["spectrum", "--resonances", "3.4", "--fstart", "3", "--fstop", "4",
+      "--fstep", "1e-12"], None, "point budget"),
+    (["scan", "--texture", TEXTURE, "--measure"], "[spectrum]\nf_step = 1e-12\n",
+     "point budget"),
+    # Non-finite or unreachable values.
+    (["isoscan", "--texture", TEXTURE, "--fsource", "nan"], None, "f_source"),
+    (["isoscan", "--texture", TEXTURE, "--fsource", "inf"], None, "f_source"),
+    (["sweep", "--rmin", "1", "--rmax", "inf", "--points", "5"], None, "r_max < inf"),
+    (["scan", "--texture", TEXTURE, "--measure"], "[spectrum]\nlinewidth_fwhm = nan\n",
+     "must be finite"),
+    (["spectrum", "--resonances", "3.4", "--linewidth", "nan"], None, "must be finite"),
+    (["spectrum", "--resonances", "3.4", "--contrast", "0.6"], None,
+     "negative mean counts"),
+], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
+        "isoscan-nan", "isoscan-inf", "sweep-inf", "measure-nan-linewidth",
+        "spectrum-nan-linewidth", "spectrum-negative-mean"])
+def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message):
+    out = texture.with_name("refused.out")
+    argv = [texture if a is TEXTURE else a for a in argv] + ["--out", out]
+    if config is not None:
+        cfg = texture.with_name("refused.cfg")
+        cfg.write_text(config, encoding="utf-8")
+        argv += ["--config", cfg]
+    code, stderr, caught = run(argv)
+    assert code == 2
+    assert len(stderr) == 1 and message in stderr[0], stderr
+    assert not caught
+    assert not out.exists()
+
+
+def test_map_rows_off_their_pixels_are_an_input_error(texture):
+    # A map whose data rows were re-sorted x-major is refused, not inverted.
+    path = texture.with_name("sorted.csv")
+    assert run(["scan", "--texture", texture, "--step", "1.5", "--out", path])[0] == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    k = next(i for i, line in enumerate(lines) if line[:1].isdigit() or line[:1] == "-")
+    rows = sorted(lines[k:], key=lambda ln: tuple(map(float, ln.split(",")[:2])))
+    path.write_text("\n".join(lines[:k] + rows) + "\n", encoding="utf-8")
+    code, stderr, _ = run(["reconstruct", "--texture", texture, "--map", path,
+                           "--out", path.with_suffix(".txt")])
+    assert code == 3
+    assert len(stderr) == 1 and f"{path}:{k + 2}: row at" in stderr[0], stderr

@@ -2,10 +2,12 @@
 
 from types import SimpleNamespace
 
+from hypothesis import given, settings, strategies as st
 import numpy as np
 import pytest
 
 from spinscan.fileio import (
+    MapParseError,
     _grid_rows,
     load_config,
     load_map_csv,
@@ -14,7 +16,7 @@ from spinscan.fileio import (
     write_spectrum_csv,
     write_sweep_csv,
 )
-from spinscan.scan import Grid, ResonanceMap, SweepCurve
+from spinscan.scan import _MAX_LATERAL, Grid, ResonanceMap, SweepCurve
 
 
 def _toy_map():
@@ -37,6 +39,45 @@ def test_map_csv_round_trip(tmp_path):
     assert back.mode == rmap.mode
     assert np.allclose(back.f_plus, rmap.f_plus, rtol=1e-9)
     assert np.allclose(back.f_minus, rmap.f_minus, rtol=1e-9)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.floats(min_value=-_MAX_LATERAL / 2, max_value=_MAX_LATERAL / 2),
+    st.floats(min_value=-_MAX_LATERAL / 2, max_value=_MAX_LATERAL / 2),
+    st.floats(min_value=1e-3, max_value=1e3),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=40),
+)
+def test_written_maps_load_on_their_grid(tmp_path_factory, x0, y0, step, nx, ny):
+    # The rows' x, y pass the grid check after 9-digit rounding, whatever
+    # the origin and step.
+    f_plus = np.arange(nx * ny, dtype=float).reshape(ny, nx) + 100.0
+    rmap = ResonanceMap(x0=x0, y0=y0, step=step, nx=nx, ny=ny, height=4.0,
+                        mode="both", f_minus=f_plus - 7.0, f_plus=f_plus)
+    path = tmp_path_factory.mktemp("grid") / "m.csv"
+    write_map_csv(path, rmap, {})
+    back = load_map_csv(path)
+    assert (back.nx, back.ny) == (nx, ny)
+    assert np.array_equal(back.f_plus, f_plus)
+
+
+def test_map_rows_off_their_pixels_are_refused(tmp_path):
+    # A 7 x 9 map whose data rows were re-sorted x-major: same rows, same
+    # header, each f+ now at another pixel's x, y.
+    f_plus = np.arange(63, dtype=float).reshape(9, 7) + 100.0
+    rmap = ResonanceMap(x0=-1.5, y0=2.0, step=0.75, nx=7, ny=9, height=4.0,
+                        mode="exchange", f_minus=f_plus - 7.0, f_plus=f_plus)
+    path = tmp_path / "m.csv"
+    write_map_csv(path, rmap, {})
+    lines = path.read_text().splitlines()
+    head = [ln for ln in lines if ln.startswith(("#", "x_"))]
+    rows = sorted(lines[len(head):], key=lambda ln: tuple(map(float, ln.split(",")[:2])))
+    path.write_text("\n".join(head + rows) + "\n")
+    with pytest.raises(MapParseError, match=(
+            rf"m.csv:{len(head) + 2}: row at \(-1.5, 2.75\) A is not pixel \(1, 0\)"
+            r" of the 7 x 9 grid, at \(-0.75, 2\) A")):
+        load_map_csv(path)
 
 
 def test_map_csv_x_varies_fastest(tmp_path):

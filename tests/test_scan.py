@@ -40,7 +40,7 @@ from spinscan.scan import (
     _batch_effective_fields,
     _batch_hamiltonians,
 )
-from spinscan.spincore import _batch_resonances
+from spinscan.spincore import _batch_resonances, _check_exchange_range
 
 H_GHZ = CONSTANTS.h_planck
 D_UEV = 14.4
@@ -182,9 +182,9 @@ def mixed_tips(tilted_neel):
 def test_blocked_fields_match_dense_oracle(tilted_neel, mixed_tips, prefactor):
     # The Neel sums cancel to near zero at some tips, so the tolerance is
     # relative to each channel's largest component.
-    got = _batch_effective_fields(mixed_tips, tilted_neel, prefactor)
+    got = _batch_effective_fields(mixed_tips, tilted_neel, prefactor)[:2]
     want = _dense_fields(mixed_tips, tilted_neel, prefactor)
-    for g, w in zip(got, want):
+    for g, w in zip(got, want, strict=True):
         assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
 
 
@@ -214,13 +214,16 @@ def test_blocked_fields_independent_of_batch_split(tilted_neel, mixed_tips, neel
 
 def test_near_range_warning_once_with_global_minimum(fm_5x5):
     # Heights fall across a batch of several blocks, so every block sees a
-    # different closest distance; one warning reports the smallest.
+    # different closest distance.  The field sum returns the smallest and
+    # does not warn; the caller's one check reports it.
     n = 3 * _BLOCK_BYTES // (8 * fm_5x5.n_sites)
     heights = np.linspace(1.9, 1.3, n)
     tips = np.column_stack([np.full(n, 6.0), np.full(n, 6.0), heights])
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _batch_effective_fields(tips, fm_5x5, "rydberg")
+        r_min = _batch_effective_fields(tips, fm_5x5, "rydberg")[2]
+        assert not caught
+        _check_exchange_range(r_min, stacklevel=1)
     messages = [str(w.message) for w in caught]
     assert len(messages) == 1
     assert "r = 1.3 A" in messages[0]
@@ -284,38 +287,41 @@ def test_too_close_error_names_closest_pair(fm_5x5):
     )
 
 
-def test_exchange_mode_skips_stray_sums(tilted_neel, mixed_tips):
+def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
     # The stray sums are skipped when the mode drops them; what the mode
     # keeps is the same bits as when they were summed and ignored.
     full = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg")
     skipped = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", stray=False)
     assert skipped[0] is None
     assert np.array_equal(skipped[1], full[1])
-    # In a scan, dense or FFT, the map's f+- are the bits the stray sums
-    # would have given, had they been summed and ignored.
+    assert skipped[2] == full[2]
+    # In a scan, dense or FFT, no stray field reaches the Hamiltonians, and
+    # the map's f+- are the bits the stray sums would have given, had they
+    # been summed and ignored.
     cfg = ScanConfig(height=4.0, mode="exchange", step=0.6)
     tips = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(cfg.height)
-    b_stray, b_ex = _batch_effective_fields(tips, tilted_neel, "rydberg")
-    dense = mock.patch.object(scan, "_lattice_fields", return_value=False)
+    b_stray, b_ex, _ = _batch_effective_fields(tips, tilted_neel, "rydberg")
+    given = []  # (b_stray, b_ex) of each chunk, in row order with one worker
+
+    def hamiltonians(*fields_and_cfg):
+        given.append(fields_and_cfg[:2])
+        return _batch_hamiltonians(*fields_and_cfg)
+
+    monkeypatch.setattr(scan, "_batch_hamiltonians", hamiltonians)
+    dense = mock.patch.object(scan, "_lattice_fields", return_value=None)
     for path in (contextlib.nullcontext(), dense):
+        given.clear()
         with path:
             rmap = scan_constant_height(cfg, tilted_neel)
-        assert rmap.b_stray is None
-        h = _batch_hamiltonians(b_stray, rmap.b_ex.reshape(-1, 3), cfg)
-        f_minus, f_plus = _batch_resonances(h)
+        assert given and all(bs is None for bs, _ in given)
+        scan_b_ex = np.concatenate([bx for _, bx in given])
+        f_minus, f_plus = _batch_resonances(_batch_hamiltonians(b_stray, scan_b_ex, cfg))
         assert np.array_equal(rmap.f_minus.ravel(), f_minus)
         assert np.array_equal(rmap.f_plus.ravel(), f_plus)
-    assert np.array_equal(rmap.b_ex.reshape(-1, 3), b_ex)
+    assert np.array_equal(scan_b_ex, b_ex)
 
 
 # ----------------------------------------------------------- FFT lattice sums
-
-
-def _fft_fields(grid, tex, cfg):
-    """(b_stray or None, b_ex) from the FFT path, or None where it declines."""
-    n = grid.nx * grid.ny
-    fields = (np.empty((n, 3)) if cfg.include_dipolar else None, np.empty((n, 3)))
-    return fields if scan._lattice_fields(grid, tex, cfg, *fields) else None
 
 
 def _tilted_texture(lattice, pattern="AFM-Neel"):
@@ -343,12 +349,12 @@ def test_fft_fields_match_dense_sum(a, multiple, frac, start, size, height, mode
     tex = _tilted_texture(build_lattice("square", a, 5, 4))
     grid = Grid((start[0] + frac[0]) * step, (start[1] + frac[1]) * step, step, *size)
     cfg = ScanConfig(height=height, step=step, mode=mode)
-    got = _fft_fields(grid, tex, cfg)
+    got = scan._lattice_fields(grid, tex, cfg)
     assert got is not None
-    want = _batch_effective_fields(grid.tips(height), tex, "rydberg")
+    want = _batch_effective_fields(grid.tips(height), tex, "rydberg")[:2]
     scale = _batch_effective_fields(tex.positions + (0.0, 0.0, height), tex, "rydberg")
     assert (got[0] is None) == (mode == "exchange")
-    for g, w, top in zip(got, want, scale):
+    for g, w, top in zip(got, want, scale[:2], strict=True):
         if g is not None:
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(top))
 
@@ -371,7 +377,7 @@ def _off_lattice_cases(fm_5x5):
 def test_fft_path_applies_on_the_pixel_lattice(fm_5x5):
     # The control for the fall-back cases below.
     grid = Grid.from_ranges((0.0, 12.0), (0.0, 12.0), 0.5)
-    assert _fft_fields(grid, fm_5x5, ScanConfig(height=4.0, step=0.5)) is not None
+    assert scan._lattice_fields(grid, fm_5x5, ScanConfig(height=4.0, step=0.5)) is not None
 
 
 @pytest.mark.parametrize("case", range(5))
@@ -382,15 +388,15 @@ def test_fft_path_falls_back_to_the_dense_sum(fm_5x5, case):
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert _fft_fields(grid, tex, cfg) is None, name
+        assert scan._lattice_fields(grid, tex, cfg) is None, name
         rmap = scan_constant_height(cfg, tex)
     # One row, one chunk: the dense sum warns once below 2 A.
     assert len(caught) == (1 if name == "close" else 0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with mock.patch.object(scan, "_lattice_fields", return_value=False):
+        with mock.patch.object(scan, "_lattice_fields", return_value=None):
             dense = scan_constant_height(cfg, tex)
-    for key in ("f_minus", "f_plus", "b_stray", "b_ex"):
+    for key in ("f_minus", "f_plus"):
         assert np.array_equal(getattr(rmap, key), getattr(dense, key)), (name, key)
 
 
@@ -529,6 +535,14 @@ def test_iso_frequency_out_of_range_is_nan(single_site):
     assert np.isnan(iso.heights[0, 0])
 
 
+@pytest.mark.parametrize("f_source", [np.nan, np.inf, -np.inf, 0.0, -5.0])
+def test_iso_frequency_rejects_unreachable_source(single_site, f_source):
+    # f_plus is finite and at least D/h > 0, so no pixel can reach these.
+    cfg = ScanConfig(x_range=(0.0, 0.0), y_range=(0.0, 0.0), step=1.0)
+    with pytest.raises(ValueError, match="f_source must be positive and finite"):
+        scan_iso_frequency(cfg, single_site, f_source, 2.0, 10.0)
+
+
 def test_iso_frequency_rejects_bad_bracket(single_site):
     cfg = ScanConfig(x_range=(0.0, 0.0), y_range=(0.0, 0.0), step=1.0)
     with pytest.raises(ValueError):
@@ -542,7 +556,7 @@ def _bisection_heights(cfg, tex, f_source, z_min, z_max):
     and iteration cap as scan_iso_frequency."""
 
     def offset(x, y, z):
-        return scan._f_plus(cfg, tex, np.array([[x, y, z]]))[0] - f_source
+        return scan._branches(cfg, tex, np.array([[x, y, z]]))[1][0] - f_source
 
     heights = []
     for x, y, _ in Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0):
@@ -589,7 +603,7 @@ def test_iso_frequency_matches_bisection(pattern, mode, b_ext, f_source):
     xy = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0)[bracketed, :2]
 
     def f_plus(z):
-        return scan._f_plus(cfg, tex, np.column_stack([xy, z]))
+        return scan._branches(cfg, tex, np.column_stack([xy, z]))[1]
 
     z = got[bracketed]
     assert np.all(np.abs(f_plus(z) - f_source) < scan._ISO_FREQ_TOL_GHZ)
@@ -604,13 +618,13 @@ def test_iso_frequency_work_per_pixel(monkeypatch):
     tex = _tilted_texture(build_lattice("square", 3.0, 8, 8), "FM")
     cfg = ScanConfig(x_range=(0.0, 21.0), y_range=(0.0, 21.0), step=1.0)
     rows = []
-    f_plus = scan._f_plus
+    branches = scan._branches
 
-    def counting(cfg, tex, tips, nearest):
+    def counting(cfg, tex, tips):
         rows.append(len(tips))
-        return f_plus(cfg, tex, tips, nearest)
+        return branches(cfg, tex, tips)
 
-    monkeypatch.setattr(scan, "_f_plus", counting)
+    monkeypatch.setattr(scan, "_branches", counting)
     iso = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0)
     assert np.all(np.isfinite(iso.heights))
     assert sum(rows) <= 8 * iso.heights.size
@@ -620,8 +634,8 @@ def test_iso_frequency_safeguard_at_zero_field_end(monkeypatch, single_site):
     # f_plus sits at D/h below z = 4, so the secant variable is -inf at
     # z_min and the secant point lands on z_max; the safeguard bisects.
     f_zfs = D_UEV / H_GHZ
-    monkeypatch.setattr(scan, "_f_plus",
-                        lambda cfg, tex, tips, nearest: f_zfs + 10.0 * np.maximum(tips[:, 2] - 4.0, 0.0))
+    monkeypatch.setattr(scan, "_branches", lambda cfg, tex, tips: (
+        None, f_zfs + 10.0 * np.maximum(tips[:, 2] - 4.0, 0.0), np.inf))
     cfg = ScanConfig(x_range=(0.0, 0.0), y_range=(0.0, 0.0), step=1.0)
     iso = scan_iso_frequency(cfg, single_site, f_zfs + 20.0, 2.0, 12.0)
     assert iso.heights[0, 0] == pytest.approx(6.0, abs=1e-4)
@@ -726,6 +740,20 @@ def test_sweep_rejects_bad_args():
         distance_sweep(20.0, 2.0, 10)
     with pytest.raises(ValueError):
         distance_sweep(-1.0, 2.0, 10)
+
+
+@pytest.mark.parametrize("r_max", [np.inf, np.nan])
+def test_sweep_rejects_non_finite_r_max(r_max):
+    with pytest.raises(ValueError, match="r_max < inf"):
+        distance_sweep(2.0, r_max, 10)
+
+
+def test_sweep_over_point_budget_is_refused():
+    # Refused before allocating, even far past memory.
+    with pytest.raises(ValueError, match=f"2 to {scan._MAX_SWEEP_POINTS} sweep points"):
+        distance_sweep(2.0, 20.0, 10**12)
+    assert distance_sweep(2.0, 20.0, scan._MAX_SWEEP_POINTS).r.size == (
+        scan._MAX_SWEEP_POINTS)
 
 
 def test_exchange_decays_faster_than_any_power():

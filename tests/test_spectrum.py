@@ -113,6 +113,33 @@ def test_config_validation():
     SpectrumConfig(baseline_counts=9e18)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["f_start", "f_stop", "f_step", "linewidth_fwhm"])
+def test_config_rejects_non_finite_window(name, bad):
+    with pytest.raises(ValueError, match="must be finite"):
+        SpectrumConfig(**{name: bad})
+
+
+@pytest.mark.parametrize("window", [
+    dict(f_start=3.0, f_stop=4.0, f_step=1e-12),  # its own window
+    dict(f_step=1e-5),                            # 2 GHz: 200,001 points
+    dict(f_step=1e-4, linewidth_fwhm=0.2),        # measure_map's: 16 GHz
+])
+def test_config_window_point_budget(window):
+    with pytest.raises(ValueError, match=f"{spectrum._MAX_WINDOW_POINTS} point budget"):
+        SpectrumConfig(**window)
+    # 20,001 points, and 80,001 in measure_map's widest window.
+    SpectrumConfig(f_step=1e-4)
+
+
+@pytest.mark.parametrize("noiseless", [False, True])
+def test_synthesize_names_negative_mean_counts(noiseless):
+    # Two coincident dips of contrast 0.6 take the mean below zero.
+    cfg = SpectrumConfig(contrast=0.6, noiseless=noiseless)
+    with pytest.raises(ValueError, match="contrast of 1.2 > 1, giving negative mean"):
+        synthesize(ResonancePair(3.4, 3.4), cfg)
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(frequencies=np.array([1.0, 1.0]), counts=np.array([1.0, 1.0]))

@@ -72,6 +72,24 @@ def test_lattice_rejects_bad_args():
         build_lattice("square", 3.0, 0, 2)
 
 
+@pytest.mark.parametrize("a", [np.nan, np.inf])
+def test_lattice_constant_must_be_finite(a):
+    with pytest.raises(ValueError, match="finite"):
+        build_lattice("square", a, 2, 2)
+
+
+@pytest.mark.parametrize("lattice, n, sites", [("square", 317, 100_489),
+                                               ("honeycomb", 224, 100_352),
+                                               ("square", 10**6, 10**12)])
+def test_lattice_over_site_budget_is_refused(lattice, n, sites):
+    # Refused before any array is allocated, even far past memory; a
+    # lattice at the budget is built.
+    with pytest.raises(ValueError, match=f"{sites} sites, over the {texture._MAX_SITES}"):
+        build_lattice(lattice, 3.0, n, n)
+    assert build_lattice("square", 3.0, 100, texture._MAX_SITES // 100).n_sites == (
+        texture._MAX_SITES)
+
+
 # ----------------------------------------------------------------- patterns
 
 
