@@ -3,13 +3,15 @@
 The probe couples to the sample through two channels evaluated at the tip
 position: the summed dipolar stray field of all sample spins (tesla) and
 the summed exchange field (an energy vector in ueV contracting J(r_i)
-with each classical spin vector).  Constant-height scans diagonalize the
-resulting 3x3 probe Hamiltonian per pixel, with the field sums from one
-exact FFT convolution when the sites sit on the pixel lattice at one
-height (the dense blocked sum, used otherwise, is its oracle);
-iso-frequency scans invert the upper resonance branch for height by a
-bracketed Illinois secant (regula falsi); pair mode treats one sample
-site quantum-mechanically as an exactness oracle for the mean-field sum.
+with each classical spin vector).  Scans read each pixel's resonances
+from its 3x3 probe Hamiltonian in closed form (spincore._field_resonances;
+numpy's eigh, the path of probe_resonances, is its oracle).
+Constant-height scans take the field sums from one exact FFT convolution
+when the sites sit on the pixel lattice at one height (the dense blocked
+sum, used otherwise, is its oracle); iso-frequency scans invert the upper
+resonance branch for height by a bracketed Illinois secant (regula
+falsi); pair mode treats one sample site quantum-mechanically as an
+exactness oracle for the mean-field sum.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .constants import CONSTANTS
 from .spincore import (
     ProbeSpec,
     ResonancePair,
-    _batch_resonances,
     _check_exchange_range,
     _exchange_formula,
+    _field_resonances,
     eigensolve,
     exchange_pair_hamiltonian,
     spin_operators,
@@ -451,26 +453,28 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
     return b_stray, b_ex
 
 
+def _energy_vectors(b_stray, b_ex, cfg: ScanConfig) -> np.ndarray:
+    """(p, 3) energy vectors e (ueV) of the probe Hamiltonians
+    D (Sz^2 - 2/3) + e . S from per-tip field sums under cfg.mode: the
+    Zeeman and exchange terms are both vector contractions with S."""
+    b_eff = np.asarray(cfg.b_ext, dtype=float)[None, :] + (
+        b_stray if cfg.include_dipolar else 0.0
+    )
+    e_vec = cfg.probe.g * CONSTANTS.mu_b * b_eff
+    return e_vec + b_ex if cfg.include_exchange else e_vec
+
+
 def _batch_hamiltonians(
     b_stray: np.ndarray, b_ex: np.ndarray, cfg: ScanConfig
 ) -> np.ndarray:
     """(p, 3, 3) probe Hamiltonians from per-tip field sums."""
-    b_eff = np.asarray(cfg.b_ext, dtype=float)[None, :] + (
-        b_stray if cfg.include_dipolar else 0.0
-    )
-    # The Zeeman and exchange terms are both vector contractions with S,
-    # so collapse them into one energy vector (ueV) before building H.
-    e_vec = cfg.probe.g * CONSTANTS.mu_b * b_eff
-    if cfg.include_exchange:
-        e_vec = e_vec + b_ex
-    h_zfs = zfs_hamiltonian(cfg.probe)
-    h = (
-        h_zfs[None, :, :]
+    e_vec = _energy_vectors(b_stray, b_ex, cfg)
+    return (
+        zfs_hamiltonian(cfg.probe)[None, :, :]
         + e_vec[:, 0, None, None] * _SPIN1.sx[None, :, :]
         + e_vec[:, 1, None, None] * _SPIN1.sy[None, :, :]
         + e_vec[:, 2, None, None] * _SPIN1.sz[None, :, :]
     )
-    return h
 
 
 def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "rydberg"):
@@ -500,7 +504,8 @@ def _branches(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray):
     b_stray, b_ex, r_min = _batch_effective_fields(
         tips, tex, cfg.exchange_prefactor, cfg.include_dipolar
     )
-    return (*_batch_resonances(_batch_hamiltonians(b_stray, b_ex, cfg)), r_min)
+    e_vec = _energy_vectors(b_stray, b_ex, cfg)
+    return (*_field_resonances(e_vec, cfg.probe.d_zfs), r_min)
 
 
 def scan_constant_height(
@@ -526,8 +531,8 @@ def scan_constant_height(
             f_minus[block], f_plus[block], r_min = _branches(cfg, tex, tips[block])
             return r_min
         b_stray, b_ex = (None if b is None else b[block] for b in fields)
-        f_minus[block], f_plus[block] = _batch_resonances(
-            _batch_hamiltonians(b_stray, b_ex, cfg)
+        f_minus[block], f_plus[block] = _field_resonances(
+            _energy_vectors(b_stray, b_ex, cfg), cfg.probe.d_zfs
         )
         return np.inf  # the FFT path applies only 2 A or more above the sites
 
@@ -733,8 +738,12 @@ def distance_sweep(
     field of a spin_mag moment, and f_res = J/h.  Also locates the
     exchange-dipolar crossover radius by bisection on J(r) - E_dd(r).
     """
-    if not 0.0 < r_min < r_max < np.inf:
-        raise ValueError(f"need 0 < r_min < r_max < inf, got {r_min}, {r_max}")
+    if not _MIN_TIP_SITE_DISTANCE <= r_min < r_max < np.inf:
+        raise ValueError(
+            f"need {_MIN_TIP_SITE_DISTANCE} <= r_min < r_max < inf, got {r_min}, {r_max}"
+        )
+    if r_max > _MAX_HEIGHT:  # past it J's x^2.5 and the 1/r^3 columns overflow
+        raise ValueError(f"r_max must be at most {_MAX_HEIGHT:g} A, got {r_max}")
     if not 2 <= n_points <= _MAX_SWEEP_POINTS:
         raise ValueError(
             f"need 2 to {_MAX_SWEEP_POINTS} sweep points, got {n_points}"

@@ -216,6 +216,63 @@ def _batch_resonances(h: np.ndarray):
     return diffs[:, 1] / CONSTANTS.h_planck, diffs[:, 2] / CONSTANTS.h_planck
 
 
+def _field_resonances(e_vec: np.ndarray, d_zfs: float):
+    """(f_minus, f_plus) GHz of the probe Hamiltonians D (Sz^2 - 2/3) + e . S
+    for stacked (p, 3) energy vectors e in ueV, by the reference-state rule
+    of probe_resonances, in closed form (_batch_resonances is its oracle).
+
+    With a = D/3, z = e_z^2 and t = |e_perp|^2 / 2 the eigenvalues are the
+    roots of lam^3 - p lam - q, p = 3a^2 + z + 2t, q = -2a(a^2 - z + t).
+    The root of largest |lam| is isolated and exact to rounding in the
+    trigonometric Cardano form (Kopp 2008); the other two are
+    (-lam1 -+ delta)/2, with the splitting delta from the discriminant,
+    written as a sum of non-negative terms.  The m = 0 weights come from
+    the eigenvector-eigenvalue identity (Denton et al. 2022): the minor
+    without m = 0 has eigenvalues a -+ e_z, and every gap is written in
+    lam1 and delta, never as a difference of computed roots.  Each pixel
+    works in units of max(a, |e_x|, |e_y|, |e_z|): no power overflows, and
+    at |e_z| = D the pair keeps its weights, which in ueV are lost to
+    rounding for some D (0.1 and 0.3 ueV), handing lam1 the reference.
+    """
+    k = np.maximum(d_zfs / 3.0, np.max(np.abs(e_vec), axis=1))
+    a = d_zfs / 3.0 / k
+    e_z = e_vec[:, 2] / k
+    z = e_z * e_z
+    t = 0.5 * ((e_vec[:, 0] / k) ** 2 + (e_vec[:, 1] / k) ** 2)
+    p = 3.0 * a * a + z + 2.0 * t
+    q = -2.0 * a * (a * a - z + t)
+    r = np.sqrt(p / 3.0)
+    lam1 = np.copysign(
+        2.0 * r * np.cos(np.arccos(np.minimum(1.0, np.abs(q) / (2.0 * r**3))) / 3.0), q
+    )
+    # Discriminant / 4 = p^3 - 27 q^2 / 4; (lam1 - lam2)(lam1 - lam3) =
+    # 3 lam1^2 - p >= 2p, since |lam1| >= sqrt(p).
+    a9 = 9.0 * a * a
+    disc = z * (a9 - z) ** 2 + t * (a9 * (t + 10.0 * z) + (8.0 * t + 12.0 * z) * t
+                                    + 6.0 * z * z)
+    delta = 2.0 * np.sqrt(disc) / (3.0 * lam1 * lam1 - p)
+    # Roots: lam1, then the pair member nearer lam1 and the farther one;
+    # their gaps to lam1 are (3|lam1| -+ delta)/2, to each other delta.
+    half, sign = 0.5 * np.abs(lam1), np.sign(lam1)
+    roots = np.stack([lam1, -sign * (half - 0.5 * delta), -sign * (half + 0.5 * delta)])
+    near, far = 3.0 * half - 0.5 * delta, 3.0 * half + 0.5 * delta
+    products = np.stack([near * far, -near * delta, far * delta])
+    weights = np.divide(
+        (roots - a - e_z) * (roots - a + e_z), products,
+        out=np.zeros_like(products), where=products != 0.0,
+    )
+    # argmax over the roots in ascending order, so ties go to the lower
+    # energy: far, near, lam1 when lam1 > 0, else lam1, near, far.
+    up = lam1 > 0.0
+    ref = np.argmax(np.where(up, weights[::-1], weights), axis=0)
+    ref = np.where(up, 2 - ref, ref)
+    # The reference's gaps to the two other roots.
+    first = np.where(ref == 2, far, near)
+    second = np.where(ref == 0, far, delta)
+    scale = k / CONSTANTS.h_planck
+    return np.minimum(first, second) * scale, np.maximum(first, second) * scale
+
+
 def probe_resonances(h_probe: np.ndarray) -> ResonancePair:
     """Transition frequencies (GHz) of a 3x3 probe Hamiltonian in ueV.
 

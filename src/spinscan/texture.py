@@ -176,33 +176,34 @@ def build_lattice(lattice_type: str, a: float, nx: int, ny: int) -> Lattice:
             f"{_MAX_SITES} site budget"
         )
 
-    jj, ii = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-    ii = ii.ravel()
-    jj = jj.ravel()
-    meta = {"type": lattice_type, "a": float(a), "nx": int(nx), "ny": int(ny)}
-
+    a1, basis = np.array([a, 0.0, 0.0]), np.zeros((1, 3))
     if lattice_type == "square":
-        cells = np.column_stack([ii * a, jj * a, np.zeros_like(ii, dtype=float)])
-        basis = np.zeros((1, 3))
-        meta["nearest_neighbor"] = float(a)
-    elif lattice_type == "triangular":
-        a1 = np.array([a, 0.0, 0.0])
+        a2 = np.array([0.0, a, 0.0])
+    elif lattice_type in ("triangular", "honeycomb"):
         a2 = np.array([0.5 * a, 0.5 * np.sqrt(3.0) * a, 0.0])
-        cells = ii[:, None] * a1 + jj[:, None] * a2
-        basis = np.zeros((1, 3))
-        meta["nearest_neighbor"] = float(a)
-    elif lattice_type == "honeycomb":
-        a1 = np.array([a, 0.0, 0.0])
-        a2 = np.array([0.5 * a, 0.5 * np.sqrt(3.0) * a, 0.0])
-        cells = ii[:, None] * a1 + jj[:, None] * a2
-        basis = np.array([[0.0, 0.0, 0.0], [0.5 * a, 0.5 * a / np.sqrt(3.0), 0.0]])
-        meta["nearest_neighbor"] = float(a / np.sqrt(3.0))
     else:
         raise ValueError(
             f"unknown lattice type {lattice_type!r}; "
             "expected square, triangular, or honeycomb"
         )
+    if lattice_type == "honeycomb":
+        basis = np.array([[0.0, 0.0, 0.0], [0.5 * a, 0.5 * a / np.sqrt(3.0), 0.0]])
+    # Coordinates grow with i, j and the basis, so the last cell's sites
+    # bound the lattice.  Checked before allocating: farther sites would
+    # overflow the squared distances of the duplicate-site check.
+    from .scan import _MAX_LATERAL  # scan imports this module
+    with np.errstate(over="ignore"):
+        extent = float(np.max((nx - 1) * a1 + (ny - 1) * a2 + basis))
+    if extent > _MAX_LATERAL:
+        raise ValueError(
+            f"a {nx} x {ny} {lattice_type} lattice with a = {a:g} A reaches "
+            f"{extent:g} A, past the {_MAX_LATERAL:g} A lateral bound"
+        )
 
+    jj, ii = (g.ravel() for g in np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij"))
+    cells = ii[:, None] * a1 + jj[:, None] * a2
+    meta = {"type": lattice_type, "a": float(a), "nx": int(nx), "ny": int(ny),
+            "nearest_neighbor": float(a / np.sqrt(3.0) if lattice_type == "honeycomb" else a)}
     n_basis = basis.shape[0]
     positions = (cells[:, None, :] + basis[None, :, :]).reshape(-1, 3)
     cell_index = np.repeat(np.column_stack([ii, jj]), n_basis, axis=0)

@@ -105,13 +105,19 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
     (["isoscan", "--texture", TEXTURE, "--fsource", "nan"], None, "f_source"),
     (["isoscan", "--texture", TEXTURE, "--fsource", "inf"], None, "f_source"),
     (["sweep", "--rmin", "1", "--rmax", "inf", "--points", "5"], None, "r_max < inf"),
+    # Sweeps closer than the tip-site minimum, lattices past the lateral bound.
+    (["sweep", "--rmin", "1e-300", "--rmax", "1", "--points", "5"], None, "0.1 <= r_min"),
+    (["sweep", "--rmin", "1", "--rmax", "1e300", "--points", "5"], None, "at most 10000 A"),
+    (["texture", "--lattice", "square", "--a", "1e300", "--nx", "2", "--ny", "2"], None,
+     "lateral bound"),
     (["scan", "--texture", TEXTURE, "--measure"], "[spectrum]\nlinewidth_fwhm = nan\n",
      "must be finite"),
     (["spectrum", "--resonances", "3.4", "--linewidth", "nan"], None, "must be finite"),
     (["spectrum", "--resonances", "3.4", "--contrast", "0.6"], None,
      "negative mean counts"),
 ], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
-        "isoscan-nan", "isoscan-inf", "sweep-inf", "measure-nan-linewidth",
+        "isoscan-nan", "isoscan-inf", "sweep-inf", "sweep-rmin", "sweep-rmax", "texture-far",
+        "measure-nan-linewidth",
         "spectrum-nan-linewidth", "spectrum-negative-mean"])
 def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message):
     out = texture.with_name("refused.out")

@@ -39,8 +39,9 @@ from spinscan.scan import (
     Grid,
     _batch_effective_fields,
     _batch_hamiltonians,
+    _energy_vectors,
 )
-from spinscan.spincore import _batch_resonances, _check_exchange_range
+from spinscan.spincore import _batch_resonances, _check_exchange_range, _field_resonances
 
 H_GHZ = CONSTANTS.h_planck
 D_UEV = 14.4
@@ -295,7 +296,7 @@ def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
     assert skipped[0] is None
     assert np.array_equal(skipped[1], full[1])
     assert skipped[2] == full[2]
-    # In a scan, dense or FFT, no stray field reaches the Hamiltonians, and
+    # In a scan, dense or FFT, no stray field reaches the resonances, and
     # the map's f+- are the bits the stray sums would have given, had they
     # been summed and ignored.
     cfg = ScanConfig(height=4.0, mode="exchange", step=0.6)
@@ -303,11 +304,11 @@ def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
     b_stray, b_ex, _ = _batch_effective_fields(tips, tilted_neel, "rydberg")
     given = []  # (b_stray, b_ex) of each chunk, in row order with one worker
 
-    def hamiltonians(*fields_and_cfg):
+    def energy_vectors(*fields_and_cfg):
         given.append(fields_and_cfg[:2])
-        return _batch_hamiltonians(*fields_and_cfg)
+        return _energy_vectors(*fields_and_cfg)
 
-    monkeypatch.setattr(scan, "_batch_hamiltonians", hamiltonians)
+    monkeypatch.setattr(scan, "_energy_vectors", energy_vectors)
     dense = mock.patch.object(scan, "_lattice_fields", return_value=None)
     for path in (contextlib.nullcontext(), dense):
         given.clear()
@@ -315,7 +316,8 @@ def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
             rmap = scan_constant_height(cfg, tilted_neel)
         assert given and all(bs is None for bs, _ in given)
         scan_b_ex = np.concatenate([bx for _, bx in given])
-        f_minus, f_plus = _batch_resonances(_batch_hamiltonians(b_stray, scan_b_ex, cfg))
+        f_minus, f_plus = _field_resonances(
+            _energy_vectors(b_stray, scan_b_ex, cfg), cfg.probe.d_zfs)
         assert np.array_equal(rmap.f_minus.ravel(), f_minus)
         assert np.array_equal(rmap.f_plus.ravel(), f_plus)
     assert np.array_equal(scan_b_ex, b_ex)
@@ -455,6 +457,55 @@ def test_map_indexing_matches_pointwise(fm_5x5):
             pair = probe_resonances(probe_hamiltonian_at(tip, fm_5x5, cfg))
             assert rmap.f_plus[iy, ix] == pytest.approx(pair.f_plus, abs=1e-12)
             assert rmap.f_minus[iy, ix] == pytest.approx(pair.f_minus, abs=1e-12)
+
+
+def _map_cases(fm_5x5, neel_5x5, tilted_neel):
+    """(texture, b_ext) by name: FM, Neel and tilted Neel, and FM in a field."""
+    return {
+        "FM": (fm_5x5, (0.0, 0.0, 0.0)),
+        "Neel": (neel_5x5, (0.0, 0.0, 0.0)),
+        "tilted": (tilted_neel, (0.0, 0.0, 0.0)),
+        "b_ext": (fm_5x5, (0.2, -0.1, 0.35)),
+    }
+
+
+@pytest.mark.parametrize("height, path", [
+    (h, p) for h in (1.5, 2.5, 4.0, 8.0, 20.0, 100.0) for p in ("dense", "fft")
+    if h >= 2.0 or p == "dense"  # the FFT path applies 2 A or more above the sites
+])
+@pytest.mark.parametrize("case", ["FM", "Neel", "tilted", "b_ext"])
+def test_map_resonances_match_eigh(fm_5x5, neel_5x5, tilted_neel, case, height, path):
+    # The scan's closed-form resonances against eigh on the same fields:
+    # the FFT path's or, for the dense path, the blocked sum's at each tip.
+    tex, b_ext = _map_cases(fm_5x5, neel_5x5, tilted_neel)[case]
+    cfg = ScanConfig(height=height, x_range=(-3.0, 15.0), y_range=(-3.0, 15.0), step=0.75,
+                     mode="both", b_ext=b_ext)
+    grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
+    fields = scan._lattice_fields(grid, tex, cfg)
+    assert (fields is None) == (height < 2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # J below 2 A at 1.5 A
+        if path == "dense":
+            fields = _batch_effective_fields(grid.tips(height), tex, "rydberg")[:2]
+            with mock.patch.object(scan, "_lattice_fields", return_value=None):
+                rmap = scan_constant_height(cfg, tex)
+        else:
+            rmap = scan_constant_height(cfg, tex)
+    f_minus, f_plus = _batch_resonances(_batch_hamiltonians(*fields, cfg))
+    scale = np.maximum(f_plus, cfg.probe.d_zfs / H_GHZ)
+    assert np.max(np.abs(rmap.f_minus.ravel() - f_minus) / scale) <= 1e-12
+    assert np.max(np.abs(rmap.f_plus.ravel() - f_plus) / scale) <= 1e-12
+
+
+@pytest.mark.parametrize("path", ["dense", "fft"])
+def test_map_bytes_independent_of_workers(tilted_neel, path):
+    cfg = ScanConfig(height=4.0, x_range=(-3.0, 36.0), y_range=(-3.0, 36.0), step=0.75,
+                     mode="both", b_ext=(0.2, -0.1, 0.35))
+    dense = mock.patch.object(scan, "_lattice_fields", return_value=None)
+    with dense if path == "dense" else contextlib.nullcontext():
+        maps = [scan_constant_height(cfg, tilted_neel, workers=w) for w in (1, 4)]
+    for key in ("f_minus", "f_plus"):
+        assert getattr(maps[0], key).tobytes() == getattr(maps[1], key).tobytes()
 
 
 def test_worker_count_determinism(fm_5x5):
@@ -740,6 +791,18 @@ def test_sweep_rejects_bad_args():
         distance_sweep(20.0, 2.0, 10)
     with pytest.raises(ValueError):
         distance_sweep(-1.0, 2.0, 10)
+
+
+def test_sweep_rejects_distances_outside_the_tip_bounds():
+    # Not only r_min <= 0 or r_max = inf: below 0.1 A the 1/r^3 columns
+    # overflow, and past 1e4 A J's x^2.5 factor and the 1/r^3 columns do.
+    with pytest.raises(ValueError, match=r"0.1 <= r_min"):
+        distance_sweep(1e-300, 1.0, 5)
+    with pytest.raises(ValueError, match="r_max must be at most 10000 A"):
+        distance_sweep(1.0, 1e300, 5)
+    assert distance_sweep(2.0, scan._MAX_HEIGHT, 5).r[-1] == 1e4
+    with pytest.warns(UserWarning, match="below the 2 A validity range"):
+        assert distance_sweep(scan._MIN_TIP_SITE_DISTANCE, 1.0, 5).r[0] == 0.1
 
 
 @pytest.mark.parametrize("r_max", [np.inf, np.nan])

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from spinscan import (
     CONSTANTS,
     ProbeSpec,
+    ScanConfig,
     eigensolve,
     exchange_constant,
     exchange_pair_hamiltonian,
@@ -23,6 +24,8 @@ from spinscan import (
     zeeman_hamiltonian,
     zfs_hamiltonian,
 )
+from spinscan.scan import _batch_hamiltonians
+from spinscan.spincore import _batch_resonances, _field_resonances
 
 D_UEV = 14.4
 F_ZERO_FIELD = 3.481904508602282  # D / h in GHz
@@ -270,3 +273,80 @@ def test_probe_spec_validation():
         ProbeSpec(d_zfs=0.0)
     with pytest.raises(ValueError):
         ProbeSpec(d_zfs=-1.0)
+
+
+# --------------------------------------------------- closed-form resonances
+
+
+def _eigh_resonances(e_vec, d_zfs):
+    """eigh's (f_minus, f_plus) of D (Sz^2 - 2/3) + e . S, and the scale
+    max(f_plus, D/h) the closed form is held to."""
+    cfg = ScanConfig(mode="exchange", probe=ProbeSpec(d_zfs=d_zfs))
+    f_minus, f_plus = _batch_resonances(_batch_hamiltonians(None, e_vec, cfg))
+    return f_minus, f_plus, np.maximum(f_plus, d_zfs / CONSTANTS.h_planck)
+
+
+def _energy_regimes(d_zfs):
+    """Energy vectors (ueV) by regime, for a probe of splitting d_zfs."""
+    rng = np.random.default_rng(7)
+    mags = np.geomspace(1e-12, 1e4, 49)
+    zero = np.zeros_like(mags)
+    phi = rng.uniform(0.0, 2.0 * np.pi, mags.size)
+    dirs = rng.normal(size=(mags.size, 3))
+    # |e_z| at D (1 + offset) puts m = 0 on one of m = +-1.  A transverse
+    # field of 1e-13 D or less splits the pair by less than the tolerance;
+    # 1e-6 D or more mixes the pair enough for rounding to resolve its labels.
+    offset, perp = np.meshgrid(
+        [0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3],
+        [0.0, 1e-300, 1e-20, 1e-13, 1e-6, 1e-4, 1e-2])
+    e_z = d_zfs * (1.0 + offset.ravel()) * rng.choice([-1.0, 1.0], offset.size)
+    e_perp = d_zfs * perp.ravel()
+    azimuth = rng.uniform(0.0, 2.0 * np.pi, offset.size)
+    return {
+        "zero": np.zeros((1, 3)),
+        "axial": np.column_stack([zero, zero, mags * rng.choice([-1.0, 1.0], mags.size)]),
+        "transverse": np.column_stack([mags * np.cos(phi), mags * np.sin(phi), zero]),
+        "random": mags[:, None] * dirs / np.linalg.norm(dirs, axis=1)[:, None],
+        "crossing": np.column_stack(
+            [e_perp * np.cos(azimuth), e_perp * np.sin(azimuth), e_z]),
+    }
+
+
+@pytest.mark.parametrize("regime", ["zero", "axial", "transverse", "random", "crossing"])
+@pytest.mark.parametrize("d_zfs", [D_UEV, 0.1, 0.3, 1e4])
+def test_closed_form_resonances_match_eigh(regime, d_zfs):
+    # |e| from 1e-12 to 1e4 ueV, on and off the axis and at the m = 0 /
+    # m = +-1 crossing.  At D = 0.1 and 0.3 ueV and |e_z| = D, the closed
+    # form evaluated in ueV, not in units of the largest energy, loses
+    # the pair's weights to rounding and gives f- = f+.
+    e_vec = _energy_regimes(d_zfs)[regime]
+    want_minus, want_plus, scale = _eigh_resonances(e_vec, d_zfs)
+    got_minus, got_plus = _field_resonances(e_vec, d_zfs)
+    assert np.max(np.abs(got_minus - want_minus) / scale) <= 1e-12
+    assert np.max(np.abs(got_plus - want_plus) / scale) <= 1e-12
+
+
+def test_closed_form_resonances_span_the_float_range():
+    # Each pixel is scaled by its largest energy, so no square or cube of
+    # a field or a splitting near the ends of the float range overflows.
+    e_vec = np.array([[1e300, 0.0, 0.0], [0.0, 0.0, -1e300], [1e-300, 1e-300, 1e-300],
+                      [0.0, 0.0, 0.0], [3e150, -2e150, 1e150]])
+    for d_zfs in (1e-300, D_UEV, 1e300):
+        want_minus, want_plus, scale = _eigh_resonances(e_vec, d_zfs)
+        got_minus, got_plus = _field_resonances(e_vec, d_zfs)
+        assert np.max(np.abs(got_minus - want_minus) / scale) <= 1e-12
+        assert np.max(np.abs(got_plus - want_plus) / scale) <= 1e-12
+
+
+def test_exact_crossing_labels_differ_only_by_the_pair_splitting():
+    # At |e_z| = D exactly, a transverse field of 1e-12 to 1e-8 D mixes
+    # m = 0 and m = -1 almost equally: their m = 0 weights differ by about
+    # e_perp / D, below what rounding resolves (about eps D / e_perp), in
+    # eigh and in the closed form alike.  Either may take either member of
+    # the pair as the reference, and f+ then moves by the splitting f-.
+    e_perp = D_UEV * np.geomspace(1e-12, 1e-8, 41)
+    e_vec = np.column_stack([e_perp, np.zeros_like(e_perp), np.full_like(e_perp, D_UEV)])
+    want_minus, want_plus, scale = _eigh_resonances(e_vec, D_UEV)
+    got_minus, got_plus = _field_resonances(e_vec, D_UEV)
+    assert np.max(np.abs(got_minus - want_minus) / scale) <= 1e-12
+    assert np.all(np.abs(got_plus - want_plus) <= want_minus + 1e-12 * scale)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinscan import texture
+from spinscan import scan, texture
 from spinscan import (
     SpinTexture,
     TextureParseError,
@@ -88,6 +88,26 @@ def test_lattice_over_site_budget_is_refused(lattice, n, sites):
         build_lattice(lattice, 3.0, n, n)
     assert build_lattice("square", 3.0, 100, texture._MAX_SITES // 100).n_sites == (
         texture._MAX_SITES)
+
+
+@pytest.mark.parametrize("lattice, a, n", [("square", 1e300, 2), ("square", 1e308, 3),
+                                         ("square", 1e6 / 99, 101),
+                                         ("triangular", 1e6 / 149, 101),
+                                         ("honeycomb", 1e6 / 150, 101)])
+def test_lattice_past_the_lateral_bound_is_refused(lattice, a, n):
+    # Refused before the sites are built, and without overflow warnings
+    # (RuntimeWarnings fail this suite), where the duplicate-site check
+    # would square their coordinates.
+    with pytest.raises(ValueError, match="lateral bound"):
+        build_lattice(lattice, a, n, n)
+
+
+@pytest.mark.parametrize("lattice, a", [("square", 1e6 / 100), ("triangular", 1e6 / 151),
+                                        ("honeycomb", 1e6 / 151)])
+def test_lattice_within_the_lateral_bound_is_built(lattice, a):
+    # Up to the bound the texture loader enforces, so a saved lattice loads.
+    sites = build_lattice(lattice, a, 101, 101).positions
+    assert 0.99e6 < np.max(sites) <= scan._MAX_LATERAL
 
 
 # ----------------------------------------------------------------- patterns
