@@ -8,7 +8,7 @@ readout with Lorentzian fitting; and regularized linear inversion of
 resonance maps back to per-site moments.
 """
 
-from .constants import CONSTANTS, energy_to_frequency, frequency_to_energy
+from .constants import CONSTANTS
 from .reconstruct import (
     ConditioningReport,
     ForwardOperator,
@@ -51,7 +51,6 @@ from .spincore import (
     exchange_pair_hamiltonian,
     probe_resonances,
     spin_operators,
-    stray_field,
     zeeman_hamiltonian,
     zfs_hamiltonian,
 )

@@ -1,4 +1,4 @@
-"""Physical constants and unit conversions shared by all modules.
+"""Physical constants shared by all modules.
 
 Internal unit system: lengths in angstrom, energies in micro-eV, magnetic
 fields in tesla, frequencies in GHz.  In these units every quantity the
@@ -13,12 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = [
-    "Constants",
-    "CONSTANTS",
-    "energy_to_frequency",
-    "frequency_to_energy",
-]
+__all__ = ["Constants", "CONSTANTS"]
 
 # CODATA-2018 SI seeds the internal-unit table is derived from.
 _E_CHARGE_C = 1.602176634e-19       # elementary charge, C (exact)
@@ -31,7 +26,7 @@ _MU0_SI = 1.25663706212e-6          # vacuum permeability, N/A^2
 class Constants:
     """CODATA-2018 constants expressed in the internal unit system."""
 
-    # Planck constant, ueV per GHz: energy_to_frequency divides by this.
+    # Planck constant, ueV per GHz: energy / h_planck is a frequency.
     h_planck: float = _H_PLANCK_JS / _E_CHARGE_C * 1e15
 
     # Bohr magneton, ueV per tesla.
@@ -67,16 +62,3 @@ class Constants:
 
 
 CONSTANTS = Constants()
-
-
-def energy_to_frequency(energy_uev):
-    """Convert energy (ueV) to frequency (GHz); linear, sign-preserving.
-
-    Accepts scalars or numpy arrays and returns the same shape.
-    """
-    return energy_uev / CONSTANTS.h_planck
-
-
-def frequency_to_energy(freq_ghz):
-    """Convert frequency (GHz) to energy (ueV); exact inverse of the above."""
-    return freq_ghz * CONSTANTS.h_planck

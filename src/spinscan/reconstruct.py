@@ -39,11 +39,10 @@ _RANK_DEFICIENT_RATIO = 1e-12
 
 @dataclass(frozen=True)
 class ForwardOperator:
-    """Kernel A (pixels x sites, GHz per unit z-moment) on its scan grid;
+    """Kernel A (pixels x sites, GHz per unit z-moment) of one scan grid;
     A is read-only, so the factors kept for the last y cannot go stale."""
 
     a: np.ndarray
-    grid: Grid
     _last: list = field(default_factory=list, init=False, repr=False, compare=False)
 
 
@@ -132,7 +131,7 @@ def build_forward(
     if not np.all(np.isfinite(a)):
         raise ArithmeticError("forward kernel contains non-finite entries")
     a.flags.writeable = False
-    return ForwardOperator(a=a, grid=grid)
+    return ForwardOperator(a=a)
 
 
 def _factor(a: np.ndarray):

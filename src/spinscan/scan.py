@@ -159,6 +159,18 @@ def _check_lateral(value: float, name: str) -> None:
         )
 
 
+def _points(lo, hi, step):
+    """Number of points lo, lo + step, ... up to hi (inclusive when
+    commensurate), for scalars or arrays of ends.
+
+    The count allows for the rounding of hi - lo, 1e-9 of a step plus the
+    float resolution of the ends (at most half a step), so a range
+    rebuilt from its own ends and step counts the same points.
+    """
+    tol = np.minimum(0.5, 1e-9 + _EPS * (np.abs(lo) + np.abs(hi)) / step)
+    return np.floor((hi - lo) / step + tol) + 1
+
+
 @dataclass(frozen=True)
 class Grid:
     """Raster of nx x ny pixels at (x0 + step ix, y0 + step iy), row-major
@@ -174,20 +186,13 @@ class Grid:
     def from_ranges(cls, x_range, y_range, step: float) -> "Grid":
         """Pixels lo, lo+step, ... up to hi (inclusive when commensurate) over
         x_range and y_range, after checking the values and the pixel budget.
-
         A grid rebuilt from its own x_range, y_range and step is the same
-        grid: the count allows for the rounding of hi - lo, 1e-9 of a step
-        plus the float resolution of the coordinates (at most half a step).
-        """
+        grid (_points counts them)."""
         if not 0.0 < step < np.inf:
             raise ValueError(f"grid step must be positive and finite, got {step}")
         for name, value in zip(("x_min", "x_max", "y_min", "y_max"), (*x_range, *y_range)):
             _check_lateral(value, name)
-        nx, ny = (
-            np.floor((hi - lo) / step + min(0.5, 1e-9 + _EPS * (abs(lo) + abs(hi)) / step))
-            + 1
-            for lo, hi in (x_range, y_range)
-        )
+        nx, ny = (_points(lo, hi, step) for lo, hi in (x_range, y_range))
         if nx < 1 or ny < 1:
             raise ValueError("grid ranges must satisfy min <= max")
         if nx * ny > _MAX_PIXELS:
@@ -287,7 +292,6 @@ class PairModeResult:
 
     j_uev: float
     sectors: dict
-    eigenvalues: np.ndarray
     labeled_energies: dict
 
 
@@ -480,9 +484,9 @@ def _batch_hamiltonians(
 def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "rydberg"):
     """Summed stray field (tesla) and exchange field (ueV) at one tip position.
 
-    B_stray = sum_i stray_field(tip - r_i, spin_i), b_ex = sum_i
-    J(|tip - r_i|) spin_i, with spin_i the classical vectors
-    spin_mag * spin_dir of the texture.
+    B_stray = -sum_i (mu0 g mu_B / 4 pi d_i^3) (3 dhat_i (s_i . dhat_i) - s_i)
+    and b_ex = sum_i J(d_i) s_i, with d_i = tip - r_i and s_i the classical
+    vectors spin_mag * spin_dir of the texture.
     """
     tips = np.asarray(tip_pos, dtype=float)[None, :]
     b_stray, b_ex, r_min = _batch_effective_fields(tips, tex, exchange_prefactor)
@@ -716,7 +720,6 @@ def pair_mode_resonance(
     return PairModeResult(
         j_uev=j_uev,
         sectors=sectors,
-        eigenvalues=decomp.eigenvalues,
         labeled_energies={k: float(v) for k, v in energy_of.items()},
     )
 
@@ -735,8 +738,10 @@ def distance_sweep(
 
     Tabulates the exchange constant J(r), the dipolar pair scale
     mu0 (g_probe mu_B)(g_sample mu_B) / 4 pi r^3, the on-axis stray
-    field of a spin_mag moment, and f_res = J/h.  Also locates the
-    exchange-dipolar crossover radius by bisection on J(r) - E_dd(r).
+    field of a spin_mag moment, and f_res = J/h.  J and the stray field
+    are the scan's field sums over one site at the origin, with a unit
+    spin along z, at tips (0, 0, r).  Also locates the exchange-dipolar
+    crossover radius by bisection on J(r) - E_dd(r).
     """
     if not _MIN_TIP_SITE_DISTANCE <= r_min < r_max < np.inf:
         raise ValueError(
@@ -754,12 +759,15 @@ def distance_sweep(
         r = np.linspace(r_min, r_max, n_points)
 
     _check_exchange_range(r_min, stacklevel=2)
-    j_ex = _exchange_formula(r, exchange_prefactor)
+    unit = SpinTexture([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], 1.0, g_sample)
+    tips = np.column_stack([np.zeros((n_points, 2)), r])
+    b_unit, b_ex, _ = _batch_effective_fields(tips, unit, exchange_prefactor)
+    j_ex = b_ex[:, 2].copy()  # a view would keep all three columns alive
+    # The electron moment is anti-parallel to its spin: the field of a +z
+    # spin points along -z above it, and the column holds its magnitude.
+    b_stray = -spin_mag * b_unit[:, 2]
     dd_scale = g_probe * g_sample * CONSTANTS.dipole_energy_prefactor
     e_dd = dd_scale / r**3
-    # On-axis stray field of a spin aligned with the axis: |3 rhat (S.rhat) - S|
-    # = 2 spin_mag, so |B| = (mu0 g mu_B / 4 pi r^3) * 2 spin_mag.
-    b_stray = CONSTANTS.stray_prefactor_per_mu_b * g_sample * 2.0 * spin_mag / r**3
     f_res = j_ex / CONSTANTS.h_planck
 
     def gap(radius: float) -> float:

@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scan import _BLOCK_BYTES, ResonanceMap
+from .scan import _BLOCK_BYTES, ResonanceMap, _points
 from .spincore import ResonancePair
 
 __all__ = [
@@ -168,11 +168,6 @@ def _mean_curve(freqs: np.ndarray, centers, cfg: SpectrumConfig) -> np.ndarray:
     return cfg.baseline_counts * (1.0 - dip)
 
 
-def _window_points(f_start, f_stop, f_step: float):
-    """Points of the window f_start, f_start + f_step, ... up to f_stop."""
-    return np.floor((f_stop - f_start) / f_step + 1e-9) + 1
-
-
 def _poisson_counts(means: np.ndarray, seed: int, stream: int) -> np.ndarray:
     """One window's Poisson draws from the Philox stream keyed (seed, stream)."""
     key = np.array([seed & _MASK64, stream], dtype=np.uint64)
@@ -190,7 +185,7 @@ def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
             "the spectrum is flat",
             stacklevel=2,
         )
-    n = int(_window_points(cfg.f_start, cfg.f_stop, cfg.f_step))
+    n = int(_points(cfg.f_start, cfg.f_stop, cfg.f_step))
     freqs = cfg.f_start + cfg.f_step * np.arange(n)
     means = _mean_curve(freqs, centers, cfg)
     if np.any(means < 0):
@@ -519,7 +514,7 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
     lo = np.where(branch == 1, f_plus[pixel], f_minus[pixel])
     hi = np.where(split[pixel] & (branch == 0), f_minus[pixel], f_plus[pixel])
     n_peaks = np.where(joint[pixel], 2, 1)
-    n_points = _window_points(lo - half, hi + half, cfg.f_step).astype(np.int64)
+    n_points = _points(lo - half, hi + half, cfg.f_step).astype(np.int64)
     truth = np.column_stack([f_minus[pixel], f_plus[pixel]])
     guesses = np.column_stack([lo, hi])
     guesses[n_peaks == 1, 0] = 0.5 * (lo + hi)[n_peaks == 1]

@@ -26,7 +26,6 @@ __all__ = [
     "zeeman_hamiltonian",
     "exchange_pair_hamiltonian",
     "exchange_constant",
-    "stray_field",
     "eigensolve",
     "probe_resonances",
 ]
@@ -38,7 +37,6 @@ _HERMITICITY_TOL = 1e-10
 class SpinOperatorSet:
     """Sx, Sy, Sz for spin quantum number s; dimension 2s + 1."""
 
-    s: float
     sx: np.ndarray
     sy: np.ndarray
     sz: np.ndarray
@@ -94,7 +92,7 @@ def spin_operators(s: float) -> SpinOperatorSet:
     sx = 0.5 * (s_plus + s_minus)
     sy = -0.5j * (s_plus - s_minus)
     sz = np.diag(m).astype(complex)
-    return SpinOperatorSet(s=s, sx=sx, sy=sy, sz=sz)
+    return SpinOperatorSet(sx=sx, sy=sy, sz=sz)
 
 
 def zfs_hamiltonian(probe: ProbeSpec) -> np.ndarray:
@@ -165,24 +163,6 @@ def exchange_constant(r, prefactor: str = "rydberg"):
         _check_exchange_range(float(np.fmin.reduce(r_arr, axis=None)), stacklevel=2)
     j = _exchange_formula(r_arr, prefactor)
     return float(j) if np.isscalar(r) else j
-
-
-def stray_field(r_vec, spin_vec, g: float) -> np.ndarray:
-    """Dipolar stray field (tesla) of a classical spin at displacement r_vec.
-
-    r_vec points from the source spin to the field point (angstrom);
-    spin_vec is the dimensionless classical spin vector <S>.
-
-    B = -(mu0 g mu_B / 4 pi r^3) (3 rhat (S.rhat) - S)
-    """
-    r = np.asarray(r_vec, dtype=float)
-    spin = np.asarray(spin_vec, dtype=float)
-    dist = float(np.linalg.norm(r))
-    if dist <= 0.0:
-        raise ValueError("stray field requires a nonzero separation")
-    rhat = r / dist
-    prefactor = -g * CONSTANTS.stray_prefactor_per_mu_b / dist**3
-    return prefactor * (3.0 * rhat * np.dot(spin, rhat) - spin)
 
 
 def _check_hermitian(h: np.ndarray) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -218,7 +218,7 @@ def build_lattice(lattice_type: str, a: float, nx: int, ny: int) -> Lattice:
 
 def apply_pattern(
     lattice: Lattice,
-    pattern: str | Callable[[int, int, int], float],
+    pattern: str,
     direction: Sequence[float] = (0.0, 0.0, 1.0),
     spin_mag: float = 0.5,
     g: float = 2.0,
@@ -226,9 +226,8 @@ def apply_pattern(
     """Assign spin vectors to lattice sites.
 
     pattern is "FM" (all along direction), "AFM-Neel" (sign (-1)^(i+j)
-    on square cell indices; sublattice sign on honeycomb), "stripe"
-    (sign (-1)^i), or a callable (i, j, sublattice) -> sign applied to
-    the common direction.
+    on square cell indices; sublattice sign on honeycomb) or "stripe"
+    (sign (-1)^i), each sign applied to the common direction.
     """
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
@@ -240,11 +239,7 @@ def apply_pattern(
     sub = lattice.sublattice
     lattice_type = lattice.meta.get("type", "custom")
 
-    if callable(pattern):
-        signs = np.array(
-            [float(pattern(int(i), int(j), int(s))) for i, j, s in zip(ii, jj, sub)]
-        )
-    elif pattern == "FM":
+    if pattern == "FM":
         signs = np.ones(lattice.n_sites)
     elif pattern == "AFM-Neel":
         if lattice_type == "honeycomb":
@@ -259,9 +254,7 @@ def apply_pattern(
     elif pattern == "stripe":
         signs = (-1.0) ** ii
     else:
-        raise ValueError(
-            f"unknown pattern {pattern!r}; expected one of {_PATTERNS} or a callable"
-        )
+        raise ValueError(f"unknown pattern {pattern!r}; expected one of {_PATTERNS}")
 
     spin_dirs = signs[:, None] * direction[None, :]
     return SpinTexture(

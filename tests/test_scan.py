@@ -30,7 +30,6 @@ from spinscan import (
     probe_resonances,
     scan_constant_height,
     scan_iso_frequency,
-    stray_field,
 )
 from spinscan import scan
 from spinscan.scan import (
@@ -45,6 +44,16 @@ from spinscan.spincore import _batch_resonances, _check_exchange_range, _field_r
 
 H_GHZ = CONSTANTS.h_planck
 D_UEV = 14.4
+
+
+def stray_field(r_vec, spin_vec, g):
+    """Oracle: stray field (tesla) of a classical spin at displacement r_vec
+    (angstrom), B = -(mu0 g mu_B / 4 pi r^3) (3 rhat (S.rhat) - S)."""
+    r = np.asarray(r_vec, dtype=float)
+    dist = np.linalg.norm(r)
+    rhat = r / dist
+    pref = -g * CONSTANTS.stray_prefactor_per_mu_b / dist**3
+    return pref * (3.0 * rhat * np.dot(spin_vec, rhat) - spin_vec)
 
 
 def _single_texture(position, direction=(0.0, 0.0, 1.0)):
@@ -772,6 +781,27 @@ def test_sweep_columns_and_values():
     # Stray field column: 2 * spin_mag * g * prefactor / r^3.
     expect_b = 2.0 * 0.5 * CONSTANTS.stray_prefactor_per_mu_b * 2.0 / curve.r**3
     assert np.allclose(curve.b_stray, expect_b, rtol=1e-12)
+
+
+@pytest.mark.parametrize("log_spacing, prefactor, spin_mag, g_sample", [
+    (False, "rydberg", 0.5, 2.0),
+    (True, "rydberg", 1.5, 2.0023),
+    (False, "hartree", 1.5, 2.0023),
+    (True, "hartree", 0.5, 2.0),
+])
+def test_sweep_reads_the_scan_field_sums(log_spacing, prefactor, spin_mag, g_sample):
+    # J is exchange_constant's bits: the one-site sum is J times a unit
+    # spin, at a distance sqrt(r^2) = r.  The on-axis stray field is
+    # 2 g C s / r^3 to rounding: about 12 half-ulps in the field sum and 4
+    # in this expression, so 8 eps relative.
+    with pytest.warns(UserWarning, match="below the 2 A validity range"):
+        curve = distance_sweep(0.1, 1e4, 100_000, log_spacing, prefactor, spin_mag,
+                               g_sample=g_sample)
+    with pytest.warns(UserWarning, match="below the 2 A validity range"):
+        assert np.array_equal(curve.j_ex, exchange_constant(curve.r, prefactor))
+    expect = 2.0 * g_sample * CONSTANTS.stray_prefactor_per_mu_b * spin_mag / curve.r**3
+    assert np.all(np.abs(curve.b_stray - expect) <= 8 * np.finfo(float).eps * expect)
+    assert np.array_equal(curve.f_res, curve.j_ex / H_GHZ)
 
 
 def test_sweep_crossover_frozen():

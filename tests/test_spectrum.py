@@ -7,11 +7,11 @@ Levenberg-Marquardt loop is checked against _oracle_fit, the same
 iteration written one spectrum at a time.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
-from spinscan import spectrum
+from spinscan import scan, spectrum
 from spinscan import (
     ResonancePair,
     ScanConfig,
@@ -34,6 +34,26 @@ def test_window_geometry():
     assert spec.frequencies.size == 101
     assert spec.frequencies[0] == 2.5
     assert spec.frequencies[-1] == pytest.approx(4.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.floats(min_value=1.0, max_value=3000.0),
+    st.floats(min_value=1e-5, max_value=0.1),
+    st.integers(min_value=1, max_value=20_000),
+)
+@example(2500.0, 1e-4, 2000)
+def test_window_keeps_its_commensurate_stop(f_start, f_step, n):
+    # At THz frequencies f_stop - f_start rounds by far more than 1e-9 of
+    # a 0.1 MHz step; the window still ends at f_stop, in synthesize and
+    # in measure_map's array count alike.
+    f_stop = f_start + n * f_step
+    cfg = SpectrumConfig(f_start=f_start, f_stop=f_stop, f_step=f_step,
+                         linewidth_fwhm=f_step, noiseless=True)
+    spec = synthesize(ResonancePair(f_start, f_start), cfg)
+    assert spec.frequencies.size == n + 1
+    assert spec.frequencies[-1] == pytest.approx(f_stop, abs=0.5 * f_step)
+    assert scan._points(np.array([f_start]), np.array([f_stop]), f_step) == [n + 1]
 
 
 def test_noiseless_minimum_at_center():

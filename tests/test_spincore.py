@@ -15,16 +15,16 @@ from spinscan import (
     CONSTANTS,
     ProbeSpec,
     ScanConfig,
+    SpinTexture,
     eigensolve,
     exchange_constant,
     exchange_pair_hamiltonian,
     probe_resonances,
     spin_operators,
-    stray_field,
     zeeman_hamiltonian,
     zfs_hamiltonian,
 )
-from spinscan.scan import _batch_hamiltonians
+from spinscan.scan import _batch_effective_fields, _batch_hamiltonians
 from spinscan.spincore import _batch_resonances, _field_resonances
 
 D_UEV = 14.4
@@ -165,6 +165,16 @@ def test_exchange_rejects_unknown_prefactor():
 
 
 # -------------------------------------------------------------- stray field
+
+
+def stray_field(r_vec, spin_vec, g):
+    """Stray field (tesla) at r_vec of a classical spin at the origin: the
+    scan's field sum over a one-site texture."""
+    spin = np.asarray(spin_vec, dtype=float)
+    mag = np.linalg.norm(spin)
+    tex = SpinTexture([[0.0, 0.0, 0.0]], [spin / mag], mag, g)
+    b_stray, _, _ = _batch_effective_fields(np.array([r_vec], dtype=float), tex, "rydberg")
+    return b_stray[0]
 
 
 def test_stray_field_on_axis():

@@ -160,15 +160,6 @@ def test_stripe_pattern():
         assert sz == (1.0 if c[0] % 2 == 0 else -1.0)
 
 
-def test_callable_pattern():
-    # A custom pattern maps (ix, iy, sublattice) to a sign on direction.
-    lat = build_lattice("square", 3.0, 2, 2)
-    tex = apply_pattern(lat, lambda ix, iy, sub: 1.0 if ix == 0 else -1.0,
-                        direction=(0.0, 0.0, 1.0), spin_mag=0.5, g=2.0)
-    for c, sz in zip(lat.cell_index, tex.spin_dirs[:, 2]):
-        assert sz == (1.0 if c[0] == 0 else -1.0)
-
-
 def test_pattern_rejects_non_unit_direction():
     lat = build_lattice("square", 3.0, 2, 2)
     with pytest.raises(ValueError):
