@@ -118,14 +118,14 @@ def build_forward(
     zeeman = g_probe * CONSTANTS.mu_b
 
     def fill_block(rows, dx, dy, dz, d2, j, pref):
-        if mode in ("exchange", "both"):
+        if j is not None:
             a[rows] += j / CONSTANTS.h_planck
-        if mode in ("dipolar", "both"):
+        if pref is not None:
             # Bz of a unit z-moment is pref (3 dz^2 / d^2 - 1).
             bz = pref * (3.0 * dz * dz / d2 - 1.0)
             a[rows] += zeeman * bz / CONSTANTS.h_planck
 
-    r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, fill_block)
+    r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, mode, fill_block)
     _check_exchange_range(r_min, stacklevel=2)
 
     if not np.all(np.isfinite(a)):

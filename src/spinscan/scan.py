@@ -89,6 +89,7 @@ _EPS = np.finfo(float).eps
 
 _ISO_FREQ_TOL_GHZ = 1e-3   # 1 MHz stop of the iso-frequency root finder
 _ISO_MAX_ITER = 100
+_ISO_STRIDE = 4  # coarse pass of iso scans: every 4th pixel of each axis
 
 _SPIN1 = spin_operators(1.0)
 
@@ -295,14 +296,16 @@ class PairModeResult:
     labeled_energies: dict
 
 
-def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, visit):
+def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mode: str,
+                visit):
     """Walk the (tip, site) pairs in row blocks of tips.
 
     tips: (p, 3) angstrom.  Calls visit(rows, dx, dy, dz, d2, j, pref)
     per block of _BLOCK_BYTES // (8 n_sites) tips: rows is the block's
     slice of tips, the rest are C-contiguous (rows, sites) planes of the
     tip-site displacement, its squared length d2, J(r) in ueV and the
-    dipolar prefactor pref = -g C / r^3 (tesla per unit spin).  visit is
+    dipolar prefactor pref = -g C / r^3 (tesla per unit spin), each None
+    unless mode ("dipolar", "exchange" or "both") reads it.  visit is
     a callback, not a generator's consumer, so a block's planes are freed
     as the next block's replace them rather than held alongside them
     (about 5% slower field sums).  After the last block it rejects tips
@@ -331,8 +334,8 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, vis
         if nearest[0] < _MIN_TIP_SITE_DISTANCE:
             # The walk fails; later blocks only look for a closer pair.
             continue
-        j = _exchange_formula(dist, exchange_prefactor)
-        pref = stray_pref / (d2 * dist)
+        j = None if mode == "dipolar" else _exchange_formula(dist, exchange_prefactor)
+        pref = None if mode == "exchange" else stray_pref / (d2 * dist)
         visit(slice(start, start + rows), dx, dy, dz, d2, j, pref)
 
     r_min, p, i = nearest
@@ -346,25 +349,27 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, vis
 
 
 def _batch_effective_fields(
-    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, stray: bool = True
+    tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mode: str = "both"
 ):
     """Stray and exchange field sums for a batch of tip positions.
 
-    tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla, or None when
-    stray is False, b_ex (p, 3) ueV, r_min the closest tip-site distance
-    for the caller's validity-range check).  Each site sum is a row-wise
-    np.sum over a C-contiguous (rows, sites) plane, so a tip's fields do
-    not depend on which block, or which batch, it falls in.
+    tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla, or None in
+    exchange mode, b_ex (p, 3) ueV, or None in dipolar mode, r_min the
+    closest tip-site distance for the caller's validity-range check).
+    Each site sum is a row-wise np.sum over a C-contiguous (rows, sites)
+    plane, so a tip's fields do not depend on which block, or which
+    batch, it falls in, nor on the mode.
     """
     spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
-    b_stray = np.empty((tips.shape[0], 3)) if stray else None
-    b_ex = np.empty((tips.shape[0], 3))
+    b_stray = None if mode == "exchange" else np.empty((tips.shape[0], 3))
+    b_ex = None if mode == "dipolar" else np.empty((tips.shape[0], 3))
 
     def add_block(rows, dx, dy, dz, d2, j, pref):
-        b_ex[rows, 0] = np.sum(j * spin_x, axis=1)
-        b_ex[rows, 1] = np.sum(j * spin_y, axis=1)
-        b_ex[rows, 2] = np.sum(j * spin_z, axis=1)
-        if not stray:
+        if j is not None:
+            b_ex[rows, 0] = np.sum(j * spin_x, axis=1)
+            b_ex[rows, 1] = np.sum(j * spin_y, axis=1)
+            b_ex[rows, 2] = np.sum(j * spin_z, axis=1)
+        if pref is None:
             return
 
         # B = sum_i q d_i - pref s_i with q = 3 pref (s . d) / d^2, d the
@@ -374,7 +379,7 @@ def _batch_effective_fields(
         b_stray[rows, 1] = np.sum(q * dy, axis=1) - np.sum(pref * spin_y, axis=1)
         b_stray[rows, 2] = np.sum(q * dz, axis=1) - np.sum(pref * spin_z, axis=1)
 
-    r_min = _walk_pairs(tips, tex, exchange_prefactor, add_block)
+    r_min = _walk_pairs(tips, tex, exchange_prefactor, mode, add_block)
     return b_stray, b_ex, r_min
 
 
@@ -423,7 +428,8 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
         unit = SpinTexture([[*corner, pos[0, 2]]], [np.eye(3)[b]], 1.0, tex.g)
         for start in range(0, len(tips), _BLOCK_BYTES // 64):
             rows = slice(start, start + _BLOCK_BYTES // 64)
-            bs, bx, _ = _batch_effective_fields(tips[rows], unit, prefactor, stray)
+            bs, bx, _ = _batch_effective_fields(
+                tips[rows], unit, prefactor, "both" if stray else "exchange")
             images["j"][rows] = bx[:, b]
             for a in range(b, 3) if stray else ():
                 images[a, b][rows] = bs[:, a]
@@ -506,7 +512,7 @@ def _branches(cfg: ScanConfig, tex: SpinTexture, tips: np.ndarray):
     """(f_minus, f_plus) GHz at each tip position, from the dense field sums
     under cfg.mode, and the closest tip-site distance."""
     b_stray, b_ex, r_min = _batch_effective_fields(
-        tips, tex, cfg.exchange_prefactor, cfg.include_dipolar
+        tips, tex, cfg.exchange_prefactor, cfg.mode
     )
     e_vec = _energy_vectors(b_stray, b_ex, cfg)
     return (*_field_resonances(e_vec, cfg.probe.d_zfs), r_min)
@@ -571,12 +577,17 @@ def scan_iso_frequency(
 ) -> IsoScanMap:
     """Per-pixel height where the upper branch crosses f_source (GHz).
 
-    A vectorized Illinois regula falsi (Dowell & Jarratt 1971) keeps each
-    pixel's bracket [lo, hi] from [z_min, z_max] and stops at the first
+    Every _ISO_STRIDE-th pixel of each axis, and the last row and column,
+    search [z_min, z_max].  The rest start from the bilinear interpolant of
+    those heights +/- the largest step between adjacent ones, clipped to
+    [z_min, z_max], and search [z_min, z_max] when that start is NaN or
+    its ends do not bracket f_source.  Each search is one vectorized
+    Illinois regula falsi (Dowell & Jarratt 1971) that stops at the first
     point with |delta f| < 1 MHz, or at the bracket midpoint after
-    _ISO_MAX_ITER rounds.  Pixels whose endpoint values do not bracket
-    f_source are marked NaN rather than extrapolated.  J below its
-    validity range warns once, at the closest tip-site pair of any round.
+    _ISO_MAX_ITER rounds.  Pixels with no bracketed crossing hold NaN.
+    Where f_plus crosses f_source more than once, a tight bracket may find
+    one that [z_min, z_max] does not bracket.  J below its validity range
+    warns once, at the closest tip-site pair of any round.
     """
     if not 0.0 < f_source < np.inf:
         raise ValueError(f"f_source must be positive and finite, got {f_source}")
@@ -586,7 +597,7 @@ def scan_iso_frequency(
         raise ValueError("z_max must exceed z_min")
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     xy = grid.tips(0.0)[:, :2]
-    n = len(xy)
+    heights = np.full(len(xy), np.nan)
     r_min = []  # closest tip-site distance of each round
 
     def offset(rows, z):
@@ -606,37 +617,65 @@ def scan_iso_frequency(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log1p(df / (f_source - f_zfs))
 
-    ends = np.repeat([[float(z_min)], [float(z_max)]], n, axis=1)  # lo, hi
-    f_lo, f_hi = offset(slice(None), ends[0]), offset(slice(None), ends[1])
-    g = secant_var(np.stack([f_lo, f_hi]))
-    kept = np.full(n, -1)  # end kept last round: 0 lo, 1 hi
-    heights = np.full(n, np.nan)
-    active = np.flatnonzero(f_lo * f_hi <= 0.0)
-    for _ in range(_ISO_MAX_ITER):
-        if not active.size:
-            break
-        lo, hi = ends[:, active]
-        g_lo, g_hi = g[:, active]
-        with np.errstate(all="ignore"):
-            z = hi - g_hi * (hi - lo) / (g_hi - g_lo)
-        # Safeguard: a secant point that is non-finite or not strictly
-        # inside the bracket becomes the bracket midpoint.
-        z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
-        f_z = offset(active, z)
-        done = np.abs(f_z) < _ISO_FREQ_TOL_GHZ
-        heights[active[done]] = z[done]
-        active, z, f_z = active[~done], z[~done], f_z[~done]
-        # z replaces the end whose offset has its sign (0 lo, 1 hi), so the
-        # bracket keeps its sign change.  Illinois step: an end kept twice
-        # in a row has its g halved, which pulls the next point towards it.
-        moved = (f_lo[active] * f_z <= 0.0).astype(int)
-        stale = kept[active] == 1 - moved
-        g[1 - moved[stale], active[stale]] *= 0.5
-        ends[moved, active], g[moved, active] = z, secant_var(f_z)
-        f_lo[active] = np.where(moved == 0, f_z, f_lo[active])
-        kept[active] = 1 - moved
-    # Pixels still active hit the iteration cap; report the midpoint.
-    heights[active] = 0.5 * (ends[0, active] + ends[1, active])
+    def solve(pixels, lo, hi):
+        """Fill heights of pixels from brackets [lo, hi]; return which of
+        them the ends bracket."""
+        ends = np.vstack([lo, hi]) + np.zeros(len(pixels))  # scalar ends broadcast
+        f_lo, f_hi = offset(pixels, ends[0]), offset(pixels, ends[1])
+        g = secant_var(np.stack([f_lo, f_hi]))
+        kept = np.full(len(pixels), -1)  # end kept last round: 0 lo, 1 hi
+        bracketed = f_lo * f_hi <= 0.0
+        active = np.flatnonzero(bracketed)
+        for _ in range(_ISO_MAX_ITER):
+            if not active.size:
+                break
+            lo, hi = ends[:, active]
+            g_lo, g_hi = g[:, active]
+            with np.errstate(all="ignore"):
+                z = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+            # Safeguard: a secant point that is non-finite or not strictly
+            # inside the bracket becomes the bracket midpoint.
+            z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
+            f_z = offset(pixels[active], z)
+            done = np.abs(f_z) < _ISO_FREQ_TOL_GHZ
+            heights[pixels[active[done]]] = z[done]
+            active, z, f_z = active[~done], z[~done], f_z[~done]
+            # z replaces the end whose offset has its sign (0 lo, 1 hi), so
+            # the bracket keeps its sign change.  Illinois step: an end kept
+            # twice in a row has its g halved, which pulls the next point
+            # towards it.
+            moved = (f_lo[active] * f_z <= 0.0).astype(int)
+            stale = kept[active] == 1 - moved
+            g[1 - moved[stale], active[stale]] *= 0.5
+            ends[moved, active], g[moved, active] = z, secant_var(f_z)
+            f_lo[active] = np.where(moved == 0, f_z, f_lo[active])
+            kept[active] = 1 - moved
+        # Pixels still active hit the iteration cap; report the midpoint.
+        heights[pixels[active]] = 0.5 * (ends[0, active] + ends[1, active])
+        return bracketed
+
+    # Coarse pixel indices along y and x.
+    axes = [np.unique(np.r_[0:m:_ISO_STRIDE, m - 1]) for m in (grid.ny, grid.nx)]
+    coarse = np.zeros((grid.ny, grid.nx), dtype=bool)
+    coarse[np.ix_(*axes)] = True
+    solve(np.flatnonzero(coarse), z_min, z_max)
+
+    # Bilinear interpolant of the coarse heights, one axis at a time: pixel
+    # i lies at fraction t of its coarse cell (c[k], c[k1]).
+    start = heights.reshape(grid.ny, grid.nx)[np.ix_(*axes)]
+    steps = np.concatenate([np.abs(np.diff(start, axis=a)).ravel() for a in (0, 1)])
+    width = np.max(steps[np.isfinite(steps)], initial=0.0)
+    for axis, (m, c) in enumerate(zip((grid.ny, grid.nx), axes)):
+        i = np.arange(m)
+        k = np.minimum(i // _ISO_STRIDE, max(len(c) - 2, 0))
+        k1 = np.minimum(k + 1, len(c) - 1)
+        t = np.expand_dims((i - c[k]) / np.maximum(c[k1] - c[k], 1), 1 - axis)
+        start = (1 - t) * np.take(start, k, axis) + t * np.take(start, k1, axis)
+    # fmax and fmin give a NaN start the full bracket.
+    fine = np.flatnonzero(~coarse)
+    start = start.ravel()[fine]
+    bracketed = solve(fine, np.fmax(start - width, z_min), np.fmin(start + width, z_max))
+    solve(fine[~bracketed & np.isfinite(start)], z_min, z_max)
     _check_exchange_range(min(r_min), stacklevel=2)
 
     return IsoScanMap(
@@ -749,6 +788,8 @@ def distance_sweep(
         )
     if r_max > _MAX_HEIGHT:  # past it J's x^2.5 and the 1/r^3 columns overflow
         raise ValueError(f"r_max must be at most {_MAX_HEIGHT:g} A, got {r_max}")
+    if not 0.0 <= spin_mag < np.inf:
+        raise ValueError(f"spin magnitude must be finite and >= 0, got {spin_mag}")
     if not 2 <= n_points <= _MAX_SWEEP_POINTS:
         raise ValueError(
             f"need 2 to {_MAX_SWEEP_POINTS} sweep points, got {n_points}"

@@ -93,8 +93,10 @@ class SpinTexture:
             raise ValueError("positions and spin_dirs must have equal length")
         if positions.shape[0] == 0:
             raise ValueError("texture must contain at least one site")
-        if spin_mag < 0:
-            raise ValueError(f"spin magnitude must be >= 0, got {spin_mag}")
+        if not 0.0 <= spin_mag < np.inf:
+            raise ValueError(f"spin magnitude must be finite and >= 0, got {spin_mag}")
+        if not np.isfinite(g):
+            raise ValueError(f"sample g must be finite, got {g}")
         _check_distinct(positions)
         if spin_mag > 0:
             norms = np.linalg.norm(spin_dirs, axis=1)

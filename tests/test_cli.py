@@ -224,6 +224,19 @@ def test_isoscan_self_consistency(workdir):
     assert float(iso_rows[(6.0, 6.0)]) == pytest.approx(4.0, abs=1e-3)
 
 
+def test_isoscan_reruns_are_byte_identical(workdir):
+    # Coarse, tight and fallback searches give each pixel the same bits on
+    # every run.
+    args = ["isoscan", "--texture", "t.spintex", "--fsource", 120, "--zmin", 2,
+            "--zmax", 12, "--step", 0.5]
+    for out in ("iso_a.csv", "iso_b.csv"):
+        r = run_cli(*args, "--out", out, cwd=workdir)
+        assert r.returncode == 0, r.stderr
+    a, b = ((workdir / out).read_bytes() for out in ("iso_a.csv", "iso_b.csv"))
+    assert a == b
+    assert b"nan" not in a
+
+
 def test_isoscan_malformed_frequency_is_usage_error(workdir):
     r = run_cli("isoscan", "--texture", "t.spintex", "--fsource", "fast",
                 "--out", "x.csv", cwd=workdir)

@@ -115,10 +115,19 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
     (["spectrum", "--resonances", "3.4", "--linewidth", "nan"], None, "must be finite"),
     (["spectrum", "--resonances", "3.4", "--contrast", "0.6"], None,
      "negative mean counts"),
+    # Sample spins that are not finite and non-negative, and g that is not finite.
+    *[(["sweep", "--rmin", "2", "--rmax", "20", "--points", "3", f"--spin-mag={v}"],
+       None, "spin magnitude must be finite and >= 0") for v in ("nan", "inf", "-1")],
+    (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
+      "--spin-mag", "nan"], None, "spin magnitude must be finite and >= 0"),
+    (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
+      "--sample-g", "nan"], None, "sample g must be finite"),
 ], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
         "isoscan-nan", "isoscan-inf", "sweep-inf", "sweep-rmin", "sweep-rmax", "texture-far",
         "measure-nan-linewidth",
-        "spectrum-nan-linewidth", "spectrum-negative-mean"])
+        "spectrum-nan-linewidth", "spectrum-negative-mean",
+        "sweep-nan-spin-mag", "sweep-inf-spin-mag", "sweep-negative-spin-mag",
+        "texture-nan-spin-mag", "texture-nan-sample-g"])
 def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message):
     out = texture.with_name("refused.out")
     argv = [texture if a is TEXTURE else a for a in argv] + ["--out", out]

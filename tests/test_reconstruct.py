@@ -89,6 +89,17 @@ def test_forward_matches_dense_oracle(neel_5x5, mode, height):
     assert np.max(np.abs(fwd.a - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("height", [3.0, 12.0])
+def test_forward_both_is_the_sum_of_its_channels(neel_5x5, height):
+    # Each mode builds only its own planes; "both" adds the same terms in
+    # the same order, so it is their sum to the bit.
+    exchange, dipolar, both = (
+        build_forward(neel_5x5, height=height, mode=mode, **GRID).a
+        for mode in ("exchange", "dipolar", "both")
+    )
+    assert np.array_equal(both, exchange + dipolar)
+
+
 def test_forward_rejects_transverse_texture():
     lat = build_lattice("square", 3.0, 2, 2)
     tex = apply_pattern(lat, "FM", direction=(1.0, 0.0, 0.0), spin_mag=0.5, g=2.0)

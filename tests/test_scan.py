@@ -31,7 +31,7 @@ from spinscan import (
     scan_constant_height,
     scan_iso_frequency,
 )
-from spinscan import scan
+from spinscan import reconstruct, scan
 from spinscan.scan import (
     _BLOCK_BYTES,
     _MAX_LATERAL,
@@ -298,12 +298,16 @@ def test_too_close_error_names_closest_pair(fm_5x5):
 
 
 def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
-    # The stray sums are skipped when the mode drops them; what the mode
-    # keeps is the same bits as when they were summed and ignored.
+    # The sums of the channel the mode drops are skipped; what the mode
+    # keeps is the same bits as when both were summed.
     full = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg")
-    skipped = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", stray=False)
+    skipped = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", "exchange")
     assert skipped[0] is None
     assert np.array_equal(skipped[1], full[1])
+    assert skipped[2] == full[2]
+    skipped = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", "dipolar")
+    assert skipped[1] is None
+    assert np.array_equal(skipped[0], full[0])
     assert skipped[2] == full[2]
     # In a scan, dense or FFT, no stray field reaches the resonances, and
     # the map's f+- are the bits the stray sums would have given, had they
@@ -330,6 +334,43 @@ def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
         assert np.array_equal(rmap.f_minus.ravel(), f_minus)
         assert np.array_equal(rmap.f_plus.ravel(), f_plus)
     assert np.array_equal(scan_b_ex, b_ex)
+
+
+def test_walks_build_only_the_planes_their_mode_reads(monkeypatch, tilted_neel,
+                                                     mixed_tips):
+    # A spy on every walk's visitor: dipolar walks pass j = None and never
+    # call the exchange formula, exchange walks pass pref = None.
+    seen = set()
+    walk = scan._walk_pairs
+
+    def spy(tips, tex, prefactor, mode, visit):
+        def recorded(rows, dx, dy, dz, d2, j, pref):
+            seen.add((mode, j is None, pref is None))
+            visit(rows, dx, dy, dz, d2, j, pref)
+
+        return walk(tips, tex, prefactor, mode, recorded)
+
+    monkeypatch.setattr(scan, "_walk_pairs", spy)
+    monkeypatch.setattr(reconstruct, "_walk_pairs", spy)
+    collinear = apply_pattern(build_lattice("square", 3.0, 3, 3), "AFM-Neel")
+
+    def walks(mode):
+        _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", mode)
+        build_forward(collinear, (0.0, 6.0), (0.0, 6.0), 0.75, 4.0, mode)
+        cfg = ScanConfig(x_range=(0.0, 6.0), y_range=(0.0, 6.0), step=0.75, mode=mode)
+        with mock.patch.object(scan, "_lattice_fields", return_value=None):
+            scan_constant_height(cfg, tilted_neel)
+        scan_iso_frequency(cfg, tilted_neel, 3.7 if mode == "dipolar" else 120.0,
+                           2.0, 12.0)
+
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_exchange_formula",
+                  mock.Mock(side_effect=AssertionError("a dipolar walk evaluated J")))
+        walks("dipolar")
+    walks("exchange")
+    walks("both")
+    assert seen == {("dipolar", True, False), ("exchange", False, True),
+                    ("both", False, False)}
 
 
 # ----------------------------------------------------------- FFT lattice sums
@@ -652,14 +693,21 @@ def test_iso_frequency_matches_bisection(pattern, mode, b_ext, f_source):
     tex = _tilted_texture(build_lattice("square", 3.0, 4, 4), pattern)
     cfg = ScanConfig(x_range=(-1.5, 10.5), y_range=(-1.5, 10.5), step=1.5,
                      mode=mode, b_ext=b_ext)
-    want = _bisection_heights(cfg, tex, f_source, 2.0, 12.0)
     got = scan_iso_frequency(cfg, tex, f_source, 2.0, 12.0).heights.ravel()
-    bracketed = np.isfinite(want)
-    np.testing.assert_array_equal(np.isfinite(got), bracketed)
+    bracketed = np.isfinite(_check_against_bisection(cfg, tex, f_source, got))
     assert bracketed.any()
     if mode == "dipolar":
-        assert bracketed.sum() < want.size / 2
+        assert bracketed.sum() < bracketed.size / 2
 
+
+def _check_against_bisection(cfg, tex, f_source, got):
+    """Check iso heights got, in pixel order, against the bisection oracle
+    over [2, 12] A: the same pixels bracketed, f_plus within 1 MHz of the
+    source, and heights within the 2 MHz the two stops allow over the
+    local slope.  Returns the oracle's heights."""
+    want = _bisection_heights(cfg, tex, f_source, 2.0, 12.0)
+    bracketed = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), bracketed)
     xy = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0)[bracketed, :2]
 
     def f_plus(z):
@@ -671,6 +719,74 @@ def test_iso_frequency_matches_bisection(pattern, mode, b_ext, f_source):
     # 2 MHz over the local slope.
     slope = (f_plus(z + 1e-4) - f_plus(z - 1e-4)) / 2e-4
     assert np.all(np.abs(z - want[bracketed]) <= 2e-3 / np.abs(slope))
+    return want
+
+
+@pytest.mark.parametrize("x_range, y_range, shape", [
+    ((0.0, 0.0), (0.0, 6.0), (13, 1)),
+    ((0.0, 6.0), (4.5, 4.5), (1, 13)),
+    ((4.5, 5.0), (4.5, 5.0), (2, 2)),
+], ids=["Nx1", "1xN", "2x2"])
+def test_iso_frequency_narrow_grids_match_bisection(x_range, y_range, shape):
+    # An axis shorter than the coarse stride has only coarse pixels.
+    tex = _tilted_texture(build_lattice("square", 3.0, 4, 4), "FM")
+    cfg = ScanConfig(x_range=x_range, y_range=y_range, step=0.5)
+    got = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0).heights
+    assert got.shape == shape
+    assert np.isfinite(_check_against_bisection(cfg, tex, 120.0, got.ravel())).all()
+
+
+@pytest.mark.parametrize("defect", ["vacancy", "lowered site"])
+def test_iso_frequency_rebrackets_missed_tight_ends(monkeypatch, defect):
+    # On a texture with a vacancy or a site 0.5 A down, some fine pixels'
+    # tight ends miss the crossing and those pixels search [z_min, z_max].
+    lattice = _tilted_texture(build_lattice("square", 3.0, 4, 4), "FM")
+    pos, dirs = lattice.positions.copy(), lattice.spin_dirs
+    if defect == "vacancy":
+        pos, dirs = np.delete(pos, 10, axis=0), np.delete(dirs, 10, axis=0)
+    else:
+        pos[10, 2] -= 0.5
+    tex = SpinTexture(pos, dirs, 0.5, 2.0)
+    cfg = ScanConfig(x_range=(0.0, 9.0), y_range=(0.0, 9.0), step=1.0)
+    calls = []
+    branches = scan._branches
+
+    def recording(cfg, tex, tips):
+        calls.append(tips)
+        return branches(cfg, tex, tips)
+
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_branches", recording)
+        got = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0).heights.ravel()
+    # A search of [z_min, z_max] evaluates its pixels at z_min, then at
+    # z_max: the 4 x 4 coarse pixels, then the fine pixels that missed.
+    full = [len(a) for a, b in zip(calls, calls[1:])
+            if np.all(a[:, 2] == 2.0) and np.all(b[:, 2] == 12.0)
+            and np.array_equal(a[:, :2], b[:, :2])]
+    assert len(full) == 2 and full[0] == 16 and full[1] > 0
+    assert np.isfinite(_check_against_bisection(cfg, tex, 120.0, got)).all()
+
+
+def test_iso_frequency_partly_bracketed_dipolar_grid_matches_bisection():
+    # Near D/h the dipolar crossing exists over about half the pixels, so
+    # fine pixels start from NaN coarse corners as well as tight brackets.
+    tex = _tilted_texture(build_lattice("square", 3.0, 4, 4), "FM")
+    cfg = ScanConfig(x_range=(-1.5, 10.5), y_range=(-1.5, 10.5), step=0.75,
+                     mode="dipolar")
+    got = scan_iso_frequency(cfg, tex, 3.7, 2.0, 12.0).heights.ravel()
+    bracketed = np.isfinite(_check_against_bisection(cfg, tex, 3.7, got))
+    assert 0.25 < bracketed.mean() < 0.75
+
+
+def test_iso_frequency_unbracketed_grid_is_all_nan(fm_5x5):
+    # No pixel brackets the source: the coarse map is all NaN, and its
+    # height steps and interpolant raise no numpy warning.
+    cfg = ScanConfig(x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iso = scan_iso_frequency(cfg, fm_5x5, 1e9, 2.0, 12.0)
+    assert iso.heights.shape == (13, 13)
+    assert np.all(np.isnan(iso.heights))
 
 
 def test_iso_frequency_work_per_pixel(monkeypatch):
@@ -688,6 +804,26 @@ def test_iso_frequency_work_per_pixel(monkeypatch):
     iso = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0)
     assert np.all(np.isfinite(iso.heights))
     assert sum(rows) <= 8 * iso.heights.size
+
+
+def test_iso_frequency_coarse_to_fine_work_per_pixel(monkeypatch):
+    # At the 0.25 A pixel pitch of the isoscan benchmark, fine pixels take
+    # their two tight ends and two secant rounds, about 4.2 evaluations per
+    # pixel; with every pixel on [z_min, z_max] it is 7.
+    tex = _tilted_texture(build_lattice("square", 3.0, 8, 8), "FM")
+    cfg = ScanConfig(x_range=(0.0, 10.0), y_range=(0.0, 10.0), step=0.25)
+    rows = []
+    branches = scan._branches
+
+    def counting(cfg, tex, tips):
+        rows.append(len(tips))
+        return branches(cfg, tex, tips)
+
+    monkeypatch.setattr(scan, "_branches", counting)
+    iso = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0)
+    assert iso.heights.shape == (41, 41)
+    assert np.all(np.isfinite(iso.heights))
+    assert sum(rows) <= 4.5 * iso.heights.size
 
 
 def test_iso_frequency_safeguard_at_zero_field_end(monkeypatch, single_site):
