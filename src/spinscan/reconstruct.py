@@ -20,7 +20,8 @@ import warnings
 import numpy as np
 
 from .constants import CONSTANTS
-from .scan import _MAX_KERNEL_BYTES, _MODES, Grid, _check_height, _walk_pairs
+from .scan import (_MAX_KERNEL_BYTES, _MODES, Grid, _check_height, _lattice_images,
+                   _walk_pairs)
 from .spincore import _check_exchange_range
 from .texture import SpinTexture
 
@@ -100,6 +101,12 @@ def build_forward(
     z-component of a unit z-moment at site i.  Mode "both" sums the two.
     The texture provides geometry and the sample g; it must be collinear
     along z for the shift to be linear in m_z.
+
+    On the pixel lattice (scan._lattice_images) column i is a window of one
+    kernel image.  The dense pair walk, the oracle, fills A for sites at
+    several z, tips under 2 A above them, offsets not whole steps
+    (honeycomb, triangular) or images over budget.  A is the read-only
+    transpose of a (sites, pixels) buffer: the QR reads contiguous columns.
     """
     _check_collinear(tex)
     _check_height(height, "height")
@@ -114,24 +121,38 @@ def build_forward(
             f"exceeds the {_MAX_KERNEL_BYTES >> 20} MiB budget; use a larger "
             "step or a smaller range"
         )
-    a = np.zeros((n_pixels, tex.n_sites))
     zeeman = g_probe * CONSTANTS.mu_b
 
-    def fill_block(rows, dx, dy, dz, d2, j, pref):
-        if j is not None:
-            a[rows] += j / CONSTANTS.h_planck
-        if pref is not None:
+    def shift(j, bz):
+        """The channels the mode reads added onto zero: J/h, then g mu_B Bz/h."""
+        out = 0.0 if j is None else j / CONSTANTS.h_planck
+        return out if bz is None else out + zeeman * bz / CONSTANTS.h_planck
+
+    found = _lattice_images(grid, tex, float(height), exchange_prefactor, mode, (2,))
+    if found is None:
+        buf = np.empty((tex.n_sites, n_pixels))
+
+        def fill_block(rows, dx, dy, dz, d2, j, pref):
             # Bz of a unit z-moment is pref (3 dz^2 / d^2 - 1).
-            bz = pref * (3.0 * dz * dz / d2 - 1.0)
-            a[rows] += zeeman * bz / CONSTANTS.h_planck
+            bz = None if pref is None else pref * (3.0 * dz * dz / d2 - 1.0)
+            buf[:, rows] = shift(j, bz).T
 
-    r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, mode, fill_block)
-    _check_exchange_range(r_min, stacklevel=2)
+        r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, mode,
+                            fill_block)
+        _check_exchange_range(r_min, stacklevel=2)
+    else:
+        # Site i's window starts at (my-1-iy, mx-1-ix) of the offset grid.
+        ix, iy, kernel, _, images = found
+        image = shift(images.get("j"), images.get((2, 2)))
+        windows = np.lib.stride_tricks.sliding_window_view(
+            image.reshape(kernel.ny, kernel.nx), (grid.ny, grid.nx))
+        buf = windows[kernel.ny - grid.ny - iy.astype(int),
+                      kernel.nx - grid.nx - ix.astype(int)]
 
-    if not np.all(np.isfinite(a)):
+    if not np.all(np.isfinite(buf)):
         raise ArithmeticError("forward kernel contains non-finite entries")
-    a.flags.writeable = False
-    return ForwardOperator(a=a)
+    buf.flags.writeable = False
+    return ForwardOperator(a=buf.reshape(tex.n_sites, n_pixels).T)
 
 
 def _factor(a: np.ndarray):

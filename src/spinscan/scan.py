@@ -6,12 +6,12 @@ the summed exchange field (an energy vector in ueV contracting J(r_i)
 with each classical spin vector).  Scans read each pixel's resonances
 from its 3x3 probe Hamiltonian in closed form (spincore._field_resonances;
 numpy's eigh, the path of probe_resonances, is its oracle).
-Constant-height scans take the field sums from one exact FFT convolution
-when the sites sit on the pixel lattice at one height (the dense blocked
-sum, used otherwise, is its oracle); iso-frequency scans invert the upper
-resonance branch for height by a bracketed Illinois secant (regula
-falsi); pair mode treats one sample site quantum-mechanically as an
-exactness oracle for the mean-field sum.
+On the pixel lattice (_lattice_images) constant-height scans convolve
+kernel images by FFT and build_forward gathers a window of one image per
+site; the dense blocked sum, used otherwise, is both paths' oracle.
+Iso-frequency scans invert the upper resonance branch for height by a
+bracketed Illinois secant (regula falsi); pair mode treats one sample site
+quantum-mechanically as an exactness oracle for the mean-field sum.
 """
 
 from __future__ import annotations
@@ -82,10 +82,14 @@ _MAX_PIXELS = 1_000_000
 _MAX_SWEEP_POINTS = 1_000_000
 
 # Largest working set (bytes) of one interaction kernel, checked before
-# allocating: the FFT path's images and spectra, or build_forward's kernel.
+# allocating: _lattice_images' images and spectra, or build_forward's kernel.
 _MAX_KERNEL_BYTES = 1 << 26
 
 _EPS = np.finfo(float).eps
+
+# The odd factors 3^j 5^k of the FFT path's padded lengths 2^i 3^j 5^k; one
+# of 2n or more never beats the power of two next above n.
+_FFT_ODD = [3**j * 5**k for j in range(40) for k in range(30)]
 
 _ISO_FREQ_TOL_GHZ = 1e-3   # 1 MHz stop of the iso-frequency root finder
 _ISO_MAX_ITER = 100
@@ -383,15 +387,19 @@ def _batch_effective_fields(
     return b_stray, b_ex, r_min
 
 
-def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
-    """(b_stray, or None without the dipolar channel, b_ex), each (nx ny, 3),
-    at every pixel by exact zero-padded FFT convolution; None, for the
-    dense sum, unless all sites lie at one z at least 2 A (J's validity
-    bound, so no distance check can fire) below the tips, their x and y
-    differ by whole steps up to the rounding of the coordinates, and the
-    padded planes fit _MAX_KERNEL_BYTES."""
+def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
+                    mode: str, axes: tuple):
+    """(ix, iy, kernel, shape, images): each site's whole-step offsets
+    (float) from the corner site, the Grid of pixel-site offsets, its
+    padded FFT shape, and the dense sums over it of one site at the
+    corner, in small tip blocks: "j", J (ueV), unless mode is dipolar, and
+    unless it is exchange (a, b), B_a of a unit spin along b, for b in axes
+    and a >= b.  None, for the dense sum, unless all sites lie at one z at
+    least 2 A (J's validity bound, so no distance check can fire) below
+    the tips, their x and y differ by whole steps up to the rounding of
+    the coordinates, and the padded planes fit _MAX_KERNEL_BYTES."""
     pos = tex.positions
-    if np.any(pos[:, 2] != pos[0, 2]) or not cfg.height - pos[0, 2] >= 2.0:
+    if np.any(pos[:, 2] != pos[0, 2]) or not height - pos[0, 2] >= 2.0:
         return None
     index, corner = [], []
     for c in (pos[:, 0], pos[:, 1]):
@@ -406,40 +414,50 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
                   grid.step, grid.nx + mx - 1, grid.ny + my - 1)
     # Pad each axis to the next 2^i 3^j 5^k: numpy has no next_fast_len, and
     # its FFTs run several times faster there than at nearby primes.  The
-    # budget counts 7 kernel images, 3 tip coordinates and 8 half spectra.
-    odd = [3**j * 5**k for j in range(40) for k in range(30)]
-    shape = tuple(min(q << (-(-n // q) - 1).bit_length() for q in odd)
+    # budget counts the FFT's 7 kernel images, 3 tip coordinates and 8 half
+    # spectra; a gather holds fewer planes besides its kernel.
+    shape = tuple(min(q << (-(-n // q) - 1).bit_length() for q in _FFT_ODD if q < 2 * n)
                   for n in (kernel.ny, kernel.nx))
     if 18 * 8 * shape[0] * shape[1] > _MAX_KERNEL_BYTES:
         return None
 
-    # Kernel images from the dense sum over one site, in small tip blocks:
-    # J, which a unit spin along b gives as b_ex[:, b], and the symmetric
-    # stray tensor T[a, b] = B_a of a unit spin along b, for a >= b.  All
-    # are allocated up front, and the outputs before them, so that the
-    # heap is reused from one scan to the next rather than fragmented.
-    stray, prefactor = cfg.include_dipolar, cfg.exchange_prefactor
-    n = grid.nx * grid.ny
-    b_stray, b_ex = np.empty((n, 3)) if stray else None, np.empty((n, 3))
-    tips = kernel.tips(cfg.height)
-    keys = ["j"] + [(a, b) for b in range(3) for a in range(b, 3)] * stray
+    # Images are allocated up front, so that the heap is reused rather than
+    # fragmented; a unit spin along b gives J as b_ex[:, b].
+    tips = kernel.tips(height)
+    stray = mode != "exchange"
+    keys = ["j"] * (mode != "dipolar") + [(a, b) for b in axes for a in range(b, 3)] * stray
     images = {key: np.empty(len(tips)) for key in keys}
-    for b in range(3 if stray else 1):
+    for b in axes if stray else axes[:1]:
         unit = SpinTexture([[*corner, pos[0, 2]]], [np.eye(3)[b]], 1.0, tex.g)
         for start in range(0, len(tips), _BLOCK_BYTES // 64):
             rows = slice(start, start + _BLOCK_BYTES // 64)
-            bs, bx, _ = _batch_effective_fields(
-                tips[rows], unit, prefactor, "both" if stray else "exchange")
-            images["j"][rows] = bx[:, b]
+            bs, bx, _ = _batch_effective_fields(tips[rows], unit, prefactor, mode)
+            if bx is not None:
+                images["j"][rows] = bx[:, b]
             for a in range(b, 3) if stray else ():
                 images[a, b][rows] = bs[:, a]
-    del tips
+    return *index, kernel, shape, images
+
+
+def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
+    """(b_stray, b_ex), each (nx ny, 3) or None if the mode does not read
+    it, by exact FFT convolution; None, for the dense sum, as _lattice_images.
+    The outputs come first, so the heap is reused rather than fragmented."""
+    n = grid.nx * grid.ny
+    b_stray, b_ex = (np.empty((n, 3)) if read else None
+                     for read in (cfg.include_dipolar, cfg.include_exchange))
+    found = _lattice_images(grid, tex, cfg.height, cfg.exchange_prefactor, cfg.mode,
+                            (0, 1, 2))
+    if found is None:
+        return None
+    ix, iy, kernel, shape, images = found
+    my, mx = kernel.ny - grid.ny + 1, kernel.nx - grid.nx + 1
 
     # Convolve, transforming one kernel image at a time and freeing it;
     # pixel (iy, ix) reads the circular convolution at (iy+my-1, ix+mx-1),
     # which the padding keeps free of wrap-around.
     spins = np.zeros((3, my, mx))
-    spins[:, index[1].astype(int), index[0].astype(int)] = tex.spin_vectors.T
+    spins[:, iy.astype(int), ix.astype(int)] = tex.spin_vectors.T
     spin_hat = [np.fft.rfft2(s, shape) for s in spins]
     valid = (slice(my - 1, my - 1 + grid.ny), slice(mx - 1, mx - 1 + grid.nx))
 
@@ -450,11 +468,12 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
         for a, s in enumerate(spectra):
             out.reshape(grid.ny, grid.nx, 3)[..., a] = np.fft.irfft2(s, shape)[valid]
 
-    j_hat = spectrum("j")
-    to_pixels((j_hat * s for s in spin_hat), b_ex)
-    del j_hat
-    acc = [np.zeros_like(spin_hat[0]) for _ in range(3 * stray)]
-    for a, b in keys[1:]:
+    if b_ex is not None:
+        j_hat = spectrum("j")
+        to_pixels((j_hat * s for s in spin_hat), b_ex)
+        del j_hat
+    acc = [np.zeros_like(spin_hat[0]) for _ in range(3 * (b_stray is not None))]
+    for a, b in list(images):
         t_hat = spectrum((a, b))
         acc[a] += t_hat * spin_hat[b]
         if a != b:

@@ -5,10 +5,14 @@ lattice, dipolar kernel at 100 A) come from an independent dense
 eigenanalysis oracle run once and recorded here.
 """
 
+import contextlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spinscan import (
     CONSTANTS,
@@ -22,7 +26,8 @@ from spinscan import (
     scan_constant_height,
     solve_tikhonov,
 )
-from spinscan import reconstruct
+from spinscan import SpinTexture, reconstruct, scan
+from spinscan.scan import Grid
 
 D_GHZ = 14.4 / CONSTANTS.h_planck
 GRID = dict(x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=0.75)
@@ -89,15 +94,95 @@ def test_forward_matches_dense_oracle(neel_5x5, mode, height):
     assert np.max(np.abs(fwd.a - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+def _dense_path():
+    """Force build_forward onto the dense pair walk."""
+    return mock.patch.object(reconstruct, "_lattice_images", return_value=None)
+
+
 @pytest.mark.parametrize("height", [3.0, 12.0])
 def test_forward_both_is_the_sum_of_its_channels(neel_5x5, height):
     # Each mode builds only its own planes; "both" adds the same terms in
-    # the same order, so it is their sum to the bit.
-    exchange, dipolar, both = (
-        build_forward(neel_5x5, height=height, mode=mode, **GRID).a
-        for mode in ("exchange", "dipolar", "both")
-    )
-    assert np.array_equal(both, exchange + dipolar)
+    # the same order, so it is their sum to the bit, gathered or walked.
+    for path in (contextlib.nullcontext(), _dense_path()):
+        with path:
+            exchange, dipolar, both = (
+                build_forward(neel_5x5, height=height, mode=mode, **GRID).a
+                for mode in ("exchange", "dipolar", "both")
+            )
+        assert np.array_equal(both, exchange + dipolar)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([2.5, 3.0, 4.2]),
+    st.integers(min_value=1, max_value=8),
+    st.lists(st.sampled_from([-1.0, 0.0, 1.0]), min_size=20, max_size=20),
+    st.tuples(st.floats(0.0, 0.999), st.floats(0.0, 0.999)),
+    st.tuples(st.integers(-30, 40), st.integers(-30, 40)),
+    st.tuples(st.integers(1, 40), st.integers(1, 40)),
+    st.floats(2.0, 100.0),
+    st.sampled_from(["exchange", "dipolar", "both"]),
+)
+def test_forward_gather_matches_dense_oracle(a, multiple, signs, frac, start, size,
+                                             height, mode):
+    # A 5x4 square lattice with vacancies (sign 0) and +/-z moments, steps a
+    # whole fraction of the lattice constant, pixels offset from the sites
+    # by any sub-step fraction, windows on, around and off the lattice.
+    assume(any(signs))
+    lat = build_lattice("square", a, 5, 4)
+    kept = np.flatnonzero(signs)
+    tex = SpinTexture(lat.positions[kept], np.outer(np.take(signs, kept), [0, 0, 1]),
+                      0.5, 2.0)
+    step = a / multiple
+    x0, y0 = ((s + f) * step for s, f in zip(start, frac))
+    grid = Grid(x0, y0, step, *size)
+    with mock.patch.object(reconstruct, "_walk_pairs",
+                           side_effect=AssertionError("took the dense walk")):
+        fwd = build_forward(tex, grid.x_range, grid.y_range, step, height, mode)
+    want = _dense_forward(tex, grid.tips(height), mode)
+    assert np.max(np.abs(fwd.a - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def _off_lattice_textures(fm_5x5):
+    """(name, texture, height) of inputs the gather does not take."""
+    nudged = fm_5x5.positions.copy()
+    nudged[7, 0] += 1e-9
+    lifted = fm_5x5.positions.copy()
+    lifted[7, 2] = 0.5
+    honeycomb = apply_pattern(build_lattice("honeycomb", 3.0, 4, 4), "AFM-Neel")
+    return [
+        ("honeycomb", honeycomb, 4.0),
+        ("nudged", SpinTexture(nudged, fm_5x5.spin_dirs, 0.5, 2.0), 4.0),
+        ("two heights", SpinTexture(lifted, fm_5x5.spin_dirs, 0.5, 2.0), 4.0),
+        ("close", fm_5x5, 1.5),
+        ("over budget", fm_5x5, 4.0),
+    ]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_forward_falls_back_to_the_dense_walk(fm_5x5, monkeypatch, case):
+    # Off the pixel lattice, or with the image over budget, the dense walk
+    # runs and no kernel image is built; the gather runs for the control.
+    name, tex, height = _off_lattice_textures(fm_5x5)[case]
+    calls = []
+    for module, key in ((reconstruct, "_walk_pairs"), (scan, "_batch_effective_fields")):
+        real = getattr(module, key)
+        monkeypatch.setattr(module, key, lambda *args, real=real, key=key:
+                            calls.append(key) or real(*args))
+    build_forward(fm_5x5, height=4.0, mode="both", **GRID)
+    assert "_walk_pairs" not in calls and "_batch_effective_fields" in calls
+    calls.clear()
+    if name == "over budget":
+        # The 17x17 x 25 kernel fits exactly; its 33x33 offset grid does not.
+        for module in (scan, reconstruct):
+            monkeypatch.setattr(module, "_MAX_KERNEL_BYTES", 8 * 17 * 17 * 25)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # J below 2 A at 1.5 A
+        fwd = build_forward(tex, height=height, mode="both", **GRID)
+        with _dense_path():
+            dense = build_forward(tex, height=height, mode="both", **GRID)
+    assert calls == ["_walk_pairs", "_walk_pairs"], name
+    assert np.array_equal(fwd.a, dense.a), name
 
 
 def test_forward_rejects_transverse_texture():
@@ -457,6 +542,12 @@ def test_memo_copies_the_observation(neel_5x5, monkeypatch):
 
 
 def test_forward_kernel_is_read_only(fm_5x5):
-    fwd = build_forward(fm_5x5, height=4.0, mode="exchange", **GRID)
-    with pytest.raises(ValueError):
-        fwd.a[0, 0] = 1.0
+    # Either path returns the transpose of a read-only (sites, pixels)
+    # buffer: Fortran-ordered, so each column is contiguous for the QR.
+    for path in (contextlib.nullcontext(), _dense_path()):
+        with path:
+            fwd = build_forward(fm_5x5, height=4.0, mode="exchange", **GRID)
+        with pytest.raises(ValueError):
+            fwd.a[0, 0] = 1.0
+        assert fwd.a.flags.f_contiguous
+        assert fwd.a.base is not None and not fwd.a.base.flags.writeable

@@ -339,7 +339,9 @@ def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
 def test_walks_build_only_the_planes_their_mode_reads(monkeypatch, tilted_neel,
                                                      mixed_tips):
     # A spy on every walk's visitor: dipolar walks pass j = None and never
-    # call the exchange formula, exchange walks pass pref = None.
+    # call the exchange formula, exchange walks pass pref = None.  The
+    # kernel images of the FFT map and of the gathered forward kernel come
+    # from walks too, and reconstruct's own spy sees the dense kernel.
     seen = set()
     walk = scan._walk_pairs
 
@@ -353,11 +355,14 @@ def test_walks_build_only_the_planes_their_mode_reads(monkeypatch, tilted_neel,
     monkeypatch.setattr(scan, "_walk_pairs", spy)
     monkeypatch.setattr(reconstruct, "_walk_pairs", spy)
     collinear = apply_pattern(build_lattice("square", 3.0, 3, 3), "AFM-Neel")
+    honeycomb = apply_pattern(build_lattice("honeycomb", 3.0, 2, 2), "AFM-Neel")
 
     def walks(mode):
         _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", mode)
-        build_forward(collinear, (0.0, 6.0), (0.0, 6.0), 0.75, 4.0, mode)
+        for tex in (collinear, honeycomb):
+            build_forward(tex, (0.0, 6.0), (0.0, 6.0), 0.75, 4.0, mode)
         cfg = ScanConfig(x_range=(0.0, 6.0), y_range=(0.0, 6.0), step=0.75, mode=mode)
+        scan_constant_height(cfg, tilted_neel)
         with mock.patch.object(scan, "_lattice_fields", return_value=None):
             scan_constant_height(cfg, tilted_neel)
         scan_iso_frequency(cfg, tilted_neel, 3.7 if mode == "dipolar" else 120.0,
@@ -406,6 +411,7 @@ def test_fft_fields_match_dense_sum(a, multiple, frac, start, size, height, mode
     want = _batch_effective_fields(grid.tips(height), tex, "rydberg")[:2]
     scale = _batch_effective_fields(tex.positions + (0.0, 0.0, height), tex, "rydberg")
     assert (got[0] is None) == (mode == "exchange")
+    assert (got[1] is None) == (mode == "dipolar")
     for g, w, top in zip(got, want, scale[:2], strict=True):
         if g is not None:
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(top))
