@@ -9,6 +9,7 @@ resonance maps back to per-site moments.
 """
 
 from .constants import CONSTANTS
+from .fileio import TextureParseError, load_texture, save_texture
 from .reconstruct import (
     ConditioningReport,
     ForwardOperator,
@@ -54,15 +55,6 @@ from .spincore import (
     zeeman_hamiltonian,
     zfs_hamiltonian,
 )
-from .texture import (
-    Lattice,
-    SampleSite,
-    SpinTexture,
-    TextureParseError,
-    apply_pattern,
-    build_lattice,
-    load_texture,
-    save_texture,
-)
+from .texture import Lattice, SampleSite, SpinTexture, apply_pattern, build_lattice
 
 __version__ = "0.1.0"

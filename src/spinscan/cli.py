@@ -42,14 +42,7 @@ from .spectrum import (
     synthesize,
 )
 from .spincore import ProbeSpec, ResonancePair, probe_resonances
-from .texture import (
-    _PATTERNS,
-    TextureParseError,
-    apply_pattern,
-    build_lattice,
-    load_texture,
-    save_texture,
-)
+from .texture import _PATTERNS, apply_pattern, build_lattice
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -206,18 +199,22 @@ def _readout_params(spec_cfg: SpectrumConfig) -> dict:
     }
 
 
+def _grid_params(x_range, y_range, step) -> dict:
+    """Header echo of a raster grid: the x_range, y_range and step of _grid."""
+    (x0, x1), (y0, y1) = x_range, y_range
+    return {"x_min_angstrom": x0, "x_max_angstrom": x1, "y_min_angstrom": y0,
+            "y_max_angstrom": y1, "step_angstrom": step}
+
+
+def _probe_params(args, cfg: ScanConfig) -> dict:
+    """Header echo of the texture and of the coupling that the probe sees."""
+    return {"texture": str(args.texture), "mode": cfg.mode,
+            "b_ext_tesla": ",".join(f"{b:.9g}" for b in cfg.b_ext)}
+
+
 def _raster_params(args, cfg: ScanConfig) -> dict:
-    return {
-        **_echo_globals(args),
-        "texture": str(args.texture),
-        "x_min_angstrom": cfg.x_range[0],
-        "x_max_angstrom": cfg.x_range[1],
-        "y_min_angstrom": cfg.y_range[0],
-        "y_max_angstrom": cfg.y_range[1],
-        "step_angstrom": cfg.step,
-        "mode": cfg.mode,
-        "b_ext_tesla": ",".join(f"{b:.9g}" for b in cfg.b_ext),
-    }
+    return {**_echo_globals(args), **_probe_params(args, cfg),
+            **_grid_params(cfg.x_range, cfg.y_range, cfg.step)}
 
 
 def cmd_texture(args) -> int:
@@ -244,7 +241,7 @@ def cmd_texture(args) -> int:
             "sample_g": args.sample_g,
         },
     )
-    save_texture(tex, args.out, header_comments=echo)
+    fileio.save_texture(tex, args.out, header_comments=echo)
     print(f"wrote {args.out} ({tex.n_sites} sites)")
     return EXIT_OK
 
@@ -276,7 +273,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    tex = load_texture(args.texture)
+    tex = fileio.load_texture(args.texture)
     cfg = _probe_config(args, height=args.height, **_grid(args, tex),
                         resonance_convention=args.resonance_convention)
     spec_cfg = _spectrum_config(args) if args.measure else None
@@ -311,7 +308,7 @@ def cmd_scan(args) -> int:
 
 
 def cmd_isoscan(args) -> int:
-    tex = load_texture(args.texture)
+    tex = fileio.load_texture(args.texture)
     cfg = _probe_config(args, **_grid(args, tex))
     iso = scan_iso_frequency(cfg, tex, args.fsource, args.zmin, args.zmax)
     params = {
@@ -331,6 +328,7 @@ def cmd_isoscan(args) -> int:
 def cmd_spectrum(args) -> int:
     if args.resonances is not None and args.texture is not None:
         raise ValueError("--resonances and --texture are mutually exclusive")
+    probe = {}  # header echo of the texture, tip and coupling, when given
     if args.resonances is not None:
         values = args.resonances
         if len(values) == 1:
@@ -346,10 +344,12 @@ def cmd_spectrum(args) -> int:
         _check_lateral(args.tip[0], "--tip x")
         _check_lateral(args.tip[1], "--tip y")
         _check_height(args.tip[2], "--tip z")
-        tex = load_texture(args.texture)
-        h = probe_hamiltonian_at(np.asarray(args.tip, dtype=float), tex,
-                                 _probe_config(args))
-        pair = probe_resonances(h)
+        tex = fileio.load_texture(args.texture)
+        cfg = _probe_config(args)
+        pair = probe_resonances(probe_hamiltonian_at(np.asarray(args.tip, dtype=float),
+                                                     tex, cfg))
+        probe = {**_probe_params(args, cfg),
+                 "tip_angstrom": ",".join(f"{t:.9g}" for t in args.tip)}
     else:
         raise ValueError("one of --resonances or --texture is required")
 
@@ -375,6 +375,7 @@ def cmd_spectrum(args) -> int:
 
     params = {
         **_echo_globals(args),
+        **probe,
         "f_minus_ghz": pair.f_minus,
         "f_plus_ghz": pair.f_plus,
         "f_start_ghz": spec_cfg.f_start,
@@ -394,7 +395,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
-    tex = load_texture(args.texture)
+    tex = fileio.load_texture(args.texture)
     if not 0 <= args.lam < np.inf:
         raise ValueError(f"--lam must be finite and >= 0, got {args.lam}")
     lcurve_lams = args.lcurve or []
@@ -444,7 +445,7 @@ def cmd_reconstruct(args) -> int:
         "observations": "synthetic" if args.synthetic else str(args.map),
         "mode": mode,
         "height_angstrom": height,
-        "step_angstrom": grid["step"],
+        **_grid_params(**grid),
     }
     cell_index = _square_cell_indices(tex)
     fileio.write_moments(args.out, tex.positions, cell_index, result.m_z,
@@ -632,7 +633,7 @@ def main(argv=None) -> int:
     try:
         _resolve(args, fileio.load_config(args.config, args.schema) if args.config else {})
         return args.func(args)
-    except (TextureParseError, fileio.MapParseError) as exc:
+    except (fileio.TextureParseError, fileio.MapParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except np.linalg.LinAlgError as exc:

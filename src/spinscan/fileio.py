@@ -1,6 +1,9 @@
-"""File formats: map/sweep/spectrum CSV, PGM images, key-value reports.
+"""File formats: spintex textures, map/sweep/spectrum CSV, PGM images,
+key-value reports and config files.
 
-All writers are deterministic: floats use 9 significant digits, keys are
+The two readers, load_texture and load_map_csv, check every value where
+it enters and refuse a bad one with the file and line number.  All
+writers are deterministic: floats use 9 significant digits, keys are
 emitted in sorted order, and no timestamps or environment details enter
 the output, so equal inputs produce byte-identical files.  Every output
 starts with '#' comment lines echoing the effective configuration.
@@ -9,13 +12,19 @@ starts with '#' comment lines echoing the effective configuration.
 from __future__ import annotations
 
 import configparser
+import math
+import warnings
 
 import numpy as np
 
-from .scan import Grid, IsoScanMap, ResonanceMap, SweepCurve
+from .scan import _MODES, Grid, IsoScanMap, ResonanceMap, SweepCurve
 from .spectrum import FitResult, Spectrum
+from .texture import _MAX_HEIGHT, _MAX_LATERAL, SpinTexture
 
 __all__ = [
+    "TextureParseError",
+    "save_texture",
+    "load_texture",
     "format_value",
     "echo_lines",
     "write_map_csv",
@@ -33,6 +42,20 @@ __all__ = [
 ]
 
 PGM_MAXVAL = 65535
+
+_MAP_COLUMNS = "x_angstrom,y_angstrom,f_minus_ghz,f_plus_ghz"
+
+# Grid header of a map CSV in ResonanceMap's field order: key -> its cast
+# and the check its value must pass.
+_MAP_HEADER = {
+    "map_x0_angstrom": (float, math.isfinite),
+    "map_y0_angstrom": (float, math.isfinite),
+    "map_step_angstrom": (float, lambda v: 0.0 < v < math.inf),
+    "map_nx": (int, lambda v: v >= 1),
+    "map_ny": (int, lambda v: v >= 1),
+    "map_height_angstrom": (float, math.isfinite),
+    "map_mode": (str, lambda v: v in _MODES),
+}
 
 
 def format_value(value) -> str:
@@ -57,6 +80,162 @@ def _write_lines(path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _write_csv(path, command: str, params: dict, header: str, rows: list[str]) -> None:
+    """Config echo of command and params, the column header, the rows."""
+    _write_lines(path, [*echo_lines(command, params), header, *rows])
+
+
+class TextureParseError(ValueError):
+    """Malformed spintex file; message carries the offending line number."""
+
+
+class MapParseError(ValueError):
+    """Malformed map CSV; message carries the path and, for a bad row or
+    header line, its line number."""
+
+
+def _parse_error(path, lineno: int, message: str, error=TextureParseError) -> ValueError:
+    return error(f"{path}:{lineno}: {message}")
+
+
+def _parse_row(path, lineno: int, line: str, what: str, fields: str, error,
+               sep=None) -> list[float]:
+    """The values of one data line split at sep, one per field of fields
+    (split the same way), each a finite float; else error at path:lineno."""
+    parts = line.split(sep)
+    if len(parts) != len(fields.split(sep)):
+        raise _parse_error(path, lineno, f"{what} needs {len(fields.split(sep))} fields "
+                           f"({fields}), got {len(parts)}", error)
+    try:
+        values = [float(p) for p in parts]
+    except ValueError:
+        raise _parse_error(path, lineno, f"non-numeric {what} {line!r}", error) from None
+    if not all(map(math.isfinite, values)):
+        raise _parse_error(path, lineno, f"non-finite value in {what} {line!r}", error)
+    return values
+
+
+def save_texture(tex: SpinTexture, path, header_comments=None) -> None:
+    """Write a texture in the spintex v1 plain-text format.
+
+    header_comments, when given, is a list of '#'-prefixed lines placed
+    at the top of the file (the CLI echoes its effective config there).
+    """
+    meta = tex.lattice_meta
+    lines = list(header_comments) if header_comments else []
+    lines += [
+        "spintex 1",
+        f"lattice {meta.get('type', 'custom')}",
+        f"a_angstrom {meta.get('a', 0.0):.12g}",
+        f"nx {int(meta.get('nx', 0))}",
+        f"ny {int(meta.get('ny', 0))}",
+        f"spin_magnitude {tex.spin_mag:.12g}",
+        f"g_factor {tex.g:.12g}",
+        "# x_angstrom y_angstrom z_angstrom sx sy sz",
+    ]
+    for pos, sdir in zip(tex.positions, tex.spin_dirs):
+        lines.append(" ".join(f"{v:.12g}" for v in (*pos, *sdir)))
+    _write_lines(path, lines)
+
+
+def load_texture(path) -> SpinTexture:
+    """Read a spintex v1 file; inverse of save_texture.
+
+    Spin directions off unit length by more than 1e-3 are rejected;
+    smaller deviations are renormalized with a warning.
+    """
+    header_keys = {
+        "lattice": str,
+        "a_angstrom": float,
+        "nx": int,
+        "ny": int,
+        "spin_magnitude": float,
+        "g_factor": float,
+    }
+    header: dict = {}
+    positions: list[list[float]] = []
+    spin_dirs: list[np.ndarray] = []
+    saw_magic = False
+
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            tokens = line.split()
+            if not saw_magic:
+                if tokens != ["spintex", "1"]:
+                    raise _parse_error(
+                        path, lineno, f"expected 'spintex 1' header, got {line!r}"
+                    )
+                saw_magic = True
+                continue
+            if tokens[0] in header_keys:
+                if len(tokens) != 2:
+                    raise _parse_error(
+                        path, lineno, f"header {tokens[0]!r} takes exactly one value"
+                    )
+                try:
+                    value = header_keys[tokens[0]](tokens[1])
+                except ValueError:
+                    raise _parse_error(
+                        path, lineno, f"cannot parse {tokens[1]!r} for {tokens[0]!r}"
+                    ) from None
+                if isinstance(value, float) and not np.isfinite(value):
+                    raise _parse_error(
+                        path, lineno, f"non-finite value {tokens[1]!r} for {tokens[0]!r}"
+                    )
+                header[tokens[0]] = value
+                continue
+            values = _parse_row(path, lineno, line, "site line", "x y z sx sy sz",
+                                TextureParseError)
+            x, y, z = map(abs, values[:3])
+            if max(x, y) > _MAX_LATERAL or z > _MAX_HEIGHT:
+                bounds = f"|x|, |y| <= {_MAX_LATERAL:g} A or |z| <= {_MAX_HEIGHT:g} A"
+                raise _parse_error(path, lineno, f"site beyond {bounds}: {line!r}")
+            sdir = np.array(values[3:])
+            norm = np.linalg.norm(sdir)
+            if abs(norm - 1.0) > 1e-3:
+                raise _parse_error(
+                    path,
+                    lineno,
+                    f"spin direction has |dir| = {norm:.6g}, outside 1 +/- 0.001",
+                )
+            if abs(norm - 1.0) > 1e-9:
+                warnings.warn(
+                    f"{path}:{lineno}: renormalizing spin direction (|dir| = {norm:.6g})",
+                    stacklevel=2,
+                )
+                sdir = sdir / norm
+            positions.append(values[:3])
+            spin_dirs.append(sdir)
+
+    if not saw_magic:
+        raise _parse_error(path, 1, "missing 'spintex 1' header")
+    missing = set(header_keys) - set(header)
+    if missing:
+        raise _parse_error(path, 1, f"missing header lines: {sorted(missing)}")
+    if not positions:
+        raise _parse_error(path, 1, "file contains no site lines")
+
+    meta = {
+        "type": header["lattice"],
+        "a": header["a_angstrom"],
+        "nx": header["nx"],
+        "ny": header["ny"],
+    }
+    try:
+        return SpinTexture(
+            positions=np.array(positions),
+            spin_dirs=np.array(spin_dirs),
+            spin_mag=header["spin_magnitude"],
+            g=header["g_factor"],
+            lattice_meta=meta,
+        )
+    except ValueError as exc:
+        raise TextureParseError(f"{path}: {exc}") from exc
+
+
 def _rows(*columns) -> list[str]:
     """CSV rows of the columns' values, each column raveled."""
     # One %-format per row gives the bytes of format_value per value.
@@ -71,20 +250,11 @@ def _grid_rows(grid: Grid, *columns) -> list[str]:
 
 
 def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:
-    """Resonance map as CSV, row-major with x varying fastest."""
-    meta = {
-        "map_x0_angstrom": rmap.x0,
-        "map_y0_angstrom": rmap.y0,
-        "map_step_angstrom": rmap.step,
-        "map_nx": rmap.nx,
-        "map_ny": rmap.ny,
-        "map_height_angstrom": rmap.height,
-        "map_mode": rmap.mode,
-    }
-    lines = echo_lines("map", {**params, **meta})
-    lines.append("x_angstrom,y_angstrom,f_minus_ghz,f_plus_ghz")
-    lines += _grid_rows(rmap, rmap.f_minus, rmap.f_plus)
-    _write_lines(path, lines)
+    """Resonance map as CSV, row-major with x varying fastest, after its
+    grid header."""
+    grid = (rmap.x0, rmap.y0, rmap.step, rmap.nx, rmap.ny, rmap.height, rmap.mode)
+    _write_csv(path, "map", {**params, **dict(zip(_MAP_HEADER, grid))},
+               _MAP_COLUMNS, _grid_rows(rmap, rmap.f_minus, rmap.f_plus))
 
 
 def _parse_comment_meta(lines: list[str]) -> dict:
@@ -97,17 +267,12 @@ def _parse_comment_meta(lines: list[str]) -> dict:
     return meta
 
 
-class MapParseError(ValueError):
-    """Malformed map CSV; message carries the path and, for a bad row,
-    its line number."""
-
-
 def load_map_csv(path) -> ResonanceMap:
     """Read a map CSV back into a ResonanceMap.
 
-    Grid metadata comes from the comment header when present, otherwise
-    it is inferred from the coordinate columns.  Every row's x, y must be
-    its pixel's on that grid.
+    The grid comes from the '# map_* = value' header lines that
+    write_map_csv emits; a missing or malformed one is refused by name.
+    Every row's x, y must be its pixel's on that grid.
     """
     comments: list[str] = []
     rows: list[list[float]] = []
@@ -115,48 +280,29 @@ def load_map_csv(path) -> ResonanceMap:
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
-            if not line:
-                continue
             if line.startswith("#"):
                 comments.append(line)
-                continue
-            if line.startswith("x_angstrom"):
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise MapParseError(
-                    f"{path}:{lineno}: map rows need 4 columns, got {len(parts)}"
-                )
-            try:
-                values = [float(p) for p in parts]
-            except ValueError:
-                raise MapParseError(
-                    f"{path}:{lineno}: non-numeric map row {line!r}"
-                ) from None
-            if not np.all(np.isfinite(values)):
-                raise MapParseError(
-                    f"{path}:{lineno}: non-finite value in map row {line!r}"
-                )
-            rows.append(values)
-            linenos.append(lineno)
+            elif line and not line.startswith("x_angstrom"):
+                rows.append(_parse_row(path, lineno, line, "map row", _MAP_COLUMNS,
+                                       MapParseError, ","))
+                linenos.append(lineno)
     if not rows:
         raise MapParseError(f"{path}: no data rows")
     data = np.array(rows)
     meta = _parse_comment_meta(comments)
-
-    xs = np.unique(data[:, 0])
-    ys = np.unique(data[:, 1])
-    try:
-        nx = int(meta.get("map_nx", len(xs)))
-        ny = int(meta.get("map_ny", len(ys)))
-        x0 = float(meta.get("map_x0_angstrom", xs[0]))
-        y0 = float(meta.get("map_y0_angstrom", ys[0]))
-        spacing = xs if len(xs) > 1 else ys
-        step = float(meta.get("map_step_angstrom",
-                              spacing[1] - spacing[0] if len(spacing) > 1 else 1.0))
-        height = float(meta.get("map_height_angstrom", 0.0))
-    except ValueError as exc:
-        raise MapParseError(f"{path}: malformed grid header: {exc}") from None
+    grid = []
+    for key, (cast, valid) in _MAP_HEADER.items():
+        raw = meta.get(key)
+        if raw is None:
+            raise MapParseError(f"{path}: missing grid header line '# {key} = ...'")
+        try:
+            value = cast(raw)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise MapParseError(f"{path}: malformed grid header {key} = {raw!r}")
+        grid.append(value)
+    x0, y0, step, nx, ny = grid[:5]
     if nx * ny != data.shape[0]:
         raise MapParseError(
             f"{path}: {data.shape[0]} rows do not fill a {nx} x {ny} grid"
@@ -174,25 +320,14 @@ def load_map_csv(path) -> ResonanceMap:
             f"not pixel ({k % nx}, {k // nx}) of the {nx} x {ny} grid, at "
             f"({want[k, 0]:.9g}, {want[k, 1]:.9g}) A"
         )
-    return ResonanceMap(
-        x0=x0,
-        y0=y0,
-        step=step,
-        nx=nx,
-        ny=ny,
-        height=height,
-        mode=meta.get("map_mode", "unknown"),
-        f_minus=data[:, 2].reshape(ny, nx),
-        f_plus=data[:, 3].reshape(ny, nx),
-    )
+    return ResonanceMap(*grid, f_minus=data[:, 2].reshape(ny, nx),
+                        f_plus=data[:, 3].reshape(ny, nx))
 
 
 def write_error_map_csv(path, rmap: ResonanceMap, error: np.ndarray, params: dict) -> None:
     """Per-pixel |fitted - true| (GHz) on the map grid."""
-    lines = echo_lines("error-map", params)
-    lines.append("x_angstrom,y_angstrom,error_ghz")
-    lines += _grid_rows(rmap, error)
-    _write_lines(path, lines)
+    _write_csv(path, "error-map", params, "x_angstrom,y_angstrom,error_ghz",
+               _grid_rows(rmap, error))
 
 
 def write_iso_csv(path, iso: IsoScanMap, params: dict) -> None:
@@ -202,27 +337,22 @@ def write_iso_csv(path, iso: IsoScanMap, params: dict) -> None:
         "iso_z_min_angstrom": iso.z_min,
         "iso_z_max_angstrom": iso.z_max,
     }
-    lines = echo_lines("isoscan", {**params, **meta})
-    lines.append("x_angstrom,y_angstrom,z_angstrom")
-    lines += _grid_rows(iso, iso.heights)
-    _write_lines(path, lines)
+    _write_csv(path, "isoscan", {**params, **meta}, "x_angstrom,y_angstrom,z_angstrom",
+               _grid_rows(iso, iso.heights))
 
 
 def write_sweep_csv(path, curve: SweepCurve, params: dict) -> None:
     meta = {}
     if curve.crossover_r is not None:
         meta["crossover_r_angstrom"] = curve.crossover_r
-    lines = echo_lines("sweep", {**params, **meta})
-    lines.append("r_angstrom,J_uev,Edd_uev,Bstray_T,f_ghz")
-    lines += _rows(curve.r, curve.j_ex, curve.e_dd, curve.b_stray, curve.f_res)
-    _write_lines(path, lines)
+    _write_csv(path, "sweep", {**params, **meta},
+               "r_angstrom,J_uev,Edd_uev,Bstray_T,f_ghz",
+               _rows(curve.r, curve.j_ex, curve.e_dd, curve.b_stray, curve.f_res))
 
 
 def write_spectrum_csv(path, spec: Spectrum, params: dict) -> None:
-    lines = echo_lines("spectrum", params)
-    lines.append("f_ghz,counts")
-    lines += _rows(spec.frequencies, spec.counts)
-    _write_lines(path, lines)
+    _write_csv(path, "spectrum", params, "f_ghz,counts",
+               _rows(spec.frequencies, spec.counts))
 
 
 def write_pgm(path, values: np.ndarray, params: dict) -> None:

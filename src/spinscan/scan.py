@@ -35,7 +35,7 @@ from .spincore import (
     zeeman_hamiltonian,
     zfs_hamiltonian,
 )
-from .texture import _BLOCK_BYTES, SampleSite, SpinTexture
+from .texture import _BLOCK_BYTES, _MAX_HEIGHT, _MAX_LATERAL, SampleSite, SpinTexture
 
 __all__ = [
     "Grid",
@@ -62,16 +62,6 @@ _MIN_TIP_SITE_DISTANCE = 0.1
 # Minimum scan height (angstrom); below this the point-spin formulas and
 # the asymptotic exchange constant are both out of their validity range.
 _MIN_HEIGHT = 1.0
-
-# Maximum tip height (angstrom), 1 um: far past where either interaction
-# is measurable, and far below the heights where J's x^2.5 factor (about
-# 1e122 A) or the squared tip-site distance (about 1e154 A) overflows.
-_MAX_HEIGHT = 1e4
-
-# Largest |x| or |y| of a tip (angstrom), 100 um: far past any texture
-# rastered at angstrom steps, and far below the coordinates (about
-# 1e154 A) where the squared tip-site distance overflows.
-_MAX_LATERAL = 1e6
 
 # Largest raster (pixels) a scan accepts; grid sizes are checked against
 # it before any array is allocated.  A 1000 x 1000 map fits.

@@ -1,14 +1,14 @@
-"""Sample spin textures: lattice construction, spin patterns, file round-trip.
+"""Sample spin textures: lattice construction and spin patterns.
 
 A texture is a set of lattice sites in the z = 0 plane, each carrying a
 classical spin expectation vector (unit direction times magnitude) and a
 g-factor.  Textures are inputs to the scan engine; nothing here relaxes
-or evolves them.
+or evolves them.  The spintex file format lives in fileio, with every
+other format.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,11 +18,8 @@ __all__ = [
     "SampleSite",
     "Lattice",
     "SpinTexture",
-    "TextureParseError",
     "build_lattice",
     "apply_pattern",
-    "save_texture",
-    "load_texture",
 ]
 
 # Sites closer than this (angstrom) are treated as duplicates.
@@ -34,6 +31,16 @@ _MIN_SITE_SEPARATION = 0.1
 _MAX_SITES = 100_000
 
 _PATTERNS = ("FM", "AFM-Neel", "stripe")
+
+# Maximum tip height (angstrom), 1 um: far past where either interaction
+# is measurable, and far below the heights where J's x^2.5 factor (about
+# 1e122 A) or the squared tip-site distance (about 1e154 A) overflows.
+_MAX_HEIGHT = 1e4
+
+# Largest |x| or |y| of a tip or site (angstrom), 100 um: far past any
+# texture rastered at angstrom steps, and far below the coordinates
+# (about 1e154 A) where the squared tip-site distance overflows.
+_MAX_LATERAL = 1e6
 
 # Bytes of one float64 plane per block of a pairwise sum, (sites, sites)
 # here and (tips, sites) in the scan: about 1 MiB keeps a block in cache.
@@ -73,8 +80,7 @@ class SpinTexture:
     """Ordered collection of sample sites with uniform spin_mag and g.
 
     Stored as arrays (positions (n,3), spin_dirs (n,3)) so the scan
-    engine can broadcast over sites; the `sites` property materializes
-    per-site records when object access is more convenient.
+    engine can broadcast over sites.
     """
 
     def __init__(
@@ -115,18 +121,6 @@ class SpinTexture:
     @property
     def n_sites(self) -> int:
         return self.positions.shape[0]
-
-    @property
-    def sites(self) -> list[SampleSite]:
-        return [
-            SampleSite(
-                position=self.positions[i],
-                spin_dir=self.spin_dirs[i],
-                spin_mag=self.spin_mag,
-                g=self.g,
-            )
-            for i in range(self.n_sites)
-        ]
 
     @property
     def spin_vectors(self) -> np.ndarray:
@@ -193,7 +187,6 @@ def build_lattice(lattice_type: str, a: float, nx: int, ny: int) -> Lattice:
     # Coordinates grow with i, j and the basis, so the last cell's sites
     # bound the lattice.  Checked before allocating: farther sites would
     # overflow the squared distances of the duplicate-site check.
-    from .scan import _MAX_LATERAL  # scan imports this module
     with np.errstate(over="ignore"):
         extent = float(np.max((nx - 1) * a1 + (ny - 1) * a2 + basis))
     if extent > _MAX_LATERAL:
@@ -266,147 +259,3 @@ def apply_pattern(
         g=g,
         lattice_meta=lattice.meta,
     )
-
-
-def save_texture(tex: SpinTexture, path, header_comments=None) -> None:
-    """Write a texture in the spintex v1 plain-text format.
-
-    header_comments, when given, is a list of '#'-prefixed lines placed
-    at the top of the file (the CLI echoes its effective config there).
-    """
-    meta = tex.lattice_meta
-    lines = list(header_comments) if header_comments else []
-    lines += [
-        "spintex 1",
-        f"lattice {meta.get('type', 'custom')}",
-        f"a_angstrom {meta.get('a', 0.0):.12g}",
-        f"nx {int(meta.get('nx', 0))}",
-        f"ny {int(meta.get('ny', 0))}",
-        f"spin_magnitude {tex.spin_mag:.12g}",
-        f"g_factor {tex.g:.12g}",
-        "# x_angstrom y_angstrom z_angstrom sx sy sz",
-    ]
-    for pos, sdir in zip(tex.positions, tex.spin_dirs):
-        lines.append(
-            " ".join(f"{v:.12g}" for v in (*pos, *sdir))
-        )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-class TextureParseError(ValueError):
-    """Malformed spintex file; message carries the offending line number."""
-
-
-def _parse_error(path, lineno: int, message: str) -> TextureParseError:
-    return TextureParseError(f"{path}:{lineno}: {message}")
-
-
-def load_texture(path) -> SpinTexture:
-    """Read a spintex v1 file; inverse of save_texture.
-
-    Spin directions off unit length by more than 1e-3 are rejected;
-    smaller deviations are renormalized with a warning.
-    """
-    from .scan import _MAX_HEIGHT, _MAX_LATERAL  # scan imports this module
-
-    header_keys = {
-        "lattice": str,
-        "a_angstrom": float,
-        "nx": int,
-        "ny": int,
-        "spin_magnitude": float,
-        "g_factor": float,
-    }
-    header: dict = {}
-    positions: list[list[float]] = []
-    spin_dirs: list[np.ndarray] = []
-    saw_magic = False
-
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            tokens = line.split()
-            if not saw_magic:
-                if tokens != ["spintex", "1"]:
-                    raise _parse_error(
-                        path, lineno, f"expected 'spintex 1' header, got {line!r}"
-                    )
-                saw_magic = True
-                continue
-            if tokens[0] in header_keys:
-                if len(tokens) != 2:
-                    raise _parse_error(
-                        path, lineno, f"header {tokens[0]!r} takes exactly one value"
-                    )
-                try:
-                    value = header_keys[tokens[0]](tokens[1])
-                except ValueError:
-                    raise _parse_error(
-                        path, lineno, f"cannot parse {tokens[1]!r} for {tokens[0]!r}"
-                    ) from None
-                if isinstance(value, float) and not np.isfinite(value):
-                    raise _parse_error(
-                        path, lineno, f"non-finite value {tokens[1]!r} for {tokens[0]!r}"
-                    )
-                header[tokens[0]] = value
-                continue
-            if len(tokens) != 6:
-                raise _parse_error(
-                    path,
-                    lineno,
-                    f"site line needs 6 fields (x y z sx sy sz), got {len(tokens)}",
-                )
-            try:
-                values = [float(t) for t in tokens]
-            except ValueError:
-                raise _parse_error(path, lineno, f"non-numeric site line {line!r}") from None
-            if not np.all(np.isfinite(values)):
-                raise _parse_error(path, lineno, f"non-finite site line {line!r}")
-            x, y, z = map(abs, values[:3])
-            if max(x, y) > _MAX_LATERAL or z > _MAX_HEIGHT:
-                bounds = f"|x|, |y| <= {_MAX_LATERAL:g} A or |z| <= {_MAX_HEIGHT:g} A"
-                raise _parse_error(path, lineno, f"site beyond {bounds}: {line!r}")
-            sdir = np.array(values[3:])
-            norm = np.linalg.norm(sdir)
-            if abs(norm - 1.0) > 1e-3:
-                raise _parse_error(
-                    path,
-                    lineno,
-                    f"spin direction has |dir| = {norm:.6g}, outside 1 +/- 0.001",
-                )
-            if abs(norm - 1.0) > 1e-9:
-                warnings.warn(
-                    f"{path}:{lineno}: renormalizing spin direction (|dir| = {norm:.6g})",
-                    stacklevel=2,
-                )
-                sdir = sdir / norm
-            positions.append(values[:3])
-            spin_dirs.append(sdir)
-
-    if not saw_magic:
-        raise _parse_error(path, 1, "missing 'spintex 1' header")
-    missing = set(header_keys) - set(header)
-    if missing:
-        raise _parse_error(path, 1, f"missing header lines: {sorted(missing)}")
-    if not positions:
-        raise _parse_error(path, 1, "file contains no site lines")
-
-    meta = {
-        "type": header["lattice"],
-        "a": header["a_angstrom"],
-        "nx": header["nx"],
-        "ny": header["ny"],
-    }
-    try:
-        return SpinTexture(
-            positions=np.array(positions),
-            spin_dirs=np.array(spin_dirs),
-            spin_mag=header["spin_magnitude"],
-            g=header["g_factor"],
-            lattice_meta=meta,
-        )
-    except ValueError as exc:
-        raise TextureParseError(f"{path}: {exc}") from exc

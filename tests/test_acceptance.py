@@ -255,7 +255,7 @@ def test_criterion_6_measurement_pipeline():
 
 def test_criterion_7_mean_field_validity():
     t0 = time.time()
-    from spinscan import SpinTexture
+    from spinscan import SampleSite, SpinTexture
 
     tex = SpinTexture(
         positions=np.array([[0.0, 0.0, 0.0]]),
@@ -263,7 +263,8 @@ def test_criterion_7_mean_field_validity():
         spin_mag=0.5,
         g=2.0,
     )
-    site = tex.sites[0]
+    site = SampleSite(position=tex.positions[0], spin_dir=tex.spin_dirs[0],
+                      spin_mag=tex.spin_mag, g=tex.g)
     details = []
     ok = True
     for z in (6.0, 7.0, 8.0):

@@ -148,7 +148,7 @@ def test_scan_non_finite_texture_is_input_error(workdir):
     (workdir / "nan.spintex").write_text("\n".join(good) + "\n")
     r = run_cli("scan", "--texture", "nan.spintex", "--out", "x.csv", cwd=workdir)
     assert r.returncode == 3
-    assert f"nan.spintex:{first_site + 1}: non-finite site line" in r.stderr
+    assert f"nan.spintex:{first_site + 1}: non-finite value in site line" in r.stderr
     assert len(r.stderr.strip().splitlines()) == 1
 
 
@@ -288,6 +288,18 @@ def test_spectrum_from_texture_and_tip(workdir):
     assert float(rep["peak1_center_ghz"]) > 100.0
 
 
+def test_spectrum_from_texture_echoes_its_probe(workdir):
+    r = run_cli("spectrum", "--texture", "t.spintex", "--tip", "6,6,4", "--mode", "both",
+                "--bext", "0,0,0.01", "--out", "sp.csv", "--report", "rsp.txt",
+                cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    for name in ("sp.csv", "rsp.txt"):
+        lines = (workdir / name).read_text().splitlines()
+        for echo in ("# texture = t.spintex", "# tip_angstrom = 6,6,4", "# mode = both",
+                     "# b_ext_tesla = 0,0,0.01"):
+            assert echo in lines, (name, echo)
+
+
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_spectrum_resolves_a_close_pair(workdir, seed):
     # 0.05 GHz apart is 2.5 sweep steps: the fit starts from the two
@@ -337,6 +349,20 @@ def test_reconstruct_neel_signs(workdir):
     )
     assert correct == 25
     assert "cond" in r.stdout
+
+
+def test_reconstruct_echoes_its_grid_as_scan_does(workdir):
+    grid = ["--xmin", "-1", "--xmax", "10", "--ymin", "0", "--ymax", "9", "--step", "0.5"]
+    headers = []
+    for command in (["scan"], ["reconstruct", "--synthetic"]):
+        r = run_cli(*command, "--texture", "t.spintex", *grid, "--out", "grid.out",
+                    cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        headers.append({ln for ln in (workdir / "grid.out").read_text().splitlines()
+                        if ln.startswith(("# x_", "# y_", "# step_"))})
+    assert headers[0] == headers[1] == {
+        "# x_min_angstrom = -1", "# x_max_angstrom = 10", "# y_min_angstrom = 0",
+        "# y_max_angstrom = 9", "# step_angstrom = 0.5"}
 
 
 def test_reconstruct_negative_lam_is_usage_error(workdir):

@@ -154,3 +154,16 @@ def test_map_rows_off_their_pixels_are_an_input_error(texture):
                            "--out", path.with_suffix(".txt")])
     assert code == 3
     assert len(stderr) == 1 and f"{path}:{k + 2}: row at" in stderr[0], stderr
+
+
+def test_map_without_its_grid_header_is_an_input_error(texture):
+    # Without the '# map_*' lines the grid is not guessed from the rows.
+    path = texture.with_name("bare.csv")
+    assert run(["scan", "--texture", texture, "--step", "1.5", "--out", path])[0] == 0
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join(ln for ln in lines if not ln.startswith("#")) + "\n",
+                    encoding="utf-8")
+    code, stderr, _ = run(["reconstruct", "--texture", texture, "--map", path,
+                           "--out", path.with_suffix(".txt")])
+    assert code == 3
+    assert len(stderr) == 1 and "map_x0_angstrom" in stderr[0], stderr

@@ -8,9 +8,11 @@ import pytest
 
 from spinscan.fileio import (
     MapParseError,
+    TextureParseError,
     _grid_rows,
     load_config,
     load_map_csv,
+    load_texture,
     write_map_csv,
     write_pgm,
     write_spectrum_csv,
@@ -77,6 +79,49 @@ def test_map_rows_off_their_pixels_are_refused(tmp_path):
     with pytest.raises(MapParseError, match=(
             rf"m.csv:{len(head) + 2}: row at \(-1.5, 2.75\) A is not pixel \(1, 0\)"
             r" of the 7 x 9 grid, at \(-0.75, 2\) A")):
+        load_map_csv(path)
+
+
+@pytest.mark.parametrize("name, text, load, error, message", [
+    ("m.csv", "x_angstrom,y_angstrom,f_minus_ghz,f_plus_ghz\n0,0,3\n", load_map_csv,
+     MapParseError, "m.csv:2: map row needs 4 fields"),
+    ("t.spintex", "spintex 1\n0 0 0 0 1\n", load_texture, TextureParseError,
+     "t.spintex:2: site line needs 6 fields"),
+])
+def test_both_readers_refuse_a_short_row_at_its_line(tmp_path, name, text, load, error,
+                                                     message):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(error, match=message):
+        load(path)
+
+
+MAP_HEADER_KEYS = ("map_x0_angstrom", "map_y0_angstrom", "map_step_angstrom", "map_nx",
+                   "map_ny", "map_height_angstrom", "map_mode")
+
+
+@pytest.mark.parametrize("key", MAP_HEADER_KEYS)
+def test_map_without_a_grid_header_line_is_refused(tmp_path, key):
+    path = tmp_path / "m.csv"
+    write_map_csv(path, _toy_map(), {})
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"# {key} =")) + "\n")
+    with pytest.raises(MapParseError, match=f"m.csv: missing grid header line '# {key} = "):
+        load_map_csv(path)
+
+
+@pytest.mark.parametrize("key, value", [
+    *[(key, "abc") for key in MAP_HEADER_KEYS],
+    ("map_x0_angstrom", "nan"), ("map_height_angstrom", "inf"), ("map_step_angstrom", "0"),
+    ("map_step_angstrom", "-0.5"), ("map_nx", "0"), ("map_ny", "2.5"), ("map_mode", "unknown"),
+])
+def test_map_with_a_malformed_grid_header_line_is_refused(tmp_path, key, value):
+    path = tmp_path / "m.csv"
+    write_map_csv(path, _toy_map(), {})
+    lines = [f"# {key} = {value}" if ln.startswith(f"# {key} =") else ln
+             for ln in path.read_text().splitlines()]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MapParseError, match=f"m.csv: malformed grid header {key} = '{value}'"):
         load_map_csv(path)
 
 

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from spinscan import (
     CONSTANTS,
     ProbeSpec,
+    SampleSite,
     ScanConfig,
     SpinTexture,
     apply_pattern,
@@ -30,6 +31,9 @@ from spinscan import (
     probe_resonances,
     scan_constant_height,
     scan_iso_frequency,
+    spin_operators,
+    zeeman_hamiltonian,
+    zfs_hamiltonian,
 )
 from spinscan import reconstruct, scan
 from spinscan.scan import (
@@ -63,6 +67,11 @@ def _single_texture(position, direction=(0.0, 0.0, 1.0)):
         spin_mag=0.5,
         g=2.0,
     )
+
+
+# The site of _single_texture((0, 0, 0)) and the first site of fm_5x5.
+ORIGIN_SITE = SampleSite(position=np.zeros(3), spin_dir=np.array([0.0, 0.0, 1.0]),
+                         spin_mag=0.5, g=2.0)
 
 
 # ----------------------------------------------------------- field assembly
@@ -268,7 +277,7 @@ def test_iso_frequency_warns_once_per_call(fm_5x5):
 @pytest.mark.parametrize("call, r_min", [
     (lambda tex: effective_fields_at((0.0, 0.0, 1.5), tex), 1.5),
     (lambda tex: probe_hamiltonian_at((0.0, 0.0, 1.5), tex, ScanConfig()), 1.5),
-    (lambda tex: pair_mode_resonance((0.0, 0.0, 1.5), tex.sites[0], ScanConfig()), 1.5),
+    (lambda tex: pair_mode_resonance((0.0, 0.0, 1.5), ORIGIN_SITE, ScanConfig()), 1.5),
     # The crossover search evaluates J again below 2 A; it does not warn again.
     (lambda tex: distance_sweep(0.3, 1e4, 500), 0.3),
 ], ids=["effective_fields_at", "probe_hamiltonian_at", "pair_mode_resonance",
@@ -795,6 +804,19 @@ def test_iso_frequency_unbracketed_grid_is_all_nan(fm_5x5):
     assert np.all(np.isnan(iso.heights))
 
 
+@pytest.mark.parametrize("fraction", [0.5, 1.0])
+def test_iso_frequency_source_at_or_below_zero_field_line_is_all_nan(fm_5x5, fraction):
+    # f_plus never falls below D/h, so no pixel brackets such a source; the
+    # secant then works on the raw offset, and raises no numpy warning.
+    cfg = ScanConfig(x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=1.0)
+    f_source = fraction * cfg.probe.d_zfs / H_GHZ
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        iso = scan_iso_frequency(cfg, fm_5x5, f_source, 2.0, 12.0)
+    assert iso.heights.shape == (13, 13)
+    assert np.all(np.isnan(iso.heights))
+
+
 def test_iso_frequency_work_per_pixel(monkeypatch):
     # Bisection spends about 22 field evaluations per pixel here.
     tex = _tilted_texture(build_lattice("square", 3.0, 8, 8), "FM")
@@ -848,12 +870,10 @@ def test_iso_frequency_safeguard_at_zero_field_end(monkeypatch, single_site):
 
 def _pair_vs_meanfield(z):
     """Max |exact - mean-field| over both transitions, and the J^2 bound."""
-    site_tex = _single_texture((0.0, 0.0, 0.0))
-    site = site_tex.sites[0]
     cfg = ScanConfig(height=z, mode="exchange", probe=ProbeSpec(d_zfs=D_UEV, g=2.0))
     tip = (0.0, 0.0, z)
-    mf = probe_resonances(probe_hamiltonian_at(tip, site_tex, cfg))
-    exact = pair_mode_resonance(tip, site, cfg)
+    mf = probe_resonances(probe_hamiltonian_at(tip, _single_texture((0.0, 0.0, 0.0)), cfg))
+    exact = pair_mode_resonance(tip, ORIGIN_SITE, cfg)
     j = exact.j_uev
     # The site is polarized +z: mean field corresponds to the m = +1/2
     # sector of the exact model.
@@ -873,10 +893,8 @@ def test_pair_mode_within_second_order_bound(z):
 def test_pair_mode_sector_antisymmetry():
     # At first order the two site sectors shift each transition by
     # opposite amounts; their sorted pairs coincide by up-down symmetry.
-    site_tex = _single_texture((0.0, 0.0, 0.0))
-    site = site_tex.sites[0]
     cfg = ScanConfig(height=6.0, mode="exchange", probe=ProbeSpec(d_zfs=D_UEV, g=2.0))
-    res = pair_mode_resonance((0.0, 0.0, 6.0), site, cfg)
+    res = pair_mode_resonance((0.0, 0.0, 6.0), ORIGIN_SITE, cfg)
     up = res.sectors[0.5]
     down = res.sectors[-0.5]
     assert up.f_minus == pytest.approx(down.f_minus, rel=1e-12)
@@ -893,16 +911,27 @@ def test_pair_mode_sector_antisymmetry():
     assert shift_up > 0.0 > shift_down
 
 
+def test_pair_mode_far_site_in_oblique_field_is_the_bare_probe():
+    # At 30 A J is negligible: the site's Zeeman term shifts every level of
+    # an m_site sector alike, so each sector's pair is the bare probe's
+    # resonances under the same field.
+    b_ext = (0.01, 0.0, 0.05)
+    cfg = ScanConfig(b_ext=b_ext)
+    res = pair_mode_resonance((0.0, 0.0, 30.0), ORIGIN_SITE, cfg)
+    bare = probe_resonances(zfs_hamiltonian(cfg.probe)
+                            + zeeman_hamiltonian(cfg.probe.g, b_ext, spin_operators(1.0)))
+    assert bare.f_plus - bare.f_minus > 1.0  # the field splits the branches
+    assert set(res.sectors) == {0.5, -0.5}
+    for pair in res.sectors.values():
+        assert pair.f_minus == pytest.approx(bare.f_minus, rel=1e-9)
+        assert pair.f_plus == pytest.approx(bare.f_plus, rel=1e-9)
+
+
 def test_pair_mode_rejects_non_half_integer_spin():
-    tex = SpinTexture(
-        positions=np.array([[0.0, 0.0, 0.0]]),
-        spin_dirs=np.array([[0.0, 0.0, 1.0]]),
-        spin_mag=0.3,
-        g=2.0,
-    )
-    cfg = ScanConfig()
+    site = SampleSite(position=np.zeros(3), spin_dir=np.array([0.0, 0.0, 1.0]),
+                      spin_mag=0.3, g=2.0)
     with pytest.raises(ValueError):
-        pair_mode_resonance((0.0, 0.0, 6.0), tex.sites[0], cfg)
+        pair_mode_resonance((0.0, 0.0, 6.0), site, ScanConfig())
 
 
 # ------------------------------------------------------------------- sweeps
