@@ -42,7 +42,7 @@ from .spectrum import (
     synthesize,
 )
 from .spincore import ProbeSpec, ResonancePair, probe_resonances
-from .texture import _PATTERNS, apply_pattern, build_lattice
+from .texture import _LATTICES, _PATTERNS, apply_pattern, build_lattice
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -330,14 +330,10 @@ def cmd_spectrum(args) -> int:
         raise ValueError("--resonances and --texture are mutually exclusive")
     probe = {}  # header echo of the texture, tip and coupling, when given
     if args.resonances is not None:
-        values = args.resonances
-        if len(values) == 1:
-            pair = ResonancePair(f_minus=values[0], f_plus=values[0])
-        elif len(values) == 2:
-            lo, hi = sorted(values)
-            pair = ResonancePair(f_minus=lo, f_plus=hi)
-        else:
+        if len(args.resonances) not in (1, 2):
             raise ValueError("--resonances takes one or two frequencies in GHz")
+        values = sorted(args.resonances)  # unlike min and max, keeps a NaN's place
+        pair = ResonancePair(values[0], values[-1])
     elif args.texture is not None:
         if args.tip is None:
             raise ValueError("--tip x,y,z is required with --texture")
@@ -464,16 +460,18 @@ def cmd_reconstruct(args) -> int:
 
 
 def _square_cell_indices(tex):
-    """Recover (ix, iy) cell indices for square-lattice textures."""
+    """(ix, iy) cell indices of a square-lattice texture's sites, or None
+    (site index labels) unless they lie inside the header's nx x ny and
+    min + a * (ix, iy) gives back every site to rounding."""
     meta = tex.lattice_meta
     if meta.get("type") != "square" or not meta.get("a"):
         return None
-    a = float(meta["a"])
-    x0 = tex.positions[:, 0].min()
-    y0 = tex.positions[:, 1].min()
-    ix = np.round((tex.positions[:, 0] - x0) / a).astype(int)
-    iy = np.round((tex.positions[:, 1] - y0) / a).astype(int)
-    return np.column_stack([ix, iy])
+    a, xy = float(meta["a"]), tex.positions[:, :2]
+    with np.errstate(over="ignore"):  # an a far below the site spacing
+        cells = np.round((xy - xy.min(axis=0)) / a)
+    exact = np.abs(xy.min(axis=0) + a * cells - xy) <= 1e-9 * (a + np.abs(xy).max())
+    inside = (cells >= 0) & (cells < (meta.get("nx", 0), meta.get("ny", 0)))
+    return cells.astype(int) if np.all(exact & inside) else None
 
 
 class _Parser(argparse.ArgumentParser):
@@ -534,8 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("texture", cmd_texture, "generate a spin texture file")
-    _arg(p, "--lattice", "texture.lattice", _REQUIRED,
-         choices=("square", "triangular", "honeycomb"))
+    _arg(p, "--lattice", "texture.lattice", _REQUIRED, choices=_LATTICES)
     _arg(p, "--a", "texture.a", _REQUIRED, type=float,
          help="lattice constant in angstrom")
     _arg(p, "--nx", "texture.nx", _REQUIRED, type=int)

@@ -2,10 +2,13 @@
 key-value reports and config files.
 
 The two readers, load_texture and load_map_csv, check every value where
-it enters and refuse a bad one with the file and line number.  All
-writers are deterministic: floats use 9 significant digits, keys are
-emitted in sorted order, and no timestamps or environment details enter
-the output, so equal inputs produce byte-identical files.  Every output
+it enters and refuse a bad one with the file and line number.  Each
+reads its header through one key table (_TEXTURE_HEADER, _MAP_HEADER:
+key -> cast and check) that its writer emits in order, and refuses a
+missing key by name.  All writers are deterministic: floats use 9
+significant digits (12 in spintex files), echoed keys are emitted in
+sorted order, and no timestamps or environment details enter the output,
+so equal inputs produce byte-identical files.  Every output
 starts with '#' comment lines echoing the effective configuration.
 """
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .scan import _MODES, Grid, IsoScanMap, ResonanceMap, SweepCurve
 from .spectrum import FitResult, Spectrum
-from .texture import _MAX_HEIGHT, _MAX_LATERAL, SpinTexture
+from .texture import _LATTICES, _MAX_HEIGHT, _MAX_LATERAL, SpinTexture
 
 __all__ = [
     "TextureParseError",
@@ -55,6 +58,17 @@ _MAP_HEADER = {
     "map_ny": (int, lambda v: v >= 1),
     "map_height_angstrom": (float, math.isfinite),
     "map_mode": (str, lambda v: v in _MODES),
+}
+
+# Header of a spintex file in save_texture's order, in the same shape.  A
+# custom texture is written with a = 0 and nx = ny = 0.
+_TEXTURE_HEADER = {
+    "lattice": (str, lambda v: v in (*_LATTICES, "custom")),
+    "a_angstrom": (float, lambda v: 0.0 <= v < math.inf),
+    "nx": (int, lambda v: v >= 0),
+    "ny": (int, lambda v: v >= 0),
+    "spin_magnitude": (float, lambda v: 0.0 <= v < math.inf),
+    "g_factor": (float, math.isfinite),
 }
 
 
@@ -115,6 +129,25 @@ def _parse_row(path, lineno: int, line: str, what: str, fields: str, error,
     return values
 
 
+def _header_values(path, found: dict, table: dict, error) -> list:
+    """The value of each key of table, in its order, from found ({key:
+    (lineno, text)}), cast and checked by the table; else error naming the
+    key, at its line when it has one."""
+    values = []
+    for key, (cast, valid) in table.items():
+        if key not in found:
+            raise error(f"{path}: missing header line {key!r}")
+        lineno, text = found[key]
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise _parse_error(path, lineno, f"malformed header {key} = {text!r}", error)
+        values.append(value)
+    return values
+
+
 def save_texture(tex: SpinTexture, path, header_comments=None) -> None:
     """Write a texture in the spintex v1 plain-text format.
 
@@ -122,17 +155,11 @@ def save_texture(tex: SpinTexture, path, header_comments=None) -> None:
     at the top of the file (the CLI echoes its effective config there).
     """
     meta = tex.lattice_meta
+    header = (meta.get("type", "custom"), f"{meta.get('a', 0.0):.12g}", int(meta.get("nx", 0)),
+              int(meta.get("ny", 0)), f"{tex.spin_mag:.12g}", f"{tex.g:.12g}")
     lines = list(header_comments) if header_comments else []
-    lines += [
-        "spintex 1",
-        f"lattice {meta.get('type', 'custom')}",
-        f"a_angstrom {meta.get('a', 0.0):.12g}",
-        f"nx {int(meta.get('nx', 0))}",
-        f"ny {int(meta.get('ny', 0))}",
-        f"spin_magnitude {tex.spin_mag:.12g}",
-        f"g_factor {tex.g:.12g}",
-        "# x_angstrom y_angstrom z_angstrom sx sy sz",
-    ]
+    lines += ["spintex 1", *(f"{key} {v}" for key, v in zip(_TEXTURE_HEADER, header)),
+              "# x_angstrom y_angstrom z_angstrom sx sy sz"]
     for pos, sdir in zip(tex.positions, tex.spin_dirs):
         lines.append(" ".join(f"{v:.12g}" for v in (*pos, *sdir)))
     _write_lines(path, lines)
@@ -141,18 +168,11 @@ def save_texture(tex: SpinTexture, path, header_comments=None) -> None:
 def load_texture(path) -> SpinTexture:
     """Read a spintex v1 file; inverse of save_texture.
 
-    Spin directions off unit length by more than 1e-3 are rejected;
-    smaller deviations are renormalized with a warning.
+    Header values must pass _TEXTURE_HEADER's checks.  Spin directions
+    off unit length by more than 1e-3 are rejected; smaller deviations
+    are renormalized with a warning.
     """
-    header_keys = {
-        "lattice": str,
-        "a_angstrom": float,
-        "nx": int,
-        "ny": int,
-        "spin_magnitude": float,
-        "g_factor": float,
-    }
-    header: dict = {}
+    found: dict = {}
     positions: list[list[float]] = []
     spin_dirs: list[np.ndarray] = []
     saw_magic = False
@@ -162,30 +182,16 @@ def load_texture(path) -> SpinTexture:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            tokens = line.split()
+            key, *text = line.split(None, 1)
             if not saw_magic:
-                if tokens != ["spintex", "1"]:
+                if line.split() != ["spintex", "1"]:
                     raise _parse_error(
                         path, lineno, f"expected 'spintex 1' header, got {line!r}"
                     )
                 saw_magic = True
                 continue
-            if tokens[0] in header_keys:
-                if len(tokens) != 2:
-                    raise _parse_error(
-                        path, lineno, f"header {tokens[0]!r} takes exactly one value"
-                    )
-                try:
-                    value = header_keys[tokens[0]](tokens[1])
-                except ValueError:
-                    raise _parse_error(
-                        path, lineno, f"cannot parse {tokens[1]!r} for {tokens[0]!r}"
-                    ) from None
-                if isinstance(value, float) and not np.isfinite(value):
-                    raise _parse_error(
-                        path, lineno, f"non-finite value {tokens[1]!r} for {tokens[0]!r}"
-                    )
-                header[tokens[0]] = value
+            if key in _TEXTURE_HEADER:
+                found[key] = (lineno, "".join(text))
                 continue
             values = _parse_row(path, lineno, line, "site line", "x y z sx sy sz",
                                 TextureParseError)
@@ -212,26 +218,13 @@ def load_texture(path) -> SpinTexture:
 
     if not saw_magic:
         raise _parse_error(path, 1, "missing 'spintex 1' header")
-    missing = set(header_keys) - set(header)
-    if missing:
-        raise _parse_error(path, 1, f"missing header lines: {sorted(missing)}")
+    lattice, a, nx, ny, spin_mag, g = _header_values(path, found, _TEXTURE_HEADER,
+                                                     TextureParseError)
     if not positions:
         raise _parse_error(path, 1, "file contains no site lines")
-
-    meta = {
-        "type": header["lattice"],
-        "a": header["a_angstrom"],
-        "nx": header["nx"],
-        "ny": header["ny"],
-    }
     try:
-        return SpinTexture(
-            positions=np.array(positions),
-            spin_dirs=np.array(spin_dirs),
-            spin_mag=header["spin_magnitude"],
-            g=header["g_factor"],
-            lattice_meta=meta,
-        )
+        return SpinTexture(np.array(positions), np.array(spin_dirs), spin_mag, g,
+                           {"type": lattice, "a": a, "nx": nx, "ny": ny})
     except ValueError as exc:
         raise TextureParseError(f"{path}: {exc}") from exc
 
@@ -257,31 +250,24 @@ def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:
                _MAP_COLUMNS, _grid_rows(rmap, rmap.f_minus, rmap.f_plus))
 
 
-def _parse_comment_meta(lines: list[str]) -> dict:
-    meta = {}
-    for line in lines:
-        body = line.lstrip("#").strip()
-        if "=" in body:
-            key, _, value = body.partition("=")
-            meta[key.strip()] = value.strip()
-    return meta
-
-
 def load_map_csv(path) -> ResonanceMap:
     """Read a map CSV back into a ResonanceMap.
 
     The grid comes from the '# map_* = value' header lines that
-    write_map_csv emits; a missing or malformed one is refused by name.
+    write_map_csv emits; a missing one is refused by name, a malformed
+    one by name and line.
     Every row's x, y must be its pixel's on that grid.
     """
-    comments: list[str] = []
+    found: dict = {}
     rows: list[list[float]] = []
     linenos: list[int] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):
-                comments.append(line)
+                key, eq, text = line.lstrip("#").partition("=")
+                if eq:
+                    found[key.strip()] = (lineno, text.strip())
             elif line and not line.startswith("x_angstrom"):
                 rows.append(_parse_row(path, lineno, line, "map row", _MAP_COLUMNS,
                                        MapParseError, ","))
@@ -289,19 +275,7 @@ def load_map_csv(path) -> ResonanceMap:
     if not rows:
         raise MapParseError(f"{path}: no data rows")
     data = np.array(rows)
-    meta = _parse_comment_meta(comments)
-    grid = []
-    for key, (cast, valid) in _MAP_HEADER.items():
-        raw = meta.get(key)
-        if raw is None:
-            raise MapParseError(f"{path}: missing grid header line '# {key} = ...'")
-        try:
-            value = cast(raw)
-        except ValueError:
-            value = None
-        if value is None or not valid(value):
-            raise MapParseError(f"{path}: malformed grid header {key} = {raw!r}")
-        grid.append(value)
+    grid = _header_values(path, found, _MAP_HEADER, MapParseError)
     x0, y0, step, nx, ny = grid[:5]
     if nx * ny != data.shape[0]:
         raise MapParseError(
@@ -416,12 +390,8 @@ def write_moments(path, positions: np.ndarray, cell_index, m_z: np.ndarray,
     for key, value in report_items.items():
         lines.append(f"# {key} = {format_value(value)}")
     lines.append("# ix iy m_z")
-    for k in range(m_z.size):
-        if cell_index is not None:
-            ix, iy = int(cell_index[k][0]), int(cell_index[k][1])
-        else:
-            ix, iy = k, 0
-        lines.append(f"{ix} {iy} {m_z[k]:.9g}")
+    cells = [(k, 0) for k in range(m_z.size)] if cell_index is None else cell_index
+    lines += [f"{int(ix)} {int(iy)} {m:.9g}" for (ix, iy), m in zip(cells, m_z)]
     _write_lines(path, lines)
 
 

@@ -496,6 +496,15 @@ def _batch_hamiltonians(
     )
 
 
+def _tip(tip_pos) -> np.ndarray:
+    """One tip position as a (1, 3) batch, refused unless finite (raster
+    tips are checked where their Grid is built)."""
+    tip = np.asarray(tip_pos, dtype=float)[None, :]
+    if not np.all(np.isfinite(tip)):
+        raise ValueError(f"tip position must be finite, got {tuple(tip[0].tolist())} A")
+    return tip
+
+
 def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "rydberg"):
     """Summed stray field (tesla) and exchange field (ueV) at one tip position.
 
@@ -503,16 +512,14 @@ def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "ry
     and b_ex = sum_i J(d_i) s_i, with d_i = tip - r_i and s_i the classical
     vectors spin_mag * spin_dir of the texture.
     """
-    tips = np.asarray(tip_pos, dtype=float)[None, :]
-    b_stray, b_ex, r_min = _batch_effective_fields(tips, tex, exchange_prefactor)
+    b_stray, b_ex, r_min = _batch_effective_fields(_tip(tip_pos), tex, exchange_prefactor)
     _check_exchange_range(r_min, stacklevel=2)
     return b_stray[0], b_ex[0]
 
 
 def probe_hamiltonian_at(tip_pos, tex: SpinTexture, cfg: ScanConfig) -> np.ndarray:
     """3x3 probe Hamiltonian (ueV) at one tip position under cfg.mode."""
-    tips = np.asarray(tip_pos, dtype=float)[None, :]
-    b_stray, b_ex, r_min = _batch_effective_fields(tips, tex, cfg.exchange_prefactor)
+    b_stray, b_ex, r_min = _batch_effective_fields(_tip(tip_pos), tex, cfg.exchange_prefactor)
     _check_exchange_range(r_min, stacklevel=2)
     return _batch_hamiltonians(b_stray, b_ex, cfg)[0]
 
@@ -714,7 +721,7 @@ def pair_mode_resonance(
             f"positive half-integer, got {s_sample}"
         )
     ops_s = spin_operators(s_sample)
-    dist = float(np.linalg.norm(np.asarray(tip_pos, dtype=float) - site.position))
+    dist = float(np.linalg.norm(_tip(tip_pos)[0] - site.position))
     if dist < _MIN_TIP_SITE_DISTANCE:
         raise ValueError(f"tip-site distance {dist:.4g} A below validity minimum")
     _check_exchange_range(dist, stacklevel=2)

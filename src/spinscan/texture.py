@@ -30,6 +30,7 @@ _MIN_SITE_SEPARATION = 0.1
 # the sites: 5e9 pair distances at the budget, a 316 x 316 square lattice.
 _MAX_SITES = 100_000
 
+_LATTICES = ("square", "triangular", "honeycomb")
 _PATTERNS = ("FM", "AFM-Neel", "stripe")
 
 # Maximum tip height (angstrom), 1 um: far past where either interaction
@@ -103,6 +104,12 @@ class SpinTexture:
             raise ValueError(f"spin magnitude must be finite and >= 0, got {spin_mag}")
         if not np.isfinite(g):
             raise ValueError(f"sample g must be finite, got {g}")
+        inside = np.abs(positions) <= (_MAX_LATERAL, _MAX_LATERAL, _MAX_HEIGHT)
+        if not inside.all():
+            k = np.argmin(inside.all(axis=1))
+            raise ValueError(f"site {k} at {tuple(positions[k].tolist())} A is non-finite or "
+                             f"past the {_MAX_LATERAL:g} A lateral or {_MAX_HEIGHT:g} A "
+                             "height bound")
         _check_distinct(positions)
         if spin_mag > 0:
             norms = np.linalg.norm(spin_dirs, axis=1)

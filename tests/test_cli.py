@@ -351,6 +351,26 @@ def test_reconstruct_neel_signs(workdir):
     assert "cond" in r.stdout
 
 
+@pytest.mark.parametrize("a, cells", [
+    ("3", [(k % 3, k // 3) for k in range(9)]),
+    ("0.001", [(k, 0) for k in range(9)]),  # labels up to 6000, outside 3 x 3
+    ("6", [(k, 0) for k in range(9)]),      # two sites per label
+])
+def test_reconstruct_labels_cells_only_when_the_header_names_them(workdir, a, cells):
+    r = run_cli("texture", "--lattice", "square", "--a", 3, "--nx", 3, "--ny", 3,
+                "--out", "cells.spintex", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    path = workdir / f"cells-{a}.spintex"
+    path.write_text((workdir / "cells.spintex").read_text().replace(
+        "\na_angstrom 3\n", f"\na_angstrom {a}\n"))
+    r = run_cli("reconstruct", "--texture", path.name, "--synthetic", "--step", 1.5,
+                "--out", f"cells-{a}.txt", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    rows = [ln.split() for ln in (workdir / f"cells-{a}.txt").read_text().splitlines()
+            if not ln.startswith("#")]
+    assert [(int(ix), int(iy)) for ix, iy, _ in rows] == cells
+
+
 def test_reconstruct_echoes_its_grid_as_scan_does(workdir):
     grid = ["--xmin", "-1", "--xmax", "10", "--ymin", "0", "--ymax", "9", "--step", "0.5"]
     headers = []

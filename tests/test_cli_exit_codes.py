@@ -113,6 +113,7 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
     (["scan", "--texture", TEXTURE, "--measure"], "[spectrum]\nlinewidth_fwhm = nan\n",
      "must be finite"),
     (["spectrum", "--resonances", "3.4", "--linewidth", "nan"], None, "must be finite"),
+    (["spectrum", "--resonances", "3.4,nan"], None, "must be finite"),
     (["spectrum", "--resonances", "3.4", "--contrast", "0.6"], None,
      "negative mean counts"),
     # Sample spins that are not finite and non-negative, and g that is not finite.
@@ -125,7 +126,7 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
 ], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
         "isoscan-nan", "isoscan-inf", "sweep-inf", "sweep-rmin", "sweep-rmax", "texture-far",
         "measure-nan-linewidth",
-        "spectrum-nan-linewidth", "spectrum-negative-mean",
+        "spectrum-nan-linewidth", "spectrum-nan-resonance", "spectrum-negative-mean",
         "sweep-nan-spin-mag", "sweep-inf-spin-mag", "sweep-negative-spin-mag",
         "texture-nan-spin-mag", "texture-nan-sample-g"])
 def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message):
@@ -167,3 +168,32 @@ def test_map_without_its_grid_header_is_an_input_error(texture):
                            "--out", path.with_suffix(".txt")])
     assert code == 3
     assert len(stderr) == 1 and "map_x0_angstrom" in stderr[0], stderr
+
+
+@pytest.mark.parametrize("suffix, line, edited, key", [
+    (".spintex", "a_angstrom 3", "a_angstrom 3 4", "a_angstrom"),
+    (".spintex", "a_angstrom 3", "a_angstrom -3", "a_angstrom"),
+    (".spintex", "nx 2", "nx -7", "nx"),
+    (".spintex", "ny 2", "ny 1.5", "ny"),
+    (".spintex", "g_factor 2", "g_factor nan", "g_factor"),
+    (".spintex", "lattice square", "lattice hexagonal", "lattice"),
+    (".csv", "# map_step_angstrom = 1.5", "# map_step_angstrom = -1.5", "map_step_angstrom"),
+], ids=["two-values", "negative-a", "negative-nx", "fractional-ny", "nan-g", "unknown-lattice",
+        "negative-map-step"])
+def test_bad_header_lines_are_input_errors_at_their_line(texture, suffix, line, edited, key):
+    # A header value that its reader cannot use is refused by key and line.
+    path = texture.with_name(f"header-{key}{suffix}")
+    if suffix == ".csv":
+        assert run(["scan", "--texture", texture, "--step", "1.5", "--out", path])[0] == 0
+        argv = ["reconstruct", "--texture", texture, "--map", path]
+    else:
+        path.write_text(texture.read_text(encoding="utf-8"), encoding="utf-8")
+        argv = ["scan", "--texture", path, "--xmin=0", "--xmax=3", "--ymin=0", "--ymax=3"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    k = lines.index(line)
+    lines[k] = edited
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, stderr, caught = run([*argv, "--out", path.with_suffix(".out")])
+    assert code == 3
+    assert len(stderr) == 1 and f"{path}:{k + 1}: " in stderr[0] and key in stderr[0], stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

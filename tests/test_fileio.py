@@ -96,6 +96,35 @@ def test_both_readers_refuse_a_short_row_at_its_line(tmp_path, name, text, load,
         load(path)
 
 
+SPINTEX_HEADER = ("spintex 1\nlattice square\na_angstrom 3\nnx 2\nny 1\n"
+                  "spin_magnitude 0.5\ng_factor 2\n")
+MAP_HEAD = ("# map_x0_angstrom = 0\n# map_y0_angstrom = 0\n# map_step_angstrom = 1\n"
+            "# map_nx = 4\n# map_ny = 2\n# map_height_angstrom = 4\n# map_mode = exchange\n"
+            "x_angstrom,y_angstrom,f_minus_ghz,f_plus_ghz\n")
+
+
+@pytest.mark.parametrize("name, text, load, error, parts", [
+    ("t.spintex", SPINTEX_HEADER.replace("a_angstrom 3", "a_angstrom 3 4") + "0 0 0 0 0 1\n",
+     load_texture, TextureParseError, ["t.spintex:3: ", "a_angstrom"]),
+    ("t.spintex", SPINTEX_HEADER.replace("a_angstrom 3", "a_angstrom abc") + "0 0 0 0 0 1\n",
+     load_texture, TextureParseError, ["t.spintex:3: ", "a_angstrom", "'abc'"]),
+    ("t.spintex", "# a comment\n\n", load_texture, TextureParseError,
+     ["t.spintex:1: missing 'spintex 1' header"]),
+    ("t.spintex", SPINTEX_HEADER + "1 2 0 0 0 1\n1 2 0 0 0 -1\n", load_texture,
+     TextureParseError, ["t.spintex: sites 0 and 1 are 0 A apart"]),
+    ("m.csv", MAP_HEAD, load_map_csv, MapParseError, ["m.csv: no data rows"]),
+    ("m.csv", MAP_HEAD + "".join(f"{x},0,1,2\n" for x in range(4)) + "0,1,1,2\n",
+     load_map_csv, MapParseError, ["m.csv: 5 rows do not fill a 4 x 2 grid"]),
+], ids=["spintex-two-values", "spintex-unparseable-value", "spintex-no-magic",
+        "spintex-duplicate-sites", "map-no-rows", "map-short-grid"])
+def test_reader_refusals_name_their_cause(tmp_path, name, text, load, error, parts):
+    path = tmp_path / name
+    path.write_text(text)
+    with pytest.raises(error) as excinfo:
+        load(path)
+    assert all(part in str(excinfo.value) for part in parts), str(excinfo.value)
+
+
 MAP_HEADER_KEYS = ("map_x0_angstrom", "map_y0_angstrom", "map_step_angstrom", "map_nx",
                    "map_ny", "map_height_angstrom", "map_mode")
 
@@ -106,7 +135,7 @@ def test_map_without_a_grid_header_line_is_refused(tmp_path, key):
     write_map_csv(path, _toy_map(), {})
     lines = path.read_text().splitlines()
     path.write_text("\n".join(ln for ln in lines if not ln.startswith(f"# {key} =")) + "\n")
-    with pytest.raises(MapParseError, match=f"m.csv: missing grid header line '# {key} = "):
+    with pytest.raises(MapParseError, match=f"m.csv: missing header line '{key}'"):
         load_map_csv(path)
 
 
@@ -121,7 +150,8 @@ def test_map_with_a_malformed_grid_header_line_is_refused(tmp_path, key, value):
     lines = [f"# {key} = {value}" if ln.startswith(f"# {key} =") else ln
              for ln in path.read_text().splitlines()]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(MapParseError, match=f"m.csv: malformed grid header {key} = '{value}'"):
+    line = lines.index(f"# {key} = {value}") + 1
+    with pytest.raises(MapParseError, match=f"m.csv:{line}: malformed header {key} = '{value}'"):
         load_map_csv(path)
 
 

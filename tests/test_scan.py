@@ -291,6 +291,16 @@ def test_single_point_entries_warn_once_at_the_caller(fm_5x5, call, r_min):
     assert caught[0].filename == __file__
 
 
+@pytest.mark.parametrize("call", [
+    lambda tex: effective_fields_at((np.nan, 0.0, 4.0), tex),
+    lambda tex: probe_hamiltonian_at((0.0, 0.0, np.nan), tex, ScanConfig()),
+    lambda tex: pair_mode_resonance((0.0, np.inf, 4.0), ORIGIN_SITE, ScanConfig()),
+], ids=["effective_fields_at", "probe_hamiltonian_at", "pair_mode_resonance"])
+def test_single_point_entries_refuse_a_non_finite_tip(fm_5x5, call):
+    with pytest.raises(ValueError, match="tip position must be finite"):
+        call(fm_5x5)
+
+
 def test_too_close_error_names_closest_pair(fm_5x5):
     # Two offending tips in different blocks: the error names the closer
     # one and its site, not the first one found.

@@ -183,6 +183,15 @@ def test_texture_rejects_coincident_sites():
         )
 
 
+@pytest.mark.parametrize("site", [(np.nan, 0.0, 0.0), (1e300, 0.0, 0.0), (0.0, -2e6, 0.0),
+                                  (0.0, 0.0, 2e4)])
+def test_texture_rejects_sites_that_are_not_finite_within_bounds(site):
+    # Such a site would overflow the squared distances of the pair sums.
+    with pytest.raises(ValueError, match="site 1 at .* is non-finite or past the"):
+        SpinTexture(positions=[(0.0, 0.0, 0.0), site], spin_dirs=[(0.0, 0.0, 1.0)] * 2,
+                    spin_mag=0.5, g=2.0)
+
+
 def closest_pair_oracle(positions):
     """The full-matrix duplicate check: its error text, or None."""
     dist = np.linalg.norm(positions[:, None, :] - positions[None, :, :], axis=2)
@@ -300,7 +309,7 @@ def test_load_rejects_non_finite_header(tmp_path):
         "spintex 1\nlattice square\na_angstrom 3\nnx 1\nny 1\n"
         "spin_magnitude nan\ng_factor 2\n0 0 0 0 0 1\n"
     )
-    with pytest.raises(TextureParseError, match=":6: non-finite"):
+    with pytest.raises(TextureParseError, match=":6: malformed header spin_magnitude = 'nan'"):
         load_texture(p)
 
 
@@ -338,8 +347,21 @@ def test_load_rejects_empty_texture(tmp_path):
 def test_load_rejects_missing_header(tmp_path):
     p = tmp_path / "nohdr.spintex"
     p.write_text("spintex 1\nlattice square\n0 0 0 0 0 1\n")
-    with pytest.raises(TextureParseError):
+    with pytest.raises(TextureParseError, match="nohdr.spintex: missing header line 'a_angstrom'"):
         load_texture(p)
+
+
+def test_custom_texture_round_trips_with_zero_lattice_header(tmp_path):
+    # A texture without lattice indexing is written as 'custom' with a = 0
+    # and nx = ny = 0, and those header values load.
+    tex = SpinTexture(positions=[[0.0, 0.0, 0.0], [1.3, 0.4, 0.0]],
+                      spin_dirs=[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]], spin_mag=1.5, g=2.1)
+    path = tmp_path / "custom.spintex"
+    save_texture(tex, path)
+    assert "lattice custom\na_angstrom 0\nnx 0\nny 0\n" in path.read_text()
+    back = load_texture(path)
+    assert back.lattice_meta == {"type": "custom", "a": 0.0, "nx": 0, "ny": 0}
+    assert np.array_equal(back.positions, tex.positions)
 
 
 @settings(deadline=None, max_examples=25)
