@@ -218,11 +218,13 @@ def _raster_params(args, cfg: ScanConfig) -> dict:
 
 
 def cmd_texture(args) -> int:
+    # Scaled by its largest component first, so that no square overflows.
     direction = np.asarray(args.dir, dtype=float)
-    norm = np.linalg.norm(direction)
-    if norm == 0:
-        raise ValueError("--dir must be a nonzero vector")
-    direction = direction / norm
+    scale = np.max(np.abs(direction))
+    if not 0.0 < scale < np.inf:
+        raise ValueError(f"--dir must be a finite nonzero vector, got {args.dir}")
+    direction = direction / scale
+    direction = direction / np.linalg.norm(direction)
 
     lattice = build_lattice(args.lattice, args.a, args.nx, args.ny)
     tex = apply_pattern(

@@ -49,14 +49,15 @@ PGM_MAXVAL = 65535
 _MAP_COLUMNS = "x_angstrom,y_angstrom,f_minus_ghz,f_plus_ghz"
 
 # Grid header of a map CSV in ResonanceMap's field order: key -> its cast
-# and the check its value must pass.
+# and the check its value must pass.  The origin, the height and the step
+# between two pixels stay within the bounds of the sites a texture holds.
 _MAP_HEADER = {
-    "map_x0_angstrom": (float, math.isfinite),
-    "map_y0_angstrom": (float, math.isfinite),
-    "map_step_angstrom": (float, lambda v: 0.0 < v < math.inf),
+    "map_x0_angstrom": (float, lambda v: abs(v) <= _MAX_LATERAL),
+    "map_y0_angstrom": (float, lambda v: abs(v) <= _MAX_LATERAL),
+    "map_step_angstrom": (float, lambda v: 0.0 < v <= 2.0 * _MAX_LATERAL),
     "map_nx": (int, lambda v: v >= 1),
     "map_ny": (int, lambda v: v >= 1),
-    "map_height_angstrom": (float, math.isfinite),
+    "map_height_angstrom": (float, lambda v: abs(v) <= _MAX_HEIGHT),
     "map_mode": (str, lambda v: v in _MODES),
 }
 
@@ -129,6 +130,15 @@ def _parse_row(path, lineno: int, line: str, what: str, fields: str, error,
     return values
 
 
+def _add_header(path, found: dict, key: str, lineno: int, text: str, error) -> None:
+    """Record a header line in found; a key seen before is an error at
+    this line that names the first."""
+    if key in found:
+        raise _parse_error(path, lineno, f"repeated header {key}, first at line "
+                           f"{found[key][0]}", error)
+    found[key] = (lineno, text)
+
+
 def _header_values(path, found: dict, table: dict, error) -> list:
     """The value of each key of table, in its order, from found ({key:
     (lineno, text)}), cast and checked by the table; else error naming the
@@ -191,16 +201,16 @@ def load_texture(path) -> SpinTexture:
                 saw_magic = True
                 continue
             if key in _TEXTURE_HEADER:
-                found[key] = (lineno, "".join(text))
+                _add_header(path, found, key, lineno, "".join(text), TextureParseError)
                 continue
             values = _parse_row(path, lineno, line, "site line", "x y z sx sy sz",
                                 TextureParseError)
             x, y, z = map(abs, values[:3])
             if max(x, y) > _MAX_LATERAL or z > _MAX_HEIGHT:
-                bounds = f"|x|, |y| <= {_MAX_LATERAL:g} A or |z| <= {_MAX_HEIGHT:g} A"
-                raise _parse_error(path, lineno, f"site beyond {bounds}: {line!r}")
+                bounds = f"|x|, |y| <= {_MAX_LATERAL:g} A and |z| <= {_MAX_HEIGHT:g} A"
+                raise _parse_error(path, lineno, f"site outside {bounds}: {line!r}")
             sdir = np.array(values[3:])
-            norm = np.linalg.norm(sdir)
+            norm = math.hypot(*sdir)  # no overflow of the squares
             if abs(norm - 1.0) > 1e-3:
                 raise _parse_error(
                     path,
@@ -265,9 +275,9 @@ def load_map_csv(path) -> ResonanceMap:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if line.startswith("#"):
-                key, eq, text = line.lstrip("#").partition("=")
-                if eq:
-                    found[key.strip()] = (lineno, text.strip())
+                key, eq, text = (part.strip() for part in line.lstrip("#").partition("="))
+                if eq and key in _MAP_HEADER:
+                    _add_header(path, found, key, lineno, text, MapParseError)
             elif line and not line.startswith("x_angstrom"):
                 rows.append(_parse_row(path, lineno, line, "map row", _MAP_COLUMNS,
                                        MapParseError, ","))

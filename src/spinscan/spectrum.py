@@ -9,8 +9,11 @@ branch in a map (branch 0 for a merged or joint window) and 0 for
 synthesize.  Any execution order or block split therefore reproduces
 the same spectra bit for bit, and no two seeds share a stream.
 
-Fitting is a damped Gauss-Newton (Levenberg-Marquardt) iteration on the
-mean model with an analytic Jacobian; no external optimizer is involved.
+Fitting is variable projection (Golub & Pereyra 1973): the model
+b (1 - sum_k c_k L_k) is linear in b and b c_k, so each window's
+baseline and contrasts are solved in closed form and a damped
+Gauss-Newton (Levenberg-Marquardt) iteration with Kaufman's Jacobian
+moves only the centres and widths; no external optimizer is involved.
 One loop, _fit_block, fits stacked windows of equal length and peak
 count, each window with its own damping and accept/reject.
 fit_lorentzians is its one-window call; measure_map runs it in blocks
@@ -40,9 +43,10 @@ __all__ = [
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
-# Levenberg-Marquardt schedule: damping starts at _LAM_START, grows 10x per
-# failed try (up to _MAX_TRIES tries, or until a rejected step takes it
-# past _LAM_MAX) and shrinks 0.3x per accepted step, floored at _LAM_MIN.
+# Levenberg-Marquardt schedule of the centres and widths: damping starts
+# at _LAM_START, grows 10x per failed try (up to _MAX_TRIES tries, or until
+# a rejected step takes it past _LAM_MAX) and shrinks 0.3x per accepted
+# step, floored at _LAM_MIN.
 _STEP_TOL = 1e-9          # relative step size declaring convergence
 _MAX_ITER = 200
 _MAX_TRIES = 25
@@ -50,16 +54,18 @@ _LAM_START = 1e-3
 _LAM_MAX = 1e14
 _LAM_MIN = 1e-12
 _WINDOW_HALF_WIDTHS = 20.0  # measurement window half-width in linewidths
+# Narrowest linewidth in frequency steps: a dip a tenth of a step wide can
+# fall between two points at under 1% of its depth, and a far narrower one
+# squares to 0 and turns the dip at its centre into 0/0.
+_MIN_LINEWIDTH_STEPS = 0.1
 
 # Largest readout window (points), checked before any window is built:
-# a two-dip fit's working set, about eight (7, n) float64 Jacobians, then
-# stays near 45 MB.
+# a two-dip fit's working set, about 7 + 5k = 17 float64 planes of its
+# points (see measure_map), then stays near 14 MB.
 _MAX_WINDOW_POINTS = 100_000
 
 # Largest Poisson mean numpy's sampler accepts (its POISSON_LAM_MAX).
-_MAX_BASELINE_COUNTS = float(
-    np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max)
-)
+_MAX_BASELINE_COUNTS = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,8 @@ class SpectrumConfig:
     def __post_init__(self):
         values = (self.f_start, self.f_stop, self.f_step, self.linewidth_fwhm)
         if not np.all(np.isfinite(values)):
-            raise ValueError(
-                "spectrum f_start, f_stop, f_step and linewidth_fwhm must be "
-                f"finite, got {values}"
-            )
+            raise ValueError("spectrum f_start, f_stop, f_step and linewidth_fwhm must be "
+                             f"finite, got {values}")
         if self.f_step <= 0:
             raise ValueError(f"f_step must be positive, got {self.f_step}")
         if self.f_stop <= self.f_start:
@@ -94,22 +98,21 @@ class SpectrumConfig:
         if not 0.0 <= self.contrast < 1.0:
             raise ValueError(f"contrast must be in [0, 1), got {self.contrast}")
         if not 0.0 < self.baseline_counts <= _MAX_BASELINE_COUNTS:
-            raise ValueError(
-                "baseline_counts must be positive, finite and at most "
-                f"{_MAX_BASELINE_COUNTS:.6g} (numpy's Poisson limit), "
-                f"got {self.baseline_counts}"
-            )
-        if self.linewidth_fwhm <= 0:
-            raise ValueError("linewidth_fwhm must be positive")
+            raise ValueError("baseline_counts must be positive, finite and at most "
+                             f"{_MAX_BASELINE_COUNTS:.6g} (numpy's Poisson limit), "
+                             f"got {self.baseline_counts}")
+        if not self.linewidth_fwhm >= _MIN_LINEWIDTH_STEPS * self.f_step:
+            raise ValueError(f"linewidth_fwhm must be at least {_MIN_LINEWIDTH_STEPS:g} "
+                             f"f_step = {_MIN_LINEWIDTH_STEPS * self.f_step:g} GHz, "
+                             f"got {self.linewidth_fwhm:g}")
         # This window, or the widest measure_map window: a joint window of
         # two branches 2 half-widths apart.
         span = max(self.f_stop - self.f_start,
                    4.0 * _WINDOW_HALF_WIDTHS * self.linewidth_fwhm)
         if span / self.f_step + 1 > _MAX_WINDOW_POINTS:
-            raise ValueError(
-                f"readout windows up to {span:g} GHz wide at f_step = "
-                f"{self.f_step:g} GHz exceed the {_MAX_WINDOW_POINTS} point budget"
-            )
+            raise ValueError(f"readout windows up to {span:g} GHz wide at f_step = "
+                             f"{self.f_step:g} GHz exceed the {_MAX_WINDOW_POINTS} "
+                             "point budget")
 
 
 @dataclass(frozen=True)
@@ -153,25 +156,59 @@ class FitResult:
     n_iter: int
 
 
-def _lorentzian(u: np.ndarray, gamma: float) -> np.ndarray:
-    """Peak-normalized Lorentzian with half-width gamma at offset u."""
-    return gamma**2 / (u**2 + gamma**2)
+def _basis(alpha: np.ndarray, freqs: np.ndarray):
+    """Dip basis of stacked windows and its derivatives, one plane each.
+
+    alpha (..., 2k) rows are [center_1, fwhm_1, center_2, ...] and freqs
+    (..., n) the windows' points.  Returns phi (1 + k, ..., n), the planes
+    [1, L_1 ... L_k] with L_k = g_k^2 / ((f - f0_k)^2 + g_k^2)
+    peak-normalized (g_k = |w_k| / 2), and dphi (2k, ..., n), the
+    derivatives [dL_1/df0_1, dL_1/dw_1, dL_2/df0_2, ...].  Planes come
+    first so that each is one contiguous array.
+    """
+    k, n = alpha.shape[-1] // 2, freqs.shape[-1]
+    lead = np.broadcast_shapes(alpha.shape[:-1], freqs.shape[:-1])
+    w = np.moveaxis(alpha[..., 1::2], -1, 0)[..., None]
+    gamma = np.abs(w) / 2.0
+    # dphi holds u = f - f0 and u^2 until they become the derivatives.
+    dphi = np.empty((2 * k,) + lead + (n,))
+    u, u2 = dphi[0::2], dphi[1::2]
+    np.subtract(freqs, np.moveaxis(alpha[..., 0::2], -1, 0)[..., None], out=u)
+    denom = u * u
+    u2[...] = denom
+    denom += gamma**2
+    phi = np.empty((1 + k,) + lead + (n,))
+    phi[0] = 1.0
+    np.divide(gamma**2, denom, out=phi[1:])
+    denom *= denom
+    u /= denom
+    u *= 2.0 * gamma**2
+    u2 /= denom
+    u2 *= gamma * np.where(w >= 0, 1.0, -1.0)
+    return phi, dphi
 
 
 def _mean_curve(freqs: np.ndarray, centers, cfg: SpectrumConfig) -> np.ndarray:
     """Mean counts at freqs (..., n) with dips at centers (..., k)."""
-    gamma = cfg.linewidth_fwhm / 2.0
-    centers = np.asarray(centers, dtype=float)
-    dip = np.zeros(np.broadcast_shapes(freqs.shape, centers.shape[:-1] + (1,)))
-    for k in range(centers.shape[-1]):
-        dip += cfg.contrast * _lorentzian(freqs - centers[..., k, None], gamma)
+    dip = 0.0
+    for center in np.moveaxis(np.asarray(centers, dtype=float), -1, 0):
+        alpha = np.stack([center, np.full(center.shape, cfg.linewidth_fwhm)], axis=-1)
+        dip = dip + cfg.contrast * _basis(alpha, freqs)[0][1]
     return cfg.baseline_counts * (1.0 - dip)
 
 
-def _poisson_counts(means: np.ndarray, seed: int, stream: int) -> np.ndarray:
-    """One window's Poisson draws from the Philox stream keyed (seed, stream)."""
-    key = np.array([seed & _MASK64, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).poisson(means).astype(float)
+def _poisson_counts(means: np.ndarray, seed: int, streams) -> np.ndarray:
+    """Poisson draws of each window of means (B, n) from the Philox stream
+    keyed (seed, stream), stream its entry of streams (B,).  One generator
+    is re-keyed per window, which draws what a fresh one would."""
+    bitgen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    gen, state = np.random.Generator(bitgen), bitgen.state
+    counts = np.empty(means.shape)
+    for i, stream in enumerate(streams):
+        state["state"]["key"][1] = stream
+        bitgen.state = state
+        counts[i] = gen.poisson(means[i])
+    return counts
 
 
 def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
@@ -194,7 +231,7 @@ def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
             f"the dips overlap to a summed contrast of {depth:.4g} > 1, giving "
             "negative mean counts; lower the contrast"
         )
-    counts = means if cfg.noiseless else _poisson_counts(means, cfg.seed, 0)
+    counts = means if cfg.noiseless else _poisson_counts(means[None], cfg.seed, [0])[0]
     return Spectrum(frequencies=freqs, counts=counts)
 
 
@@ -203,52 +240,33 @@ def _batch_model(theta: np.ndarray, freqs: np.ndarray):
 
     theta (B, P) rows are [baseline, center_1, fwhm_1, contrast_1,
     center_2, ...] and freqs (B, n) the windows' points.  model =
-    b (1 - sum_k c_k L(f - f0_k; w_k)) with L peak-normalized.  Returns
-    (model (B, n), jacobian (B, P, n)); the points stay on the last axis,
-    so sums over them are row-wise reductions.
+    b (1 - sum_k c_k L_k).  Returns (model (B, n), jacobian (P, B, n)).
     """
-    b = theta[:, 0, None]
-    n_peaks = (theta.shape[1] - 1) // 3
-    dip = np.zeros(freqs.shape)
-    jac = np.empty((theta.shape[0], theta.shape[1], freqs.shape[1]))
-    for k in range(n_peaks):
-        f0, w, c = (theta[:, j, None] for j in range(1 + 3 * k, 4 + 3 * k))
-        gamma = np.abs(w) / 2.0
-        u = freqs - f0
-        denom = u**2 + gamma**2
-        lor = gamma**2 / denom
-        dip += c * lor
-        w_sign = np.where(w >= 0, 1.0, -1.0)
-        jac[:, 1 + 3 * k] = -b * c * 2.0 * gamma**2 * u / denom**2
-        jac[:, 2 + 3 * k] = -b * c * gamma * u**2 / denom**2 * w_sign
-        jac[:, 3 + 3 * k] = -b * lor
-    jac[:, 0] = 1.0 - dip
-    return b * (1.0 - dip), jac
+    b, c = theta[:, 0, None], theta[:, 3::3].T[..., None]
+    phi, dphi = _basis(np.delete(theta, np.s_[::3], axis=1), freqs)
+    jac = np.empty(theta.shape[1:] + freqs.shape)
+    jac[0] = 1.0 - np.sum(c * phi[1:], axis=0)
+    jac[1::3] = -b * c * dphi[0::2]
+    jac[2::3] = -b * c * dphi[1::2]
+    jac[3::3] = -b * phi[1:]
+    return b * jac[0], jac
 
 
 def _initial_guess(
     spec: Spectrum, n_peaks: int, guesses: Optional[Sequence] = None
 ) -> np.ndarray:
-    """Parameter vector start: supplied peak guesses or deepest local minima."""
-    counts = spec.counts.astype(float)
-    freqs = spec.frequencies
-
+    """Start centres and widths: supplied peak guesses or deepest local minima."""
+    counts, freqs = spec.counts.astype(float), spec.frequencies
     if guesses is not None:
         if len(guesses) != n_peaks:
-            raise ValueError(
-                f"need {n_peaks} initial peak guesses, got {len(guesses)}"
-            )
-        centers = [g[0] for g in guesses]
-        widths = [g[1] for g in guesses]
-        contrasts = [g[2] for g in guesses]
+            raise ValueError(f"need {n_peaks} initial peak guesses, got {len(guesses)}")
+        centers, widths = [g[0] for g in guesses], [g[1] for g in guesses]
     else:
-        baseline = float(np.percentile(counts, 90))
         f_step = float(np.median(np.diff(freqs)))
         # Moving-average smoothing suppresses shot noise before the
         # greedy deepest-minimum search.  Edge padding keeps the window
         # ends from reading as spurious minima.
-        kernel = np.ones(5) / 5.0
-        smooth = np.convolve(np.pad(counts, 2, mode="edge"), kernel, mode="valid")
+        smooth = np.convolve(np.pad(counts, 2, mode="edge"), np.ones(5) / 5.0, mode="valid")
         exclusion = max(3, counts.size // 30)
         order = np.argsort(smooth)
         picked: list[int] = []
@@ -262,34 +280,21 @@ def _initial_guess(
             picked.append(min(counts.size - 1, picked[-1] + exclusion))
         centers = [float(freqs[i]) for i in picked]
         widths = [5.0 * f_step] * n_peaks
-        contrasts = [
-            float(np.clip(1.0 - smooth[i] / max(baseline, 1e-300), 1e-3, 0.99))
-            for i in picked
-        ]
-    return _start_theta(counts, freqs, centers, widths, contrasts)
+    return _start_alpha(freqs, centers, widths)
 
 
-def _start_theta(counts, freqs, centers, widths, contrasts) -> np.ndarray:
-    """Start vectors (..., 1 + 3k) of windows (..., n) from peak guesses.
-
-    centers (..., k) are sorted; widths and contrasts broadcast against
-    them.  The baseline starts at the 90th percentile of the counts.
-    """
+def _start_alpha(freqs, centers, widths) -> np.ndarray:
+    """Start vectors (..., 2k) of windows (..., n) from peak guesses:
+    centers (..., k), sorted, and widths broadcast against them."""
     f_step = np.median(np.diff(freqs, axis=-1), axis=-1)
     # Overlapping starts make the Jacobian rank-deficient; spread them by
     # one frequency step.
     centers = np.sort(np.asarray(centers, dtype=float), axis=-1)
     for k in range(1, centers.shape[-1]):
         close = centers[..., k] - centers[..., k - 1] < 0.5 * f_step
-        centers[..., k] = np.where(
-            close, centers[..., k - 1] + f_step, centers[..., k]
-        )
-    theta = np.empty(centers.shape[:-1] + (1 + 3 * centers.shape[-1],))
-    theta[..., 0] = np.percentile(counts, 90, axis=-1)
-    theta[..., 1::3] = centers
-    theta[..., 2::3] = widths
-    theta[..., 3::3] = contrasts
-    return theta
+        centers[..., k] = np.where(close, centers[..., k - 1] + f_step, centers[..., k])
+    widths = np.broadcast_to(widths, centers.shape)
+    return np.stack([centers, widths], axis=-1).reshape(centers.shape[:-1] + (-1,))
 
 
 def fit_lorentzians(
@@ -298,130 +303,143 @@ def fit_lorentzians(
     """Least-squares fit of n_peaks Lorentzian dips plus a flat baseline.
 
     initial_guess, when given, is a sequence of (center, fwhm, contrast)
-    triples.  One window of _fit_block: convergence when the relative
-    step falls below 1e-9, cap 200 iterations.  Non-convergence is
-    flagged and the best iterate returned; standard errors come from
-    the Gauss-Newton matrix at that iterate.
+    triples; only the centres and widths start the fit, since the
+    baseline and contrasts are solved, not iterated.  One window of
+    _fit_block: convergence when the relative step of the centres and
+    widths falls below 1e-9, cap 200 iterations.  Non-convergence is
+    flagged and the best iterate returned; standard errors come from the
+    Gauss-Newton matrix of all 1 + 3k parameters at that iterate.
     """
     if n_peaks < 1:
         raise ValueError(f"n_peaks must be >= 1, got {n_peaks}")
     if spec.counts.size < 5 * n_peaks:
-        raise ValueError(
-            f"spectrum has {spec.counts.size} points; "
-            f"need at least {5 * n_peaks} for {n_peaks} peaks"
-        )
-    freqs = spec.frequencies
-    counts = spec.counts.astype(float)
-    theta = _initial_guess(spec, n_peaks, initial_guess)
-    theta, cost, hess, n_iter, converged = (
-        a[0] for a in _fit_block(freqs[None], counts[None], theta[None])
-    )
+        raise ValueError(f"spectrum has {spec.counts.size} points; "
+                         f"need at least {5 * n_peaks} for {n_peaks} peaks")
+    freqs, counts = spec.frequencies, spec.counts.astype(float)
+    alpha = _initial_guess(spec, n_peaks, initial_guess)
+    alpha, coef, cost, n_iter, converged = (
+        a[0] for a in _fit_block(freqs[None], counts[None], alpha[None]))
+    theta = np.empty(1 + 3 * n_peaks)
+    theta[0], theta[1::3], theta[2::3] = coef[0], alpha[0::2], alpha[1::2]
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero baseline
+        theta[3::3] = -coef[1:] / coef[0]
 
     # Standard errors from the quadratic model at the optimum.
+    jac = _batch_model(theta[None], freqs[None])[1]
     try:
-        var = np.diag(cost / max(counts.size - theta.size, 1) * np.linalg.pinv(hess))
+        var = np.diag(cost / max(counts.size - theta.size, 1)
+                      * np.linalg.pinv(_gram(jac, jac)[0]))
     except np.linalg.LinAlgError:
         var = np.full(theta.size, np.nan)
     stderr = np.sqrt(np.maximum(var[1::3], 0.0))
-    peaks = sorted(
-        (
-            PeakFit(center=float(c), fwhm=float(abs(w)), contrast=float(a),
-                    center_stderr=float(e))
-            for c, w, a, e in zip(theta[1::3], theta[2::3], theta[3::3], stderr)
-        ),
-        key=lambda p: p.center,
-    )
+    peaks = sorted((PeakFit(center=float(c), fwhm=float(abs(w)), contrast=float(a),
+                            center_stderr=float(e))
+                    for c, w, a, e in zip(theta[1::3], theta[2::3], theta[3::3], stderr)),
+                   key=lambda p: p.center)
     inside = all(freqs[0] <= p.center <= freqs[-1] for p in peaks)
-    return FitResult(
-        peaks=tuple(peaks),
-        baseline=float(theta[0]),
-        residual_norm=float(np.sqrt(cost)),
-        converged=bool(converged and inside),
-        n_iter=int(n_iter),
-    )
+    return FitResult(peaks=tuple(peaks), baseline=float(theta[0]),
+                     residual_norm=float(np.sqrt(cost)),
+                     converged=bool(converged and inside), n_iter=int(n_iter))
 
 
 def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum of a * b over the last axis, one row-wise reduction per row."""
-    return np.sum(a * b, axis=-1)
+    return np.add.reduce(a * b, axis=-1)
 
 
-def _normal_equations(jac: np.ndarray, resid: np.ndarray):
-    """Gauss-Newton matrices (B, P, P) and gradients (B, P) of stacked
-    Jacobians (B, P, n) and residuals (B, n)."""
-    hess = np.empty(jac.shape[:2] + jac.shape[1:2])
-    for i in range(jac.shape[1]):
-        hess[:, i] = _row_dot(jac[:, i, None], jac)
-    return hess, _row_dot(jac, resid[:, None])
+def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products (B, p, q) of the planes a (p, B, n) and
+    b (q, B, n) of stacked windows."""
+    out = np.empty((len(a), len(b), a.shape[1]))
+    for i in range(len(a)):
+        out[i] = _row_dot(a[i], b)
+    return out.transpose(2, 0, 1)
 
 
-def _solve_damped(damped: np.ndarray, rhs: np.ndarray):
-    """Stacked solve of damped (B, P, P) against rhs (B, P).
-
-    A singular system fails only its own window: it gets a NaN step and
-    a True flag in the returned mask, and _fit_block retries it with
-    more damping.
-    """
+def _solve(mat: np.ndarray, rhs: np.ndarray):
+    """Stacked solve of mat (B, m, m) against rhs (B, m, r); a singular
+    system fails only its own window, with a NaN solution and a True flag
+    in the returned mask."""
     singular = np.zeros(len(rhs), dtype=bool)
     try:
-        return np.linalg.solve(damped, rhs[..., None])[..., 0], singular
+        return np.linalg.solve(mat, rhs), singular
     except np.linalg.LinAlgError:
-        step = np.full(rhs.shape, np.nan)
+        out = np.full(rhs.shape, np.nan)
         for i in range(len(rhs)):
             try:
-                step[i] = np.linalg.solve(damped[i], rhs[i])
+                out[i] = np.linalg.solve(mat[i], rhs[i])
             except np.linalg.LinAlgError:
                 singular[i] = True
-        return step, singular
+        return out, singular
 
 
-def _fit_block(freqs: np.ndarray, counts: np.ndarray, theta: np.ndarray):
-    """Levenberg-Marquardt on stacked windows of one length and peak count.
+def _project(alpha: np.ndarray, freqs: np.ndarray, counts: np.ndarray):
+    """Variable projection of stacked windows at centres and widths alpha.
 
-    freqs and counts are (B, n), theta the (B, P) start vectors.  Each
+    The coefficients coef (B, 1 + k) = [b, -b c_1, ...] solve the Gram
+    system (phi^T phi) coef = phi^T y, and the residual phi coef - y has
+    Kaufman's Jacobian (I - P) dphi coef, P the projection onto the span
+    of phi's planes.  Returns coef, the cost (B,), and the Gauss-Newton matrices
+    (B, 2k, 2k) and gradients (B, 2k, 1) of alpha; a window with a
+    singular Gram matrix gets NaN in all four.
+    """
+    phi, dphi = _basis(alpha, freqs)
+    phi_dphi = _gram(dphi, phi).transpose(0, 2, 1)
+    rhs = np.concatenate([_gram(phi, counts[None]), phi_dphi], axis=2)
+    sol = _solve(_gram(phi, phi), rhs)[0]
+    resid = sol[:, 0, :1] - counts
+    dphi -= sol[:, 0, 1:].T[..., None]
+    for i in range(1, len(phi)):
+        resid += sol[:, i, :1] * phi[i]
+        for j in range(len(dphi)):
+            dphi[j] -= sol[:, i, 1 + j, None] * phi[i]
+    del phi  # before the Jacobian's product temporaries
+    dphi *= np.repeat(sol[:, 1:, 0].T, 2, axis=0)[..., None]
+    hess, grad = _gram(dphi, dphi), _gram(dphi, resid[None])
+    return sol[..., 0], _row_dot(resid, resid), hess, grad
+
+
+def _fit_block(freqs: np.ndarray, counts: np.ndarray, alpha: np.ndarray):
+    """Levenberg-Marquardt on the centres and widths of stacked windows
+    of one length and peak count, the linear coefficients projected out.
+
+    freqs and counts are (B, n), alpha the (B, 2k) start vectors.  Each
     window keeps its own damping and accept/reject: an iteration tries
     damped steps until one does not raise the cost, and the window stops
     when its relative step falls below _STEP_TOL (converged), after
-    _MAX_ITER iterations, or when no try is accepted.  All sums over
-    points are row-wise reductions, so a window's result does not depend
-    on which other windows share its block.
+    _MAX_ITER iterations, or when no try is accepted.  A singular Gram
+    matrix rejects a trial, and at the start leaves the window with a NaN
+    cost and no iteration.  All sums over points are row-wise
+    reductions, so a window's result does not depend on its block.
 
-    Returns, per window, the last accepted parameters (B, P), their
-    cost (B,) and Gauss-Newton matrix (B, P, P), the index of the
+    Returns, per window, the last accepted centres and widths (B, 2k),
+    their coefficients (B, 1 + k) and cost (B,), the index of the
     iteration the window stopped in (B,) and the converged mask (B,).
     """
-    theta = theta.copy()
-    n_win, n_par = theta.shape
-    model, jac = _batch_model(theta, freqs)
-    resid = model - counts
-    cost = _row_dot(resid, resid)
-    hess, grad = _normal_equations(jac, resid)
+    alpha = alpha.copy()
+    n_win, n_par = alpha.shape
+    coef, cost, hess, grad = _project(alpha, freqs, counts)
     lam = np.full(n_win, _LAM_START)
     n_iter = np.ones(n_win, dtype=int)
     tries = np.zeros(n_win, dtype=int)
-    done = np.zeros(n_win, dtype=bool)
-    converged = np.zeros(n_win, dtype=bool)
+    done, converged = np.zeros((2, n_win), dtype=bool)
     diag = np.arange(n_par)
-    live = np.arange(n_win)
+    live = np.flatnonzero(np.isfinite(cost))
     while live.size:
         damped = hess[live]
-        damped[:, diag, diag] += lam[live, None] * np.maximum(
-            damped[:, diag, diag], 1e-12
-        )
-        step, singular = _solve_damped(damped, -grad[live])
-        tried, step = live[~singular], step[~singular]
-        model_t, jac_t = _batch_model(theta[tried] + step, freqs[tried])
-        resid_t = model_t - counts[tried]
-        cost_t = _row_dot(resid_t, resid_t)
+        damped[:, diag, diag] += lam[live, None] * np.maximum(damped[:, diag, diag], 1e-12)
+        step, singular = _solve(damped, -grad[live])
+        tried, step = live[~singular], step[~singular, :, 0]
+        coef_t, cost_t, hess_t, grad_t = _project(alpha[tried] + step, freqs[tried],
+                                                  counts[tried])
         ok = cost_t <= cost[tried]
 
         acc, step = tried[ok], step[ok]
         rel_step = np.sqrt(_row_dot(step, step)) / np.maximum(
-            np.sqrt(_row_dot(theta[acc], theta[acc])), 1e-300
-        )
-        theta[acc] += step
-        cost[acc] = cost_t[ok]
-        hess[acc], grad[acc] = _normal_equations(jac_t[ok], resid_t[ok])
+            np.sqrt(_row_dot(alpha[acc], alpha[acc])), 1e-300)
+        alpha[acc] += step
+        coef[acc], cost[acc] = coef_t[ok], cost_t[ok]
+        hess[acc], grad[acc] = hess_t[ok], grad_t[ok]
         lam[acc] = np.maximum(lam[acc] * 0.3, _LAM_MIN)
         converged[acc] = rel_step < _STEP_TOL
         done[acc] = converged[acc] | (n_iter[acc] == _MAX_ITER)
@@ -435,45 +453,32 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, theta: np.ndarray):
         done[failed] = tries[failed] == _MAX_TRIES
         done[rejected] |= lam[rejected] > _LAM_MAX
         live = live[~done[live]]
-    return theta, cost, hess, n_iter, converged
+    return alpha, coef, cost, n_iter, converged
 
 
-def _fit_windows(
-    f_start: np.ndarray,
-    n_points: int,
-    truth: np.ndarray,
-    guesses: np.ndarray,
-    streams: np.ndarray,
-    cfg: SpectrumConfig,
-):
+def _fit_windows(f_start: np.ndarray, n_points: int, truth: np.ndarray,
+                 guesses: np.ndarray, streams: np.ndarray, cfg: SpectrumConfig):
     """Synthesize and fit a block of windows of equal length and peak count.
 
     f_start (B,) GHz; truth (B, 2) the resonances the spectra hold;
     guesses (B, k) the start centres; streams (B,) the Philox stream of
     each window.  Returns the fitted centres (B, k), sorted, and a mask
-    of the windows whose synthesis succeeded (the others hold NaN).
+    of the windows whose synthesis and fit succeeded (the others hold
+    NaN): a negative mean or a singular start fails a window.
     """
     freqs = f_start[:, None] + cfg.f_step * np.arange(n_points)
-    means = _mean_curve(freqs, truth, cfg)
-    ok = ~np.any(np.diff(freqs, axis=1) <= 0, axis=1)
-    if cfg.noiseless:
-        counts = means
-        ok &= ~np.any(counts < 0, axis=1)
-    else:
-        counts = np.empty_like(means)
-        for i, stream in enumerate(streams):
-            try:
-                counts[i] = _poisson_counts(means[i], cfg.seed, int(stream))
-            except ValueError:  # a negative mean (overlapping deep dips)
-                ok[i] = False
+    counts = _mean_curve(freqs, truth, cfg)
+    ok = np.all(np.diff(freqs, axis=1) > 0, axis=1) & np.all(counts >= 0, axis=1)
     centers = np.full(guesses.shape, np.nan)
     if np.any(ok):
         freqs, counts = freqs[ok], counts[ok]
-        theta = _start_theta(
-            counts, freqs, guesses[ok], cfg.linewidth_fwhm, cfg.contrast
-        )
-        theta = _fit_block(freqs, counts, theta)[0]
-        centers[ok] = np.sort(theta[:, 1::3], axis=1)
+        if not cfg.noiseless:
+            counts = _poisson_counts(counts, cfg.seed, streams[ok])
+        alpha = _start_alpha(freqs, guesses[ok], cfg.linewidth_fwhm)
+        alpha, _, cost = _fit_block(freqs, counts, alpha)[:3]
+        fitted = np.isfinite(cost)
+        centers[ok] = np.where(fitted[:, None], np.sort(alpha[:, 0::2], axis=1), np.nan)
+        ok[ok] = fitted
     return centers, ok
 
 
@@ -496,8 +501,7 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
     points, negative mean counts, non-finite resonances) hold NaN
     resonances and an infinite error.
     """
-    f_minus = rmap.f_minus.ravel()
-    f_plus = rmap.f_plus.ravel()
+    f_minus, f_plus = rmap.f_minus.ravel(), rmap.f_plus.ravel()
     half = _WINDOW_HALF_WIDTHS * cfg.linewidth_fwhm
     finite = np.isfinite(f_minus) & np.isfinite(f_plus)
     sep = np.zeros(f_minus.shape)
@@ -530,19 +534,19 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
         k, n = int(n_peaks[group[0]]), int(n_points[group[0]])
         if n < 5 * k:
             continue  # too few points to fit k dips
-        # A block's working set is about eight of its (rows, 1 + 3k, n)
-        # float64 Jacobians; keep it within _BLOCK_BYTES.
-        rows = max(1, _BLOCK_BYTES // (64 * (1 + 3 * k) * n))
+        # A block's working set, measured with tracemalloc, is about
+        # 7 + 5k float64 planes of n points per window: the points and
+        # counts, their copies for a trial step, the basis, the
+        # derivatives turned Jacobian and one product temporary; keep it
+        # within _BLOCK_BYTES.
+        rows = max(1, _BLOCK_BYTES // (8 * (7 + 5 * k) * n))
         for start in range(0, group.size, rows):
             w = group[start : start + rows]
-            centers, fitted_ok[w] = _fit_windows(
-                lo[w] - half, n, truth[w], guesses[w, :k], 2 * pixel[w] + branch[w],
-                cfg,
-            )
+            centers, fitted_ok[w] = _fit_windows(lo[w] - half, n, truth[w], guesses[w, :k],
+                                                 2 * pixel[w] + branch[w], cfg)
             fit[w] = centers[:, [0, k - 1]]
 
-    fitted_minus = np.full(f_minus.shape, np.nan)
-    fitted_plus = np.full(f_plus.shape, np.nan)
+    fitted_minus, fitted_plus = np.full((2,) + f_minus.shape, np.nan)
     first = branch == 0
     fitted_minus[pixel[first]] = fit[first, 0]
     fitted_plus[pixel[first]] = fit[first, 1]
@@ -555,9 +559,5 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
     error[failed] = np.inf
 
     shape = rmap.f_minus.shape
-    fitted = replace(
-        rmap,
-        f_minus=fitted_minus.reshape(shape),
-        f_plus=fitted_plus.reshape(shape),
-    )
-    return fitted, error.reshape(shape)
+    return replace(rmap, f_minus=fitted_minus.reshape(shape),
+                   f_plus=fitted_plus.reshape(shape)), error.reshape(shape)

@@ -113,7 +113,7 @@ class SpinTexture:
         _check_distinct(positions)
         if spin_mag > 0:
             norms = np.linalg.norm(spin_dirs, axis=1)
-            bad = np.where(np.abs(norms - 1.0) > 1e-9)[0]
+            bad = np.flatnonzero(~(np.abs(norms - 1.0) <= 1e-9))
             if bad.size:
                 raise ValueError(
                     f"spin direction at site {bad[0]} is not a unit vector "
@@ -233,7 +233,7 @@ def apply_pattern(
     """
     direction = np.asarray(direction, dtype=float)
     norm = np.linalg.norm(direction)
-    if abs(norm - 1.0) > 1e-6:
+    if not abs(norm - 1.0) <= 1e-6:
         raise ValueError(f"pattern direction must be a unit vector, |d| = {norm:.6g}")
 
     ii = lattice.cell_index[:, 0]

@@ -123,12 +123,18 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
       "--spin-mag", "nan"], None, "spin magnitude must be finite and >= 0"),
     (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
       "--sample-g", "nan"], None, "sample g must be finite"),
+    # A linewidth whose square underflows, and a direction that is not finite.
+    (["spectrum", "--resonances", "3.3,3.6", "--linewidth=1e-200"], None,
+     "linewidth_fwhm must be at least"),
+    (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
+      "--dir=1,0,inf"], None, "--dir must be a finite nonzero vector"),
 ], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
         "isoscan-nan", "isoscan-inf", "sweep-inf", "sweep-rmin", "sweep-rmax", "texture-far",
         "measure-nan-linewidth",
         "spectrum-nan-linewidth", "spectrum-nan-resonance", "spectrum-negative-mean",
         "sweep-nan-spin-mag", "sweep-inf-spin-mag", "sweep-negative-spin-mag",
-        "texture-nan-spin-mag", "texture-nan-sample-g"])
+        "texture-nan-spin-mag", "texture-nan-sample-g", "spectrum-tiny-linewidth",
+        "texture-inf-dir"])
 def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message):
     out = texture.with_name("refused.out")
     argv = [texture if a is TEXTURE else a for a in argv] + ["--out", out]
@@ -196,4 +202,42 @@ def test_bad_header_lines_are_input_errors_at_their_line(texture, suffix, line, 
     code, stderr, caught = run([*argv, "--out", path.with_suffix(".out")])
     assert code == 3
     assert len(stderr) == 1 and f"{path}:{k + 1}: " in stderr[0] and key in stderr[0], stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("suffix, line, edited, message", [
+    (".spintex", "a_angstrom 3", ["a_angstrom 3", "a_angstrom 5"],
+     "repeated header a_angstrom, first at line {k}"),
+    (".csv", "# map_step_angstrom = 1.5",
+     ["# map_step_angstrom = 1.5", "# map_step_angstrom = 3"],
+     "repeated header map_step_angstrom, first at line {k}"),
+    (".csv", "# map_y0_angstrom = 0", ["# map_y0_angstrom = 1e308"],
+     "malformed header map_y0_angstrom"),
+    (".csv", "# map_height_angstrom = 4", ["# map_height_angstrom = 1e308"],
+     "malformed header map_height_angstrom"),
+    (".csv", "# map_step_angstrom = 1.5", ["# map_step_angstrom = 1e308"],
+     "malformed header map_step_angstrom"),
+    (".spintex", "0 0 0 0 0 1", ["0 0 0 0 0 1e308"], "spin direction has |dir| = 1e+308"),
+    (".spintex", "0 0 0 0 0 1", ["2e6 0 0 0 0 1"],
+     "site outside |x|, |y| <= 1e+06 A and |z| <= 10000 A"),
+], ids=["repeated-spintex-key", "repeated-map-key", "far-map-origin", "far-map-height",
+        "far-map-step", "huge-spin-component", "far-site-bounds"])
+def test_reader_holes_are_input_errors_at_their_line(texture, suffix, line, edited, message):
+    # Each edit is refused by the reader, at the last edited line, with no
+    # numpy warning on the way.
+    path = texture.with_name(f"hole{suffix}")
+    if suffix == ".csv":
+        assert run(["scan", "--texture", texture, "--step", "1.5", "--out", path])[0] == 0
+        argv = ["reconstruct", "--texture", texture, "--map", path]
+    else:
+        path.write_text(texture.read_text(encoding="utf-8"), encoding="utf-8")
+        argv = ["scan", "--texture", path, "--xmin=0", "--xmax=3", "--ymin=0", "--ymax=3"]
+    lines = path.read_text(encoding="utf-8").splitlines()
+    k = lines.index(line)
+    lines[k:k + 1] = edited
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, stderr, caught = run([*argv, "--out", path.with_suffix(".out")])
+    assert code == 3
+    where = f"{path}:{k + len(edited)}: {message.format(k=k + 1)}"
+    assert len(stderr) == 1 and where in stderr[0], stderr
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]

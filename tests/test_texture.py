@@ -166,6 +166,17 @@ def test_pattern_rejects_non_unit_direction():
         apply_pattern(lat, "FM", direction=(0.0, 0.0, 2.0), spin_mag=0.5, g=2.0)
 
 
+def test_non_finite_directions_are_not_unit_vectors():
+    # A NaN norm fails every comparison, so the checks accept only a
+    # norm that is within the tolerance of 1.
+    lat = build_lattice("square", 3.0, 2, 2)
+    with pytest.raises(ValueError, match="unit vector"):
+        apply_pattern(lat, "FM", direction=(np.nan, 0.0, 1.0), spin_mag=0.5, g=2.0)
+    spins = np.array([[0.0, 0.0, 1.0]] * 3 + [[0.0, np.nan, 1.0]])
+    with pytest.raises(ValueError, match="site 3 is not a unit vector"):
+        SpinTexture(lat.positions, spins, 0.5, 2.0)
+
+
 def test_pattern_rejects_unknown_name():
     lat = build_lattice("square", 3.0, 2, 2)
     with pytest.raises(ValueError):
