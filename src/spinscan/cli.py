@@ -399,6 +399,7 @@ def cmd_reconstruct(args) -> int:
     lcurve_lams = args.lcurve or []
     if not all(0 <= lam_k < np.inf for lam_k in lcurve_lams):
         raise ValueError(f"--lcurve values must be finite and >= 0, got {lcurve_lams}")
+    probe = ProbeSpec(d_zfs=args.probe_d_uev, g=args.probe_g)  # refuses either out of range
 
     # Height and mode default to the map's own, else to ScanConfig's.
     if args.map is not None:
@@ -419,14 +420,14 @@ def cmd_reconstruct(args) -> int:
         height=height,
         mode=mode,
         exchange_prefactor=args.exchange_prefactor,
-        g_probe=args.probe_g,
+        g_probe=probe.g,
     )
     if args.synthetic:
         m_true = tex.spin_mag * tex.spin_dirs[:, 2]
         y = fwd.a @ m_true
     else:
         # Axial shift observable: upper branch minus the zero-field line.
-        y = (rmap.f_plus - args.probe_d_uev / CONSTANTS.h_planck).ravel()
+        y = (rmap.f_plus - probe.d_zfs / CONSTANTS.h_planck).ravel()
 
     result = solve_tikhonov(fwd, y, args.lam)
     report = {

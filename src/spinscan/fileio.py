@@ -247,9 +247,12 @@ def _rows(*columns) -> list[str]:
 
 
 def _grid_rows(grid: Grid, *columns) -> list[str]:
-    """CSV rows 'x,y,values...' over the grid's pixels, x varying fastest."""
-    tips = grid.tips(0.0)
-    return _rows(tips[:, 0], tips[:, 1], *columns)
+    """CSV rows 'x,y,values...' over the grid's pixels, x varying fastest;
+    each x and y is formatted once, not once per pixel."""
+    xs, ys = (["%.9g" % v for v in axis.tolist()] for axis in (grid.xs, grid.ys))
+    fmt = "%s" + ",%.9g" * len(columns)
+    return [fmt % row for row in zip((f"{x},{y}" for y in ys for x in xs),
+                                     *(np.ravel(c).tolist() for c in columns))]
 
 
 def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:

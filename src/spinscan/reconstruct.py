@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .scan import (_MAX_KERNEL_BYTES, _MODES, Grid, _check_height, _lattice_images,
-                   _walk_pairs)
+                   _unit_spin_stray, _walk_pairs)
 from .spincore import _check_exchange_range
 from .texture import SpinTexture
 
@@ -133,8 +133,8 @@ def build_forward(
         buf = np.empty((tex.n_sites, n_pixels))
 
         def fill_block(rows, dx, dy, dz, d2, j, pref):
-            # Bz of a unit z-moment is pref (3 dz^2 / d^2 - 1).
-            bz = None if pref is None else pref * (3.0 * dz * dz / d2 - 1.0)
+            # Bz of a unit z-moment, as in the kernel images.
+            bz = None if pref is None else _unit_spin_stray((dx, dy, dz), d2, pref, 2)[2]
             buf[:, rows] = shift(j, bz).T
 
         r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, mode,

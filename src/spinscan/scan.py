@@ -8,7 +8,8 @@ from its 3x3 probe Hamiltonian in closed form (spincore._field_resonances;
 numpy's eigh, the path of probe_resonances, is its oracle).
 On the pixel lattice (_lattice_images) constant-height scans convolve
 kernel images by FFT and build_forward gathers a window of one image per
-site; the dense blocked sum, used otherwise, is both paths' oracle.
+site; the dense blocked sum, used otherwise, is both paths' oracle.  One
+pair walk of the corner site writes J and the images' unit-spin fields.
 Iso-frequency scans invert the upper resonance branch for height by a
 bracketed Illinois secant (regula falsi); pair mode treats one sample site
 quantum-mechanically as an exactness oracle for the mean-field sum.
@@ -162,7 +163,8 @@ def _points(lo, hi, step):
     float resolution of the ends (at most half a step), so a range
     rebuilt from its own ends and step counts the same points.
     """
-    tol = np.minimum(0.5, 1e-9 + _EPS * (np.abs(lo) + np.abs(hi)) / step)
+    with np.errstate(over="ignore"):  # past half a step the tolerance is clamped
+        tol = np.minimum(0.5, 1e-9 + _EPS * (np.abs(lo) + np.abs(hi)) / step)
     return np.floor((hi - lo) / step + tol) + 1
 
 
@@ -187,14 +189,17 @@ class Grid:
             raise ValueError(f"grid step must be positive and finite, got {step}")
         for name, value in zip(("x_min", "x_max", "y_min", "y_max"), (*x_range, *y_range)):
             _check_lateral(value, name)
+        budget = f"the {_MAX_PIXELS} pixel budget; use a larger step or a smaller range"
+        # Each extent is checked before it is divided by the step (overflow).
+        for axis, (lo, hi) in zip("xy", (x_range, y_range)):
+            if hi - lo > step * _MAX_PIXELS:
+                raise ValueError(f"scan {axis} range of {hi - lo:g} A at step {step:g} A "
+                                 f"exceeds {budget}")
         nx, ny = (_points(lo, hi, step) for lo, hi in (x_range, y_range))
         if nx < 1 or ny < 1:
             raise ValueError("grid ranges must satisfy min <= max")
         if nx * ny > _MAX_PIXELS:
-            raise ValueError(
-                f"scan grid of {nx:.0f} x {ny:.0f} pixels exceeds the {_MAX_PIXELS} "
-                "pixel budget; use a larger step or a smaller range"
-            )
+            raise ValueError(f"scan grid of {nx:.0f} x {ny:.0f} pixels exceeds {budget}")
         return cls(float(x_range[0]), float(y_range[0]), float(step), int(nx), int(ny))
 
     @property
@@ -302,10 +307,11 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mod
     unless mode ("dipolar", "exchange" or "both") reads it.  visit is
     a callback, not a generator's consumer, so a block's planes are freed
     as the next block's replace them rather than held alongside them
-    (about 5% slower field sums).  After the last block it rejects tips
-    within the minimum distance of any site, naming the closest pair, and
-    returns the closest tip-site distance for the caller's validity-range
-    check, made once per public call.
+    (about 5% slower field sums); _lattice_images walks one site per tip
+    block.  After the last block it rejects tips within the minimum
+    distance of any site, naming the closest pair, and returns the closest
+    tip-site distance for the caller's validity-range check, made once per
+    public call.
     """
     n = tex.n_sites
     rows = max(1, _BLOCK_BYTES // (8 * n))
@@ -377,17 +383,26 @@ def _batch_effective_fields(
     return b_stray, b_ex, r_min
 
 
+def _unit_spin_stray(d, d2, pref, b):
+    """{a: B_a (tesla)} for a >= b of a unit spin along axis b, from the
+    planes of _walk_pairs: q d_a - pref if a = b, else q d_a, q = 3 pref d_b / d2."""
+    q = (3.0 * pref) * d[b] / d2
+    return {a: q * d[a] - pref if a == b else q * d[a] for a in range(b, 3)}
+
+
 def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
                     mode: str, axes: tuple):
     """(ix, iy, kernel, shape, images): each site's whole-step offsets
     (float) from the corner site, the Grid of pixel-site offsets, its
-    padded FFT shape, and the dense sums over it of one site at the
-    corner, in small tip blocks: "j", J (ueV), unless mode is dipolar, and
-    unless it is exchange (a, b), B_a of a unit spin along b, for b in axes
-    and a >= b.  None, for the dense sum, unless all sites lie at one z at
-    least 2 A (J's validity bound, so no distance check can fire) below
-    the tips, their x and y differ by whole steps up to the rounding of
-    the coordinates, and the padded planes fit _MAX_KERNEL_BYTES."""
+    padded FFT shape, and the images over it of one site at the corner:
+    "j", J (ueV), unless mode is dipolar, and unless it is exchange (a, b),
+    B_a of a unit spin along b (_unit_spin_stray), for b in axes and
+    a >= b.  One _walk_pairs pass per block of _BLOCK_BYTES // 64 tips
+    writes every image, J once; one pass over the whole grid is slower and
+    holds more memory.  None, for the dense sum, unless all sites lie at
+    one z at least 2 A (J's validity bound, so no distance check can fire)
+    below the tips, their x and y differ by whole steps up to the rounding
+    of the coordinates, and the padded planes fit _MAX_KERNEL_BYTES."""
     pos = tex.positions
     if np.any(pos[:, 2] != pos[0, 2]) or not height - pos[0, 2] >= 2.0:
         return None
@@ -411,21 +426,25 @@ def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
     if 18 * 8 * shape[0] * shape[1] > _MAX_KERNEL_BYTES:
         return None
 
-    # Images are allocated up front, so that the heap is reused rather than
-    # fragmented; a unit spin along b gives J as b_ex[:, b].
+    # Images are allocated up front, so the heap is reused, not fragmented;
+    # each tip block's walk over the corner site fills their views, block.
     tips = kernel.tips(height)
-    stray = mode != "exchange"
-    keys = ["j"] * (mode != "dipolar") + [(a, b) for b in axes for a in range(b, 3)] * stray
+    keys = (["j"] * (mode != "dipolar")
+            + [(a, b) for b in axes for a in range(b, 3)] * (mode != "exchange"))
     images = {key: np.empty(len(tips)) for key in keys}
-    for b in axes if stray else axes[:1]:
-        unit = SpinTexture([[*corner, pos[0, 2]]], [np.eye(3)[b]], 1.0, tex.g)
-        for start in range(0, len(tips), _BLOCK_BYTES // 64):
-            rows = slice(start, start + _BLOCK_BYTES // 64)
-            bs, bx, _ = _batch_effective_fields(tips[rows], unit, prefactor, mode)
-            if bx is not None:
-                images["j"][rows] = bx[:, b]
-            for a in range(b, 3) if stray else ():
-                images[a, b][rows] = bs[:, a]
+    site = SpinTexture([[*corner, pos[0, 2]]], [[0.0, 0.0, 1.0]], 1.0, tex.g)
+
+    def fill(rows, dx, dy, dz, d2, j, pref):
+        if j is not None:
+            block["j"][rows] = j
+        for b in axes if pref is not None else ():
+            for a, entry in _unit_spin_stray((dx, dy, dz), d2, pref, b).items():
+                block[a, b][rows] = entry
+
+    for start in range(0, len(tips), _BLOCK_BYTES // 64):
+        rows = slice(start, start + _BLOCK_BYTES // 64)
+        block = {key: image[rows, None] for key, image in images.items()}
+        _walk_pairs(tips[rows], site, prefactor, mode, fill)
     return *index, kernel, shape, images
 
 

@@ -315,6 +315,9 @@ def fit_lorentzians(
     if spec.counts.size < 5 * n_peaks:
         raise ValueError(f"spectrum has {spec.counts.size} points; "
                          f"need at least {5 * n_peaks} for {n_peaks} peaks")
+    if not np.any(spec.counts):
+        raise ValueError(f"spectrum has no counts at any of its {spec.counts.size} "
+                         "points, so no dip to fit; raise baseline_counts")
     freqs, counts = spec.frequencies, spec.counts.astype(float)
     alpha = _initial_guess(spec, n_peaks, initial_guess)
     alpha, coef, cost, n_iter, converged = (

@@ -32,6 +32,12 @@ __all__ = [
 
 _HERMITICITY_TOL = 1e-10
 
+# Largest probe zero-field splitting (ueV), the end of the range the
+# closed-form resonances are tested over, and largest |g|, far past any
+# spin's (2 for electrons, below 20 for rare-earth ions), so that
+# g mu_B B stays finite for fields up to 1e300 T.
+_MAX_ZFS_UEV, _MAX_PROBE_G = 1e300, 1e3
+
 
 @dataclass(frozen=True)
 class SpinOperatorSet:
@@ -55,8 +61,12 @@ class ProbeSpec:
     s: float = field(default=1.0, init=False)
 
     def __post_init__(self):
-        if self.d_zfs <= 0:
-            raise ValueError(f"zero-field splitting must be positive, got {self.d_zfs}")
+        if not 0.0 < self.d_zfs <= _MAX_ZFS_UEV:
+            raise ValueError("zero-field splitting must be positive and at most "
+                             f"{_MAX_ZFS_UEV:g} ueV, got {self.d_zfs}")
+        if not abs(self.g) <= _MAX_PROBE_G:
+            raise ValueError(f"probe g must be finite and within +/-{_MAX_PROBE_G:g}, "
+                             f"got {self.g}")
 
 
 @dataclass(frozen=True)

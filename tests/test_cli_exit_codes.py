@@ -128,13 +128,24 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
      "linewidth_fwhm must be at least"),
     (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
       "--dir=1,0,inf"], None, "--dir must be a finite nonzero vector"),
+    # Probe settings past their bounds, a step whose range overflows on
+    # division, and a spectrum with no counts to fit.
+    (["isoscan", "--texture", TEXTURE, "--fsource", "120", "--zmin", "2", "--zmax", "12",
+      "--probe-g=inf"], None, "probe g must be finite"),
+    (["isoscan", "--texture", TEXTURE, "--fsource", "120", "--zmin", "2", "--zmax", "12",
+      "--d-zfs=inf"], None, "zero-field splitting must be positive and at most"),
+    (["reconstruct", "--texture", TEXTURE, "--synthetic", "--mode", "dipolar",
+      "--probe-g=inf"], None, "probe g must be finite"),
+    (["scan", "--texture", TEXTURE, "--step=5e-324"], None, "pixel budget"),
+    (["spectrum", "--resonances", "3.3,3.6", "--baseline", "1e-6"], None, "no counts"),
 ], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
         "isoscan-nan", "isoscan-inf", "sweep-inf", "sweep-rmin", "sweep-rmax", "texture-far",
         "measure-nan-linewidth",
         "spectrum-nan-linewidth", "spectrum-nan-resonance", "spectrum-negative-mean",
         "sweep-nan-spin-mag", "sweep-inf-spin-mag", "sweep-negative-spin-mag",
         "texture-nan-spin-mag", "texture-nan-sample-g", "spectrum-tiny-linewidth",
-        "texture-inf-dir"])
+        "texture-inf-dir", "isoscan-inf-probe-g", "isoscan-inf-d-zfs",
+        "reconstruct-inf-probe-g", "scan-subnormal-step", "spectrum-zero-counts"])
 def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message):
     out = texture.with_name("refused.out")
     argv = [texture if a is TEXTURE else a for a in argv] + ["--out", out]

@@ -2,7 +2,7 @@
 
 from types import SimpleNamespace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
 
@@ -10,6 +10,7 @@ from spinscan.fileio import (
     MapParseError,
     TextureParseError,
     _grid_rows,
+    _rows,
     load_config,
     load_map_csv,
     load_texture,
@@ -208,6 +209,35 @@ def test_grid_rows_match_per_value_format(tmp_path):
         write(path, obj, {})
         rows = path.read_text().splitlines()[2:]  # after the echo and column names
         assert rows == per_value(*columns), write.__name__
+
+
+_ORIGINS = st.one_of(st.sampled_from([-1e6, 1e6, 0.0, -0.0]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(_ORIGINS, _ORIGINS),
+    st.one_of(st.sampled_from([1e-3, 7.5]), st.floats(1e-3, 7.5)),
+    st.tuples(st.integers(1, 30), st.integers(1, 30)),
+    st.integers(1, 2),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@example((-1e6, 1e6), 1e-3, (1, 1), 1, True, 0)
+@example((1e6, -1e6), 7.5, (1, 17), 2, False, 1)
+@example((-2.5, 1e6), 0.3, (17, 1), 1, True, 2)
+def test_grid_rows_match_per_pixel_coordinates(origin, step, size, n_columns, nan, seed):
+    # Formatting x and y once per axis gives the bytes of formatting each
+    # pixel's coordinates from Grid.tips: 1x1 and 1xn grids, far origins,
+    # and a NaN column, as isoscan writes for pixels out of range.
+    grid = Grid(*origin, step, *size)
+    rng = np.random.default_rng(seed)
+    columns = [rng.standard_normal(size[::-1]) * 10.0 ** rng.integers(-5, 5)
+               for _ in range(n_columns)]
+    if nan:
+        columns[0][rng.random(size[::-1]) < 0.5] = np.nan
+    tips = grid.tips(0.0)
+    assert _grid_rows(grid, *columns) == _rows(tips[:, 0], tips[:, 1], *columns)
 
 
 def test_pgm_north_up(tmp_path):

@@ -163,14 +163,15 @@ def _off_lattice_textures(fm_5x5):
 def test_forward_falls_back_to_the_dense_walk(fm_5x5, monkeypatch, case):
     # Off the pixel lattice, or with the image over budget, the dense walk
     # runs and no kernel image is built; the gather runs for the control.
+    # The dense walk is reconstruct's _walk_pairs, the image walk scan's.
     name, tex, height = _off_lattice_textures(fm_5x5)[case]
     calls = []
-    for module, key in ((reconstruct, "_walk_pairs"), (scan, "_batch_effective_fields")):
-        real = getattr(module, key)
-        monkeypatch.setattr(module, key, lambda *args, real=real, key=key:
+    for module, key in ((reconstruct, "dense"), (scan, "image")):
+        real = module._walk_pairs
+        monkeypatch.setattr(module, "_walk_pairs", lambda *args, real=real, key=key:
                             calls.append(key) or real(*args))
     build_forward(fm_5x5, height=4.0, mode="both", **GRID)
-    assert "_walk_pairs" not in calls and "_batch_effective_fields" in calls
+    assert "dense" not in calls and "image" in calls
     calls.clear()
     if name == "over budget":
         # The 17x17 x 25 kernel fits exactly; its 33x33 offset grid does not.
@@ -181,7 +182,7 @@ def test_forward_falls_back_to_the_dense_walk(fm_5x5, monkeypatch, case):
         fwd = build_forward(tex, height=height, mode="both", **GRID)
         with _dense_path():
             dense = build_forward(tex, height=height, mode="both", **GRID)
-    assert calls == ["_walk_pairs", "_walk_pairs"], name
+    assert calls == ["dense", "dense"], name
     assert np.array_equal(fwd.a, dense.a), name
 
 

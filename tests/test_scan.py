@@ -477,6 +477,34 @@ def test_fft_path_falls_back_to_the_dense_sum(fm_5x5, case):
         assert np.array_equal(getattr(rmap, key), getattr(dense, key)), (name, key)
 
 
+@pytest.mark.parametrize("axes", [(0, 1, 2), (2,)])
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+@pytest.mark.parametrize("prefactor", ["rydberg", "hartree"])
+def test_lattice_images_match_unit_spin_field_sums(monkeypatch, axes, mode, prefactor):
+    # Each image is, to the bit, the field sum of one unit spin along b at
+    # the corner site: J for "j", B_a for (a, b).  Blocks of 37 tips, so
+    # several blocks run and the last one is short.
+    monkeypatch.setattr(scan, "_BLOCK_BYTES", 64 * 37)
+    tex = SpinTexture(build_lattice("square", 3.0, 4, 3).positions + (1.5, -2.25, 0.5),
+                      [[0.36, -0.48, 0.8]] * 12, 0.5, 2.3)
+    grid = Grid(-0.6 * 0.75, 0.3 * 0.75, 0.75, 12, 9)
+    ix, iy, kernel, _, images = scan._lattice_images(grid, tex, 3.1, prefactor, mode, axes)
+    corner = [tex.positions[np.argmin(ix), 0], tex.positions[np.argmin(iy), 1], 0.5]
+    tips = kernel.tips(3.1)
+    assert len(tips) > 10 * 37
+    want = {}
+    for b in axes:
+        unit = SpinTexture([corner], [np.eye(3)[b]], 1.0, tex.g)
+        b_stray, b_ex, _ = _batch_effective_fields(tips, unit, prefactor, mode)
+        if b_ex is not None:
+            want["j"] = b_ex[:, b]
+        for a in range(b, 3) if b_stray is not None else ():
+            want[a, b] = b_stray[:, a]
+    assert images.keys() == want.keys()
+    for key, image in images.items():
+        assert np.array_equal(image, want[key]), key
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(min_value=-_MAX_LATERAL, max_value=_MAX_LATERAL),
@@ -496,6 +524,19 @@ def test_grid_rebuilt_from_its_ranges_is_the_same_grid(x0, y0, step, nx, ny):
 def test_grid_rejects_far_lateral_coordinates(x_range):
     with pytest.raises(ValueError, match="within"):
         Grid.from_ranges(x_range, (0.0, 1.0), 0.5)
+
+
+@pytest.mark.parametrize("x_range", [(0.0, 3.0), (1e6, 1e6), (-1e6, 1e6)])
+def test_grid_subnormal_step_is_refused_without_overflow(x_range):
+    # A range is compared with the budget before it is divided by the step;
+    # a single-pixel row at a far origin counts its one point.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if x_range[0] == x_range[1]:
+            assert Grid.from_ranges(x_range, (0.0, 0.0), 5e-324).nx == 1
+        else:
+            with pytest.raises(ValueError, match="pixel budget"):
+                Grid.from_ranges(x_range, (0.0, 0.0), 5e-324)
 
 
 def test_scan_shift_matches_forward_kernel(fm_5x5):

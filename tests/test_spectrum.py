@@ -92,6 +92,15 @@ def test_zero_contrast_flat():
     assert np.all(spec.counts == cfg.baseline_counts)
 
 
+def test_fit_refuses_a_spectrum_without_counts():
+    # A baseline far below one count draws no photons: there is no dip to
+    # fit, and no contrast to report.
+    spec = synthesize(ResonancePair(3.3, 3.6), SpectrumConfig(baseline_counts=1e-6))
+    assert not spec.counts.any()
+    with pytest.raises(ValueError, match="no counts"):
+        fit_lorentzians(spec, 2)
+
+
 def test_poisson_statistics():
     # Counts are Poisson(1e5) off resonance: the sample mean over the
     # flat window must agree with the baseline within 4 sigma.

@@ -279,10 +279,14 @@ def test_resonances_ordering_under_random_fields(rng):
 
 
 def test_probe_spec_validation():
-    with pytest.raises(ValueError):
-        ProbeSpec(d_zfs=0.0)
-    with pytest.raises(ValueError):
-        ProbeSpec(d_zfs=-1.0)
+    for d_zfs in (0.0, -1.0, np.inf, np.nan, 1.01e300):
+        with pytest.raises(ValueError, match="zero-field splitting"):
+            ProbeSpec(d_zfs=d_zfs)
+    for g in (np.inf, -np.inf, np.nan, 1.01e3, -1.01e3):
+        with pytest.raises(ValueError, match="probe g"):
+            ProbeSpec(g=g)
+    for d_zfs, g in ((1e300, 1e3), (1e-300, -1e3), (14.4, 0.0)):
+        ProbeSpec(d_zfs=d_zfs, g=g)
 
 
 # --------------------------------------------------- closed-form resonances
