@@ -123,27 +123,32 @@ def build_forward(
         )
     zeeman = g_probe * CONSTANTS.mu_b
 
-    def shift(j, bz):
-        """The channels the mode reads added onto zero: J/h, then g mu_B Bz/h."""
-        out = 0.0 if j is None else j / CONSTANTS.h_planck
-        return out if bz is None else out + zeeman * bz / CONSTANTS.h_planck
+    def shift(j, bz, out):
+        """out = the channels the mode reads added onto zero: J/h, then
+        g mu_B Bz/h; bz is overwritten."""
+        np.divide(0.0 if j is None else j, CONSTANTS.h_planck, out=out)
+        if bz is not None:
+            out += np.divide(np.multiply(bz, zeeman, out=bz), CONSTANTS.h_planck, out=bz)
+        return out
 
     found = _lattice_images(grid, tex, float(height), exchange_prefactor, mode, (2,))
     if found is None:
         buf = np.empty((tex.n_sites, n_pixels))
 
-        def fill_block(rows, dx, dy, dz, d2, j, pref):
-            # Bz of a unit z-moment, as in the kernel images.
-            bz = None if pref is None else _unit_spin_stray((dx, dy, dz), d2, pref, 2)[2]
-            buf[:, rows] = shift(j, bz).T
+        def fill_block(rows, dx, dy, dz, d2, j, pref, tmp):
+            # Bz of a unit z-moment, as in the kernel images, into tmp[1];
+            # tmp[0] is _unit_spin_stray's scratch, then shift's output.
+            if pref is not None:
+                _unit_spin_stray((dx, dy, dz), d2, pref, 2, tmp[0], {2: tmp[1]})
+            buf[:, rows] = shift(j, None if pref is None else tmp[1], tmp[0]).T
 
         r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, mode,
-                            fill_block)
+                            fill_block, 1 if mode == "exchange" else 2)
         _check_exchange_range(r_min, stacklevel=2)
     else:
         # Site i's window starts at (my-1-iy, mx-1-ix) of the offset grid.
         ix, iy, kernel, _, images = found
-        image = shift(images.get("j"), images.get((2, 2)))
+        image = shift(images.get("j"), images.get((2, 2)), np.empty(kernel.nx * kernel.ny))
         windows = np.lib.stride_tricks.sliding_window_view(
             image.reshape(kernel.ny, kernel.nx), (grid.ny, grid.nx))
         buf = windows[kernel.ny - grid.ny - iy.astype(int),

@@ -17,6 +17,7 @@ quantum-mechanically as an exactness oracle for the mean-field sum.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -76,6 +77,10 @@ _MAX_SWEEP_POINTS = 1_000_000
 # allocating: _lattice_images' images and spectra, or build_forward's kernel.
 _MAX_KERNEL_BYTES = 1 << 26
 
+# Largest |b_ext| (tesla) a scan accepts: g mu_B B stays finite, about
+# 1e305 ueV at most, for every probe g within spincore._MAX_PROBE_G.
+_MAX_B_EXT = 1e300
+
 _EPS = np.finfo(float).eps
 
 # The odd factors 3^j 5^k of the FFT path's padded lengths 2^i 3^j 5^k; one
@@ -111,6 +116,9 @@ class ScanConfig:
                 f"height={self.height}, step={self.step}, x_range={self.x_range}, "
                 f"y_range={self.y_range}, b_ext={self.b_ext}"
             )
+        if math.hypot(*self.b_ext) > _MAX_B_EXT:
+            raise ValueError(f"|b_ext| must be at most {_MAX_B_EXT:g} T, "
+                             f"got b_ext={self.b_ext}")
         if self.step <= 0:
             raise ValueError(f"scan step must be positive, got {self.step}")
         _check_height(self.height, "scan height")
@@ -296,26 +304,30 @@ class PairModeResult:
 
 
 def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mode: str,
-                visit):
+                visit, scratch: int):
     """Walk the (tip, site) pairs in row blocks of tips.
 
-    tips: (p, 3) angstrom.  Calls visit(rows, dx, dy, dz, d2, j, pref)
-    per block of _BLOCK_BYTES // (8 n_sites) tips: rows is the block's
-    slice of tips, the rest are C-contiguous (rows, sites) planes of the
-    tip-site displacement, its squared length d2, J(r) in ueV and the
-    dipolar prefactor pref = -g C / r^3 (tesla per unit spin), each None
-    unless mode ("dipolar", "exchange" or "both") reads it.  visit is
-    a callback, not a generator's consumer, so a block's planes are freed
-    as the next block's replace them rather than held alongside them
-    (about 5% slower field sums); _lattice_images walks one site per tip
-    block.  After the last block it rejects tips within the minimum
-    distance of any site, naming the closest pair, and returns the closest
-    tip-site distance for the caller's validity-range check, made once per
-    public call.
+    tips: (p, 3) angstrom.  Calls visit(rows, dx, dy, dz, d2, j, pref, tmp)
+    per block: rows is the block's slice of tips, the rest are
+    C-contiguous (rows, sites) planes of the tip-site displacement, its
+    squared length d2, J(r) in ueV and the dipolar prefactor
+    pref = -g C / r^3 (tesla per unit spin), each None unless mode
+    ("dipolar", "exchange" or "both") reads it, and tmp, a list of
+    `scratch` free planes for the visitor.  The planes are allocated once
+    per call and written in place, so they are valid only during a visit.
+    A block's working set, its five planes (dx, dy, dz, d2 and r), j and
+    pref as the mode reads them and the visitor's, fits _BLOCK_BYTES.
+    After the last block it rejects tips within the minimum distance of
+    any site, naming the closest pair, and returns the closest tip-site
+    distance for the caller's validity-range check, made once per public
+    call.
     """
     n = tex.n_sites
-    rows = max(1, _BLOCK_BYTES // (8 * n))
-    site_x, site_y, site_z = tex.positions.T.copy()
+    reads_j, reads_pref = mode != "dipolar", mode != "exchange"
+    count = 5 + reads_j + reads_pref + scratch
+    rows = max(1, _BLOCK_BYTES // (8 * count * n))
+    planes = [np.empty((min(rows, len(tips)), n)) for _ in range(count)]
+    sites = tex.positions.T.copy()
     stray_pref = -tex.g * CONSTANTS.stray_prefactor_per_mu_b
     # Closest (distance, tip, site) so far; ties keep the first pair in
     # row-major order.
@@ -323,20 +335,27 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mod
 
     for start in range(0, tips.shape[0], rows):
         t = tips[start : start + rows]
-        dx = t[:, 0, None] - site_x
-        dy = t[:, 1, None] - site_y
-        dz = t[:, 2, None] - site_z
-        d2 = dx * dx + dy * dy + dz * dz
-        dist = np.sqrt(d2)
+        dx, dy, dz, d2, dist, *tmp = (p[: len(t)] for p in planes)
+        pref = tmp.pop() if reads_pref else None
+        j = tmp.pop() if reads_j else None
+        for d, c, s in zip((dx, dy, dz), t.T, sites):
+            np.subtract(c[:, None], s, out=d)
+        # d2 = (dx dx + dy dy) + dz dz, with dist as the scratch plane.
+        np.multiply(dx, dx, out=d2)
+        d2 += np.multiply(dy, dy, out=dist)
+        d2 += np.multiply(dz, dz, out=dist)
+        np.sqrt(d2, out=dist)
         k = int(np.argmin(dist))
         if dist.flat[k] < nearest[0]:
             nearest = (float(dist.flat[k]), start + k // n, k % n)
         if nearest[0] < _MIN_TIP_SITE_DISTANCE:
             # The walk fails; later blocks only look for a closer pair.
             continue
-        j = None if mode == "dipolar" else _exchange_formula(dist, exchange_prefactor)
-        pref = None if mode == "exchange" else stray_pref / (d2 * dist)
-        visit(slice(start, start + rows), dx, dy, dz, d2, j, pref)
+        if reads_pref:
+            np.divide(stray_pref, np.multiply(d2, dist, out=pref), out=pref)
+        if reads_j:
+            _exchange_formula(dist, exchange_prefactor, out=j)  # overwrites dist
+        visit(slice(start, start + rows), dx, dy, dz, d2, j, pref, tmp)
 
     r_min, p, i = nearest
     if r_min < _MIN_TIP_SITE_DISTANCE:
@@ -360,34 +379,45 @@ def _batch_effective_fields(
     plane, so a tip's fields do not depend on which block, or which
     batch, it falls in, nor on the mode.
     """
-    spin_x, spin_y, spin_z = tex.spin_vectors.T.copy()
+    spins = tex.spin_vectors.T.copy()
     b_stray = None if mode == "exchange" else np.empty((tips.shape[0], 3))
     b_ex = None if mode == "dipolar" else np.empty((tips.shape[0], 3))
 
-    def add_block(rows, dx, dy, dz, d2, j, pref):
+    def add_block(rows, dx, dy, dz, d2, j, pref, tmp):
+        t = tmp[0]
         if j is not None:
-            b_ex[rows, 0] = np.sum(j * spin_x, axis=1)
-            b_ex[rows, 1] = np.sum(j * spin_y, axis=1)
-            b_ex[rows, 2] = np.sum(j * spin_z, axis=1)
+            for a, s in enumerate(spins):
+                b_ex[rows, a] = np.multiply(j, s, out=t).sum(axis=1)
         if pref is None:
             return
 
         # B = sum_i q d_i - pref s_i with q = 3 pref (s . d) / d^2, d the
         # tip-site displacement.
-        q = (3.0 * pref) * (dx * spin_x + dy * spin_y + dz * spin_z) / d2
-        b_stray[rows, 0] = np.sum(q * dx, axis=1) - np.sum(pref * spin_x, axis=1)
-        b_stray[rows, 1] = np.sum(q * dy, axis=1) - np.sum(pref * spin_y, axis=1)
-        b_stray[rows, 2] = np.sum(q * dz, axis=1) - np.sum(pref * spin_z, axis=1)
+        q = np.multiply(dx, spins[0], out=tmp[1])
+        q += np.multiply(dy, spins[1], out=t)
+        q += np.multiply(dz, spins[2], out=t)
+        q *= np.multiply(pref, 3.0, out=t)
+        q /= d2
+        for a, (d, s) in enumerate(zip((dx, dy, dz), spins)):
+            b_stray[rows, a] = (np.multiply(q, d, out=t).sum(axis=1)
+                                - np.multiply(pref, s, out=t).sum(axis=1))
 
-    r_min = _walk_pairs(tips, tex, exchange_prefactor, mode, add_block)
+    r_min = _walk_pairs(tips, tex, exchange_prefactor, mode, add_block,
+                        1 if mode == "exchange" else 2)
     return b_stray, b_ex, r_min
 
 
-def _unit_spin_stray(d, d2, pref, b):
-    """{a: B_a (tesla)} for a >= b of a unit spin along axis b, from the
-    planes of _walk_pairs: q d_a - pref if a = b, else q d_a, q = 3 pref d_b / d2."""
-    q = (3.0 * pref) * d[b] / d2
-    return {a: q * d[a] - pref if a == b else q * d[a] for a in range(b, 3)}
+def _unit_spin_stray(d, d2, pref, b, q, out):
+    """Write into out[a], for each a >= b it holds, B_a (tesla) of a unit
+    spin along axis b, from the planes of _walk_pairs: q d_a - pref if
+    a = b, else q d_a, with q = 3 pref d_b / d2 in the scratch plane q."""
+    np.multiply(pref, 3.0, out=q)
+    q *= d[b]
+    q /= d2
+    for a, plane in out.items():
+        np.multiply(q, d[a], out=plane)
+        if a == b:
+            plane -= pref
 
 
 def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
@@ -397,12 +427,12 @@ def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
     padded FFT shape, and the images over it of one site at the corner:
     "j", J (ueV), unless mode is dipolar, and unless it is exchange (a, b),
     B_a of a unit spin along b (_unit_spin_stray), for b in axes and
-    a >= b.  One _walk_pairs pass per block of _BLOCK_BYTES // 64 tips
-    writes every image, J once; one pass over the whole grid is slower and
-    holds more memory.  None, for the dense sum, unless all sites lie at
-    one z at least 2 A (J's validity bound, so no distance check can fire)
-    below the tips, their x and y differ by whole steps up to the rounding
-    of the coordinates, and the padded planes fit _MAX_KERNEL_BYTES."""
+    a >= b.  One _walk_pairs pass over the one site writes every image, J
+    once, in blocks of _BLOCK_BYTES // 64 tips or more (at most eight
+    planes).  None, for the dense sum, unless all sites lie at one z at
+    least 2 A (J's validity bound, so no distance check can fire) below
+    the tips, their x and y differ by whole steps up to the rounding of
+    the coordinates, and the padded planes fit _MAX_KERNEL_BYTES."""
     pos = tex.positions
     if np.any(pos[:, 2] != pos[0, 2]) or not height - pos[0, 2] >= 2.0:
         return None
@@ -427,24 +457,22 @@ def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
         return None
 
     # Images are allocated up front, so the heap is reused, not fragmented;
-    # each tip block's walk over the corner site fills their views, block.
+    # the walk over the corner site fills their (tips, 1) column views.
     tips = kernel.tips(height)
     keys = (["j"] * (mode != "dipolar")
             + [(a, b) for b in axes for a in range(b, 3)] * (mode != "exchange"))
     images = {key: np.empty(len(tips)) for key in keys}
+    columns = {key: image[:, None] for key, image in images.items()}
     site = SpinTexture([[*corner, pos[0, 2]]], [[0.0, 0.0, 1.0]], 1.0, tex.g)
 
-    def fill(rows, dx, dy, dz, d2, j, pref):
+    def fill(rows, dx, dy, dz, d2, j, pref, tmp):
         if j is not None:
-            block["j"][rows] = j
+            columns["j"][rows] = j
         for b in axes if pref is not None else ():
-            for a, entry in _unit_spin_stray((dx, dy, dz), d2, pref, b).items():
-                block[a, b][rows] = entry
+            _unit_spin_stray((dx, dy, dz), d2, pref, b, tmp[0],
+                             {a: columns[a, b][rows] for a in range(b, 3)})
 
-    for start in range(0, len(tips), _BLOCK_BYTES // 64):
-        rows = slice(start, start + _BLOCK_BYTES // 64)
-        block = {key: image[rows, None] for key, image in images.items()}
-        _walk_pairs(tips[rows], site, prefactor, mode, fill)
+    _walk_pairs(tips, site, prefactor, mode, fill, int(mode != "exchange"))
     return *index, kernel, shape, images
 
 
@@ -659,7 +687,7 @@ def scan_iso_frequency(
         f_lo, f_hi = offset(pixels, ends[0]), offset(pixels, ends[1])
         g = secant_var(np.stack([f_lo, f_hi]))
         kept = np.full(len(pixels), -1)  # end kept last round: 0 lo, 1 hi
-        bracketed = f_lo * f_hi <= 0.0
+        bracketed = np.sign(f_lo) * np.sign(f_hi) <= 0.0  # a product could overflow
         active = np.flatnonzero(bracketed)
         for _ in range(_ISO_MAX_ITER):
             if not active.size:
@@ -679,7 +707,7 @@ def scan_iso_frequency(
             # the bracket keeps its sign change.  Illinois step: an end kept
             # twice in a row has its g halved, which pulls the next point
             # towards it.
-            moved = (f_lo[active] * f_z <= 0.0).astype(int)
+            moved = (np.sign(f_lo[active]) * np.sign(f_z) <= 0.0).astype(int)
             stale = kept[active] == 1 - moved
             g[1 - moved[stale], active[stale]] *= 0.5
             ends[moved, active], g[moved, active] = z, secant_var(f_z)

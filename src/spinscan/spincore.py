@@ -145,16 +145,25 @@ def _check_exchange_range(r_min: float, stacklevel: int) -> None:
         )
 
 
-def _exchange_formula(r: np.ndarray, prefactor: str) -> np.ndarray:
-    """J(r) in ueV without range checks; callers check the distances."""
+def _exchange_formula(r: np.ndarray, prefactor: str, out=None) -> np.ndarray:
+    """J(r) = (c x^2.5) exp(-2x), c = 1.641 E0 and x = r / a_B, in ueV
+    without range checks; callers check the distances.  Given out, J is
+    written there by the same operations and r, a float64 array, is
+    overwritten."""
     if prefactor == "rydberg":
         e0_uev = CONSTANTS.rydberg * 1e6
     elif prefactor == "hartree":
         e0_uev = CONSTANTS.hartree * 1e6
     else:
         raise ValueError(f"prefactor must be 'rydberg' or 'hartree', got {prefactor!r}")
-    x = r / CONSTANTS.bohr_radius
-    return 1.641 * e0_uev * x**2.5 * np.exp(-2.0 * x)
+    c = 1.641 * e0_uev
+    if out is None:
+        x = r / CONSTANTS.bohr_radius
+        return c * x**2.5 * np.exp(-2.0 * x)
+    x = np.divide(r, CONSTANTS.bohr_radius, out=r)
+    np.multiply(np.power(x, 2.5, out=out), c, out=out)
+    out *= np.exp(np.multiply(x, -2.0, out=x), out=x)
+    return out
 
 
 def exchange_constant(r, prefactor: str = "rydberg"):

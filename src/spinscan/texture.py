@@ -43,8 +43,12 @@ _MAX_HEIGHT = 1e4
 # (about 1e154 A) where the squared tip-site distance overflows.
 _MAX_LATERAL = 1e6
 
-# Bytes of one float64 plane per block of a pairwise sum, (sites, sites)
-# here and (tips, sites) in the scan: about 1 MiB keeps a block in cache.
+# Bytes of the whole working set of one block of a pairwise loop, every
+# float64 plane it holds at once: (sites, sites) here, (tips, sites) in
+# the scan's pair walk with its visitor's planes.  1 MiB stays within a
+# core's 2 MiB L2: on a 2-core VM, one thread, the isoscan walk took
+# 42-49 ns a pair when it sized one of about ten planes, 23-25 ns sized
+# to all of them.
 _BLOCK_BYTES = 1 << 20
 
 
@@ -138,17 +142,25 @@ class SpinTexture:
 def _check_distinct(positions: np.ndarray) -> None:
     """Reject site lists with any pair closer than the duplicate threshold.
 
-    Rows i are compared with sites j > i in blocks of about _BLOCK_BYTES
-    per distance plane, so memory stays linear in the sites.  The pair
-    reported is the first closest one in row-major order.
+    Rows i are compared with sites j > i in blocks whose working set, a
+    distance plane, a coordinate-difference plane and a bool mask (17
+    bytes a pair), fits _BLOCK_BYTES, so memory stays linear in the
+    sites.  The pair reported is the first closest one in row-major order.
     """
     n = positions.shape[0]
-    rows = max(1, _BLOCK_BYTES // (8 * n))
+    rows = max(1, _BLOCK_BYTES // (17 * n))
+    planes = np.empty((2, min(rows, n) * n))
     best, pair = np.inf, (0, 0)
     for start in range(0, n - 1, rows):
         block, rest = positions[start:start + rows], positions[start:]
-        dx, dy, dz = (block[:, k, None] - rest[None, :, k] for k in range(3))
-        dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+        # dist = sqrt((dx dx + dy dy) + dz dz), in place.
+        dist, d = (p[: len(block) * len(rest)].reshape(len(block), -1) for p in planes)
+        np.subtract(block[:, 0, None], rest[None, :, 0], out=dist)
+        dist *= dist
+        for k in (1, 2):
+            np.subtract(block[:, k, None], rest[None, :, k], out=d)
+            dist += np.multiply(d, d, out=d)
+        np.sqrt(dist, out=dist)
         dist[np.tri(*dist.shape, dtype=bool)] = np.inf  # j <= i
         i, j = np.unravel_index(np.argmin(dist), dist.shape)
         if dist[i, j] < best:

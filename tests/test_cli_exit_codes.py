@@ -138,6 +138,14 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
       "--probe-g=inf"], None, "probe g must be finite"),
     (["scan", "--texture", TEXTURE, "--step=5e-324"], None, "pixel budget"),
     (["spectrum", "--resonances", "3.3,3.6", "--baseline", "1e-6"], None, "no counts"),
+    # External fields whose Zeeman energy g mu_B B would overflow.
+    (["scan", "--texture", TEXTURE, "--bext=1,0,1e308"], None, "|b_ext| must be at most"),
+    (["isoscan", "--texture", TEXTURE, "--fsource", "120", "--zmin", "2", "--zmax", "12",
+      "--bext=1,0,1e308"], None, "|b_ext| must be at most"),
+    (["spectrum", "--texture", TEXTURE, "--tip=1,1,4", "--bext=1,0,1e308"], None,
+     "|b_ext| must be at most"),
+    (["scan", "--texture", TEXTURE], "[scan]\nb_ext = 1e300,1e300,0\n",
+     "|b_ext| must be at most"),
 ], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
         "isoscan-nan", "isoscan-inf", "sweep-inf", "sweep-rmin", "sweep-rmax", "texture-far",
         "measure-nan-linewidth",
@@ -145,7 +153,8 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
         "sweep-nan-spin-mag", "sweep-inf-spin-mag", "sweep-negative-spin-mag",
         "texture-nan-spin-mag", "texture-nan-sample-g", "spectrum-tiny-linewidth",
         "texture-inf-dir", "isoscan-inf-probe-g", "isoscan-inf-d-zfs",
-        "reconstruct-inf-probe-g", "scan-subnormal-step", "spectrum-zero-counts"])
+        "reconstruct-inf-probe-g", "scan-subnormal-step", "spectrum-zero-counts",
+        "scan-huge-bext", "isoscan-huge-bext", "spectrum-huge-bext", "config-huge-bext-norm"])
 def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message):
     out = texture.with_name("refused.out")
     argv = [texture if a is TEXTURE else a for a in argv] + ["--out", out]
@@ -158,6 +167,22 @@ def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message
     assert len(stderr) == 1 and message in stderr[0], stderr
     assert not caught
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--d-zfs=1e300", "--fsource=1e308"],
+                         ids=["isoscan-huge-d-zfs", "isoscan-huge-fsource"])
+def test_isoscan_far_from_the_source_is_out_of_range_without_overflow(texture, flag):
+    # f_plus - f_source is about 1e300 GHz at both bracket ends: their
+    # signs, not their product, decide the bracket, so every pixel is
+    # out of range with no numpy warning.
+    out = texture.with_name("far-iso.csv")
+    code, stderr, caught = run(["isoscan", "--texture", texture, "--fsource", "120",
+                                "--zmin", "2", "--zmax", "12", flag, "--out", out])
+    assert code == 0 and not stderr, stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = [ln.split(",") for ln in out.read_text(encoding="utf-8").splitlines()
+            if ln[:1].isdigit() or ln[:1] == "-"]
+    assert rows and all(row[2] == "nan" for row in rows)
 
 
 def test_map_rows_off_their_pixels_are_an_input_error(texture):

@@ -6,6 +6,7 @@ closed-form field sums and a 9-level exact pair diagonalization.
 """
 
 import contextlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -231,6 +232,57 @@ def test_blocked_fields_independent_of_batch_split(tilted_neel, mixed_tips, neel
         assert np.array_equal(build_forward(*args).a, default)
 
 
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+@pytest.mark.parametrize("budget", [1, 30_000, _BLOCK_BYTES // 2])
+def test_field_sums_are_bit_identical_under_any_block_budget(monkeypatch, tilted_neel,
+                                                             mixed_tips, mode, budget):
+    # A budget of 1 byte walks one tip per block; a tip's fields are the
+    # same bits in every mode whatever the block size.
+    want = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", mode)
+    monkeypatch.setattr(scan, "_BLOCK_BYTES", budget)
+    got = _batch_effective_fields(mixed_tips, tilted_neel, "rydberg", mode)
+    for g, w in zip(got[:2], want[:2], strict=True):
+        assert (g is None and w is None) or np.array_equal(g, w)
+    assert got[2] == want[2]
+
+
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+@pytest.mark.parametrize("n_cells", [1, 8, 24])  # 1, 64 and 576 sites
+def test_a_walk_holds_its_block_budget(monkeypatch, mode, n_cells):
+    # One field-sum walk's traced peak, its outputs aside, is its block's
+    # planes, which fill _BLOCK_BYTES, plus a stated slack: a quarter of the
+    # budget for numpy's ufunc buffers (128 KiB here: two of 8,192 float64
+    # for broadcast operands) and vectors of the sites, and three vectors of
+    # one block's tips (the row sums, as large as a plane with one site).
+    tex = apply_pattern(build_lattice("square", 3.0, n_cells, n_cells), "AFM-Neel",
+                        direction=(0.6, 0.0, 0.8))
+    rng = np.random.default_rng(7)
+    n = 60_000 // tex.n_sites + 50
+    tips = np.column_stack([rng.uniform(-3.0, 3.0 * n_cells, (n, 2)),
+                            rng.uniform(2.5, 10.0, n)])
+    rows = []
+    walk = scan._walk_pairs
+
+    def spy(tips, tex, prefactor, mode, visit, scratch):
+        def recorded(block, dx, *planes):
+            rows.append(len(dx))
+            visit(block, dx, *planes)
+
+        return walk(tips, tex, prefactor, mode, recorded, scratch)
+
+    monkeypatch.setattr(scan, "_walk_pairs", spy)
+    tracemalloc.start()
+    try:
+        b_stray, b_ex, _ = _batch_effective_fields(tips, tex, "rydberg", mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - sum(b.nbytes for b in (b_stray, b_ex) if b is not None)
+    assert len(rows) >= 3
+    slack = _BLOCK_BYTES // 4 + 3 * 8 * max(rows)
+    assert 0.9 * _BLOCK_BYTES <= held <= _BLOCK_BYTES + slack, (held, slack)
+
+
 def test_near_range_warning_once_with_global_minimum(fm_5x5):
     # Heights fall across a batch of several blocks, so every block sees a
     # different closest distance.  The field sum returns the smallest and
@@ -364,12 +416,12 @@ def test_walks_build_only_the_planes_their_mode_reads(monkeypatch, tilted_neel,
     seen = set()
     walk = scan._walk_pairs
 
-    def spy(tips, tex, prefactor, mode, visit):
-        def recorded(rows, dx, dy, dz, d2, j, pref):
+    def spy(tips, tex, prefactor, mode, visit, scratch):
+        def recorded(rows, dx, dy, dz, d2, j, pref, tmp):
             seen.add((mode, j is None, pref is None))
-            visit(rows, dx, dy, dz, d2, j, pref)
+            visit(rows, dx, dy, dz, d2, j, pref, tmp)
 
-        return walk(tips, tex, prefactor, mode, recorded)
+        return walk(tips, tex, prefactor, mode, recorded, scratch)
 
     monkeypatch.setattr(scan, "_walk_pairs", spy)
     monkeypatch.setattr(reconstruct, "_walk_pairs", spy)
@@ -482,8 +534,8 @@ def test_fft_path_falls_back_to_the_dense_sum(fm_5x5, case):
 @pytest.mark.parametrize("prefactor", ["rydberg", "hartree"])
 def test_lattice_images_match_unit_spin_field_sums(monkeypatch, axes, mode, prefactor):
     # Each image is, to the bit, the field sum of one unit spin along b at
-    # the corner site: J for "j", B_a for (a, b).  Blocks of 37 tips, so
-    # several blocks run and the last one is short.
+    # the corner site: J for "j", B_a for (a, b).  Blocks of 37 to 49 tips,
+    # by mode, so several blocks run and the last one is short.
     monkeypatch.setattr(scan, "_BLOCK_BYTES", 64 * 37)
     tex = SpinTexture(build_lattice("square", 3.0, 4, 3).positions + (1.5, -2.25, 0.5),
                       [[0.36, -0.48, 0.8]] * 12, 0.5, 2.3)

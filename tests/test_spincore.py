@@ -25,7 +25,7 @@ from spinscan import (
     zfs_hamiltonian,
 )
 from spinscan.scan import _batch_effective_fields, _batch_hamiltonians
-from spinscan.spincore import _batch_resonances, _field_resonances
+from spinscan.spincore import _batch_resonances, _exchange_formula, _field_resonances
 
 D_UEV = 14.4
 F_ZERO_FIELD = 3.481904508602282  # D / h in GHz
@@ -138,6 +138,16 @@ def test_exchange_array_input():
     j = exchange_constant(r)
     assert j.shape == (3,)
     assert np.allclose(j, [20344.34852, 953.663964, 38.04303426], rtol=1e-8)
+
+
+@pytest.mark.parametrize("prefactor", ["rydberg", "hartree"])
+def test_exchange_formula_in_place_is_bit_identical(prefactor):
+    # The pair walk writes J into its own plane, overwriting the distances.
+    r = np.geomspace(0.1, 1e4, 20_001).reshape(3, -1)
+    want = _exchange_formula(r, prefactor)
+    scratch, out = r.copy(), np.empty_like(r)
+    assert _exchange_formula(scratch, prefactor, out=out) is out
+    assert np.array_equal(out, want)
 
 
 def test_exchange_asymptotic_decay_constant():

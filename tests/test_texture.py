@@ -225,13 +225,26 @@ NEAR = [0.0, 0.05, 0.1 - 1e-12, 0.1, 0.1 + 1e-12, 0.3, 1.0]
 )
 def test_blocked_distinct_check_matches_full_matrix(sites, block_rows):
     positions = np.array(sites)
-    with mock.patch.object(texture, "_BLOCK_BYTES", 8 * len(sites) * block_rows):
+    with mock.patch.object(texture, "_BLOCK_BYTES", 17 * len(sites) * block_rows):
         try:
             texture._check_distinct(positions)
             message = None
         except ValueError as exc:
             message = str(exc)
     assert message == closest_pair_oracle(positions)
+
+
+@pytest.mark.parametrize("budget", [1, 17 * 576 * 7 + 5, texture._BLOCK_BYTES])
+def test_distinct_check_names_the_same_pair_under_any_block_budget(budget):
+    # Two pairs 0.05 A apart, to the bit, in different blocks, and a
+    # farther one: at any block size, down to one row, the first closest
+    # pair in row-major order is named.
+    pos = build_lattice("square", 3.0, 24, 24).positions
+    for i, j, dz in ((10, 300, 0.08), (100, 575, 0.05), (200, 450, 0.05)):
+        pos[j] = pos[i] + (0.0, 0.0, dz)
+    with mock.patch.object(texture, "_BLOCK_BYTES", budget):
+        with pytest.raises(ValueError, match=r"^sites 100 and 575 are 0\.05 A apart"):
+            texture._check_distinct(pos)
 
 
 def test_distinct_check_memory_is_linear_in_sites():
