@@ -3,8 +3,9 @@
 For collinear spins along z the axial resonance shift is linear in the
 per-site moments m_z: exchange rows of the forward kernel are J(r)/h,
 dipolar rows are the probe Zeeman shift of the per-moment stray-field
-z-component.  One factorization per (kernel, observation) pair, QR
-first for a tall kernel, serves the conditioning report and the
+z-component.  One factorization per (kernel, observation) pair, for a
+tall kernel a tree QR of [A | y] over L2-sized pixel blocks (TSQR,
+Demmel et al. 2012) first, serves the conditioning report and the
 Tikhonov solution at any lam through the filter factors s / (s^2 + lam)
 (Hansen, Rank-Deficient and Discrete Ill-Posed Problems, SIAM 1998).
 The operator keeps the last one; its kernel is read-only.  The report
@@ -36,6 +37,9 @@ __all__ = [
 ]
 
 _RANK_DEFICIENT_RATIO = 1e-12
+# Leaf budget of _project's tree QR, a core's L2.  1 MiB was no faster than
+# one QR of the whole kernel; 4 MiB was as fast, at a higher peak RSS.
+_LEAF_BYTES = 2 << 20
 
 
 @dataclass(frozen=True)
@@ -106,7 +110,7 @@ def build_forward(
     kernel image.  The dense pair walk, the oracle, fills A for sites at
     several z, tips under 2 A above them, offsets not whole steps
     (honeycomb, triangular) or images over budget.  A is the read-only
-    transpose of a (sites, pixels) buffer: the QR reads contiguous columns.
+    transpose of a (sites, pixels) buffer: QR leaves copy its row segments.
     """
     _check_collinear(tex)
     _check_height(height, "height")
@@ -169,23 +173,32 @@ def _factor(a: np.ndarray):
 def _project(a: np.ndarray, y: np.ndarray):
     """(s, V^T, c = U^T y, norm of y outside the range of U) for kernel a.
     A tall kernel goes QR first (Golub & Van Loan, Matrix Computations,
-    5.4): the SVD of the sites x sites triangle R and z = Q^T y from the
-    stored reflectors, so no pixels x sites factor is formed and ||z[n:]||
-    is free of cancellation.  Other kernels take _factor's thin SVD."""
+    5.4) by a one-level tree QR of [A | y] (Demmel, Grigori, Hoemmen &
+    Langou, SIAM J. Sci. Comput. 34, A206, 2012), backward stable like one
+    Householder QR (Mori, Yamamoto & Zhang, Japan J. Indust. Appl. Math.
+    29, 111, 2012).  Equal leaves of at most _LEAF_BYTES, filled from row
+    segments of a's (sites, pixels) base, fit in L2, so dgeqrf's unblocked
+    tail (its last 128 columns) streams from cache.  One QR of the stacked
+    leaf triangles gives r = [[R, (Q^T y)[:n]], [0, rho]], with |rho| the
+    norm of y outside the range, free of cancellation; the SVD of the
+    sites x sites R gives s, V^T and c.  Other kernels take _factor's thin
+    SVD."""
     m, n = a.shape
     if m <= n:
         u, s, vt = _factor(a)
         c = u.T @ y
         return s, vt, c, float(np.linalg.norm(y - u @ c))
-    h, tau = np.linalg.qr(a, mode="raw")
-    u, s, vt = np.linalg.svd(np.triu(h[:, :n].T))
-    z = y.copy()
-    for k in range(n):
-        v = h[k, k + 1:]
-        w = tau[k] * (z[k] + v @ z[k + 1:])
-        z[k] -= w
-        z[k + 1:] -= w * v
-    return s, vt, u.T @ z[:n], float(np.linalg.norm(z[n:]))
+    n_leaves = -(-8 * m * (n + 1) // _LEAF_BYTES)
+    rows = -(-m // n_leaves)
+    leaf = np.empty((n + 1, rows))
+    tri = []
+    for p in range(0, m, rows):
+        w = min(rows, m - p)
+        leaf[:n, :w], leaf[n, :w] = a.T[:, p:p + w], y[p:p + w]
+        tri.append(np.linalg.qr(leaf[:, :w].T, mode="r"))
+    r = np.linalg.qr(np.vstack(tri), mode="r") if len(tri) > 1 else tri[0]
+    u, s, vt = np.linalg.svd(r[:n, :n])
+    return s, vt, u.T @ r[:n, n], float(abs(r[n, n]))
 
 
 def _report(s: np.ndarray, vt: np.ndarray) -> ConditioningReport:

@@ -6,6 +6,7 @@ eigenanalysis oracle run once and recorded here.
 """
 
 import contextlib
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -484,6 +485,77 @@ def test_qr_first_matches_thin_svd_oracle(neel_5x5, rng, mode, height, grid):
             assert rep.cond == pytest.approx(ref_report.cond, rel=1e-6)
         if ref_report.rank_deficient:
             assert np.linalg.norm(fwd.a @ rep.near_null_vector) < 1e-12 * rep.sigma_max
+
+
+@pytest.mark.parametrize("leaves", [[145, 144], [97, 97, 95], [27] * 10 + [19]],
+                         ids=["2", "3", "11"])
+@pytest.mark.parametrize("height", [4.0, 60.0, 100.0])
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+def test_tree_qr_matches_thin_svd_oracle(neel_5x5, rng, monkeypatch, mode, height,
+                                         leaves):
+    # A smaller leaf budget splits the tall grid's 289 pixels into several
+    # leaves, the last one short, and the tree must still give the oracle's
+    # report, residual and m_z.  At lam = 0 on a rank-deficient kernel m_z
+    # is as far from the oracle as rounding in y moves any solver (up to
+    # 180x the one-leaf tolerance, which holds there only because the
+    # oracle's SVD runs the same dgeqrf first), so it gets the bounds that
+    # test_unregularized_solve_matches_lstsq puts on lstsq instead.
+    fwd = build_forward(neel_5x5, height=height, mode=mode, **GRID)
+    n = fwd.a.shape[1]
+    monkeypatch.setattr(reconstruct, "_LEAF_BYTES", 8 * (n + 1) * leaves[0])
+    qr, shapes = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda x, mode: shapes.append(x.shape) or qr(x, mode=mode))
+    ref_report = conditioning_report(fwd.a)
+    clean = fwd.a @ (neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2])
+    noisy = clean + rng.normal(scale=1e-6 * np.abs(clean).max(), size=clean.size)
+    eps = np.finfo(float).eps
+    u, s, vt = reconstruct._factor(fwd.a)
+    kept = s[s > 1e-12 * s[0]]
+    for y in (clean, noisy):
+        c = u.T @ y
+        oracle = (s, vt, c, float(np.linalg.norm(y - u @ c)))
+        for lam in (0.0, 1e-12, 1e-6, 1.0):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")   # lam = 0 on a rank-deficient kernel
+                res = solve_tikhonov(fwd, y, lam)
+            m_ref, _ = reconstruct._filtered(oracle, lam)
+            want = _filter_factor_residual(fwd.a, y, lam)
+            assert res.residual_norm == pytest.approx(want, rel=1e-6), (lam, want)
+            if lam == 0.0 and ref_report.rank_deficient:
+                fit = np.linalg.norm(fwd.a @ (res.m_z - m_ref))
+                assert fit <= 1e-9 * np.linalg.norm(y)
+                bound = 10 * eps * s[0] / kept[-1]
+                assert np.linalg.norm(res.m_z - m_ref) <= bound * np.linalg.norm(m_ref)
+                continue
+            gain = 1.0 / kept[-1] if lam == 0.0 else np.max(s / (s * s + lam))
+            tol = 1e-12 * np.abs(m_ref).max() + 10 * eps * np.linalg.norm(y) * gain
+            assert np.abs(res.m_z - m_ref).max() <= tol, (lam, tol)
+    assert [rows for rows, _ in shapes[:len(leaves)]] == leaves
+    assert shapes[len(leaves)] == (sum(min(rows, n + 1) for rows in leaves), n + 1)
+    rep = res.report
+    assert rep.sigma_max == pytest.approx(ref_report.sigma_max, rel=1e-12)
+    assert rep.rank_deficient == ref_report.rank_deficient
+    if ref_report.cond < 1e12:
+        assert rep.cond == pytest.approx(ref_report.cond, rel=1e-6)
+    if ref_report.rank_deficient:
+        assert np.linalg.norm(fwd.a @ rep.near_null_vector) < 1e-12 * rep.sigma_max
+
+
+def test_tree_qr_makes_no_kernel_sized_copy(rng):
+    # A random kernel of the invert benchmark's shape, Fortran-ordered as
+    # build_forward returns it, spans five leaves; the projection's traced
+    # peak stays below the kernel's own bytes.
+    a = rng.standard_normal((196, 6241)).T
+    y = rng.standard_normal(a.shape[0])
+    assert a.nbytes > 4 * reconstruct._LEAF_BYTES
+    tracemalloc.start()
+    try:
+        reconstruct._project(a, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes, (peak, a.nbytes)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
