@@ -17,7 +17,8 @@ moves only the centres and widths; no external optimizer is involved.
 One loop, _fit_block, fits stacked windows of equal length and peak
 count, each window with its own damping and accept/reject.
 fit_lorentzians is its one-window call; measure_map runs it in blocks
-bounded by the scan's _BLOCK_BYTES.
+bounded by texture._BLOCK_BYTES, every block in one workspace allocated
+per call.
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .scan import _BLOCK_BYTES, ResonanceMap, _points
+from .scan import ResonanceMap, _points
 from .spincore import ResonancePair
+from .texture import _BLOCK_BYTES
 
 __all__ = [
     "SpectrumConfig",
@@ -60,8 +62,9 @@ _WINDOW_HALF_WIDTHS = 20.0  # measurement window half-width in linewidths
 _MIN_LINEWIDTH_STEPS = 0.1
 
 # Largest readout window (points), checked before any window is built:
-# a two-dip fit's working set, about 7 + 5k = 17 float64 planes of its
-# points (see measure_map), then stays near 14 MB.
+# a two-dip fit's working set, 6 + 3k = 12 float64 planes of its points
+# (see measure_map) and, measured with tracemalloc, about one more for
+# the Poisson draws and numpy's buffers, then stays near 11 MB.
 _MAX_WINDOW_POINTS = 100_000
 
 # Largest Poisson mean numpy's sampler accepts (its POISSON_LAM_MAX).
@@ -156,54 +159,69 @@ class FitResult:
     n_iter: int
 
 
-def _basis(alpha: np.ndarray, freqs: np.ndarray):
-    """Dip basis of stacked windows and its derivatives, one plane each.
+def _basis(alpha: np.ndarray, freqs: np.ndarray, out: Optional[np.ndarray] = None):
+    """Dip planes of stacked windows and their derivatives, one plane each.
 
     alpha (..., 2k) rows are [center_1, fwhm_1, center_2, ...] and freqs
-    (..., n) the windows' points.  Returns phi (1 + k, ..., n), the planes
-    [1, L_1 ... L_k] with L_k = g_k^2 / ((f - f0_k)^2 + g_k^2)
-    peak-normalized (g_k = |w_k| / 2), and dphi (2k, ..., n), the
-    derivatives [dL_1/df0_1, dL_1/dw_1, dL_2/df0_2, ...].  Planes come
-    first so that each is one contiguous array.
+    (..., n) the windows' points.  Returns dips (k, ..., n), the planes
+    L_k = g_k^2 / ((f - f0_k)^2 + g_k^2) peak-normalized (g_k = |w_k| / 2)
+    of the basis phi = [1, L_1 ... L_k], and dphi (2k, ..., n), the
+    derivatives [dL_1/df0_1, dL_1/dw_1, dL_2/df0_2, ...]: views of out
+    (1 + 3k, ..., n), whose last plane is scratch.
     """
-    k, n = alpha.shape[-1] // 2, freqs.shape[-1]
-    lead = np.broadcast_shapes(alpha.shape[:-1], freqs.shape[:-1])
+    k = alpha.shape[-1] // 2
+    if out is None:
+        lead = np.broadcast_shapes(alpha.shape[:-1], freqs.shape[:-1])
+        out = np.empty((1 + 3 * k,) + lead + freqs.shape[-1:])
+    dips, dphi, denom2 = out[:k], out[k : 3 * k], out[3 * k]
     w = np.moveaxis(alpha[..., 1::2], -1, 0)[..., None]
     gamma = np.abs(w) / 2.0
-    # dphi holds u = f - f0 and u^2 until they become the derivatives.
-    dphi = np.empty((2 * k,) + lead + (n,))
+    # dphi holds u = f - f0 and u^2, and dips the denominators, until they
+    # become the derivatives and the dips.
     u, u2 = dphi[0::2], dphi[1::2]
     np.subtract(freqs, np.moveaxis(alpha[..., 0::2], -1, 0)[..., None], out=u)
-    denom = u * u
-    u2[...] = denom
-    denom += gamma**2
-    phi = np.empty((1 + k,) + lead + (n,))
-    phi[0] = 1.0
-    np.divide(gamma**2, denom, out=phi[1:])
-    denom *= denom
-    u /= denom
+    np.multiply(u, u, out=u2)
+    np.add(u2, gamma**2, out=dips)
+    for i in range(k):
+        np.multiply(dips[i], dips[i], out=denom2)
+        u[i] /= denom2
+        u2[i] /= denom2
+    np.divide(gamma**2, dips, out=dips)
     u *= 2.0 * gamma**2
-    u2 /= denom
     u2 *= gamma * np.where(w >= 0, 1.0, -1.0)
-    return phi, dphi
+    return dips, dphi
 
 
-def _mean_curve(freqs: np.ndarray, centers, cfg: SpectrumConfig) -> np.ndarray:
-    """Mean counts at freqs (..., n) with dips at centers (..., k)."""
-    dip = 0.0
-    for center in np.moveaxis(np.asarray(centers, dtype=float), -1, 0):
-        alpha = np.stack([center, np.full(center.shape, cfg.linewidth_fwhm)], axis=-1)
-        dip = dip + cfg.contrast * _basis(alpha, freqs)[0][1]
-    return cfg.baseline_counts * (1.0 - dip)
+def _mean_curve(freqs: np.ndarray, centers, cfg: SpectrumConfig,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Mean counts at freqs (..., n) with dips at centers (..., k), in
+    out[0] of out (2, ..., n), whose other plane is scratch."""
+    centers = np.moveaxis(np.asarray(centers, dtype=float), -1, 0)[..., None]
+    shape = np.broadcast_shapes(freqs.shape, centers.shape[1:])
+    mean, dip = np.empty((2,) + shape) if out is None else out
+    gamma2 = np.square(cfg.linewidth_fwhm / 2.0)
+    mean[...] = 0.0
+    for center in centers:  # the dip planes of _basis, without derivatives
+        np.subtract(freqs, center, out=dip)
+        dip *= dip
+        dip += gamma2
+        np.divide(gamma2, dip, out=dip)
+        dip *= cfg.contrast
+        mean += dip
+    np.subtract(1.0, mean, out=mean)
+    mean *= cfg.baseline_counts
+    return mean
 
 
-def _poisson_counts(means: np.ndarray, seed: int, streams) -> np.ndarray:
-    """Poisson draws of each window of means (B, n) from the Philox stream
-    keyed (seed, stream), stream its entry of streams (B,).  One generator
-    is re-keyed per window, which draws what a fresh one would."""
+def _poisson_counts(means: np.ndarray, seed: int, streams,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Poisson draws of each window of means (B, n), into out, which may
+    be means, from the Philox stream keyed (seed, stream), stream its entry
+    of streams (B,).  One generator is re-keyed per window, which draws
+    what a fresh one would."""
     bitgen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
     gen, state = np.random.Generator(bitgen), bitgen.state
-    counts = np.empty(means.shape)
+    counts = np.empty(means.shape) if out is None else out
     for i, stream in enumerate(streams):
         state["state"]["key"][1] = stream
         bitgen.state = state
@@ -243,12 +261,12 @@ def _batch_model(theta: np.ndarray, freqs: np.ndarray):
     b (1 - sum_k c_k L_k).  Returns (model (B, n), jacobian (P, B, n)).
     """
     b, c = theta[:, 0, None], theta[:, 3::3].T[..., None]
-    phi, dphi = _basis(np.delete(theta, np.s_[::3], axis=1), freqs)
+    dips, dphi = _basis(np.delete(theta, np.s_[::3], axis=1), freqs)
     jac = np.empty(theta.shape[1:] + freqs.shape)
-    jac[0] = 1.0 - np.sum(c * phi[1:], axis=0)
+    jac[0] = 1.0 - np.sum(c * dips, axis=0)
     jac[1::3] = -b * c * dphi[0::2]
     jac[2::3] = -b * c * dphi[1::2]
-    jac[3::3] = -b * phi[1:]
+    jac[3::3] = -b * dips
     return b * jac[0], jac
 
 
@@ -283,13 +301,18 @@ def _initial_guess(
     return _start_alpha(freqs, centers, widths)
 
 
-def _start_alpha(freqs, centers, widths) -> np.ndarray:
+def _start_alpha(freqs, centers, widths, work: Optional[np.ndarray] = None) -> np.ndarray:
     """Start vectors (..., 2k) of windows (..., n) from peak guesses:
-    centers (..., k), sorted, and widths broadcast against them."""
-    f_step = np.median(np.diff(freqs, axis=-1), axis=-1)
+    centers (..., k), sorted, and widths broadcast against them; the steps
+    between points go to the flat float64 array work when given."""
+    centers = np.sort(np.asarray(centers, dtype=float), axis=-1)
+    if centers.shape[-1] > 1:
+        shape = freqs[..., 1:].shape
+        steps = np.empty(shape) if work is None else work[: np.prod(shape)].reshape(shape)
+        np.subtract(freqs[..., 1:], freqs[..., :-1], out=steps)
+        f_step = np.median(steps, axis=-1, overwrite_input=True)
     # Overlapping starts make the Jacobian rank-deficient; spread them by
     # one frequency step.
-    centers = np.sort(np.asarray(centers, dtype=float), axis=-1)
     for k in range(1, centers.shape[-1]):
         close = centers[..., k] - centers[..., k - 1] < 0.5 * f_step
         centers[..., k] = np.where(close, centers[..., k - 1] + f_step, centers[..., k])
@@ -345,18 +368,18 @@ def fit_lorentzians(
                      converged=bool(converged and inside), n_iter=int(n_iter))
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of a * b over the last axis, one row-wise reduction per row."""
-    return np.add.reduce(a * b, axis=-1)
-
-
-def _gram(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _gram(a: np.ndarray, b: np.ndarray, prod: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise inner products (B, p, q) of the planes a (p, B, n) and
-    b (q, B, n) of stacked windows."""
-    out = np.empty((len(a), len(b), a.shape[1]))
+    b (q, B, n) of stacked windows, each product formed in prod (B, n);
+    a symmetric one (a is b) sums each entry once and mirrors it."""
+    prod = np.empty(a.shape[1:]) if prod is None else prod
+    out = np.empty((a.shape[1], len(a), len(b)))
     for i in range(len(a)):
-        out[i] = _row_dot(a[i], b)
-    return out.transpose(2, 0, 1)
+        for j in range(i if a is b else 0, len(b)):
+            np.add.reduce(np.multiply(a[i], b[j], out=prod), axis=-1, out=out[:, i, j])
+            if a is b:
+                out[:, j, i] = out[:, i, j]
+    return out
 
 
 def _solve(mat: np.ndarray, rhs: np.ndarray):
@@ -376,37 +399,59 @@ def _solve(mat: np.ndarray, rhs: np.ndarray):
         return out, singular
 
 
-def _project(alpha: np.ndarray, freqs: np.ndarray, counts: np.ndarray):
+def _project(alpha: np.ndarray, freqs: np.ndarray, counts: np.ndarray,
+             count_sums: np.ndarray, planes: np.ndarray):
     """Variable projection of stacked windows at centres and widths alpha.
 
     The coefficients coef (B, 1 + k) = [b, -b c_1, ...] solve the Gram
     system (phi^T phi) coef = phi^T y, and the residual phi coef - y has
     Kaufman's Jacobian (I - P) dphi coef, P the projection onto the span
-    of phi's planes.  Returns coef, the cost (B,), and the Gauss-Newton matrices
-    (B, 2k, 2k) and gradients (B, 2k, 1) of alpha; a window with a
-    singular Gram matrix gets NaN in all four.
+    of phi's planes; products with phi's ones plane are row sums, exact
+    since x * 1.0 == x, so count_sums (B,) holds those of counts.  planes
+    (2 + 3k, B, n) take the dips, derivatives, residual and products.
+    Returns coef, the cost (B,), and the Gauss-Newton matrices (B, 2k, 2k)
+    and gradients (B, 2k, 1) of alpha; a window with a singular Gram
+    matrix gets NaN in all four.
     """
-    phi, dphi = _basis(alpha, freqs)
-    phi_dphi = _gram(dphi, phi).transpose(0, 2, 1)
-    rhs = np.concatenate([_gram(phi, counts[None]), phi_dphi], axis=2)
-    sol = _solve(_gram(phi, phi), rhs)[0]
-    resid = sol[:, 0, :1] - counts
+    k, n = alpha.shape[1] // 2, freqs.shape[1]
+    dips, dphi = _basis(alpha, freqs, planes[: 3 * k + 1])
+    resid, prod = planes[3 * k :]
+    gram = np.empty((len(alpha), 1 + k, 1 + k))
+    gram[:, 0, 0] = n
+    np.add.reduce(dips, axis=-1, out=gram[:, 0, 1:].T)
+    gram[:, 1:, 0] = gram[:, 0, 1:]
+    gram[:, 1:, 1:] = _gram(dips, dips, prod)
+    rhs = np.empty((len(alpha), 1 + k, 1 + 2 * k))
+    rhs[:, 0, 0] = count_sums
+    np.add.reduce(dphi, axis=-1, out=rhs[:, 0, 1:].T)
+    rhs[:, 1:, :1] = _gram(dips, counts[None], prod)
+    rhs[:, 1:, 1:] = _gram(dips, dphi, prod)
+    sol = _solve(gram, rhs)[0]
+    np.subtract(sol[:, 0, :1], counts, out=resid)
     dphi -= sol[:, 0, 1:].T[..., None]
-    for i in range(1, len(phi)):
-        resid += sol[:, i, :1] * phi[i]
+    for i in range(k):
+        resid += np.multiply(sol[:, 1 + i, :1], dips[i], out=prod)
         for j in range(len(dphi)):
-            dphi[j] -= sol[:, i, 1 + j, None] * phi[i]
-    del phi  # before the Jacobian's product temporaries
+            dphi[j] -= np.multiply(sol[:, 1 + i, 1 + j, None], dips[i], out=prod)
     dphi *= np.repeat(sol[:, 1:, 0].T, 2, axis=0)[..., None]
-    hess, grad = _gram(dphi, dphi), _gram(dphi, resid[None])
-    return sol[..., 0], _row_dot(resid, resid), hess, grad
+    hess, grad = _gram(dphi, dphi, prod), _gram(dphi, resid[None], prod)
+    cost = np.add.reduce(np.multiply(resid, resid, out=prod), axis=-1)
+    return sol[..., 0], cost, hess, grad
 
 
-def _fit_block(freqs: np.ndarray, counts: np.ndarray, alpha: np.ndarray):
+def _work_planes(k: int) -> int:
+    """Planes per window of _fit_block's workspace: trial points and
+    counts, k dips, 2k derivatives, the residual and a product plane."""
+    return 4 + 3 * k
+
+
+def _fit_block(freqs: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
+               work: Optional[np.ndarray] = None):
     """Levenberg-Marquardt on the centres and widths of stacked windows
     of one length and peak count, the linear coefficients projected out.
 
-    freqs and counts are (B, n), alpha the (B, 2k) start vectors.  Each
+    freqs and counts are (B, n), alpha the (B, 2k) start vectors and
+    work a flat float64 array of _work_planes(k) planes of them.  Each
     window keeps its own damping and accept/reject: an iteration tries
     damped steps until one does not raise the cost, and the window stops
     when its relative step falls below _STEP_TOL (converged), after
@@ -420,8 +465,22 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, alpha: np.ndarray):
     iteration the window stopped in (B,) and the converged mask (B,).
     """
     alpha = alpha.copy()
-    n_win, n_par = alpha.shape
-    coef, cost, hess, grad = _project(alpha, freqs, counts)
+    (n_win, n_par), n = alpha.shape, freqs.shape[1]
+    n_planes = _work_planes(n_par // 2)
+    if work is None:
+        work = np.empty(n_planes * n_win * n)
+    count_sums = np.add.reduce(counts, axis=-1)
+
+    def project(tried, alpha_t):
+        planes = work[: n_planes * len(tried) * n].reshape(n_planes, len(tried), n)
+        # The block's own points and counts when every window is tried, else
+        # copies in the first two planes (tried is in range; take's default
+        # mode would copy through a temporary).
+        trial = (freqs, counts) if len(tried) == n_win else (
+            np.take(a, tried, axis=0, out=p, mode="clip") for a, p in zip((freqs, counts), planes))
+        return _project(alpha_t, *trial, count_sums[tried], planes[2:])
+
+    coef, cost, hess, grad = project(np.arange(n_win), alpha)
     lam = np.full(n_win, _LAM_START)
     n_iter = np.ones(n_win, dtype=int)
     tries = np.zeros(n_win, dtype=int)
@@ -433,13 +492,12 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, alpha: np.ndarray):
         damped[:, diag, diag] += lam[live, None] * np.maximum(damped[:, diag, diag], 1e-12)
         step, singular = _solve(damped, -grad[live])
         tried, step = live[~singular], step[~singular, :, 0]
-        coef_t, cost_t, hess_t, grad_t = _project(alpha[tried] + step, freqs[tried],
-                                                  counts[tried])
+        coef_t, cost_t, hess_t, grad_t = project(tried, alpha[tried] + step)
         ok = cost_t <= cost[tried]
 
         acc, step = tried[ok], step[ok]
-        rel_step = np.sqrt(_row_dot(step, step)) / np.maximum(
-            np.sqrt(_row_dot(alpha[acc], alpha[acc])), 1e-300)
+        rel_step = np.sqrt(np.add.reduce(step * step, axis=-1)) / np.maximum(
+            np.sqrt(np.add.reduce(alpha[acc] * alpha[acc], axis=-1)), 1e-300)
         alpha[acc] += step
         coef[acc], cost[acc] = coef_t[ok], cost_t[ok]
         hess[acc], grad[acc] = hess_t[ok], grad_t[ok]
@@ -460,25 +518,35 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, alpha: np.ndarray):
 
 
 def _fit_windows(f_start: np.ndarray, n_points: int, truth: np.ndarray,
-                 guesses: np.ndarray, streams: np.ndarray, cfg: SpectrumConfig):
+                 guesses: np.ndarray, streams: np.ndarray, cfg: SpectrumConfig,
+                 work: Optional[np.ndarray] = None):
     """Synthesize and fit a block of windows of equal length and peak count.
 
     f_start (B,) GHz; truth (B, 2) the resonances the spectra hold;
     guesses (B, k) the start centres; streams (B,) the Philox stream of
-    each window.  Returns the fitted centres (B, k), sorted, and a mask
-    of the windows whose synthesis and fit succeeded (the others hold
-    NaN): a negative mean or a singular start fails a window.
+    each window; work a flat float64 array of 2 + _work_planes(k) planes
+    of B windows: their points and counts, then the fit's.  Returns the
+    fitted centres (B, k), sorted, and a mask of the windows whose
+    synthesis and fit succeeded (the others hold NaN): a negative mean or
+    a singular start fails a window.
     """
-    freqs = f_start[:, None] + cfg.f_step * np.arange(n_points)
-    counts = _mean_curve(freqs, truth, cfg)
-    ok = np.all(np.diff(freqs, axis=1) > 0, axis=1) & np.all(counts >= 0, axis=1)
+    size = len(f_start) * n_points
+    if work is None:
+        work = np.empty((2 + _work_planes(guesses.shape[1])) * size)
+    planes = work[: 3 * size].reshape(3, len(f_start), n_points)
+    freqs, counts = planes[0], planes[1]
+    np.multiply(cfg.f_step, np.arange(n_points), out=freqs)
+    freqs += f_start[:, None]
+    _mean_curve(freqs, truth, cfg, out=planes[1:])
+    ok = np.all(freqs[:, 1:] > freqs[:, :-1], axis=1) & np.all(counts >= 0, axis=1)
     centers = np.full(guesses.shape, np.nan)
     if np.any(ok):
-        freqs, counts = freqs[ok], counts[ok]
+        if not ok.all():
+            freqs, counts = freqs[ok], counts[ok]
         if not cfg.noiseless:
-            counts = _poisson_counts(counts, cfg.seed, streams[ok])
-        alpha = _start_alpha(freqs, guesses[ok], cfg.linewidth_fwhm)
-        alpha, _, cost = _fit_block(freqs, counts, alpha)[:3]
+            _poisson_counts(counts, cfg.seed, streams[ok], out=counts)
+        alpha = _start_alpha(freqs, guesses[ok], cfg.linewidth_fwhm, work[2 * size :])
+        alpha, _, cost = _fit_block(freqs, counts, alpha, work[2 * size :])[:3]
         fitted = np.isfinite(cost)
         centers[ok] = np.where(fitted[:, None], np.sort(alpha[:, 0::2], axis=1), np.nan)
         ok[ok] = fitted
@@ -496,7 +564,8 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
     2 pixel + branch), pixel the row-major index and branch 0 for a
     shared window, so the result is independent of any execution order.
     All windows are fitted together, grouped by length and peak count,
-    in blocks whose working set stays within _BLOCK_BYTES.
+    in blocks whose working set, views of one workspace allocated per
+    call, stays within _BLOCK_BYTES.
 
     Returns the fitted map and an error map holding the worse branch
     deviation |fitted - true| per pixel.
@@ -531,23 +600,24 @@ def measure_map(rmap: ResonanceMap, cfg: SpectrumConfig):
     fitted_ok = np.zeros(pixel.size, dtype=bool)
     key = 2 * n_points + n_peaks
     order = np.argsort(key, kind="stable")
+    blocks = []
     for group in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         if group.size == 0:
             continue
         k, n = int(n_peaks[group[0]]), int(n_points[group[0]])
         if n < 5 * k:
             continue  # too few points to fit k dips
-        # A block's working set, measured with tracemalloc, is about
-        # 7 + 5k float64 planes of n points per window: the points and
-        # counts, their copies for a trial step, the basis, the
-        # derivatives turned Jacobian and one product temporary; keep it
-        # within _BLOCK_BYTES.
-        rows = max(1, _BLOCK_BYTES // (8 * (7 + 5 * k) * n))
-        for start in range(0, group.size, rows):
-            w = group[start : start + rows]
-            centers, fitted_ok[w] = _fit_windows(lo[w] - half, n, truth[w], guesses[w, :k],
-                                                 2 * pixel[w] + branch[w], cfg)
-            fit[w] = centers[:, [0, k - 1]]
+        # A block's working set, one view of the call's workspace, is
+        # 2 + _work_planes(k) = 6 + 3k float64 planes of n points per
+        # window (its points and counts, then the fit's); keep it within
+        # _BLOCK_BYTES.
+        rows = max(1, _BLOCK_BYTES // (8 * (2 + _work_planes(k)) * n))
+        blocks += [(group[start : start + rows], k, n) for start in range(0, group.size, rows)]
+    work = np.empty(max(((2 + _work_planes(k)) * w.size * n for w, k, n in blocks), default=0))
+    for w, k, n in blocks:
+        centers, fitted_ok[w] = _fit_windows(lo[w] - half, n, truth[w], guesses[w, :k],
+                                             2 * pixel[w] + branch[w], cfg, work)
+        fit[w] = centers[:, [0, k - 1]]
 
     fitted_minus, fitted_plus = np.full((2,) + f_minus.shape, np.nan)
     first = branch == 0

@@ -9,6 +9,9 @@ against _oracle_fit, the Levenberg-Marquardt loop on all 1 + 3k
 parameters that it replaced.
 """
 
+import sys
+import tracemalloc
+
 from hypothesis import example, given, settings, strategies as st
 import numpy as np
 import pytest
@@ -218,6 +221,21 @@ def test_jacobian_matches_finite_differences(rng):
     assert worst < 1e-6
 
 
+def _dot(a, b):
+    """Sum of a * b over the last axis, one row-wise reduction per row."""
+    return np.add.reduce(a * b, axis=-1)
+
+
+def _plain_gram(a, b):
+    """Row-wise inner products (B, p, q) of the planes a (p, B, n) and
+    b (q, B, n): every entry a multiply and a row-wise reduction, with no
+    shortcut for symmetric products or ones planes."""
+    out = np.empty((len(a), len(b), a.shape[1]))
+    for i in range(len(a)):
+        out[i] = _dot(a[i], b)
+    return out.transpose(2, 0, 1)
+
+
 def _lm_start(spec, n_peaks, guesses):
     """The Levenberg-Marquardt start [b, f0_1, w_1, c_1, ...]: the
     90th-percentile baseline, the centres and widths of _initial_guess,
@@ -252,8 +270,7 @@ def _oracle_fit(spec, n_peaks, initial_guess=None):
     def evaluate(theta):
         model, jac = spectrum._batch_model(theta[None], freqs)
         resid = model - counts
-        hess = spectrum._gram(jac, jac)[0]
-        return spectrum._row_dot(resid, resid)[0], hess, spectrum._row_dot(jac, resid)[:, 0]
+        return _dot(resid, resid)[0], _plain_gram(jac, jac)[0], _dot(jac, resid)[:, 0]
 
     theta = _lm_start(spec, n_peaks, initial_guess)
     cost, hess, grad = evaluate(theta)
@@ -292,19 +309,21 @@ def _vp_fit(freqs, counts, alpha):
 
     Each evaluation solves the window's own Gram system for the
     coefficients [b, -b c_1, ...] and the projections of the basis
-    derivatives, and builds Kaufman's Jacobian (I - P) dphi coef; sums
-    over points use the fit's row-wise reductions (_row_dot, _gram).
+    derivatives, and builds Kaufman's Jacobian (I - P) dphi coef with the
+    ones plane of phi written out; every sum over points is a product and
+    a row-wise reduction (_dot, _plain_gram).
     Returns (alpha, coef, cost, n_iter, converged); coef and cost are NaN
     when the start's Gram matrix is singular.
     """
     freqs, counts = freqs[None], counts[None].astype(float)
 
     def evaluate(alpha):
-        phi, dphi = spectrum._basis(alpha[None], freqs)
-        rhs = np.concatenate([spectrum._gram(phi, counts[None]),
-                              spectrum._gram(dphi, phi).transpose(0, 2, 1)], axis=2)[0]
+        dips, dphi = spectrum._basis(alpha[None], freqs)
+        phi = np.concatenate([np.ones((1,) + freqs.shape), dips])
+        rhs = np.concatenate([_plain_gram(phi, counts[None]),
+                              _plain_gram(dphi, phi).transpose(0, 2, 1)], axis=2)[0]
         try:
-            sol = np.linalg.solve(spectrum._gram(phi, phi)[0], rhs)
+            sol = np.linalg.solve(_plain_gram(phi, phi)[0], rhs)
         except np.linalg.LinAlgError:
             return None
         coef, proj = sol[:, 0], sol[:, 1:]
@@ -315,8 +334,7 @@ def _vp_fit(freqs, counts, alpha):
             for j in range(len(jac)):
                 jac[j] -= proj[i, j] * phi[i]
         jac *= np.repeat(coef[1:], 2)[:, None, None]
-        return (coef, spectrum._row_dot(resid, resid)[0], spectrum._gram(jac, jac)[0],
-                spectrum._row_dot(jac, resid)[:, 0])
+        return coef, _dot(resid, resid)[0], _plain_gram(jac, jac)[0], _dot(jac, resid)[:, 0]
 
     start = evaluate(alpha)
     if start is None:
@@ -342,8 +360,7 @@ def _vp_fit(freqs, counts, alpha):
                 break
         if not accepted:
             break
-        rel_step = (np.sqrt(spectrum._row_dot(step, step))
-                    / max(np.sqrt(spectrum._row_dot(alpha, alpha)), 1e-300))
+        rel_step = np.sqrt(_dot(step, step)) / max(np.sqrt(_dot(alpha, alpha)), 1e-300)
         alpha = alpha + step
         coef, cost, hess, grad = trial
         lam = max(lam * 0.3, spectrum._LAM_MIN)
@@ -420,7 +437,7 @@ def test_fit_lorentzians_matches_one_window_loop():
         theta[3::3] = -coef[1:] / coef[0]
         jac = spectrum._batch_model(theta[None], freqs[None])[1]
         sigma2 = cost / max(freqs.size - theta.size, 1)
-        want = np.sqrt(np.diag(sigma2 * np.linalg.pinv(spectrum._gram(jac, jac)[0])))
+        want = np.sqrt(np.diag(sigma2 * np.linalg.pinv(_plain_gram(jac, jac)[0])))
         got = np.array([p.center_stderr for p in fit.peaks])
         np.testing.assert_allclose(got, want[1::3][order], rtol=1e-12, atol=0.0,
                                    err_msg=name)
@@ -765,3 +782,43 @@ def test_seeds_do_not_share_streams():
     b, _ = measure_map(rmap, SpectrumConfig(seed=1))
     assert not np.array_equal(a.f_plus[0], b.f_plus[0, ::-1])
     assert not np.array_equal(a.f_plus[0], b.f_plus[0])
+
+
+def test_measure_map_holds_its_block_budget():
+    # Merged pixels (one-dip windows of 201 points) and joint ones (two-dip
+    # windows of 226 points, blocks of 48).  One call's traced peak, its
+    # outputs aside, is its one workspace, which the joint blocks fill to
+    # _BLOCK_BYTES, plus a stated slack: three of numpy's 64 KiB ufunc
+    # buffers (for broadcast operands) and the blocks' small matrices, and
+    # 32 float64 per window for the per-map vectors.
+    gaps = np.repeat([0.0, 0.5], 60)
+    rmap = _row_map(F0 - gaps / 2, F0 + gaps / 2)
+    cfg = SpectrumConfig(seed=3)
+    measure_map(rmap, cfg)  # first-call imports and caches are not the call's
+    tracemalloc.start()
+    try:
+        _, error = measure_map(rmap, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = peak - 3 * error.nbytes
+    slack = 3 * 8 * 8192 + 32 * 8 * gaps.size
+    assert 0.9 * spectrum._BLOCK_BYTES <= held <= spectrum._BLOCK_BYTES + slack, (held, slack)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts Linux minor page faults")
+def test_repeat_measure_map_takes_few_page_faults(fm_5x5):
+    # The benchmark's readout map.  Blocks that allocated their own planes
+    # took 5,300-6,500 minor faults a call: glibc handed the freed heap top
+    # back to the kernel between blocks, and the next block faulted it in
+    # again.  One workspace per call is faulted in once.
+    resource = pytest.importorskip("resource")
+    cfg = ScanConfig(height=4.0, x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=0.75)
+    rmap = scan_constant_height(cfg, fm_5x5, workers=1)
+    assert rmap.f_plus.shape == (17, 17)
+    readout = SpectrumConfig(seed=1)
+    measure_map(rmap, readout)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    measure_map(rmap, readout)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000, faults
