@@ -300,12 +300,11 @@ def cmd_scan(args) -> int:
             print(f"wrote {args.error_out}")
         finite = error[np.isfinite(error)]
         n_failed = int(error.size - finite.size)
-        median = float(np.median(finite)) if finite.size else float("nan")
-        worst = float(np.max(finite)) if finite.size else float("nan")
-        print(
-            f"measure: median error = {median:.6g} GHz, "
-            f"max = {worst:.6g} GHz, failed pixels = {n_failed}"
-        )
+        if finite.size:
+            print(f"measure: median error = {np.median(finite):.6g} GHz, "
+                  f"max = {finite.max():.6g} GHz, failed pixels = {n_failed}")
+        else:
+            print(f"measure: all {n_failed} pixels failed their fits")
     return EXIT_OK
 
 

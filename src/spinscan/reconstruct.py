@@ -4,10 +4,11 @@ For collinear spins along z the axial resonance shift is linear in the
 per-site moments m_z: exchange rows of the forward kernel are J(r)/h,
 dipolar rows are the probe Zeeman shift of the per-moment stray-field
 z-component.  One factorization per (kernel, observation) pair, for a
-tall kernel a tree QR of [A | y] over L2-sized pixel blocks (TSQR,
-Demmel et al. 2012) first, serves the conditioning report and the
-Tikhonov solution at any lam through the filter factors s / (s^2 + lam)
-(Hansen, Rank-Deficient and Discrete Ill-Posed Problems, SIAM 1998).
+tall kernel the eigendecomposition of A^T A if cond(A) <= 30, else a tree
+QR of [A | y] over L2-sized pixel blocks (TSQR, Demmel et al. 2012) first,
+serves the conditioning report and the Tikhonov solution at any lam
+through the filter factors s / (s^2 + lam) (Hansen, Rank-Deficient and
+Discrete Ill-Posed Problems, SIAM 1998).
 The operator keeps the last one; its kernel is read-only.  The report
 quantifies how ill-posed each mode is: the dipolar kernel at large
 height has a near-null space, so its inversion is effectively non-unique.
@@ -37,6 +38,9 @@ __all__ = [
 ]
 
 _RANK_DEFICIENT_RATIO = 1e-12
+# Largest cond(A) that _project factors through A^T A, whose error grows as
+# cond^2 u: about 1e-13 at 30, inside the tests' 1e-12 oracle bound; 1e3 gives 1e-10.
+_GRAM_COND = 30.0
 # Leaf budget of _project's tree QR, a core's L2.  1 MiB was no faster than
 # one QR of the whole kernel; 4 MiB was as fast, at a higher peak RSS.
 _LEAF_BYTES = 2 << 20
@@ -172,22 +176,38 @@ def _factor(a: np.ndarray):
 
 def _project(a: np.ndarray, y: np.ndarray):
     """(s, V^T, c = U^T y, norm of y outside the range of U) for kernel a.
-    A tall kernel goes QR first (Golub & Van Loan, Matrix Computations,
-    5.4) by a one-level tree QR of [A | y] (Demmel, Grigori, Hoemmen &
-    Langou, SIAM J. Sci. Comput. 34, A206, 2012), backward stable like one
-    Householder QR (Mori, Yamamoto & Zhang, Japan J. Indust. Appl. Math.
-    29, 111, 2012).  Equal leaves of at most _LEAF_BYTES, filled from row
-    segments of a's (sites, pixels) base, fit in L2, so dgeqrf's unblocked
-    tail (its last 128 columns) streams from cache.  One QR of the stacked
-    leaf triangles gives r = [[R, (Q^T y)[:n]], [0, rho]], with |rho| the
-    norm of y outside the range, free of cancellation; the SVD of the
-    sites x sites R gives s, V^T and c.  Other kernels take _factor's thin
-    SVD."""
+    A tall kernel with cond <= _GRAM_COND takes A^T A = V diag(s^2) V^T,
+    accurate to cond^2 u (Yamamoto et al., ETNA 44, 306, 2015): c = V^T
+    A^T y / s, outside norm ||y - A V (c / s)||.  A Cholesky of A^T A that
+    fails, or whose diagonal ratio (a lower bound on cond) passes the gate,
+    refuses it first.  Other tall kernels go QR first (Golub & Van Loan,
+    Matrix Computations, 5.4) by a one-level tree QR of [A | y] (Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, A206, 2012),
+    backward stable like one Householder QR (Mori, Yamamoto & Zhang, Japan
+    J. Indust. Appl. Math. 29, 111, 2012).  Equal leaves of at most
+    _LEAF_BYTES, filled from row segments of a's (sites, pixels) base, fit
+    in L2, so dgeqrf's unblocked tail (its last 128 columns) streams from
+    cache.  One QR of the stacked leaf triangles gives r = [[R, (Q^T
+    y)[:n]], [0, rho]], with |rho| the norm of y outside the range, free of
+    cancellation; the SVD of the sites x sites R gives s, V^T and c.  Other
+    kernels take _factor's thin SVD."""
     m, n = a.shape
     if m <= n:
         u, s, vt = _factor(a)
         c = u.T @ y
         return s, vt, c, float(np.linalg.norm(y - u @ c))
+    g = a.T @ a
+    try:
+        d = np.diagonal(np.linalg.cholesky(g))
+    except np.linalg.LinAlgError:
+        d = None
+    if d is not None and d.max() <= _GRAM_COND * d.min():
+        e, v = np.linalg.eigh(g)
+        if e[-1] <= _GRAM_COND ** 2 * e[0]:
+            s, vt = np.sqrt(e[::-1]), v[:, ::-1].T
+            c = (vt @ (a.T @ y)) / s
+            return s, vt, c, float(np.linalg.norm(y - a @ (vt.T @ (c / s))))
+    del g, d
     n_leaves = -(-8 * m * (n + 1) // _LEAF_BYTES)
     rows = -(-m // n_leaves)
     leaf = np.empty((n + 1, rows))
@@ -260,10 +280,11 @@ def _filtered(factors, lam: float):
 def solve_tikhonov(fwd: ForwardOperator, y, lam: float) -> ReconstructionResult:
     """Minimize ||A m - y||^2 + lam ||m||^2 over per-site moments m.
 
-    m = V diag(s / (s^2 + lam)) U^T y from the SVD of A, taken QR first
-    for a tall kernel and shared with lcurve on the same y.  With lam = 0
-    this is the minimum-norm least-squares solution; a rank-deficient
-    kernel draws a warning, since the minimizer is then not unique.
+    m = V diag(s / (s^2 + lam)) U^T y from the SVD of A, taken from A^T A
+    (cond <= 30) or QR first for a tall kernel and shared with lcurve on
+    the same y.  With lam = 0 this is the minimum-norm least-squares
+    solution; a rank-deficient kernel draws a warning, since the minimizer
+    is then not unique.
     """
     (lam,), factors = _prepare(fwd, y, [lam])
     report = _report(*factors[:2])

@@ -182,6 +182,21 @@ def test_scan_measure_pipeline(workdir):
     assert np.median(errs) < 5e-3
 
 
+def test_scan_measure_reports_a_map_where_every_fit_failed(workdir):
+    # At 30 A all 49 windows merge into one dip of summed contrast 1.2, so
+    # no fit succeeds; the summary names the count and prints no NaN.
+    r = run_cli("texture", "--lattice", "square", "--a", 3, "--nx", 3, "--ny", 3,
+                "--out", "t3.spintex", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    (workdir / "c.cfg").write_text("[spectrum]\ncontrast = 0.6\n")
+    r = run_cli("scan", "--config", "c.cfg", "--texture", "t3.spintex", "--height", 30,
+                "--step", 1, "--measure", "--out", "far.csv", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    summary = r.stdout.splitlines()[-1]
+    assert summary == "measure: all 49 pixels failed their fits"
+    assert "nan" not in r.stdout
+
+
 def test_scan_measure_headers_echo_readout_settings(workdir):
     headers = []
     for width in (0.1, 0.3):

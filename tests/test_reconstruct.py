@@ -499,9 +499,11 @@ def test_tree_qr_matches_thin_svd_oracle(neel_5x5, rng, monkeypatch, mode, heigh
     # is as far from the oracle as rounding in y moves any solver (up to
     # 180x the one-leaf tolerance, which holds there only because the
     # oracle's SVD runs the same dgeqrf first), so it gets the bounds that
-    # test_unregularized_solve_matches_lstsq puts on lstsq instead.
+    # test_unregularized_solve_matches_lstsq puts on lstsq instead.  A gate
+    # of 0 refuses every kernel the Gram path would take, so the tree runs.
     fwd = build_forward(neel_5x5, height=height, mode=mode, **GRID)
     n = fwd.a.shape[1]
+    monkeypatch.setattr(reconstruct, "_GRAM_COND", 0.0)
     monkeypatch.setattr(reconstruct, "_LEAF_BYTES", 8 * (n + 1) * leaves[0])
     qr, shapes = np.linalg.qr, []
     monkeypatch.setattr(np.linalg, "qr",
@@ -542,10 +544,12 @@ def test_tree_qr_matches_thin_svd_oracle(neel_5x5, rng, monkeypatch, mode, heigh
         assert np.linalg.norm(fwd.a @ rep.near_null_vector) < 1e-12 * rep.sigma_max
 
 
-def test_tree_qr_makes_no_kernel_sized_copy(rng):
+def test_tree_qr_makes_no_kernel_sized_copy(rng, monkeypatch):
     # A random kernel of the invert benchmark's shape, Fortran-ordered as
     # build_forward returns it, spans five leaves; the projection's traced
-    # peak stays below the kernel's own bytes.
+    # peak stays below the kernel's own bytes.  The kernel is well
+    # conditioned, so a gate of 0 keeps it off the Gram path.
+    monkeypatch.setattr(reconstruct, "_GRAM_COND", 0.0)
     a = rng.standard_normal((196, 6241)).T
     y = rng.standard_normal(a.shape[0])
     assert a.nbytes > 4 * reconstruct._LEAF_BYTES
@@ -555,6 +559,122 @@ def test_tree_qr_makes_no_kernel_sized_copy(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert peak < a.nbytes, (peak, a.nbytes)
+
+
+def _path_spy(monkeypatch):
+    """Names of the projection paths taken, from calls to np.linalg.eigh
+    (the Gram path) and np.linalg.qr (the tree QR)."""
+    taken = []
+    for name, path in (("eigh", "gram"), ("qr", "tree")):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *args, real=real, path=path,
+                            **kw: taken.append(path) or real(*args, **kw))
+    return taken
+
+
+def _outside_bound(factors, y):
+    """Rounding-level bound on the Gram path's explicit ||y - A x||:
+    64 u (||y|| + sigma_max ||x||) for the lam = 0 solution x."""
+    x, _ = reconstruct._filtered(factors, 0.0)
+    u = np.finfo(float).eps / 2
+    return 64 * u * (np.linalg.norm(y) + factors[0][0] * np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+def test_gram_path_matches_thin_svd_oracle(neel_5x5, rng, monkeypatch, mode):
+    # The 4 A kernels have cond 2.3-9.6, inside the gate, so they take the
+    # Gram path alone and must meet test_qr_first_matches_thin_svd_oracle's
+    # tolerances; the outside norm is an explicit residual, so it gets a
+    # rounding-level bound instead of dgeqrf's bits.
+    fwd = build_forward(neel_5x5, height=4.0, mode=mode, **GRID)
+    taken = _path_spy(monkeypatch)
+    clean = fwd.a @ (neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2])
+    noisy = clean + rng.normal(scale=1e-6 * np.abs(clean).max(), size=clean.size)
+    eps = np.finfo(float).eps
+    u, s, vt = reconstruct._factor(fwd.a)
+    for y in (clean, noisy):
+        c = u.T @ y
+        oracle = (s, vt, c, float(np.linalg.norm(y - u @ c)))
+        factors = reconstruct._project(fwd.a, y)
+        assert taken == ["gram"]
+        taken.clear()
+        assert abs(factors[3] - oracle[3]) <= _outside_bound(factors, y)
+        for lam in (0.0, 1e-12, 1e-6, 1.0):
+            m, _ = reconstruct._filtered(factors, lam)
+            m_ref, _ = reconstruct._filtered(oracle, lam)
+            gain = 1.0 / s[-1] if lam == 0.0 else np.max(s / (s * s + lam))
+            tol = 1e-12 * np.abs(m_ref).max() + 10 * eps * np.linalg.norm(y) * gain
+            assert np.abs(m - m_ref).max() <= tol, (lam, tol)
+        rep, ref_report = reconstruct._report(*factors[:2]), conditioning_report(fwd.a)
+        assert rep.sigma_max == pytest.approx(ref_report.sigma_max, rel=1e-12)
+        assert rep.cond == pytest.approx(ref_report.cond, rel=1e-6)
+        assert not rep.rank_deficient
+
+
+@pytest.mark.parametrize("cond, path", [(29.0, ["gram"]), (31.0, ["gram", "tree"]),
+                                        (1e8, ["tree"])])
+def test_gram_gate_takes_kernels_inside_it_only(rng, monkeypatch, cond, path):
+    # A = Q diag(s) V^T with a known cond: just inside the gate the Gram
+    # path meets the oracle tolerance; just outside, the eigenvalue ratio
+    # sends it to the tree, and far outside the Cholesky diagonal does so
+    # before any eigensolve.
+    assert 29.0 < reconstruct._GRAM_COND < 31.0
+    m, n = 400, 20
+    q = np.linalg.qr(rng.standard_normal((m, n)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    a = np.asfortranarray((q * np.geomspace(cond, 1.0, n)) @ v.T)
+    y = a @ rng.standard_normal(n) + 1e-3 * rng.standard_normal(m)
+    u, s, vt = reconstruct._factor(a)
+    c = u.T @ y
+    oracle = (s, vt, c, float(np.linalg.norm(y - u @ c)))
+    taken = _path_spy(monkeypatch)
+    factors = reconstruct._project(a, y)
+    assert taken == path
+    if path == ["gram"]:
+        m_ref, _ = reconstruct._filtered(oracle, 0.0)
+        eps = np.finfo(float).eps
+        tol = 1e-12 * np.abs(m_ref).max() + 10 * eps * np.linalg.norm(y) / s[-1]
+        assert np.abs(reconstruct._filtered(factors, 0.0)[0] - m_ref).max() <= tol
+        assert factors[0] == pytest.approx(s, rel=1e-12)
+
+
+def test_gram_path_is_bit_identical_at_any_address(rng, monkeypatch):
+    # OpenBLAS kernels may round by the operands' alignment; copies of one
+    # kernel at nine 8-byte offsets of a buffer must give its bits, and a
+    # C-ordered copy its factors to rounding.
+    a = rng.standard_normal((196, 6241)).T
+    y = rng.standard_normal(a.shape[0])
+    taken = _path_spy(monkeypatch)
+    ref = reconstruct._project(a, y)
+    for offset in range(9):
+        buf = np.empty(a.size + offset)
+        copy = buf[offset:].reshape(a.T.shape)
+        copy[...] = a.T
+        got = reconstruct._project(copy.T, y)
+        assert all(np.array_equal(p, q) for p, q in zip(got, ref)), offset
+    got = reconstruct._project(np.ascontiguousarray(a), y)
+    assert taken == ["gram"] * 11
+    m, m_ref = (reconstruct._filtered(f, 1e-6)[0] for f in (got, ref))
+    assert np.abs(m - m_ref).max() <= 1e-13 * np.abs(m_ref).max()
+    assert got[0] == pytest.approx(ref[0], rel=1e-14)
+    assert got[3] == pytest.approx(ref[3], rel=1e-12)
+
+
+def test_gram_path_makes_no_kernel_sized_copy(rng, monkeypatch):
+    # The kernel of test_tree_qr_makes_no_kernel_sized_copy, on the Gram
+    # path: A^T A, its factors and a few pixel vectors stay below the
+    # kernel's own bytes.
+    a = rng.standard_normal((196, 6241)).T
+    y = rng.standard_normal(a.shape[0])
+    taken = _path_spy(monkeypatch)
+    tracemalloc.start()
+    try:
+        reconstruct._project(a, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert taken == ["gram"]
     assert peak < a.nbytes, (peak, a.nbytes)
 
 
