@@ -178,9 +178,10 @@ def _project(a: np.ndarray, y: np.ndarray):
     """(s, V^T, c = U^T y, norm of y outside the range of U) for kernel a.
     A tall kernel with cond <= _GRAM_COND takes A^T A = V diag(s^2) V^T,
     accurate to cond^2 u (Yamamoto et al., ETNA 44, 306, 2015): c = V^T
-    A^T y / s, outside norm ||y - A V (c / s)||.  A Cholesky of A^T A that
-    fails, or whose diagonal ratio (a lower bound on cond) passes the gate,
-    refuses it first.  Other tall kernels go QR first (Golub & Van Loan,
+    A^T y / s, outside norm ||y - A V (c / s)||.  Lower bounds on cond
+    refuse it first: that of its first 8 columns (any columns' cond is at
+    most A's), then a Cholesky of A^T A that fails or whose diagonal ratio
+    passes the gate.  Other tall kernels go QR first (Golub & Van Loan,
     Matrix Computations, 5.4) by a one-level tree QR of [A | y] (Demmel,
     Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, A206, 2012),
     backward stable like one Householder QR (Mori, Yamamoto & Zhang, Japan
@@ -196,11 +197,14 @@ def _project(a: np.ndarray, y: np.ndarray):
         u, s, vt = _factor(a)
         c = u.T @ y
         return s, vt, c, float(np.linalg.norm(y - u @ c))
-    g = a.T @ a
-    try:
-        d = np.diagonal(np.linalg.cholesky(g))
-    except np.linalg.LinAlgError:
-        d = None
+    e = np.linalg.eigvalsh(a[:, :8].T @ a[:, :8])
+    g = d = None
+    if 0.0 < e[0] and e[-1] <= _GRAM_COND ** 2 * e[0]:
+        g = a.T @ a
+        try:
+            d = np.diagonal(np.linalg.cholesky(g))
+        except np.linalg.LinAlgError:
+            pass
     if d is not None and d.max() <= _GRAM_COND * d.min():
         e, v = np.linalg.eigh(g)
         if e[-1] <= _GRAM_COND ** 2 * e[0]:

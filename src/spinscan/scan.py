@@ -10,8 +10,8 @@ On the pixel lattice (_lattice_images) constant-height scans convolve
 kernel images by FFT and build_forward gathers a window of one image per
 site; the dense blocked sum, used otherwise, is both paths' oracle.  One
 pair walk of the corner site writes J and the images' unit-spin fields.
-Iso-frequency scans invert the upper resonance branch for height by a
-bracketed Illinois secant (regula falsi); pair mode treats one sample site
+Iso-frequency scans find heights by Illinois secants (regula falsi) in
+brackets that a coarse pass predicts; pair mode treats one sample site
 quantum-mechanically as an exactness oracle for the mean-field sum.
 """
 
@@ -90,6 +90,7 @@ _FFT_ODD = [3**j * 5**k for j in range(40) for k in range(30)]
 _ISO_FREQ_TOL_GHZ = 1e-3   # 1 MHz stop of the iso-frequency root finder
 _ISO_MAX_ITER = 100
 _ISO_STRIDE = 4  # coarse pass of iso scans: every 4th pixel of each axis
+_ISO_OVERSHOOT = 0.02  # fine iso steps overshoot their predicted root: best measured of 0-10%
 
 _SPIN1 = spin_operators(1.0)
 
@@ -642,15 +643,15 @@ def scan_iso_frequency(
 
     Every _ISO_STRIDE-th pixel of each axis, and the last row and column,
     search [z_min, z_max].  The rest start from the bilinear interpolant of
-    those heights +/- the largest step between adjacent ones, clipped to
-    [z_min, z_max], and search [z_min, z_max] when that start is NaN or
-    its ends do not bracket f_source.  Each search is one vectorized
+    their heights and slopes dg/dz, step just past the root that predicts,
+    on a miss once more by the secant, and search [z_min, z_max] after a
+    second miss or from a NaN start.  Each search is one vectorized
     Illinois regula falsi (Dowell & Jarratt 1971) that stops at the first
     point with |delta f| < 1 MHz, or at the bracket midpoint after
     _ISO_MAX_ITER rounds.  Pixels with no bracketed crossing hold NaN.
-    Where f_plus crosses f_source more than once, a tight bracket may find
-    one that [z_min, z_max] does not bracket.  J below its validity range
-    warns once, at the closest tip-site pair of any round.
+    Where f_plus crosses f_source more than once, a fine pixel may find one
+    that [z_min, z_max] does not bracket.  J below its validity range warns
+    once, at the closest tip-site pair of any round.
     """
     if not 0.0 < f_source < np.inf:
         raise ValueError(f"f_source must be positive and finite, got {f_source}")
@@ -660,7 +661,7 @@ def scan_iso_frequency(
         raise ValueError("z_max must exceed z_min")
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     xy = grid.tips(0.0)[:, :2]
-    heights = np.full(len(xy), np.nan)
+    heights, slopes = np.full((2, len(xy)), np.nan)  # slopes: dg/dz of the last two points
     r_min = []  # closest tip-site distance of each round
 
     def offset(rows, z):
@@ -680,15 +681,15 @@ def scan_iso_frequency(
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log1p(df / (f_source - f_zfs))
 
-    def solve(pixels, lo, hi):
-        """Fill heights of pixels from brackets [lo, hi]; return which of
-        them the ends bracket."""
-        ends = np.vstack([lo, hi]) + np.zeros(len(pixels))  # scalar ends broadcast
-        f_lo, f_hi = offset(pixels, ends[0]), offset(pixels, ends[1])
-        g = secant_var(np.stack([f_lo, f_hi]))
+    def solve(pixels, ends, f_ends=None):
+        """Fill heights of pixels from brackets between ends (either order),
+        evaluated unless their offsets f_ends are given."""
+        ends = np.reshape(ends, (2, -1)) + np.zeros(len(pixels))  # scalar ends broadcast
+        f_ends = [offset(pixels, z) for z in ends] if f_ends is None else f_ends
+        f_lo, f_hi = f_ends
+        g = secant_var(np.stack(f_ends))
         kept = np.full(len(pixels), -1)  # end kept last round: 0 lo, 1 hi
-        bracketed = np.sign(f_lo) * np.sign(f_hi) <= 0.0  # a product could overflow
-        active = np.flatnonzero(bracketed)
+        active = np.flatnonzero(np.sign(f_lo) * np.sign(f_hi) <= 0.0)  # a product could overflow
         for _ in range(_ISO_MAX_ITER):
             if not active.size:
                 break
@@ -698,8 +699,11 @@ def scan_iso_frequency(
                 z = hi - g_hi * (hi - lo) / (g_hi - g_lo)
             # Safeguard: a secant point that is non-finite or not strictly
             # inside the bracket becomes the bracket midpoint.
-            z = np.where((lo < z) & (z < hi), z, 0.5 * (lo + hi))
+            z = np.where((np.fmin(lo, hi) < z) & (z < np.fmax(lo, hi)), z, 0.5 * (lo + hi))
             f_z = offset(pixels[active], z)
+            last = (1 - kept[active]) % 2, active  # end moved last round (lo at first)
+            with np.errstate(all="ignore"):
+                slopes[pixels[active]] = (secant_var(f_z) - g[last]) / (z - ends[last])
             done = np.abs(f_z) < _ISO_FREQ_TOL_GHZ
             heights[pixels[active[done]]] = z[done]
             active, z, f_z = active[~done], z[~done], f_z[~done]
@@ -715,30 +719,44 @@ def scan_iso_frequency(
             kept[active] = 1 - moved
         # Pixels still active hit the iteration cap; report the midpoint.
         heights[pixels[active]] = 0.5 * (ends[0, active] + ends[1, active])
-        return bracketed
 
     # Coarse pixel indices along y and x.
     axes = [np.unique(np.r_[0:m:_ISO_STRIDE, m - 1]) for m in (grid.ny, grid.nx)]
     coarse = np.zeros((grid.ny, grid.nx), dtype=bool)
     coarse[np.ix_(*axes)] = True
-    solve(np.flatnonzero(coarse), z_min, z_max)
+    solve(np.flatnonzero(coarse), (z_min, z_max))
+    fine = np.flatnonzero(~coarse)
 
-    # Bilinear interpolant of the coarse heights, one axis at a time: pixel
-    # i lies at fraction t of its coarse cell (c[k], c[k1]).
-    start = heights.reshape(grid.ny, grid.nx)[np.ix_(*axes)]
-    steps = np.concatenate([np.abs(np.diff(start, axis=a)).ravel() for a in (0, 1)])
-    width = np.max(steps[np.isfinite(steps)], initial=0.0)
-    for axis, (m, c) in enumerate(zip((grid.ny, grid.nx), axes)):
+    # Bilinear interpolant of the coarse heights and slopes, one axis at a
+    # time: pixel i lies at fraction t of its coarse cell (c[k], c[k1]).
+    start = np.stack([heights, slopes]).reshape(2, grid.ny, grid.nx)[np.ix_([0, 1], *axes)]
+    for axis, (m, c) in enumerate(zip((grid.ny, grid.nx), axes), start=1):
         i = np.arange(m)
         k = np.minimum(i // _ISO_STRIDE, max(len(c) - 2, 0))
         k1 = np.minimum(k + 1, len(c) - 1)
-        t = np.expand_dims((i - c[k]) / np.maximum(c[k1] - c[k], 1), 1 - axis)
+        t = np.expand_dims((i - c[k]) / np.maximum(c[k1] - c[k], 1), 2 - axis)
         start = (1 - t) * np.take(start, k, axis) + t * np.take(start, k1, axis)
-    # fmax and fmin give a NaN start the full bracket.
-    fine = np.flatnonzero(~coarse)
-    start = start.ravel()[fine]
-    bracketed = solve(fine, np.fmax(start - width, z_min), np.fmin(start + width, z_max))
-    solve(fine[~bracketed & np.isfinite(start)], z_min, z_max)
+    # Fine pixels evaluate b: the start, then steps from a, the point nearer
+    # the root so far.  A sign change between a and b goes to solve.
+    zb, slope = start.reshape(2, -1)[:, fine]
+    pix, zb, slope = (v[np.isfinite(zb)] for v in (fine, zb, slope))
+    za = fa = ga = np.full(len(pix), np.nan)  # no point a yet
+    for _ in range(3):
+        fb = offset(pix, zb)
+        gb = secant_var(fb)
+        done = np.abs(fb) < _ISO_FREQ_TOL_GHZ
+        heights[pix[done]] = zb[done]
+        hit = ~done & (np.sign(fa) * np.sign(fb) <= 0.0)
+        solve(pix[hit], np.stack([za, zb])[:, hit], np.stack([fa, fb])[:, hit])
+        with np.errstate(all="ignore"):
+            slope = np.where(np.isnan(za), slope, (gb - ga) / (zb - za))
+            near = ~(np.abs(ga) < np.abs(gb))  # b, when there is no a
+            za, fa, ga = (np.where(near, b, a) for a, b in ((za, zb), (fa, fb), (ga, gb)))
+            zb = np.clip(za - (1.0 + _ISO_OVERSHOOT) * ga / slope, z_min, z_max)
+        step = ~done & ~hit & np.isfinite(zb) & (zb != za)
+        pix, za, fa, ga, zb, slope = (v[step] for v in (pix, za, fa, ga, zb, slope))
+    # A NaN start, a third miss or a step that cannot move leaves no height.
+    solve(fine[np.isnan(heights[fine])], (z_min, z_max))
     _check_exchange_range(min(r_min), stacklevel=2)
 
     return IsoScanMap(

@@ -12,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spinscan import (
@@ -124,6 +124,8 @@ def test_forward_both_is_the_sum_of_its_channels(neel_5x5, height):
     st.floats(2.0, 100.0),
     st.sampled_from(["exchange", "dipolar", "both"]),
 )
+@example(a=4.2, multiple=1, signs=[-1.0] * 20, frac=(0.0, 0.5), start=(-29, 0), size=(1, 1),
+         height=40.0, mode="exchange")
 def test_forward_gather_matches_dense_oracle(a, multiple, signs, frac, start, size,
                                              height, mode):
     # A 5x4 square lattice with vacancies (sign 0) and +/-z moments, steps a
@@ -140,8 +142,18 @@ def test_forward_gather_matches_dense_oracle(a, multiple, signs, frac, start, si
     with mock.patch.object(reconstruct, "_walk_pairs",
                            side_effect=AssertionError("took the dense walk")):
         fwd = build_forward(tex, grid.x_range, grid.y_range, step, height, mode)
-    want = _dense_forward(tex, grid.tips(height), mode)
-    assert np.max(np.abs(fwd.a - want)) <= 1e-13 * np.max(np.abs(want))
+    tips = grid.tips(height)
+    want = _dense_forward(tex, tips, mode)
+    # One ulp of r moves J(r) by about (2r/a_B + 2.5) u relative.  Far off
+    # the lattice every entry lies in J's tail, where that exceeds 1e-13 of
+    # the largest entry, so each exchange entry is bound by its own
+    # conditioning too.
+    tol = 1e-13 * np.max(np.abs(want))
+    if mode != "dipolar":
+        x = np.linalg.norm(tips[:, None] - tex.positions[None], axis=2) / CONSTANTS.bohr_radius
+        j = np.abs(_dense_forward(tex, tips, "exchange"))
+        tol = np.maximum(tol, 4 * (2 * x + 2.5) * np.finfo(float).eps * j)
+    assert np.all(np.abs(fwd.a - want) <= tol)
 
 
 def _off_lattice_textures(fm_5x5):
@@ -676,6 +688,22 @@ def test_gram_path_makes_no_kernel_sized_copy(rng, monkeypatch):
         tracemalloc.stop()
     assert taken == ["gram"]
     assert peak < a.nbytes, (peak, a.nbytes)
+
+
+def test_gram_refusal_of_a_dipolar_kernel_forms_no_sites_gram(neel_5x5, monkeypatch):
+    # cond(A) >= cond(A_S) for any columns S, so the first 8 columns refuse
+    # the ill-conditioned 100 A dipolar kernel before A^T A is formed; the
+    # 4 A exchange kernel goes on to the Cholesky of its full Gram matrix.
+    shapes = []
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda g: shapes.append(g.shape) or cholesky(g))
+    moments = neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2]
+    n = neel_5x5.n_sites
+    for mode, height, want in (("dipolar", 100.0, []), ("exchange", 4.0, [(n, n)])):
+        fwd = build_forward(neel_5x5, height=height, mode=mode, **GRID)
+        reconstruct._project(fwd.a, fwd.a @ moments)
+        assert shapes == want, mode
+        shapes.clear()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -857,7 +857,8 @@ def test_iso_frequency_narrow_grids_match_bisection(x_range, y_range, shape):
 @pytest.mark.parametrize("defect", ["vacancy", "lowered site"])
 def test_iso_frequency_rebrackets_missed_tight_ends(monkeypatch, defect):
     # On a texture with a vacancy or a site 0.5 A down, some fine pixels'
-    # tight ends miss the crossing and those pixels search [z_min, z_max].
+    # first step from their start misses the crossing and they step again;
+    # next to the vacancy some miss twice and search [z_min, z_max].
     lattice = _tilted_texture(build_lattice("square", 3.0, 4, 4), "FM")
     pos, dirs = lattice.positions.copy(), lattice.spin_dirs
     if defect == "vacancy":
@@ -881,7 +882,15 @@ def test_iso_frequency_rebrackets_missed_tight_ends(monkeypatch, defect):
     full = [len(a) for a, b in zip(calls, calls[1:])
             if np.all(a[:, 2] == 2.0) and np.all(b[:, 2] == 12.0)
             and np.array_equal(a[:, :2], b[:, :2])]
-    assert len(full) == 2 and full[0] == 16 and full[1] > 0
+    assert len(full) == 2 and full[0] == 16
+    assert full[1] > 0 or defect == "lowered site"
+    # solve's points lie strictly inside their bracket, so a pixel whose
+    # third point lies outside its first two stepped again after a miss.
+    points = {}
+    for tips in calls:
+        for x, y, z in tips:
+            points.setdefault((x, y), []).append(z)
+    assert any(not min(z[:2]) < z[2] < max(z[:2]) for z in points.values() if len(z) > 2)
     assert np.isfinite(_check_against_bisection(cfg, tex, 120.0, got)).all()
 
 
@@ -939,8 +948,8 @@ def test_iso_frequency_work_per_pixel(monkeypatch):
 
 def test_iso_frequency_coarse_to_fine_work_per_pixel(monkeypatch):
     # At the 0.25 A pixel pitch of the isoscan benchmark, fine pixels take
-    # their two tight ends and two secant rounds, about 4.2 evaluations per
-    # pixel; with every pixel on [z_min, z_max] it is 7.
+    # their start, one predicted step and one secant round, about 3.3
+    # evaluations per pixel; with every pixel on [z_min, z_max] it is 7.
     tex = _tilted_texture(build_lattice("square", 3.0, 8, 8), "FM")
     cfg = ScanConfig(x_range=(0.0, 10.0), y_range=(0.0, 10.0), step=0.25)
     rows = []
@@ -955,6 +964,46 @@ def test_iso_frequency_coarse_to_fine_work_per_pixel(monkeypatch):
     assert iso.heights.shape == (41, 41)
     assert np.all(np.isfinite(iso.heights))
     assert sum(rows) <= 4.5 * iso.heights.size
+
+
+def _iso_evaluations_per_pixel(monkeypatch, cfg, tex):
+    """Heights of a 120 GHz iso scan over [2, 12] A and its field
+    evaluations per pixel."""
+    rows = []
+    branches = scan._branches
+
+    def counting(cfg, tex, tips):
+        rows.append(len(tips))
+        return branches(cfg, tex, tips)
+
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_branches", counting)
+        heights = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0).heights
+    return heights, sum(rows) / heights.size
+
+
+def test_iso_frequency_aliased_coarse_grid_work_per_pixel(monkeypatch):
+    # Four 0.75 A steps span one 3 A lattice period, so every coarse pixel
+    # sits over a site: the coarse heights differ by a fifth of the fine
+    # ones' range at most, through the texture's edges alone.
+    tex = _tilted_texture(build_lattice("square", 3.0, 8, 8), "FM")
+    cfg = ScanConfig(x_range=(0.0, 12.0), y_range=(0.0, 12.0), step=0.75)
+    heights, per_pixel = _iso_evaluations_per_pixel(monkeypatch, cfg, tex)
+    coarse = heights[::scan._ISO_STRIDE, ::scan._ISO_STRIDE]
+    assert np.ptp(coarse) < np.ptp(heights) / 5
+    assert per_pixel <= 5.0
+    assert np.isfinite(_check_against_bisection(cfg, tex, 120.0, heights.ravel())).all()
+
+
+def test_iso_frequency_benchmark_pitch_work_per_pixel(monkeypatch):
+    # The isoscan benchmark's 85 x 85 pixels at 0.25 A, off the lattice:
+    # 484 coarse pixels at 7 evaluations, the rest at about 3.
+    tex = _tilted_texture(build_lattice("square", 3.0, 8, 8), "FM")
+    cfg = ScanConfig(x_range=(0.1, 21.1), y_range=(0.2, 21.2), step=0.25)
+    heights, per_pixel = _iso_evaluations_per_pixel(monkeypatch, cfg, tex)
+    assert heights.shape == (85, 85)
+    assert np.all(np.isfinite(heights))
+    assert per_pixel <= 3.6
 
 
 def test_iso_frequency_safeguard_at_zero_field_end(monkeypatch, single_site):
