@@ -376,35 +376,33 @@ def _batch_effective_fields(
     tips: (p, 3) angstrom.  Returns (b_stray (p, 3) tesla, or None in
     exchange mode, b_ex (p, 3) ueV, or None in dipolar mode, r_min the
     closest tip-site distance for the caller's validity-range check).
-    Each site sum is a row-wise np.sum over a C-contiguous (rows, sites)
-    plane, so a tip's fields do not depend on which block, or which
-    batch, it falls in, nor on the mode.
+    Each site sum adds a row's products in an order set by the number of
+    sites alone, never by BLAS, so a tip's fields do not depend on which
+    block, or which batch, it falls in, nor on the mode.
     """
     spins = tex.spin_vectors.T.copy()
     b_stray = None if mode == "exchange" else np.empty((tips.shape[0], 3))
     b_ex = None if mode == "dipolar" else np.empty((tips.shape[0], 3))
 
     def add_block(rows, dx, dy, dz, d2, j, pref, tmp):
-        t = tmp[0]
         if j is not None:
-            for a, s in enumerate(spins):
-                b_ex[rows, a] = np.multiply(j, s, out=t).sum(axis=1)
-        if pref is None:
-            return
-
-        # B = sum_i q d_i - pref s_i with q = 3 pref (s . d) / d^2, d the
-        # tip-site displacement.
-        q = np.multiply(dx, spins[0], out=tmp[1])
-        q += np.multiply(dy, spins[1], out=t)
-        q += np.multiply(dz, spins[2], out=t)
-        q *= np.multiply(pref, 3.0, out=t)
-        q /= d2
-        for a, (d, s) in enumerate(zip((dx, dy, dz), spins)):
-            b_stray[rows, a] = (np.multiply(q, d, out=t).sum(axis=1)
-                                - np.multiply(pref, s, out=t).sum(axis=1))
+            np.einsum("ij,aj->ia", j, spins, out=b_ex[rows])
+        if pref is not None:
+            # B = sum_i q d_i - pref s_i with q = 3 pref (s . d) / d^2, d the
+            # tip-site displacement.  np.sum adds q d: einsum would split a
+            # block of one row into pieces over more than 8,192 sites.
+            t, q = tmp
+            np.multiply(dx, spins[0], out=q)
+            q += np.multiply(dy, spins[1], out=t)
+            q += np.multiply(dz, spins[2], out=t)
+            q *= np.multiply(pref, 3.0, out=t)
+            q /= d2
+            b = np.einsum("ij,aj->ia", pref, spins, out=b_stray[rows])
+            for a, d in enumerate((dx, dy, dz)):
+                b[:, a] = np.multiply(q, d, out=t).sum(axis=1) - b[:, a]
 
     r_min = _walk_pairs(tips, tex, exchange_prefactor, mode, add_block,
-                        1 if mode == "exchange" else 2)
+                        0 if mode == "exchange" else 2)
     return b_stray, b_ex, r_min
 
 
@@ -728,14 +726,16 @@ def scan_iso_frequency(
     fine = np.flatnonzero(~coarse)
 
     # Bilinear interpolant of the coarse heights and slopes, one axis at a
-    # time: pixel i lies at fraction t of its coarse cell (c[k], c[k1]).
+    # time: pixel i lies at fraction t of its coarse cell (c[k], c[k1]), and
+    # a corner of weight 0, NaN or not, drops out.
     start = np.stack([heights, slopes]).reshape(2, grid.ny, grid.nx)[np.ix_([0, 1], *axes)]
     for axis, (m, c) in enumerate(zip((grid.ny, grid.nx), axes), start=1):
         i = np.arange(m)
         k = np.minimum(i // _ISO_STRIDE, max(len(c) - 2, 0))
         k1 = np.minimum(k + 1, len(c) - 1)
         t = np.expand_dims((i - c[k]) / np.maximum(c[k1] - c[k], 1), 2 - axis)
-        start = (1 - t) * np.take(start, k, axis) + t * np.take(start, k1, axis)
+        start = (np.where(t < 1, (1 - t) * np.take(start, k, axis), 0.0)
+                 + np.where(t > 0, t * np.take(start, k1, axis), 0.0))
     # Fine pixels evaluate b: the start, then steps from a, the point nearer
     # the root so far.  A sign change between a and b goes to solve.
     zb, slope = start.reshape(2, -1)[:, fine]

@@ -146,10 +146,10 @@ def _check_exchange_range(r_min: float, stacklevel: int) -> None:
 
 
 def _exchange_formula(r: np.ndarray, prefactor: str, out=None) -> np.ndarray:
-    """J(r) = (c x^2.5) exp(-2x), c = 1.641 E0 and x = r / a_B, in ueV
-    without range checks; callers check the distances.  Given out, J is
-    written there by the same operations and r, a float64 array, is
-    overwritten."""
+    """J(r) = c sqrt(x) x x exp(-2x), c = 1.641 E0 and x = r / a_B, in ueV
+    without range checks; callers check the distances.  x^2.5 as np.power
+    took J from 5 to 7 ns an element.  Given out, J is written there and
+    r, a float64 array, is overwritten, by the same operations as without."""
     if prefactor == "rydberg":
         e0_uev = CONSTANTS.rydberg * 1e6
     elif prefactor == "hartree":
@@ -157,11 +157,11 @@ def _exchange_formula(r: np.ndarray, prefactor: str, out=None) -> np.ndarray:
     else:
         raise ValueError(f"prefactor must be 'rydberg' or 'hartree', got {prefactor!r}")
     c = 1.641 * e0_uev
-    if out is None:
-        x = r / CONSTANTS.bohr_radius
-        return c * x**2.5 * np.exp(-2.0 * x)
-    x = np.divide(r, CONSTANTS.bohr_radius, out=r)
-    np.multiply(np.power(x, 2.5, out=out), c, out=out)
+    x = np.divide(r, CONSTANTS.bohr_radius, out=np.empty(np.shape(r)) if out is None else r)
+    out = np.sqrt(x, out=out)
+    out *= x
+    out *= x
+    out *= c
     out *= np.exp(np.multiply(x, -2.0, out=x), out=x)
     return out
 

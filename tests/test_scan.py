@@ -6,6 +6,7 @@ closed-form field sums and a 9-level exact pair diagonalization.
 """
 
 import contextlib
+import math
 import tracemalloc
 import warnings
 from unittest import mock
@@ -244,6 +245,55 @@ def test_field_sums_are_bit_identical_under_any_block_budget(monkeypatch, tilted
     for g, w in zip(got[:2], want[:2], strict=True):
         assert (g is None and w is None) or np.array_equal(g, w)
     assert got[2] == want[2]
+
+
+@pytest.fixture(scope="module")
+def wide_fm():
+    """91x91 FM lattice, a = 3 A, spins tilted off z: 8,281 sites, more
+    than the 8,192 elements numpy's einsum takes in one inner loop."""
+    return _tilted_texture(build_lattice("square", 3.0, 91, 91), "FM")
+
+
+@pytest.fixture(scope="module")
+def wide_tips():
+    """Tips over and around the wide lattice at heights 2.5-10 A."""
+    rng = np.random.default_rng(9)
+    return np.column_stack([rng.uniform(-6.0, 276.0, (12, 2)), rng.uniform(2.5, 10.0, 12)])
+
+
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+def test_field_sums_over_many_sites_are_bit_identical_under_any_block_budget(
+        monkeypatch, wide_fm, wide_tips, mode):
+    # Over more than 8,192 sites numpy's einsum splits the contraction of
+    # a single row ("ij,ij->i" of a one-tip block) into buffer-sized
+    # pieces, but not that of several rows: a tip alone in its block must
+    # still get the bits it gets in a block of all the tips.
+    got = []
+    for budget in (1, 16 * _BLOCK_BYTES):
+        monkeypatch.setattr(scan, "_BLOCK_BYTES", budget)
+        got.append(_batch_effective_fields(wide_tips, wide_fm, "rydberg", mode))
+    for one, whole in zip(*got, strict=True):
+        assert (one is None and whole is None) or np.array_equal(one, whole)
+
+
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+def test_field_sums_match_exactly_rounded_sums(wide_fm, wide_tips, mode):
+    # Each tip's site sums against math.fsum of its pair terms: the walk's
+    # summation order, in blocks or lanes, costs at most 1e-13 of each
+    # channel's largest value over these 8,281 sites.
+    got = _batch_effective_fields(wide_tips, wide_fm, "rydberg", mode)[:2]
+    d = wide_tips[:, None] - wide_fm.positions
+    r = np.linalg.norm(d, axis=2)[..., None]
+    s = wide_fm.spin_vectors
+    pref = -wide_fm.g * CONSTANTS.stray_prefactor_per_mu_b / r**3
+    terms = (pref * (3.0 * d * np.sum(d * s, axis=2, keepdims=True) / r**2 - s),
+             exchange_constant(r) * s)
+    for g, t, off in zip(got, terms, ("exchange", "dipolar"), strict=True):
+        if mode == off:
+            assert g is None
+            continue
+        want = np.array([[math.fsum(t[p, :, a]) for a in range(3)] for p in range(len(t))])
+        assert np.max(np.abs(g - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
@@ -770,15 +820,15 @@ def test_iso_frequency_rejects_bad_bracket(single_site):
         scan_iso_frequency(cfg, single_site, 100.0, 2.0, 1e150)
 
 
-def _bisection_heights(cfg, tex, f_source, z_min, z_max):
+def _bisection_heights(cfg, tex, f_source, z_min, z_max, pixels=slice(None)):
     """Oracle: per-pixel bisection with the same bracket test, 1 MHz stop
-    and iteration cap as scan_iso_frequency."""
+    and iteration cap as scan_iso_frequency, over the given pixels."""
 
     def offset(x, y, z):
         return scan._branches(cfg, tex, np.array([[x, y, z]]))[1][0] - f_source
 
     heights = []
-    for x, y, _ in Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0):
+    for x, y, _ in Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0)[pixels]:
         lo, hi = z_min, z_max
         f_lo = offset(x, y, lo)
         if f_lo * offset(x, y, hi) > 0.0:
@@ -818,15 +868,16 @@ def test_iso_frequency_matches_bisection(pattern, mode, b_ext, f_source):
         assert bracketed.sum() < bracketed.size / 2
 
 
-def _check_against_bisection(cfg, tex, f_source, got):
-    """Check iso heights got, in pixel order, against the bisection oracle
-    over [2, 12] A: the same pixels bracketed, f_plus within 1 MHz of the
-    source, and heights within the 2 MHz the two stops allow over the
-    local slope.  Returns the oracle's heights."""
-    want = _bisection_heights(cfg, tex, f_source, 2.0, 12.0)
+def _check_against_bisection(cfg, tex, f_source, got, pixels=slice(None)):
+    """Check iso heights got of the given pixels, in pixel order, against
+    the bisection oracle over [2, 12] A: the same pixels bracketed, f_plus
+    within 1 MHz of the source, and heights within the 2 MHz the two stops
+    allow over the local slope.  Returns the oracle's heights."""
+    want = _bisection_heights(cfg, tex, f_source, 2.0, 12.0, pixels)
     bracketed = np.isfinite(want)
     np.testing.assert_array_equal(np.isfinite(got), bracketed)
-    xy = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0)[bracketed, :2]
+    tips = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0)[pixels]
+    xy = tips[bracketed, :2]
 
     def f_plus(z):
         return scan._branches(cfg, tex, np.column_stack([xy, z]))[1]
@@ -903,6 +954,46 @@ def test_iso_frequency_partly_bracketed_dipolar_grid_matches_bisection():
     got = scan_iso_frequency(cfg, tex, 3.7, 2.0, 12.0).heights.ravel()
     bracketed = np.isfinite(_check_against_bisection(cfg, tex, 3.7, got))
     assert 0.25 < bracketed.mean() < 0.75
+
+
+def test_iso_frequency_nan_corner_of_weight_zero_leaves_start_finite(monkeypatch):
+    # A fine pixel on a coarse row or column starts from the two coarse
+    # pixels flanking it on that line.  Where both are finite and a coarse
+    # pixel in the next line is NaN, that corner has weight 0, so the start
+    # is finite: the pixel is first evaluated there, not at z_min, and
+    # matches the bisection oracle, NaN where it finds no bracket.
+    tex = apply_pattern(build_lattice("honeycomb", 3.0, 8, 8), "AFM-Neel")
+    cfg = ScanConfig(x_range=(0.0, 33.0), y_range=(0.0, 19.0), step=0.5, mode="exchange")
+    calls = []
+    branches = scan._branches
+
+    def recording(cfg, tex, tips):
+        calls.append(tips)
+        return branches(cfg, tex, tips)
+
+    with monkeypatch.context() as m:
+        m.setattr(scan, "_branches", recording)
+        got = scan_iso_frequency(cfg, tex, 120.0, 2.0, 12.0).heights
+    # Per axis: the coarse line at or before each pixel, its coarse cell
+    # and whether the pixel lies on a coarse line.  On this grid 72 fine
+    # pixels have a NaN corner of weight 0 and finite corners otherwise.
+    axes = [np.unique(np.r_[0:n:scan._ISO_STRIDE, n - 1]) for n in got.shape]
+    finite = np.isfinite(got[np.ix_(*axes)])
+    (ly, lx) = (np.searchsorted(c, np.arange(n), side="right") - 1 for c, n in zip(axes, got.shape))
+    (ky, kx) = (np.minimum(k, len(c) - 2) for k, c in zip((ly, lx), axes))
+    (on_y, on_x) = (np.isin(np.arange(n), c) for c, n in zip(axes, got.shape))
+    cell = np.all([finite[np.ix_(y, x)] for y in (ky, ky + 1) for x in (kx, kx + 1)], axis=0)
+    row = on_y[:, None] & ~on_x & finite[np.ix_(ly, kx)] & finite[np.ix_(ly, kx + 1)]
+    column = ~on_y[:, None] & on_x & finite[np.ix_(ky, lx)] & finite[np.ix_(ky + 1, lx)]
+    pixels = np.flatnonzero((row | column) & ~cell)
+    assert len(pixels) == 72
+    first = {}
+    for tips in calls:
+        for x, y, z in tips:
+            first.setdefault((x, y), z)
+    xy = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(0.0)[pixels, :2]
+    assert all(first[tuple(p)] != 2.0 for p in xy)
+    _check_against_bisection(cfg, tex, 120.0, got.ravel()[pixels], pixels)
 
 
 def test_iso_frequency_unbracketed_grid_is_all_nan(fm_5x5):
