@@ -13,12 +13,12 @@ Fitting is variable projection (Golub & Pereyra 1973): the model
 b (1 - sum_k c_k L_k) is linear in b and b c_k, so each window's
 baseline and contrasts are solved in closed form and a damped
 Gauss-Newton (Levenberg-Marquardt) iteration with Kaufman's Jacobian
-moves only the centres and widths; no external optimizer is involved.
-One loop, _fit_block, fits stacked windows of equal length and peak
-count, each window with its own damping and accept/reject.
-fit_lorentzians is its one-window call; measure_map runs it in blocks
-bounded by texture._BLOCK_BYTES, every block in one workspace allocated
-per call.
+moves only the centres and widths, whose standard errors come from the
+same projected matrix; no external optimizer is involved.  One loop,
+_fit_block, fits stacked windows of equal length and peak count, each
+window with its own damping and accept/reject.  fit_lorentzians is its
+one-window call; measure_map runs it in blocks bounded by
+texture._BLOCK_BYTES, every block in one workspace allocated per call.
 """
 
 from __future__ import annotations
@@ -132,6 +132,8 @@ class Spectrum:
     def __post_init__(self):
         if self.frequencies.shape != self.counts.shape:
             raise ValueError("frequencies and counts must have equal length")
+        if not (np.all(np.isfinite(self.frequencies)) and np.all(np.isfinite(self.counts))):
+            raise ValueError("frequencies and counts must be finite")
         if np.any(np.diff(self.frequencies) <= 0):
             raise ValueError("frequencies must be strictly increasing")
         if np.any(self.counts < 0):
@@ -159,20 +161,17 @@ class FitResult:
     n_iter: int
 
 
-def _basis(alpha: np.ndarray, freqs: np.ndarray, out: Optional[np.ndarray] = None):
+def _basis(alpha: np.ndarray, freqs: np.ndarray, out: np.ndarray):
     """Dip planes of stacked windows and their derivatives, one plane each.
 
     alpha (..., 2k) rows are [center_1, fwhm_1, center_2, ...] and freqs
     (..., n) the windows' points.  Returns dips (k, ..., n), the planes
     L_k = g_k^2 / ((f - f0_k)^2 + g_k^2) peak-normalized (g_k = |w_k| / 2)
     of the basis phi = [1, L_1 ... L_k], and dphi (2k, ..., n), the
-    derivatives [dL_1/df0_1, dL_1/dw_1, dL_2/df0_2, ...]: views of out
-    (1 + 3k, ..., n), whose last plane is scratch.
+    derivatives [dL_1/df0_1, dL_1/dw_1, dL_2/df0_2, ...] of Kaufman's
+    Jacobian: views of out (1 + 3k, ..., n), whose last plane is scratch.
     """
     k = alpha.shape[-1] // 2
-    if out is None:
-        lead = np.broadcast_shapes(alpha.shape[:-1], freqs.shape[:-1])
-        out = np.empty((1 + 3 * k,) + lead + freqs.shape[-1:])
     dips, dphi, denom2 = out[:k], out[k : 3 * k], out[3 * k]
     w = np.moveaxis(alpha[..., 1::2], -1, 0)[..., None]
     gamma = np.abs(w) / 2.0
@@ -253,34 +252,25 @@ def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
     return Spectrum(frequencies=freqs, counts=counts)
 
 
-def _batch_model(theta: np.ndarray, freqs: np.ndarray):
-    """Dip model and its analytic Jacobian for stacked windows.
-
-    theta (B, P) rows are [baseline, center_1, fwhm_1, contrast_1,
-    center_2, ...] and freqs (B, n) the windows' points.  model =
-    b (1 - sum_k c_k L_k).  Returns (model (B, n), jacobian (P, B, n)).
-    """
-    b, c = theta[:, 0, None], theta[:, 3::3].T[..., None]
-    dips, dphi = _basis(np.delete(theta, np.s_[::3], axis=1), freqs)
-    jac = np.empty(theta.shape[1:] + freqs.shape)
-    jac[0] = 1.0 - np.sum(c * dips, axis=0)
-    jac[1::3] = -b * c * dphi[0::2]
-    jac[2::3] = -b * c * dphi[1::2]
-    jac[3::3] = -b * dips
-    return b * jac[0], jac
-
-
 def _initial_guess(
     spec: Spectrum, n_peaks: int, guesses: Optional[Sequence] = None
 ) -> np.ndarray:
     """Start centres and widths: supplied peak guesses or deepest local minima."""
     counts, freqs = spec.counts.astype(float), spec.frequencies
+    f_step = float(np.median(np.diff(freqs)))
     if guesses is not None:
         if len(guesses) != n_peaks:
             raise ValueError(f"need {n_peaks} initial peak guesses, got {len(guesses)}")
         centers, widths = [g[0] for g in guesses], [g[1] for g in guesses]
+        # Widths outside these bounds over- or underflow the dip planes.  The
+        # floor forgives the points' rounding (at most 2 ulp a step), so a
+        # linewidth SpectrumConfig accepts also starts a fit.
+        lo = _MIN_LINEWIDTH_STEPS * (f_step - 2.0 * np.spacing(np.abs(freqs).max()))
+        hi, w = _MAX_WINDOW_POINTS * f_step, np.abs(widths)
+        if not (np.all(np.isfinite(centers)) and np.all((lo <= w) & (w <= hi))):
+            raise ValueError("initial guess centres must be finite and |fwhm| within "
+                             f"[{lo:g}, {hi:g}] GHz, got {guesses}")
     else:
-        f_step = float(np.median(np.diff(freqs)))
         # Moving-average smoothing suppresses shot noise before the
         # greedy deepest-minimum search.  Edge padding keeps the window
         # ends from reading as spurious minima.
@@ -326,12 +316,14 @@ def fit_lorentzians(
     """Least-squares fit of n_peaks Lorentzian dips plus a flat baseline.
 
     initial_guess, when given, is a sequence of (center, fwhm, contrast)
-    triples; only the centres and widths start the fit, since the
+    triples, finite centres and |fwhm| within [0.1, 100,000] median
+    frequency steps; only the centres and widths start the fit, since the
     baseline and contrasts are solved, not iterated.  One window of
     _fit_block: convergence when the relative step of the centres and
     widths falls below 1e-9, cap 200 iterations.  Non-convergence is
-    flagged and the best iterate returned; standard errors come from the
-    Gauss-Newton matrix of all 1 + 3k parameters at that iterate.
+    flagged and the best iterate returned.  Centre standard errors come
+    from its projected Gauss-Newton matrix: the full matrix's Schur
+    complement over the baseline and contrasts (Golub & Pereyra 1973).
     """
     if n_peaks < 1:
         raise ValueError(f"n_peaks must be >= 1, got {n_peaks}")
@@ -343,36 +335,29 @@ def fit_lorentzians(
                          "points, so no dip to fit; raise baseline_counts")
     freqs, counts = spec.frequencies, spec.counts.astype(float)
     alpha = _initial_guess(spec, n_peaks, initial_guess)
-    alpha, coef, cost, n_iter, converged = (
+    alpha, coef, cost, n_iter, converged, hess = (
         a[0] for a in _fit_block(freqs[None], counts[None], alpha[None]))
-    theta = np.empty(1 + 3 * n_peaks)
-    theta[0], theta[1::3], theta[2::3] = coef[0], alpha[0::2], alpha[1::2]
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero baseline
-        theta[3::3] = -coef[1:] / coef[0]
-
-    # Standard errors from the quadratic model at the optimum.
-    jac = _batch_model(theta[None], freqs[None])[1]
+        contrasts = -coef[1:] / coef[0]
     try:
-        var = np.diag(cost / max(counts.size - theta.size, 1)
-                      * np.linalg.pinv(_gram(jac, jac)[0]))
+        var = np.diag(cost / max(counts.size - 1 - 3 * n_peaks, 1) * np.linalg.pinv(hess))
     except np.linalg.LinAlgError:
-        var = np.full(theta.size, np.nan)
-    stderr = np.sqrt(np.maximum(var[1::3], 0.0))
+        var = np.full(alpha.size, np.nan)
+    stderr = np.sqrt(np.maximum(var[0::2], 0.0))
     peaks = sorted((PeakFit(center=float(c), fwhm=float(abs(w)), contrast=float(a),
                             center_stderr=float(e))
-                    for c, w, a, e in zip(theta[1::3], theta[2::3], theta[3::3], stderr)),
+                    for c, w, a, e in zip(alpha[0::2], alpha[1::2], contrasts, stderr)),
                    key=lambda p: p.center)
     inside = all(freqs[0] <= p.center <= freqs[-1] for p in peaks)
-    return FitResult(peaks=tuple(peaks), baseline=float(theta[0]),
+    return FitResult(peaks=tuple(peaks), baseline=float(coef[0]),
                      residual_norm=float(np.sqrt(cost)),
                      converged=bool(converged and inside), n_iter=int(n_iter))
 
 
-def _gram(a: np.ndarray, b: np.ndarray, prod: Optional[np.ndarray] = None) -> np.ndarray:
+def _gram(a: np.ndarray, b: np.ndarray, prod: np.ndarray) -> np.ndarray:
     """Row-wise inner products (B, p, q) of the planes a (p, B, n) and
     b (q, B, n) of stacked windows, each product formed in prod (B, n);
     a symmetric one (a is b) sums each entry once and mirrors it."""
-    prod = np.empty(a.shape[1:]) if prod is None else prod
     out = np.empty((a.shape[1], len(a), len(b)))
     for i in range(len(a)):
         for j in range(i if a is b else 0, len(b)):
@@ -462,7 +447,8 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
 
     Returns, per window, the last accepted centres and widths (B, 2k),
     their coefficients (B, 1 + k) and cost (B,), the index of the
-    iteration the window stopped in (B,) and the converged mask (B,).
+    iteration the window stopped in (B,), the converged mask (B,) and
+    their Gauss-Newton matrix (B, 2k, 2k).
     """
     alpha = alpha.copy()
     (n_win, n_par), n = alpha.shape, freqs.shape[1]
@@ -514,12 +500,12 @@ def _fit_block(freqs: np.ndarray, counts: np.ndarray, alpha: np.ndarray,
         done[failed] = tries[failed] == _MAX_TRIES
         done[rejected] |= lam[rejected] > _LAM_MAX
         live = live[~done[live]]
-    return alpha, coef, cost, n_iter, converged
+    return alpha, coef, cost, n_iter, converged, hess
 
 
 def _fit_windows(f_start: np.ndarray, n_points: int, truth: np.ndarray,
                  guesses: np.ndarray, streams: np.ndarray, cfg: SpectrumConfig,
-                 work: Optional[np.ndarray] = None):
+                 work: np.ndarray):
     """Synthesize and fit a block of windows of equal length and peak count.
 
     f_start (B,) GHz; truth (B, 2) the resonances the spectra hold;
@@ -531,8 +517,6 @@ def _fit_windows(f_start: np.ndarray, n_points: int, truth: np.ndarray,
     a singular start fails a window.
     """
     size = len(f_start) * n_points
-    if work is None:
-        work = np.empty((2 + _work_planes(guesses.shape[1])) * size)
     planes = work[: 3 * size].reshape(3, len(f_start), n_points)
     freqs, counts = planes[0], planes[1]
     np.multiply(cfg.f_step, np.arange(n_points), out=freqs)
