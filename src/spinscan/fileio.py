@@ -14,7 +14,6 @@ starts with '#' comment lines echoing the effective configuration.
 
 from __future__ import annotations
 
-import configparser
 import math
 import warnings
 
@@ -95,9 +94,9 @@ def _write_lines(path, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _write_csv(path, command: str, params: dict, header: str, rows: list[str]) -> None:
-    """Config echo of command and params, the column header, the rows."""
-    _write_lines(path, [*echo_lines(command, params), header, *rows])
+def _write_csv(path, command: str, params: dict, header: str, body: str) -> None:
+    """Config echo of command and params, the column header, the body."""
+    _write_lines(path, [*echo_lines(command, params), header, body])
 
 
 class TextureParseError(ValueError):
@@ -239,20 +238,20 @@ def load_texture(path) -> SpinTexture:
         raise TextureParseError(f"{path}: {exc}") from exc
 
 
-def _rows(*columns) -> list[str]:
-    """CSV rows of the columns' values, each column raveled."""
-    # One %-format per row gives the bytes of format_value per value.
+def _rows(*columns, grid: Grid | None = None) -> str:
+    """CSV body of the raveled columns, one line of values a row, each
+    line led by its pixel's 'x,y' when grid is given (x varying fastest).
+    Each x and y is formatted once into the file's one %-template, and a
+    single % call fills it: %.9g gives the bytes of format_value."""
     fmt = ",".join(["%.9g"] * len(columns))
-    return [fmt % row for row in zip(*(np.ravel(c).tolist() for c in columns))]
-
-
-def _grid_rows(grid: Grid, *columns) -> list[str]:
-    """CSV rows 'x,y,values...' over the grid's pixels, x varying fastest;
-    each x and y is formatted once, not once per pixel."""
-    xs, ys = (["%.9g" % v for v in axis.tolist()] for axis in (grid.xs, grid.ys))
-    fmt = "%s" + ",%.9g" * len(columns)
-    return [fmt % row for row in zip((f"{x},{y}" for y in ys for x in xs),
-                                     *(np.ravel(c).tolist() for c in columns))]
+    values = np.column_stack([np.ravel(c) for c in columns])
+    if grid is None:
+        template = "\n".join([fmt] * len(values))
+    else:
+        xs, ys = (["%.9g" % v for v in axis.tolist()] for axis in (grid.xs, grid.ys))
+        # One row of pixels: the x strings joined by the rest of a line.
+        template = "\n".join(f",{y},{fmt}\n".join(xs) + f",{y},{fmt}" for y in ys)
+    return template % tuple(values.ravel().tolist())
 
 
 def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:
@@ -260,7 +259,7 @@ def write_map_csv(path, rmap: ResonanceMap, params: dict) -> None:
     grid header."""
     grid = (rmap.x0, rmap.y0, rmap.step, rmap.nx, rmap.ny, rmap.height, rmap.mode)
     _write_csv(path, "map", {**params, **dict(zip(_MAP_HEADER, grid))},
-               _MAP_COLUMNS, _grid_rows(rmap, rmap.f_minus, rmap.f_plus))
+               _MAP_COLUMNS, _rows(rmap.f_minus, rmap.f_plus, grid=rmap))
 
 
 def load_map_csv(path) -> ResonanceMap:
@@ -314,7 +313,7 @@ def load_map_csv(path) -> ResonanceMap:
 def write_error_map_csv(path, rmap: ResonanceMap, error: np.ndarray, params: dict) -> None:
     """Per-pixel |fitted - true| (GHz) on the map grid."""
     _write_csv(path, "error-map", params, "x_angstrom,y_angstrom,error_ghz",
-               _grid_rows(rmap, error))
+               _rows(error, grid=rmap))
 
 
 def write_iso_csv(path, iso: IsoScanMap, params: dict) -> None:
@@ -325,7 +324,7 @@ def write_iso_csv(path, iso: IsoScanMap, params: dict) -> None:
         "iso_z_max_angstrom": iso.z_max,
     }
     _write_csv(path, "isoscan", {**params, **meta}, "x_angstrom,y_angstrom,z_angstrom",
-               _grid_rows(iso, iso.heights))
+               _rows(iso.heights, grid=iso))
 
 
 def write_sweep_csv(path, curve: SweepCurve, params: dict) -> None:
@@ -362,8 +361,9 @@ def write_pgm(path, values: np.ndarray, params: dict) -> None:
     lines.extend(echo_lines("pgm", {**params, "pgm_min": lo, "pgm_max": hi}))
     lines.append(f"{nx} {ny}")
     lines.append(str(PGM_MAXVAL))
-    for iy in range(ny - 1, -1, -1):
-        lines.append(" ".join(map(str, gray[iy].tolist())))
+    # North-up rows, filled into one %-template, whose %d are str's bytes.
+    template = "\n".join([" ".join(["%d"] * nx)] * ny)
+    lines.append(template % tuple(gray[::-1].ravel().tolist()))
     _write_lines(path, lines)
 
 
@@ -416,6 +416,8 @@ def load_config(path, schema: dict) -> dict:
     ValueError, so a typo cannot silently fall back to a default; the
     CLI casts each value by its flag's type.
     """
+    import configparser
+
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     with open(path, encoding="utf-8") as fh:
         parser.read_file(fh, source=str(path))

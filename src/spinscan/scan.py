@@ -18,7 +18,6 @@ quantum-mechanically as an exactness oracle for the mean-field sum.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -476,12 +475,9 @@ def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
 
 
 def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
-    """(b_stray, b_ex), each (nx ny, 3) or None if the mode does not read
-    it, by exact FFT convolution; None, for the dense sum, as _lattice_images.
-    The outputs come first, so the heap is reused rather than fragmented."""
-    n = grid.nx * grid.ny
-    b_stray, b_ex = (np.empty((n, 3)) if read else None
-                     for read in (cfg.include_dipolar, cfg.include_exchange))
+    """(nx ny, 3) energy vectors g mu_B B_stray + b_ex (ueV) of the sample,
+    each channel only if cfg.mode reads it and without b_ext, by exact FFT
+    convolution; None, for the dense sum, as _lattice_images."""
     found = _lattice_images(grid, tex, cfg.height, cfg.exchange_prefactor, cfg.mode,
                             (0, 1, 2))
     if found is None:
@@ -491,42 +487,41 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
 
     # Convolve, transforming one kernel image at a time and freeing it;
     # pixel (iy, ix) reads the circular convolution at (iy+my-1, ix+mx-1),
-    # which the padding keeps free of wrap-around.
+    # which the padding keeps free of wrap-around.  e is linear in both
+    # channels, so the stray-tensor spectra, scaled by g mu_B, and the J
+    # spectrum add into one accumulator per axis of e.
     spins = np.zeros((3, my, mx))
     spins[:, iy.astype(int), ix.astype(int)] = tex.spin_vectors.T
-    spin_hat = [np.fft.rfft2(s, shape) for s in spins]
-    valid = (slice(my - 1, my - 1 + grid.ny), slice(mx - 1, mx - 1 + grid.nx))
+    spin_hat = np.fft.rfft2(spins, shape)
+    acc = np.zeros_like(spin_hat)
 
     def spectrum(key):
         return np.fft.rfft2(images.pop(key).reshape(kernel.ny, kernel.nx), shape)
 
-    def to_pixels(spectra, out):
-        for a, s in enumerate(spectra):
-            out.reshape(grid.ny, grid.nx, 3)[..., a] = np.fft.irfft2(s, shape)[valid]
-
-    if b_ex is not None:
-        j_hat = spectrum("j")
-        to_pixels((j_hat * s for s in spin_hat), b_ex)
-        del j_hat
-    acc = [np.zeros_like(spin_hat[0]) for _ in range(3 * (b_stray is not None))]
-    for a, b in list(images):
+    for a, b in [key for key in images if key != "j"]:
         t_hat = spectrum((a, b))
         acc[a] += t_hat * spin_hat[b]
         if a != b:
             acc[b] += t_hat * spin_hat[a]
-    to_pixels(acc, b_stray)  # no spectra, and b_stray None, without stray
-    return b_stray, b_ex
+    acc *= cfg.probe.g * CONSTANTS.mu_b
+    if "j" in images:
+        acc += spectrum("j") * spin_hat
+    # irfft2's two passes by hand, the second (along x) over only the rows
+    # that pixels read: the bits of irfft2(acc, shape)[valid].
+    rows = np.fft.ifft(acc, axis=1)[:, my - 1 : my - 1 + grid.ny]
+    e_vec = np.fft.irfft(rows, shape[1], axis=2)[..., mx - 1 : mx - 1 + grid.nx]
+    return e_vec.reshape(3, -1).T
 
 
 def _energy_vectors(b_stray, b_ex, cfg: ScanConfig) -> np.ndarray:
-    """(p, 3) energy vectors e (ueV) of the probe Hamiltonians
-    D (Sz^2 - 2/3) + e . S from per-tip field sums under cfg.mode: the
-    Zeeman and exchange terms are both vector contractions with S."""
-    b_eff = np.asarray(cfg.b_ext, dtype=float)[None, :] + (
-        b_stray if cfg.include_dipolar else 0.0
-    )
+    """(p, 3) energy vectors e = g mu_B (b_ext + b_stray) + b_ex (ueV) of
+    the probe Hamiltonians D (Sz^2 - 2/3) + e . S, each field sum None
+    when cfg.mode does not read it: the Zeeman and exchange terms are both
+    vector contractions with S.  The FFT path's sample energy vectors come
+    in as b_ex, so b_ext is added here in every mode on both paths."""
+    b_eff = np.asarray(cfg.b_ext, dtype=float) + (0.0 if b_stray is None else b_stray)
     e_vec = cfg.probe.g * CONSTANTS.mu_b * b_eff
-    return e_vec + b_ex if cfg.include_exchange else e_vec
+    return e_vec if b_ex is None else e_vec + b_ex
 
 
 def _batch_hamiltonians(
@@ -565,7 +560,8 @@ def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "ry
 
 def probe_hamiltonian_at(tip_pos, tex: SpinTexture, cfg: ScanConfig) -> np.ndarray:
     """3x3 probe Hamiltonian (ueV) at one tip position under cfg.mode."""
-    b_stray, b_ex, r_min = _batch_effective_fields(_tip(tip_pos), tex, cfg.exchange_prefactor)
+    b_stray, b_ex, r_min = _batch_effective_fields(_tip(tip_pos), tex,
+                                                   cfg.exchange_prefactor, cfg.mode)
     _check_exchange_range(r_min, stacklevel=2)
     return _batch_hamiltonians(b_stray, b_ex, cfg)[0]
 
@@ -585,8 +581,8 @@ def scan_constant_height(
 ) -> ResonanceMap:
     """Raster the tip at fixed height and record both resonance branches.
 
-    Fields come from one exact FFT convolution when the sites sit on the
-    pixel lattice (_lattice_fields), else from dense sums per row chunk;
+    Energy vectors come from one exact FFT convolution when the sites sit
+    on the pixel lattice (_lattice_fields), else from dense sums per row chunk;
     chunks fill disjoint slices on a thread pool, so the output is
     bit-identical for any worker count.  J below its validity range
     warns once, at the closest tip-site pair.
@@ -594,17 +590,16 @@ def scan_constant_height(
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     n = grid.nx * grid.ny
     f_minus, f_plus = np.empty(n), np.empty(n)
-    fields = _lattice_fields(grid, tex, cfg)
-    tips = grid.tips(cfg.height) if fields is None else None
+    e_sample = _lattice_fields(grid, tex, cfg)
+    tips = grid.tips(cfg.height) if e_sample is None else None
 
     def run_chunk(block):
         """Fill the block's branches; return its closest tip-site distance."""
-        if fields is None:
+        if e_sample is None:
             f_minus[block], f_plus[block], r_min = _branches(cfg, tex, tips[block])
             return r_min
-        b_stray, b_ex = (None if b is None else b[block] for b in fields)
         f_minus[block], f_plus[block] = _field_resonances(
-            _energy_vectors(b_stray, b_ex, cfg), cfg.probe.d_zfs
+            _energy_vectors(None, e_sample[block], cfg), cfg.probe.d_zfs
         )
         return np.inf  # the FFT path applies only 2 A or more above the sites
 
@@ -614,6 +609,8 @@ def scan_constant_height(
     if workers == 1:
         r_min = min(map(run_chunk, blocks))
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             r_min = min(pool.map(run_chunk, blocks))
     _check_exchange_range(r_min, stacklevel=2)

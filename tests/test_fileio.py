@@ -9,7 +9,6 @@ import pytest
 from spinscan.fileio import (
     MapParseError,
     TextureParseError,
-    _grid_rows,
     _rows,
     load_config,
     load_map_csv,
@@ -179,7 +178,7 @@ def test_map_csv_has_no_timestamps(tmp_path):
 
 
 def test_grid_rows_match_per_value_format(tmp_path):
-    # A data row is one %-format of the whole row; its bytes must be those
+    # A CSV body is one %-format of the whole file; its bytes must be those
     # of formatting each value on its own, edge values included.  The sweep
     # and spectrum writers format their rows the same way.
     rng = np.random.default_rng(5)
@@ -194,8 +193,8 @@ def test_grid_rows_match_per_value_format(tmp_path):
 
     grid = Grid(-0.1, 2.0 / 3.0, 0.3, values.size, 1)
     columns = (grid.tips(0.0)[:, 0], grid.tips(0.0)[:, 1], values, values[::-1])
-    assert _grid_rows(grid, values, values[::-1]) == per_value(
-        *(c.tolist() for c in columns))
+    assert _rows(values, values[::-1], grid=grid) == "\n".join(per_value(
+        *(c.tolist() for c in columns)))
 
     curve = SweepCurve(values, values[::-1], -values, values * 0.5, np.roll(values, 7),
                        crossover_r=None)
@@ -237,7 +236,7 @@ def test_grid_rows_match_per_pixel_coordinates(origin, step, size, n_columns, na
     if nan:
         columns[0][rng.random(size[::-1]) < 0.5] = np.nan
     tips = grid.tips(0.0)
-    assert _grid_rows(grid, *columns) == _rows(tips[:, 0], tips[:, 1], *columns)
+    assert _rows(*columns, grid=grid) == _rows(tips[:, 0], tips[:, 1], *columns)
 
 
 def test_pgm_north_up(tmp_path):
@@ -256,6 +255,19 @@ def test_pgm_north_up(tmp_path):
     pixels = np.array(tokens[4:], dtype=int).reshape(ny, nx)
     assert pixels[0, 0] == 65535  # north-up: max-y row first
     assert pixels[2, 0] == 0
+
+
+def test_pgm_rows_match_per_value_format(tmp_path):
+    # The PGM body is one %-format of the whole image; its bytes must be
+    # those of str on each gray level, north-up.  Levels 0 and 65535 pin
+    # the normalization, so each value is its own gray level.
+    rng = np.random.default_rng(7)
+    gray = rng.integers(0, 65536, (5, 7))
+    gray.flat[[0, 1]] = 0, 65535
+    path = tmp_path / "m.pgm"
+    write_pgm(path, gray.astype(float), {})
+    rows = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")][3:]
+    assert rows == [" ".join(str(v) for v in row) for row in gray[::-1].tolist()]
 
 
 def test_pgm_constant_field(tmp_path):

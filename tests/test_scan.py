@@ -6,6 +6,7 @@ closed-form field sums and a 9-level exact pair diagonalization.
 """
 
 import contextlib
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -431,11 +432,15 @@ def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
     assert np.array_equal(skipped[0], full[0])
     assert skipped[2] == full[2]
     # In a scan, dense or FFT, no stray field reaches the resonances, and
-    # the map's f+- are the bits the stray sums would have given, had they
-    # been summed and ignored.
+    # the map's f+- are the bits of the exchange sums the scan passed on:
+    # the dense walk's b_ex to the bit, or the FFT path's sample energy
+    # vectors, which match it within 1e-13 of the exchange scale (a g mu_B
+    # B_stray leaked into them would be far larger).
     cfg = ScanConfig(height=4.0, mode="exchange", step=0.6)
     tips = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step).tips(cfg.height)
-    b_stray, b_ex, _ = _batch_effective_fields(tips, tilted_neel, "rydberg")
+    b_ex = _batch_effective_fields(tips, tilted_neel, "rydberg")[1]
+    top = _batch_effective_fields(tilted_neel.positions + (0.0, 0.0, cfg.height),
+                                  tilted_neel, "rydberg")[1]
     given = []  # (b_stray, b_ex) of each chunk, in row order with one worker
 
     def energy_vectors(*fields_and_cfg):
@@ -444,17 +449,18 @@ def test_exchange_mode_skips_stray_sums(monkeypatch, tilted_neel, mixed_tips):
 
     monkeypatch.setattr(scan, "_energy_vectors", energy_vectors)
     dense = mock.patch.object(scan, "_lattice_fields", return_value=None)
-    for path in (contextlib.nullcontext(), dense):
+    for path, bound in ((contextlib.nullcontext(), 1e-13 * np.max(np.abs(top))),
+                        (dense, 0.0)):
         given.clear()
         with path:
             rmap = scan_constant_height(cfg, tilted_neel)
         assert given and all(bs is None for bs, _ in given)
         scan_b_ex = np.concatenate([bx for _, bx in given])
+        assert np.max(np.abs(scan_b_ex - b_ex)) <= bound
         f_minus, f_plus = _field_resonances(
-            _energy_vectors(b_stray, scan_b_ex, cfg), cfg.probe.d_zfs)
+            _energy_vectors(None, scan_b_ex, cfg), cfg.probe.d_zfs)
         assert np.array_equal(rmap.f_minus.ravel(), f_minus)
         assert np.array_equal(rmap.f_plus.ravel(), f_plus)
-    assert np.array_equal(scan_b_ex, b_ex)
 
 
 def test_walks_build_only_the_planes_their_mode_reads(monkeypatch, tilted_neel,
@@ -521,21 +527,57 @@ def test_fft_fields_match_dense_sum(a, multiple, frac, start, size, height, mode
     # Steps a whole fraction of the lattice constant, pixels offset from
     # the sites by any sub-step fraction, windows on, around and off the
     # lattice.  The FFT's rounding is spread evenly over the image, so the
-    # scale is each channel's largest value over the sites: a window in a
-    # Neel texture's cancelling tail may hold only far smaller fields.
+    # scale is each channel's largest value over the sites, g mu_B times
+    # the stray field's: a window in a Neel texture's cancelling tail may
+    # hold only far smaller fields.  Both channels add their bounds.
     step = a / multiple
     tex = _tilted_texture(build_lattice("square", a, 5, 4))
     grid = Grid((start[0] + frac[0]) * step, (start[1] + frac[1]) * step, step, *size)
     cfg = ScanConfig(height=height, step=step, mode=mode)
     got = scan._lattice_fields(grid, tex, cfg)
     assert got is not None
-    want = _batch_effective_fields(grid.tips(height), tex, "rydberg")[:2]
+    g_mu_b = cfg.probe.g * CONSTANTS.mu_b
+    read = (cfg.include_dipolar, cfg.include_exchange)
+    fields = _batch_effective_fields(grid.tips(height), tex, "rydberg")[:2]
+    want = sum(w * f for w, f, r in zip((g_mu_b, 1.0), fields, read) if r)
     scale = _batch_effective_fields(tex.positions + (0.0, 0.0, height), tex, "rydberg")
-    assert (got[0] is None) == (mode == "exchange")
-    assert (got[1] is None) == (mode == "dipolar")
-    for g, w, top in zip(got, want, scale[:2], strict=True):
-        if g is not None:
-            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(top))
+    bound = sum(w * np.max(np.abs(top)) for w, top, r in zip((g_mu_b, 1.0), scale, read) if r)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * bound
+
+
+_FFT_CALLS = ("rfft2", "rfftn", "fft2", "fftn", "irfft2", "irfftn", "ifft2", "ifftn",
+              "rfft", "fft", "irfft", "ifft")
+
+
+@pytest.mark.parametrize("mode, images", [("exchange", 1), ("dipolar", 6), ("both", 7)])
+def test_fft_map_takes_three_inverse_transforms(monkeypatch, tilted_neel, mode, images):
+    # e is linear in both channels, so every mode adds its spectra into one
+    # accumulator per axis: forward, the 3 spin planes and one per kernel
+    # image the mode reads; inverse, 3, whose x pass covers only the
+    # grid.ny rows that pixels read.  Each call is counted once, top level,
+    # by the 2-D planes it transforms (a 1-D ifft is a 2-D inverse's first
+    # pass).
+    calls = []
+    for name in _FFT_CALLS:
+        def spy(a, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, spy)
+    cfg = ScanConfig(height=4.0, x_range=(-3.0, 15.0), y_range=(-1.5, 9.0), step=0.75,
+                     mode=mode)
+    scan_constant_height(cfg, tilted_neel)
+    grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
+
+    def planes(*names):
+        return sum(math.prod(shape[:-2]) for name, shape in calls if name in names)
+
+    assert planes("rfft2", "rfftn", "fft2", "fftn") == 3 + images
+    assert planes("irfft2", "irfftn", "ifft2", "ifftn", "ifft") == 3
+    assert sum(math.prod(shape[:-1]) for name, shape in calls if name == "irfft") == (
+        3 * grid.ny)
+    assert not planes("rfft", "fft")
 
 
 def _off_lattice_cases(fm_5x5):
@@ -678,12 +720,16 @@ def test_map_indexing_matches_pointwise(fm_5x5):
 
 
 def _map_cases(fm_5x5, neel_5x5, tilted_neel):
-    """(texture, b_ext) by name: FM, Neel and tilted Neel, and FM in a field."""
+    """(texture, b_ext, mode) by name: FM, Neel and tilted Neel, and FM in
+    a field, in every mode."""
+    b_ext = (0.2, -0.1, 0.35)
     return {
-        "FM": (fm_5x5, (0.0, 0.0, 0.0)),
-        "Neel": (neel_5x5, (0.0, 0.0, 0.0)),
-        "tilted": (tilted_neel, (0.0, 0.0, 0.0)),
-        "b_ext": (fm_5x5, (0.2, -0.1, 0.35)),
+        "FM": (fm_5x5, (0.0, 0.0, 0.0), "both"),
+        "Neel": (neel_5x5, (0.0, 0.0, 0.0), "both"),
+        "tilted": (tilted_neel, (0.0, 0.0, 0.0), "both"),
+        "b_ext": (fm_5x5, b_ext, "both"),
+        "b_ext-exchange": (fm_5x5, b_ext, "exchange"),
+        "b_ext-dipolar": (fm_5x5, b_ext, "dipolar"),
     }
 
 
@@ -691,25 +737,33 @@ def _map_cases(fm_5x5, neel_5x5, tilted_neel):
     (h, p) for h in (1.5, 2.5, 4.0, 8.0, 20.0, 100.0) for p in ("dense", "fft")
     if h >= 2.0 or p == "dense"  # the FFT path applies 2 A or more above the sites
 ])
-@pytest.mark.parametrize("case", ["FM", "Neel", "tilted", "b_ext"])
+@pytest.mark.parametrize("case", ["FM", "Neel", "tilted", "b_ext", "b_ext-exchange",
+                                  "b_ext-dipolar"])
 def test_map_resonances_match_eigh(fm_5x5, neel_5x5, tilted_neel, case, height, path):
     # The scan's closed-form resonances against eigh on the same fields:
-    # the FFT path's or, for the dense path, the blocked sum's at each tip.
-    tex, b_ext = _map_cases(fm_5x5, neel_5x5, tilted_neel)[case]
+    # the FFT path's sample energy vectors or, for the dense path, the
+    # blocked sum's at each tip, of the channels the mode reads.  The
+    # oracle adds b_ext's Zeeman term itself, so a mode that dropped it
+    # would fail.
+    tex, b_ext, mode = _map_cases(fm_5x5, neel_5x5, tilted_neel)[case]
     cfg = ScanConfig(height=height, x_range=(-3.0, 15.0), y_range=(-3.0, 15.0), step=0.75,
-                     mode="both", b_ext=b_ext)
+                     mode=mode, b_ext=b_ext)
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
-    fields = scan._lattice_fields(grid, tex, cfg)
-    assert (fields is None) == (height < 2.0)
+    e_sample = scan._lattice_fields(grid, tex, cfg)
+    assert (e_sample is None) == (height < 2.0)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # J below 2 A at 1.5 A
         if path == "dense":
-            fields = _batch_effective_fields(grid.tips(height), tex, "rydberg")[:2]
+            fields = _batch_effective_fields(grid.tips(height), tex, "rydberg", mode)[:2]
             with mock.patch.object(scan, "_lattice_fields", return_value=None):
                 rmap = scan_constant_height(cfg, tex)
         else:
+            fields = (None, e_sample)
             rmap = scan_constant_height(cfg, tex)
-    f_minus, f_plus = _batch_resonances(_batch_hamiltonians(*fields, cfg))
+    zeeman = zeeman_hamiltonian(cfg.probe.g, b_ext, spin_operators(1.0))
+    zero_field = dataclasses.replace(cfg, b_ext=(0.0, 0.0, 0.0))
+    h = _batch_hamiltonians(*fields, zero_field) + zeeman
+    f_minus, f_plus = _batch_resonances(h)
     scale = np.maximum(f_plus, cfg.probe.d_zfs / H_GHZ)
     assert np.max(np.abs(rmap.f_minus.ravel() - f_minus) / scale) <= 1e-12
     assert np.max(np.abs(rmap.f_plus.ravel() - f_plus) / scale) <= 1e-12
