@@ -26,6 +26,7 @@ from .scan import (
     _CONVENTIONS,
     _MODES,
     _PREFACTORS,
+    ResonanceMap,
     ScanConfig,
     _check_height,
     _check_lateral,
@@ -276,17 +277,14 @@ def cmd_sweep(args) -> int:
 
 def cmd_scan(args) -> int:
     tex = fileio.load_texture(args.texture)
-    cfg = _probe_config(args, height=args.height, **_grid(args, tex),
-                        resonance_convention=args.resonance_convention)
+    cfg = _probe_config(args, height=args.height, **_grid(args, tex))
     spec_cfg = _spectrum_config(args) if args.measure else None
     rmap = scan_constant_height(cfg, tex, workers=args.workers)
     params = {**_raster_params(args, cfg), "height_angstrom": cfg.height}
     fileio.write_map_csv(args.out, rmap, params)
     print(f"wrote {args.out} ({rmap.nx} x {rmap.ny} pixels)")
     if args.pgm:
-        fileio.write_pgm(
-            args.pgm, rmap.signal(cfg.resonance_convention), params
-        )
+        fileio.write_pgm(args.pgm, rmap.signal(args.resonance_convention), params)
         print(f"wrote {args.pgm}")
 
     if args.measure:
@@ -333,8 +331,9 @@ def cmd_spectrum(args) -> int:
     if args.resonances is not None:
         if len(args.resonances) not in (1, 2):
             raise ValueError("--resonances takes one or two frequencies in GHz")
-        values = sorted(args.resonances)  # unlike min and max, keeps a NaN's place
-        pair = ResonancePair(values[0], values[-1])
+        if not np.all(np.isfinite(args.resonances)):
+            raise ValueError(f"--resonances must be finite, got {args.resonances} GHz")
+        pair = ResonancePair(min(args.resonances), max(args.resonances))
     elif args.texture is not None:
         if args.tip is None:
             raise ValueError("--tip x,y,z is required with --texture")
@@ -564,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
          help="tip height in angstrom")
     _grid_args(p)
     _probe_args(p)
-    _global_arg(p, "resonance_convention", _default(ScanConfig, "resonance_convention"))
+    _global_arg(p, "resonance_convention", _default(ResonanceMap.signal, "convention"))
     _readout_args(p, config_only=True)
     _arg(p, "--workers", "scan.workers", _default(scan_constant_height, "workers"),
          type=int, help="parallel row workers")
@@ -638,9 +637,6 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

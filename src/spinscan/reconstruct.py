@@ -143,11 +143,11 @@ def build_forward(
     if found is None:
         buf = np.empty((tex.n_sites, n_pixels))
 
-        def fill_block(rows, dx, dy, dz, d2, j, pref, tmp):
+        def fill_block(rows, d, d2, j, pref, tmp):
             # Bz of a unit z-moment, as in the kernel images, into tmp[1];
             # tmp[0] is _unit_spin_stray's scratch, then shift's output.
             if pref is not None:
-                _unit_spin_stray((dx, dy, dz), d2, pref, 2, tmp[0], {2: tmp[1]})
+                _unit_spin_stray(d, d2, pref, 2, tmp[0], {2: tmp[1]})
             buf[:, rows] = shift(j, None if pref is None else tmp[1], tmp[0]).T
 
         r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, mode,

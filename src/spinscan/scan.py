@@ -106,7 +106,6 @@ class ScanConfig:
     b_ext: tuple = (0.0, 0.0, 0.0)
     probe: ProbeSpec = field(default_factory=ProbeSpec)
     exchange_prefactor: str = "rydberg"
-    resonance_convention: str = "transition"
 
     def __post_init__(self):
         values = (self.height, self.step, *self.x_range, *self.y_range, *self.b_ext)
@@ -131,19 +130,6 @@ class ScanConfig:
                 f"exchange_prefactor must be one of {_PREFACTORS}, "
                 f"got {self.exchange_prefactor!r}"
             )
-        if self.resonance_convention not in _CONVENTIONS:
-            raise ValueError(
-                f"resonance_convention must be one of {_CONVENTIONS}, "
-                f"got {self.resonance_convention!r}"
-            )
-
-    @property
-    def include_dipolar(self) -> bool:
-        return self.mode in ("dipolar", "both")
-
-    @property
-    def include_exchange(self) -> bool:
-        return self.mode in ("exchange", "both")
 
 
 def _check_height(height: float, name: str) -> None:
@@ -307,16 +293,17 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mod
                 visit, scratch: int):
     """Walk the (tip, site) pairs in row blocks of tips.
 
-    tips: (p, 3) angstrom.  Calls visit(rows, dx, dy, dz, d2, j, pref, tmp)
-    per block: rows is the block's slice of tips, the rest are
-    C-contiguous (rows, sites) planes of the tip-site displacement, its
-    squared length d2, J(r) in ueV and the dipolar prefactor
+    tips: (p, 3) angstrom.  Calls visit(rows, d, d2, j, pref, tmp) per
+    block: rows is the block's slice of tips, d the (3, rows, sites)
+    tip-site displacement, the rest C-contiguous (rows, sites) planes of
+    its squared length d2, J(r) in ueV and the dipolar prefactor
     pref = -g C / r^3 (tesla per unit spin), each None unless mode
     ("dipolar", "exchange" or "both") reads it, and tmp, a list of
-    `scratch` free planes for the visitor.  The planes are allocated once
-    per call and written in place, so they are valid only during a visit.
-    A block's working set, its five planes (dx, dy, dz, d2 and r), j and
-    pref as the mode reads them and the visitor's, fits _BLOCK_BYTES.
+    `scratch` free planes for the visitor.  The planes, one (count, rows,
+    sites) array, are allocated once per call and written in place, so
+    they are valid only during a visit.  A block's working set, its five
+    planes (d's three, d2 and r), j and pref as the mode reads them and
+    the visitor's, fits _BLOCK_BYTES.
     After the last block it rejects tips within the minimum distance of
     any site, naming the closest pair, and returns the closest tip-site
     distance for the caller's validity-range check, made once per public
@@ -326,8 +313,8 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mod
     reads_j, reads_pref = mode != "dipolar", mode != "exchange"
     count = 5 + reads_j + reads_pref + scratch
     rows = max(1, _BLOCK_BYTES // (8 * count * n))
-    planes = [np.empty((min(rows, len(tips)), n)) for _ in range(count)]
-    sites = tex.positions.T.copy()
+    planes = np.empty((count, min(rows, len(tips)), n))
+    sites = tex.positions.T[:, None, :].copy()
     stray_pref = -tex.g * CONSTANTS.stray_prefactor_per_mu_b
     # Closest (distance, tip, site) so far; ties keep the first pair in
     # row-major order.
@@ -335,15 +322,15 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mod
 
     for start in range(0, tips.shape[0], rows):
         t = tips[start : start + rows]
-        dx, dy, dz, d2, dist, *tmp = (p[: len(t)] for p in planes)
+        block = planes[:, : len(t)]
+        d, (d2, dist, *tmp) = block[:3], block[3:]
         pref = tmp.pop() if reads_pref else None
         j = tmp.pop() if reads_j else None
-        for d, c, s in zip((dx, dy, dz), t.T, sites):
-            np.subtract(c[:, None], s, out=d)
-        # d2 = (dx dx + dy dy) + dz dz, with dist as the scratch plane.
-        np.multiply(dx, dx, out=d2)
-        d2 += np.multiply(dy, dy, out=dist)
-        d2 += np.multiply(dz, dz, out=dist)
+        np.subtract(t.T[:, :, None], sites, out=d)
+        # d2 = (d_x d_x + d_y d_y) + d_z d_z, with dist as the scratch plane.
+        np.multiply(d[0], d[0], out=d2)
+        d2 += np.multiply(d[1], d[1], out=dist)
+        d2 += np.multiply(d[2], d[2], out=dist)
         np.sqrt(d2, out=dist)
         k = int(np.argmin(dist))
         if dist.flat[k] < nearest[0]:
@@ -355,7 +342,7 @@ def _walk_pairs(tips: np.ndarray, tex: SpinTexture, exchange_prefactor: str, mod
             np.divide(stray_pref, np.multiply(d2, dist, out=pref), out=pref)
         if reads_j:
             _exchange_formula(dist, exchange_prefactor, out=j)  # overwrites dist
-        visit(slice(start, start + rows), dx, dy, dz, d2, j, pref, tmp)
+        visit(slice(start, start + rows), d, d2, j, pref, tmp)
 
     r_min, p, i = nearest
     if r_min < _MIN_TIP_SITE_DISTANCE:
@@ -383,7 +370,7 @@ def _batch_effective_fields(
     b_stray = None if mode == "exchange" else np.empty((tips.shape[0], 3))
     b_ex = None if mode == "dipolar" else np.empty((tips.shape[0], 3))
 
-    def add_block(rows, dx, dy, dz, d2, j, pref, tmp):
+    def add_block(rows, d, d2, j, pref, tmp):
         if j is not None:
             np.einsum("ij,aj->ia", j, spins, out=b_ex[rows])
         if pref is not None:
@@ -391,14 +378,14 @@ def _batch_effective_fields(
             # tip-site displacement.  np.sum adds q d: einsum would split a
             # block of one row into pieces over more than 8,192 sites.
             t, q = tmp
-            np.multiply(dx, spins[0], out=q)
-            q += np.multiply(dy, spins[1], out=t)
-            q += np.multiply(dz, spins[2], out=t)
+            np.multiply(d[0], spins[0], out=q)
+            q += np.multiply(d[1], spins[1], out=t)
+            q += np.multiply(d[2], spins[2], out=t)
             q *= np.multiply(pref, 3.0, out=t)
             q /= d2
             b = np.einsum("ij,aj->ia", pref, spins, out=b_stray[rows])
-            for a, d in enumerate((dx, dy, dz)):
-                b[:, a] = np.multiply(q, d, out=t).sum(axis=1) - b[:, a]
+            for a, plane in enumerate(d):
+                b[:, a] = np.multiply(q, plane, out=t).sum(axis=1) - b[:, a]
 
     r_min = _walk_pairs(tips, tex, exchange_prefactor, mode, add_block,
                         0 if mode == "exchange" else 2)
@@ -463,11 +450,11 @@ def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
     columns = {key: image[:, None] for key, image in images.items()}
     site = SpinTexture([[*corner, pos[0, 2]]], [[0.0, 0.0, 1.0]], 1.0, tex.g)
 
-    def fill(rows, dx, dy, dz, d2, j, pref, tmp):
+    def fill(rows, d, d2, j, pref, tmp):
         if j is not None:
             columns["j"][rows] = j
         for b in axes if pref is not None else ():
-            _unit_spin_stray((dx, dy, dz), d2, pref, b, tmp[0],
+            _unit_spin_stray(d, d2, pref, b, tmp[0],
                              {a: columns[a, b][rows] for a in range(b, 3)})
 
     _walk_pairs(tips, site, prefactor, mode, fill, int(mode != "exchange"))

@@ -231,6 +231,8 @@ def _poisson_counts(means: np.ndarray, seed: int, streams,
 def synthesize(resonances: ResonancePair, cfg: SpectrumConfig) -> Spectrum:
     """Synthesize the readout spectrum of a resonance pair over cfg's window."""
     centers = [resonances.f_minus, resonances.f_plus]
+    if not np.all(np.isfinite(centers)):
+        raise ValueError(f"resonances must be finite, got ({centers[0]}, {centers[1]}) GHz")
     inside = [c for c in centers if cfg.f_start <= c <= cfg.f_stop]
     if not inside and cfg.contrast > 0:
         warnings.warn(
@@ -288,26 +290,13 @@ def _initial_guess(
             picked.append(min(counts.size - 1, picked[-1] + exclusion))
         centers = [float(freqs[i]) for i in picked]
         widths = [5.0 * f_step] * n_peaks
-    return _start_alpha(freqs, centers, widths)
-
-
-def _start_alpha(freqs, centers, widths, work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Start vectors (..., 2k) of windows (..., n) from peak guesses:
-    centers (..., k), sorted, and widths broadcast against them; the steps
-    between points go to the flat float64 array work when given."""
-    centers = np.sort(np.asarray(centers, dtype=float), axis=-1)
-    if centers.shape[-1] > 1:
-        shape = freqs[..., 1:].shape
-        steps = np.empty(shape) if work is None else work[: np.prod(shape)].reshape(shape)
-        np.subtract(freqs[..., 1:], freqs[..., :-1], out=steps)
-        f_step = np.median(steps, axis=-1, overwrite_input=True)
     # Overlapping starts make the Jacobian rank-deficient; spread them by
     # one frequency step.
-    for k in range(1, centers.shape[-1]):
-        close = centers[..., k] - centers[..., k - 1] < 0.5 * f_step
-        centers[..., k] = np.where(close, centers[..., k - 1] + f_step, centers[..., k])
-    widths = np.broadcast_to(widths, centers.shape)
-    return np.stack([centers, widths], axis=-1).reshape(centers.shape[:-1] + (-1,))
+    centers = np.sort(np.asarray(centers, dtype=float))
+    for k in range(1, n_peaks):
+        if centers[k] - centers[k - 1] < 0.5 * f_step:
+            centers[k] = centers[k - 1] + f_step
+    return np.column_stack([centers, np.broadcast_to(widths, n_peaks)]).ravel()
 
 
 def fit_lorentzians(
@@ -529,7 +518,10 @@ def _fit_windows(f_start: np.ndarray, n_points: int, truth: np.ndarray,
             freqs, counts = freqs[ok], counts[ok]
         if not cfg.noiseless:
             _poisson_counts(counts, cfg.seed, streams[ok], out=counts)
-        alpha = _start_alpha(freqs, guesses[ok], cfg.linewidth_fwhm, work[2 * size :])
+        # The guesses are sorted, and a joint window's two lie more than
+        # f_step apart, so no start needs _initial_guess's spread.
+        alpha = np.repeat(guesses[ok], 2, axis=1)
+        alpha[:, 1::2] = cfg.linewidth_fwhm
         alpha, _, cost = _fit_block(freqs, counts, alpha, work[2 * size :])[:3]
         fitted = np.isfinite(cost)
         centers[ok] = np.where(fitted[:, None], np.sort(alpha[:, 0::2], axis=1), np.nan)

@@ -127,6 +127,24 @@ def test_scan_pgm_is_valid_p2(workdir):
     assert pixels.min() == 0 and pixels.max() == 65535
 
 
+def test_scan_pgm_splitting_convention(workdir):
+    # The PGM scales f_plus - f_minus, so its echoed range is the range
+    # of the splitting in the CSV, to the CSV's 9 digits.
+    r = run_cli("scan", "--texture", "t.spintex", "--height", 4, "--step", 0.75,
+                "--convention", "splitting", "--out", "split.csv", "--pgm", "split.pgm",
+                cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    rows = [ln for ln in (workdir / "split.csv").read_text().splitlines()[1:]
+            if ln[0] not in "#x"]
+    _, _, f_minus, f_plus = np.array([ln.split(",") for ln in rows], dtype=float).T
+    echo = dict(ln[2:].split(" = ") for ln in (workdir / "split.pgm").read_text().splitlines()
+                if ln.startswith("# ") and " = " in ln)
+    splitting = f_plus - f_minus
+    for key, want in (("pgm_min", splitting.min()), ("pgm_max", splitting.max())):
+        assert abs(float(echo[key]) - want) <= 1e-8 * f_plus.max(), key
+    assert echo["resonance_convention"] == "splitting"
+
+
 def test_scan_missing_texture_is_input_error(workdir):
     r = run_cli("scan", "--texture", "nope.spintex", "--out", "x.csv", cwd=workdir)
     assert r.returncode == 3

@@ -114,6 +114,10 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
      "must be finite"),
     (["spectrum", "--resonances", "3.4", "--linewidth", "nan"], None, "must be finite"),
     (["spectrum", "--resonances", "3.4,nan"], None, "must be finite"),
+    # Before the window is built from them or warns about them.
+    (["spectrum", "--resonances", "nan"], None, "--resonances must be finite"),
+    (["spectrum", "--resonances", "nan", "--fstart", "2", "--fstop", "4"], None,
+     "--resonances must be finite"),
     (["spectrum", "--resonances", "3.4", "--contrast", "0.6"], None,
      "negative mean counts"),
     # Sample spins that are not finite and non-negative, and g that is not finite.
@@ -149,7 +153,8 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
 ], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
         "isoscan-nan", "isoscan-inf", "sweep-inf", "sweep-rmin", "sweep-rmax", "texture-far",
         "measure-nan-linewidth",
-        "spectrum-nan-linewidth", "spectrum-nan-resonance", "spectrum-negative-mean",
+        "spectrum-nan-linewidth", "spectrum-nan-resonance", "spectrum-nan-only",
+        "spectrum-nan-in-window", "spectrum-negative-mean",
         "sweep-nan-spin-mag", "sweep-inf-spin-mag", "sweep-negative-spin-mag",
         "texture-nan-spin-mag", "texture-nan-sample-g", "spectrum-tiny-linewidth",
         "texture-inf-dir", "isoscan-inf-probe-g", "isoscan-inf-d-zfs",

@@ -315,9 +315,9 @@ def test_a_walk_holds_its_block_budget(monkeypatch, mode, n_cells):
     walk = scan._walk_pairs
 
     def spy(tips, tex, prefactor, mode, visit, scratch):
-        def recorded(block, dx, *planes):
-            rows.append(len(dx))
-            visit(block, dx, *planes)
+        def recorded(block, d, *planes):
+            rows.append(d.shape[1])
+            visit(block, d, *planes)
 
         return walk(tips, tex, prefactor, mode, recorded, scratch)
 
@@ -473,9 +473,9 @@ def test_walks_build_only_the_planes_their_mode_reads(monkeypatch, tilted_neel,
     walk = scan._walk_pairs
 
     def spy(tips, tex, prefactor, mode, visit, scratch):
-        def recorded(rows, dx, dy, dz, d2, j, pref, tmp):
+        def recorded(rows, d, d2, j, pref, tmp):
             seen.add((mode, j is None, pref is None))
-            visit(rows, dx, dy, dz, d2, j, pref, tmp)
+            visit(rows, d, d2, j, pref, tmp)
 
         return walk(tips, tex, prefactor, mode, recorded, scratch)
 
@@ -537,7 +537,7 @@ def test_fft_fields_match_dense_sum(a, multiple, frac, start, size, height, mode
     got = scan._lattice_fields(grid, tex, cfg)
     assert got is not None
     g_mu_b = cfg.probe.g * CONSTANTS.mu_b
-    read = (cfg.include_dipolar, cfg.include_exchange)
+    read = (mode != "exchange", mode != "dipolar")
     fields = _batch_effective_fields(grid.tips(height), tex, "rydberg")[:2]
     want = sum(w * f for w, f, r in zip((g_mu_b, 1.0), fields, read) if r)
     scale = _batch_effective_fields(tex.positions + (0.0, 0.0, height), tex, "rydberg")
@@ -798,6 +798,50 @@ def test_symmetric_texture_symmetric_map(fm_5x5):
     assert np.allclose(rmap.f_plus, rmap.f_plus[:, ::-1], atol=1e-9)
 
 
+@pytest.fixture(scope="module")
+def random_dirs():
+    """Sites of a 10x10 square lattice (a = 3 A) and random unit spins."""
+    dirs = np.random.default_rng(24).normal(size=(100, 3))
+    return build_lattice("square", 3.0, 10, 10).positions, dirs / np.linalg.norm(
+        dirs, axis=1, keepdims=True)
+
+
+def _fft_and_dense(positions, dirs, mode, x_range, y_range=(-3.0, 30.0)):
+    """The FFT map and the dense map of a texture at 4 A and 0.5 A steps."""
+    tex = SpinTexture(positions, dirs, 0.5, 2.0)
+    cfg = ScanConfig(height=4.0, x_range=x_range, y_range=y_range, step=0.5, mode=mode)
+    assert scan._lattice_fields(Grid.from_ranges(x_range, y_range, 0.5), tex, cfg) is not None
+    with mock.patch.object(scan, "_lattice_fields", return_value=None):
+        return scan_constant_height(cfg, tex), scan_constant_height(cfg, tex)
+
+
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+def test_spin_reversal_keeps_both_branches(random_dirs, mode):
+    # Time reversal maps H(e) to H(-e), which has the same spectrum.  With
+    # b_ext = 0 every energy vector changes sign exactly, on both paths.
+    pos, dirs = random_dirs
+    forward, reversed_ = (_fft_and_dense(pos, s * dirs, mode, (-3.0, 30.0)) for s in (1, -1))
+    for a, b in zip(forward, reversed_):
+        assert np.array_equal(a.f_minus, b.f_minus)
+        assert np.array_equal(a.f_plus, b.f_plus)
+
+
+@pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
+def test_quarter_turn_rotates_the_map(random_dirs, mode):
+    # (x, y) -> (-y, x) of the sites, the spins and the square window moves
+    # pixel (iy, ix) to (ix, ny-1-iy).  The dense sums see the displacements
+    # with x and y swapped and one sign flipped, so they keep their bits;
+    # the FFT's rounding is spread over the image.
+    pos, dirs = random_dirs
+    turn = lambda v: v[:, [1, 0, 2]] * (-1.0, 1.0, 1.0)  # noqa: E731
+    fft, dense = _fft_and_dense(pos, dirs, mode, (-3.0, 30.0))
+    fft_turned, dense_turned = _fft_and_dense(turn(pos), turn(dirs), mode, (-30.0, 3.0))
+    for name in ("f_minus", "f_plus"):
+        assert np.array_equal(getattr(dense_turned, name), getattr(dense, name).T[:, ::-1])
+        err = np.abs(getattr(fft_turned, name) - getattr(fft, name).T[:, ::-1])
+        assert np.max(err) <= 2e-15 * np.max(fft.f_plus)
+
+
 def test_signal_conventions(fm_5x5):
     cfg = ScanConfig(height=4.0, step=3.0)
     rmap = scan_constant_height(cfg, fm_5x5)
@@ -816,8 +860,6 @@ def test_scan_config_validation():
         ScanConfig(step=0.0)
     with pytest.raises(ValueError):
         ScanConfig(mode="telepathic")
-    with pytest.raises(ValueError):
-        ScanConfig(resonance_convention="bogus")
     with pytest.raises(ValueError):
         ScanConfig(x_range=(5.0, 1.0))
     with pytest.raises(ValueError):

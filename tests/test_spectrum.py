@@ -184,6 +184,15 @@ def test_synthesize_names_negative_mean_counts(noiseless):
         synthesize(ResonancePair(3.4, 3.4), cfg)
 
 
+@pytest.mark.parametrize("pair", [(np.nan, np.nan), (3.4, np.inf), (-np.inf, 3.4)])
+def test_synthesize_refuses_non_finite_resonances(pair):
+    # Refused before the window test, which would warn that they lie
+    # outside it (warnings are errors in this suite).
+    cfg = SpectrumConfig(f_start=2.0, f_stop=4.0)
+    with pytest.raises(ValueError, match="resonances must be finite"):
+        synthesize(ResonancePair(*pair), cfg)
+
+
 def test_spectrum_validation():
     with pytest.raises(ValueError):
         Spectrum(frequencies=np.array([1.0, 1.0]), counts=np.array([1.0, 1.0]))
@@ -669,7 +678,7 @@ def _lm_centers(freqs, counts, guesses):
 def _vp_centers(freqs, counts, guesses):
     if np.any(counts < 0):
         raise ValueError("negative mean counts")
-    alpha = spectrum._start_alpha(freqs, [g[0] for g in guesses], [g[1] for g in guesses])
+    alpha = np.ravel([g[:2] for g in guesses])  # sorted centres, > f_step apart
     alpha, _, cost = _vp_fit(freqs, counts, alpha)[:3]
     return np.sort(alpha[0::2]) if np.isfinite(cost) else np.full(len(guesses), np.nan)
 
@@ -808,7 +817,9 @@ def _block_inputs(windows, cfg):
     means = spectrum._mean_curve(freqs, windows["truth"], cfg)
     counts = np.array([_fresh_poisson(m, cfg.seed, s)
                        for m, s in zip(means, windows["streams"])])
-    return freqs, counts, spectrum._start_alpha(freqs, windows["guesses"], cfg.linewidth_fwhm)
+    alpha = np.repeat(windows["guesses"], 2, axis=1)
+    alpha[:, 1::2] = cfg.linewidth_fwhm
+    return freqs, counts, alpha
 
 
 def test_poisson_draws_match_a_fresh_generator_per_window(window_block):
