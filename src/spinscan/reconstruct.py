@@ -22,7 +22,7 @@ import warnings
 import numpy as np
 
 from .constants import CONSTANTS
-from .scan import (_MAX_KERNEL_BYTES, _MODES, Grid, _check_height, _lattice_images,
+from .scan import (_MAX_KERNEL_BYTES, _MODES, Grid, _check_height, _lattice_offsets,
                    _unit_spin_stray, _walk_pairs)
 from .spincore import _check_exchange_range
 from .texture import SpinTexture
@@ -110,10 +110,12 @@ def build_forward(
     The texture provides geometry and the sample g; it must be collinear
     along z for the shift to be linear in m_z.
 
-    On the pixel lattice (scan._lattice_images) column i is a window of one
-    kernel image.  The dense pair walk, the oracle, fills A for sites at
+    On the pixel lattice (scan._lattice_offsets) one pair walk writes the
+    image of a unit z-moment at the corner site over the grid of pixel-site
+    offsets, and column i is a window of it.  Otherwise the walk, the
+    gather's oracle, writes every site's row over the pixels: for sites at
     several z, tips under 2 A above them, offsets not whole steps
-    (honeycomb, triangular) or images over budget.  A is the read-only
+    (honeycomb, triangular) or an image over budget.  A is the read-only
     transpose of a (sites, pixels) buffer: QR leaves copy its row segments.
     """
     _check_collinear(tex)
@@ -130,35 +132,30 @@ def build_forward(
             "step or a smaller range"
         )
     zeeman = g_probe * CONSTANTS.mu_b
+    # The gather walks the corner site over the offset grid and holds one
+    # image row and its three tip planes; else every site walks the pixels.
+    found = _lattice_offsets(grid, tex, float(height), 4)
+    ix, iy, kernel, _, sites = found or (None, None, grid, None, tex)
+    buf = np.empty((sites.n_sites, kernel.nx * kernel.ny))
 
-    def shift(j, bz, out):
-        """out = the channels the mode reads added onto zero: J/h, then
-        g mu_B Bz/h; bz is overwritten."""
-        np.divide(0.0 if j is None else j, CONSTANTS.h_planck, out=out)
-        if bz is not None:
-            out += np.divide(np.multiply(bz, zeeman, out=bz), CONSTANTS.h_planck, out=bz)
-        return out
+    def fill_block(rows, d, d2, j, pref, tmp):
+        # tmp[0] = J/h + g mu_B Bz/h, each term only if the mode reads it,
+        # with Bz of a unit z-moment in tmp[1] (tmp[0] is its scratch).
+        if pref is not None:
+            _unit_spin_stray(d, d2, pref, 2, tmp[0], {2: tmp[1]})
+        np.divide(0.0 if j is None else j, CONSTANTS.h_planck, out=tmp[0])
+        if pref is not None:
+            bz = np.multiply(tmp[1], zeeman, out=tmp[1])
+            tmp[0] += np.divide(bz, CONSTANTS.h_planck, out=bz)
+        buf[:, rows] = tmp[0].T
 
-    found = _lattice_images(grid, tex, float(height), exchange_prefactor, mode, (2,))
-    if found is None:
-        buf = np.empty((tex.n_sites, n_pixels))
-
-        def fill_block(rows, d, d2, j, pref, tmp):
-            # Bz of a unit z-moment, as in the kernel images, into tmp[1];
-            # tmp[0] is _unit_spin_stray's scratch, then shift's output.
-            if pref is not None:
-                _unit_spin_stray(d, d2, pref, 2, tmp[0], {2: tmp[1]})
-            buf[:, rows] = shift(j, None if pref is None else tmp[1], tmp[0]).T
-
-        r_min = _walk_pairs(grid.tips(float(height)), tex, exchange_prefactor, mode,
-                            fill_block, 1 if mode == "exchange" else 2)
-        _check_exchange_range(r_min, stacklevel=2)
-    else:
+    r_min = _walk_pairs(kernel.tips(float(height)), sites, exchange_prefactor, mode,
+                        fill_block, 1 if mode == "exchange" else 2)
+    _check_exchange_range(r_min, stacklevel=2)
+    if found is not None:
         # Site i's window starts at (my-1-iy, mx-1-ix) of the offset grid.
-        ix, iy, kernel, _, images = found
-        image = shift(images.get("j"), images.get((2, 2)), np.empty(kernel.nx * kernel.ny))
         windows = np.lib.stride_tricks.sliding_window_view(
-            image.reshape(kernel.ny, kernel.nx), (grid.ny, grid.nx))
+            buf.reshape(kernel.ny, kernel.nx), (grid.ny, grid.nx))
         buf = windows[kernel.ny - grid.ny - iy.astype(int),
                       kernel.nx - grid.nx - ix.astype(int)]
 

@@ -6,7 +6,7 @@ the summed exchange field (an energy vector in ueV contracting J(r_i)
 with each classical spin vector).  Scans read each pixel's resonances
 from its 3x3 probe Hamiltonian in closed form (spincore._field_resonances;
 numpy's eigh, the path of probe_resonances, is its oracle).
-On the pixel lattice (_lattice_images) constant-height scans convolve
+On the pixel lattice (_lattice_offsets) constant-height scans convolve
 kernel images by FFT and build_forward gathers a window of one image per
 site; the dense blocked sum, used otherwise, is both paths' oracle.  One
 pair walk of the corner site writes J and the images' unit-spin fields.
@@ -27,6 +27,7 @@ from .constants import CONSTANTS
 from .spincore import (
     ProbeSpec,
     ResonancePair,
+    _SPIN1,
     _check_exchange_range,
     _exchange_formula,
     _field_resonances,
@@ -73,7 +74,7 @@ _MAX_PIXELS = 1_000_000
 _MAX_SWEEP_POINTS = 1_000_000
 
 # Largest working set (bytes) of one interaction kernel, checked before
-# allocating: _lattice_images' images and spectra, or build_forward's kernel.
+# allocating: _lattice_fields' images and spectra, or build_forward's kernel.
 _MAX_KERNEL_BYTES = 1 << 26
 
 # Largest |b_ext| (tesla) a scan accepts: g mu_B B stays finite, about
@@ -90,8 +91,6 @@ _ISO_FREQ_TOL_GHZ = 1e-3   # 1 MHz stop of the iso-frequency root finder
 _ISO_MAX_ITER = 100
 _ISO_STRIDE = 4  # coarse pass of iso scans: every 4th pixel of each axis
 _ISO_OVERSHOOT = 0.02  # fine iso steps overshoot their predicted root: best measured of 0-10%
-
-_SPIN1 = spin_operators(1.0)
 
 
 @dataclass(frozen=True)
@@ -405,19 +404,14 @@ def _unit_spin_stray(d, d2, pref, b, q, out):
             plane -= pref
 
 
-def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
-                    mode: str, axes: tuple):
-    """(ix, iy, kernel, shape, images): each site's whole-step offsets
-    (float) from the corner site, the Grid of pixel-site offsets, its
-    padded FFT shape, and the images over it of one site at the corner:
-    "j", J (ueV), unless mode is dipolar, and unless it is exchange (a, b),
-    B_a of a unit spin along b (_unit_spin_stray), for b in axes and
-    a >= b.  One _walk_pairs pass over the one site writes every image, J
-    once, in blocks of _BLOCK_BYTES // 64 tips or more (at most eight
-    planes).  None, for the dense sum, unless all sites lie at one z at
-    least 2 A (J's validity bound, so no distance check can fire) below
-    the tips, their x and y differ by whole steps up to the rounding of
-    the coordinates, and the padded planes fit _MAX_KERNEL_BYTES."""
+def _lattice_offsets(grid: Grid, tex: SpinTexture, height: float, planes: int):
+    """(ix, iy, kernel, shape, site): each site's whole-step offsets (float)
+    from the corner site, the Grid of pixel-site offsets, its padded FFT
+    shape and a unit +z spin at the corner site to walk over the offsets.
+    None, for the dense sum, unless all sites lie at one z at least 2 A
+    (J's validity bound, so no distance check can fire) below the tips,
+    their x and y differ by whole steps up to the rounding of the
+    coordinates, and `planes` padded planes fit _MAX_KERNEL_BYTES."""
     pos = tex.positions
     if np.any(pos[:, 2] != pos[0, 2]) or not height - pos[0, 2] >= 2.0:
         return None
@@ -433,44 +427,44 @@ def _lattice_images(grid: Grid, tex: SpinTexture, height: float, prefactor: str,
     kernel = Grid(grid.x0 - grid.step * (mx - 1), grid.y0 - grid.step * (my - 1),
                   grid.step, grid.nx + mx - 1, grid.ny + my - 1)
     # Pad each axis to the next 2^i 3^j 5^k: numpy has no next_fast_len, and
-    # its FFTs run several times faster there than at nearby primes.  The
-    # budget counts the FFT's 7 kernel images, 3 tip coordinates and 8 half
-    # spectra; a gather holds fewer planes besides its kernel.
+    # its FFTs run several times faster there than at nearby primes.
     shape = tuple(min(q << (-(-n // q) - 1).bit_length() for q in _FFT_ODD if q < 2 * n)
                   for n in (kernel.ny, kernel.nx))
-    if 18 * 8 * shape[0] * shape[1] > _MAX_KERNEL_BYTES:
+    if planes * 8 * shape[0] * shape[1] > _MAX_KERNEL_BYTES:
         return None
-
-    # Images are allocated up front, so the heap is reused, not fragmented;
-    # the walk over the corner site fills their (tips, 1) column views.
-    tips = kernel.tips(height)
-    keys = (["j"] * (mode != "dipolar")
-            + [(a, b) for b in axes for a in range(b, 3)] * (mode != "exchange"))
-    images = {key: np.empty(len(tips)) for key in keys}
-    columns = {key: image[:, None] for key, image in images.items()}
     site = SpinTexture([[*corner, pos[0, 2]]], [[0.0, 0.0, 1.0]], 1.0, tex.g)
-
-    def fill(rows, d, d2, j, pref, tmp):
-        if j is not None:
-            columns["j"][rows] = j
-        for b in axes if pref is not None else ():
-            _unit_spin_stray(d, d2, pref, b, tmp[0],
-                             {a: columns[a, b][rows] for a in range(b, 3)})
-
-    _walk_pairs(tips, site, prefactor, mode, fill, int(mode != "exchange"))
-    return *index, kernel, shape, images
+    return *index, kernel, shape, site
 
 
 def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
     """(nx ny, 3) energy vectors g mu_B B_stray + b_ex (ueV) of the sample,
     each channel only if cfg.mode reads it and without b_ext, by exact FFT
-    convolution; None, for the dense sum, as _lattice_images."""
-    found = _lattice_images(grid, tex, cfg.height, cfg.exchange_prefactor, cfg.mode,
-                            (0, 1, 2))
+    convolution; None, for the dense sum, as _lattice_offsets."""
+    found = _lattice_offsets(grid, tex, cfg.height, 18)  # 7 images, 3 tip planes, 8 spectra
     if found is None:
         return None
-    ix, iy, kernel, shape, images = found
+    ix, iy, kernel, shape, site = found
     my, mx = kernel.ny - grid.ny + 1, kernel.nx - grid.nx + 1
+
+    # Images of one site at the corner: "j", J (ueV), unless the mode is
+    # dipolar, and unless it is exchange (a, b), B_a of a unit spin along b
+    # (_unit_spin_stray), a >= b.  They are allocated up front, so the heap
+    # is reused; one walk over the site fills them through (rows, 1) views,
+    # J once, in blocks of _BLOCK_BYTES // 64 tips or more (at most eight planes).
+    tips = kernel.tips(cfg.height)
+    keys = (["j"] * (cfg.mode != "dipolar")
+            + [(a, b) for b in range(3) for a in range(b, 3)] * (cfg.mode != "exchange"))
+    images = {key: np.empty(len(tips)) for key in keys}
+
+    def fill(rows, d, d2, j, pref, tmp):
+        if j is not None:
+            images["j"][rows, None] = j
+        for b in range(3) if pref is not None else ():
+            _unit_spin_stray(d, d2, pref, b, tmp[0],
+                             {a: images[a, b][rows, None] for a in range(b, 3)})
+
+    _walk_pairs(tips, site, cfg.exchange_prefactor, cfg.mode, fill, int(cfg.mode != "exchange"))
+    del tips  # before the spectra are allocated
 
     # Convolve, transforming one kernel image at a time and freeing it;
     # pixel (iy, ix) reads the circular convolution at (iy+my-1, ix+mx-1),
@@ -703,17 +697,17 @@ def scan_iso_frequency(
         heights[pixels[active]] = 0.5 * (ends[0, active] + ends[1, active])
 
     # Coarse pixel indices along y and x.
-    axes = [np.unique(np.r_[0:m:_ISO_STRIDE, m - 1]) for m in (grid.ny, grid.nx)]
+    ticks = [np.unique(np.r_[0:m:_ISO_STRIDE, m - 1]) for m in (grid.ny, grid.nx)]
     coarse = np.zeros((grid.ny, grid.nx), dtype=bool)
-    coarse[np.ix_(*axes)] = True
+    coarse[np.ix_(*ticks)] = True
     solve(np.flatnonzero(coarse), (z_min, z_max))
     fine = np.flatnonzero(~coarse)
 
     # Bilinear interpolant of the coarse heights and slopes, one axis at a
     # time: pixel i lies at fraction t of its coarse cell (c[k], c[k1]), and
     # a corner of weight 0, NaN or not, drops out.
-    start = np.stack([heights, slopes]).reshape(2, grid.ny, grid.nx)[np.ix_([0, 1], *axes)]
-    for axis, (m, c) in enumerate(zip((grid.ny, grid.nx), axes), start=1):
+    start = np.stack([heights, slopes]).reshape(2, grid.ny, grid.nx)[np.ix_([0, 1], *ticks)]
+    for axis, (m, c) in enumerate(zip((grid.ny, grid.nx), ticks), start=1):
         i = np.arange(m)
         k = np.minimum(i // _ISO_STRIDE, max(len(c) - 2, 0))
         k1 = np.minimum(k + 1, len(c) - 1)

@@ -290,13 +290,14 @@ def _initial_guess(
             picked.append(min(counts.size - 1, picked[-1] + exclusion))
         centers = [float(freqs[i]) for i in picked]
         widths = [5.0 * f_step] * n_peaks
-    # Overlapping starts make the Jacobian rank-deficient; spread them by
-    # one frequency step.
-    centers = np.sort(np.asarray(centers, dtype=float))
+    # Starts go in centre order, each width with its centre.  Overlapping
+    # ones make the Jacobian rank-deficient; spread them by one step.
+    order = np.argsort(centers, kind="stable")
+    centers = np.asarray(centers, dtype=float)[order]
     for k in range(1, n_peaks):
         if centers[k] - centers[k - 1] < 0.5 * f_step:
             centers[k] = centers[k - 1] + f_step
-    return np.column_stack([centers, np.broadcast_to(widths, n_peaks)]).ravel()
+    return np.column_stack([centers, np.asarray(widths, dtype=float)[order]]).ravel()
 
 
 def fit_lorentzians(

@@ -10,7 +10,7 @@ angstrom, frequencies in GHz.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class ProbeSpec:
 
     d_zfs: float = 14.4
     g: float = CONSTANTS.g_e_default
-    s: float = field(default=1.0, init=False)
 
     def __post_init__(self):
         if not 0.0 < self.d_zfs <= _MAX_ZFS_UEV:
@@ -105,11 +104,12 @@ def spin_operators(s: float) -> SpinOperatorSet:
     return SpinOperatorSet(sx=sx, sy=sy, sz=sz)
 
 
+_SPIN1 = spin_operators(1.0)
+
+
 def zfs_hamiltonian(probe: ProbeSpec) -> np.ndarray:
-    """Zero-field splitting term D (Sz^2 - S(S+1)/3) for the spin-1 probe, ueV."""
-    ops = spin_operators(probe.s)
-    casimir = probe.s * (probe.s + 1.0)
-    return probe.d_zfs * (ops.sz @ ops.sz - (casimir / 3.0) * np.eye(ops.dim))
+    """Zero-field splitting term D (Sz^2 - S(S+1)/3) of the spin-1 probe, ueV."""
+    return probe.d_zfs * (_SPIN1.sz @ _SPIN1.sz - (2.0 / 3.0) * np.eye(3))
 
 
 def zeeman_hamiltonian(g: float, b_field, ops: SpinOperatorSet) -> np.ndarray:

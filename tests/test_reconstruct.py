@@ -97,7 +97,17 @@ def test_forward_matches_dense_oracle(neel_5x5, mode, height):
 
 def _dense_path():
     """Force build_forward onto the dense pair walk."""
-    return mock.patch.object(reconstruct, "_lattice_images", return_value=None)
+    return mock.patch.object(reconstruct, "_lattice_offsets", return_value=None)
+
+
+def _walk_spy():
+    """Spy on build_forward's pair walk; see _walked."""
+    return mock.patch.object(reconstruct, "_walk_pairs", wraps=reconstruct._walk_pairs)
+
+
+def _walked(walk):
+    """(tips, sites) of each pair walk the spy saw."""
+    return [(len(call.args[0]), call.args[1].n_sites) for call in walk.call_args_list]
 
 
 @pytest.mark.parametrize("height", [3.0, 12.0])
@@ -139,9 +149,11 @@ def test_forward_gather_matches_dense_oracle(a, multiple, signs, frac, start, si
     step = a / multiple
     x0, y0 = ((s + f) * step for s, f in zip(start, frac))
     grid = Grid(x0, y0, step, *size)
-    with mock.patch.object(reconstruct, "_walk_pairs",
-                           side_effect=AssertionError("took the dense walk")):
+    with _walk_spy() as walk:
         fwd = build_forward(tex, grid.x_range, grid.y_range, step, height, mode)
+    # The gather walks one site over the (ny+my-1) x (nx+mx-1) offset grid.
+    mx, my = np.round(np.ptp(tex.positions[:, :2], axis=0) / step).astype(int) + 1
+    assert _walked(walk) == [((size[0] + mx - 1) * (size[1] + my - 1), 1)]
     tips = grid.tips(height)
     want = _dense_forward(tex, tips, mode)
     # One ulp of r moves J(r) by about (2r/a_B + 2.5) u relative.  Far off
@@ -163,40 +175,52 @@ def _off_lattice_textures(fm_5x5):
     lifted = fm_5x5.positions.copy()
     lifted[7, 2] = 0.5
     honeycomb = apply_pattern(build_lattice("honeycomb", 3.0, 4, 4), "AFM-Neel")
+    far = np.array([[0.0, 0.0, 0.0], [3000.0, 3000.0, 0.0]])
     return [
         ("honeycomb", honeycomb, 4.0),
         ("nudged", SpinTexture(nudged, fm_5x5.spin_dirs, 0.5, 2.0), 4.0),
         ("two heights", SpinTexture(lifted, fm_5x5.spin_dirs, 0.5, 2.0), 4.0),
         ("close", fm_5x5, 1.5),
-        ("over budget", fm_5x5, 4.0),
+        ("over budget", SpinTexture(far, [[0.0, 0.0, 1.0]] * 2, 0.5, 2.0), 4.0),
     ]
 
 
 @pytest.mark.parametrize("case", range(5))
-def test_forward_falls_back_to_the_dense_walk(fm_5x5, monkeypatch, case):
-    # Off the pixel lattice, or with the image over budget, the dense walk
-    # runs and no kernel image is built; the gather runs for the control.
-    # The dense walk is reconstruct's _walk_pairs, the image walk scan's.
+def test_forward_falls_back_to_the_dense_walk(fm_5x5, case):
+    # Off the pixel lattice, or with the image over budget (the far pair's
+    # offset grid is about 4,000 pixels a side), the walk takes every site
+    # over the 17x17 pixels; for the control it takes one site over the
+    # 33x33 offset grid.
     name, tex, height = _off_lattice_textures(fm_5x5)[case]
-    calls = []
-    for module, key in ((reconstruct, "dense"), (scan, "image")):
-        real = module._walk_pairs
-        monkeypatch.setattr(module, "_walk_pairs", lambda *args, real=real, key=key:
-                            calls.append(key) or real(*args))
-    build_forward(fm_5x5, height=4.0, mode="both", **GRID)
-    assert "dense" not in calls and "image" in calls
-    calls.clear()
-    if name == "over budget":
-        # The 17x17 x 25 kernel fits exactly; its 33x33 offset grid does not.
-        for module in (scan, reconstruct):
-            monkeypatch.setattr(module, "_MAX_KERNEL_BYTES", 8 * 17 * 17 * 25)
-    with warnings.catch_warnings():
+    with _walk_spy() as walk:
+        build_forward(fm_5x5, height=4.0, mode="both", **GRID)
+    assert _walked(walk) == [(33 * 33, 1)]
+    with warnings.catch_warnings(), _walk_spy() as walk:
         warnings.simplefilter("ignore", UserWarning)  # J below 2 A at 1.5 A
         fwd = build_forward(tex, height=height, mode="both", **GRID)
         with _dense_path():
             dense = build_forward(tex, height=height, mode="both", **GRID)
-    assert calls == ["dense", "dense"], name
+    assert _walked(walk) == [(17 * 17, tex.n_sites)] * 2, name
     assert np.array_equal(fwd.a, dense.a), name
+
+
+def test_forward_gathers_where_the_fft_map_is_over_budget(fm_5x5, monkeypatch):
+    # The gather counts one image row and its three tip planes, the FFT map
+    # 18 planes.  At a budget between the two, which the 17x17 x 25 kernel
+    # fits exactly, build_forward gathers over the 33x33 offset grid (36x36
+    # padded), while the scan of the same texture and grid takes the dense
+    # sum: every site over the pixels, in row chunks.
+    for module in (scan, reconstruct):
+        monkeypatch.setattr(module, "_MAX_KERNEL_BYTES", 8 * 17 * 17 * 25)
+    assert 4 * 8 * 36 * 36 < 8 * 17 * 17 * 25 < 18 * 8 * 36 * 36
+    with _walk_spy() as walk:
+        build_forward(fm_5x5, height=4.0, mode="both", **GRID)
+    assert _walked(walk) == [(33 * 33, 1)]
+    with mock.patch.object(scan, "_walk_pairs", wraps=scan._walk_pairs) as walk:
+        scan_constant_height(ScanConfig(height=4.0, mode="both", **GRID), fm_5x5)
+    walked = _walked(walk)
+    assert sum(tips for tips, _ in walked) == 17 * 17
+    assert {sites for _, sites in walked} == {25}
 
 
 def test_forward_rejects_transverse_texture():

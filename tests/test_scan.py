@@ -625,14 +625,17 @@ def test_fft_path_falls_back_to_the_dense_sum(fm_5x5, case):
 @pytest.mark.parametrize("mode", ["exchange", "dipolar", "both"])
 @pytest.mark.parametrize("prefactor", ["rydberg", "hartree"])
 def test_lattice_images_match_unit_spin_field_sums(monkeypatch, axes, mode, prefactor):
-    # Each image is, to the bit, the field sum of one unit spin along b at
-    # the corner site: J for "j", B_a for (a, b).  Blocks of 37 to 49 tips,
-    # by mode, so several blocks run and the last one is short.
+    # Each kernel image is, to the bit, a field sum of one unit spin along b
+    # at the corner site over the offset grid: B_a for (a, b), J for "j".
+    # The scan transforms B_a for b in axes (0, 1, 2) and a >= b, then J;
+    # build_forward takes windows of J/h + g mu_B B_z/h for b = 2.  Blocks
+    # of 32 to 49 tips, by mode and path, so several blocks run and the
+    # last one is short.
     monkeypatch.setattr(scan, "_BLOCK_BYTES", 64 * 37)
     tex = SpinTexture(build_lattice("square", 3.0, 4, 3).positions + (1.5, -2.25, 0.5),
-                      [[0.36, -0.48, 0.8]] * 12, 0.5, 2.3)
+                      [[0.0, 0.0, 1.0]] * 12, 0.5, 2.3)  # build_forward takes +/-z only
     grid = Grid(-0.6 * 0.75, 0.3 * 0.75, 0.75, 12, 9)
-    ix, iy, kernel, _, images = scan._lattice_images(grid, tex, 3.1, prefactor, mode, axes)
+    ix, iy, kernel, _, _ = scan._lattice_offsets(grid, tex, 3.1, 18)
     corner = [tex.positions[np.argmin(ix), 0], tex.positions[np.argmin(iy), 1], 0.5]
     tips = kernel.tips(3.1)
     assert len(tips) > 10 * 37
@@ -640,12 +643,35 @@ def test_lattice_images_match_unit_spin_field_sums(monkeypatch, axes, mode, pref
     for b in axes:
         unit = SpinTexture([corner], [np.eye(3)[b]], 1.0, tex.g)
         b_stray, b_ex, _ = _batch_effective_fields(tips, unit, prefactor, mode)
-        if b_ex is not None:
-            want["j"] = b_ex[:, b]
         for a in range(b, 3) if b_stray is not None else ():
             want[a, b] = b_stray[:, a]
-    assert images.keys() == want.keys()
-    for key, image in images.items():
+    if b_ex is not None:
+        want["j"] = b_ex[:, b]
+    images = []
+
+    def record(real):
+        def recorded(image, *args):
+            if image.ndim == 2:  # not the scan's three spin planes
+                images.append(image.ravel().copy())
+            return real(image, *args)
+
+        return recorded
+
+    if axes == (2,):
+        window = np.lib.stride_tricks.sliding_window_view
+        monkeypatch.setattr(np.lib.stride_tricks, "sliding_window_view", record(window))
+        build_forward(tex, grid.x_range, grid.y_range, grid.step, 3.1, mode, prefactor)
+        shift = np.divide(want.get("j", 0.0), CONSTANTS.h_planck)
+        if mode != "exchange":
+            zeeman = CONSTANTS.g_e_default * CONSTANTS.mu_b
+            shift = shift + np.multiply(want[2, 2], zeeman) / CONSTANTS.h_planck
+        want = {"shift": shift}
+    else:
+        monkeypatch.setattr(np.fft, "rfft2", record(np.fft.rfft2))
+        cfg = ScanConfig(height=3.1, step=0.75, mode=mode, exchange_prefactor=prefactor)
+        scan._lattice_fields(grid, tex, cfg)
+    assert len(images) == len(want)
+    for key, image in zip(want, images):
         assert np.array_equal(image, want[key]), key
 
 

@@ -586,6 +586,12 @@ def test_fit_argument_validation():
 _ONE_GHZ = SpectrumConfig(f_start=3.0, f_stop=4.0, seed=2)
 
 
+def test_initial_guess_sorts_each_width_with_its_centre():
+    spec = synthesize(ResonancePair(F0, F0), _ONE_GHZ)
+    alpha = spectrum._initial_guess(spec, 2, [(3.7, 0.3, 0.1), (3.3, 0.05, 0.1)])
+    assert alpha.tolist() == [3.3, 0.05, 3.7, 0.3]
+
+
 @pytest.mark.parametrize("center, fwhm", [
     (F0, 0.0), (F0, 1e-100), (F0, 0.0019), (F0, -0.0019),  # under 0.1 steps
     (F0, 1e100), (F0, -1e100), (F0, 2001.0),               # over 100,000 steps
