@@ -21,7 +21,8 @@ import numpy as np
 
 from .scan import _MODES, Grid, IsoScanMap, ResonanceMap, SweepCurve
 from .spectrum import FitResult, Spectrum
-from .texture import _LATTICES, _MAX_HEIGHT, _MAX_LATERAL, SpinTexture
+from .spincore import _MAX_G
+from .texture import _LATTICES, _MAX_HEIGHT, _MAX_LATERAL, _MAX_SPIN_MAG, SpinTexture
 
 __all__ = [
     "TextureParseError",
@@ -60,15 +61,16 @@ _MAP_HEADER = {
     "map_mode": (str, lambda v: v in _MODES),
 }
 
-# Header of a spintex file in save_texture's order, in the same shape.  A
-# custom texture is written with a = 0 and nx = ny = 0.
+# Header of a spintex file in save_texture's order, in the same shape,
+# with SpinTexture's bounds on the spin magnitude and g.  A custom texture
+# is written with a = 0 and nx = ny = 0.
 _TEXTURE_HEADER = {
     "lattice": (str, lambda v: v in (*_LATTICES, "custom")),
     "a_angstrom": (float, lambda v: 0.0 <= v < math.inf),
     "nx": (int, lambda v: v >= 0),
     "ny": (int, lambda v: v >= 0),
-    "spin_magnitude": (float, lambda v: 0.0 <= v < math.inf),
-    "g_factor": (float, math.isfinite),
+    "spin_magnitude": (float, lambda v: 0.0 <= v <= _MAX_SPIN_MAG),
+    "g_factor": (float, lambda v: abs(v) <= _MAX_G),
 }
 
 

@@ -24,7 +24,7 @@ import numpy as np
 from .constants import CONSTANTS
 from .scan import (_MAX_KERNEL_BYTES, _MODES, Grid, _check_height, _lattice_offsets,
                    _unit_spin_stray, _walk_pairs)
-from .spincore import _check_exchange_range
+from .spincore import ProbeSpec, _check_exchange_range
 from .texture import SpinTexture
 
 __all__ = [
@@ -115,11 +115,13 @@ def build_forward(
     offsets, and column i is a window of it.  Otherwise the walk, the
     gather's oracle, writes every site's row over the pixels: for sites at
     several z, tips under 2 A above them, offsets not whole steps
-    (honeycomb, triangular) or an image over budget.  A is the read-only
-    transpose of a (sites, pixels) buffer: QR leaves copy its row segments.
+    (honeycomb, triangular) or more offsets than a quarter of the (pixel,
+    site) pairs.  A is the read-only transpose of a (sites, pixels) buffer:
+    QR leaves copy its row segments.
     """
     _check_collinear(tex)
     _check_height(height, "height")
+    ProbeSpec(g=g_probe)  # refuses a g past spincore._MAX_G
     if mode not in _MODES:
         raise ValueError(f"unknown forward mode {mode!r}")
 
@@ -132,10 +134,13 @@ def build_forward(
             "step or a smaller range"
         )
     zeeman = g_probe * CONSTANTS.mu_b
-    # The gather walks the corner site over the offset grid and holds one
-    # image row and its three tip planes; else every site walks the pixels.
-    found = _lattice_offsets(grid, tex, float(height), 4)
-    ix, iy, kernel, _, sites = found or (None, None, grid, None, tex)
+    # The gather walks the corner site over the offset grid, holding one image
+    # row and its three tip planes, only where those fit in the kernel's bytes:
+    # the budget above bounds both walks, and the gather walks 1/4 the pairs or less.
+    found = _lattice_offsets(grid, tex, float(height))
+    ix, iy, kernel, sites = found or (None, None, grid, tex)
+    if 4 * kernel.nx * kernel.ny > n_pixels * tex.n_sites:
+        found, kernel, sites = None, grid, tex
     buf = np.empty((sites.n_sites, kernel.nx * kernel.ny))
 
     def fill_block(rows, d, d2, j, pref, tmp):
@@ -173,12 +178,11 @@ def _factor(a: np.ndarray):
 
 def _project(a: np.ndarray, y: np.ndarray):
     """(s, V^T, c = U^T y, norm of y outside the range of U) for kernel a.
-    A tall kernel with cond <= _GRAM_COND takes A^T A = V diag(s^2) V^T,
-    accurate to cond^2 u (Yamamoto et al., ETNA 44, 306, 2015): c = V^T
-    A^T y / s, outside norm ||y - A V (c / s)||.  Lower bounds on cond
-    refuse it first: that of its first 8 columns (any columns' cond is at
-    most A's), then a Cholesky of A^T A that fails or whose diagonal ratio
-    passes the gate.  Other tall kernels go QR first (Golub & Van Loan,
+    A tall kernel with cond <= _GRAM_COND, read off the eigenvalues of A^T A,
+    takes A^T A = V diag(s^2) V^T, accurate to cond^2 u (Yamamoto et al.,
+    ETNA 44, 306, 2015): c = V^T A^T y / s, outside norm ||y - A V (c /
+    s)||.  The cond of its first 8 columns, a lower bound on A's, refuses
+    it before A^T A is formed.  Other tall kernels go QR first (Golub & Van Loan,
     Matrix Computations, 5.4) by a one-level tree QR of [A | y] (Demmel,
     Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34, A206, 2012),
     backward stable like one Householder QR (Mori, Yamamoto & Zhang, Japan
@@ -195,20 +199,13 @@ def _project(a: np.ndarray, y: np.ndarray):
         c = u.T @ y
         return s, vt, c, float(np.linalg.norm(y - u @ c))
     e = np.linalg.eigvalsh(a[:, :8].T @ a[:, :8])
-    g = d = None
     if 0.0 < e[0] and e[-1] <= _GRAM_COND ** 2 * e[0]:
-        g = a.T @ a
-        try:
-            d = np.diagonal(np.linalg.cholesky(g))
-        except np.linalg.LinAlgError:
-            pass
-    if d is not None and d.max() <= _GRAM_COND * d.min():
-        e, v = np.linalg.eigh(g)
-        if e[-1] <= _GRAM_COND ** 2 * e[0]:
+        e, v = np.linalg.eigh(a.T @ a)
+        if 0.0 < e[0] and e[-1] <= _GRAM_COND ** 2 * e[0]:
             s, vt = np.sqrt(e[::-1]), v[:, ::-1].T
             c = (vt @ (a.T @ y)) / s
             return s, vt, c, float(np.linalg.norm(y - a @ (vt.T @ (c / s))))
-    del g, d
+        del e, v  # before the tree's leaves
     n_leaves = -(-8 * m * (n + 1) // _LEAF_BYTES)
     rows = -(-m // n_leaves)
     leaf = np.empty((n + 1, rows))

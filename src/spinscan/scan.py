@@ -37,7 +37,8 @@ from .spincore import (
     zeeman_hamiltonian,
     zfs_hamiltonian,
 )
-from .texture import _BLOCK_BYTES, _MAX_HEIGHT, _MAX_LATERAL, SampleSite, SpinTexture
+from .texture import (_BLOCK_BYTES, _MAX_HEIGHT, _MAX_LATERAL, _MAX_SPIN_MAG, SampleSite,
+                      SpinTexture)
 
 __all__ = [
     "Grid",
@@ -78,7 +79,7 @@ _MAX_SWEEP_POINTS = 1_000_000
 _MAX_KERNEL_BYTES = 1 << 26
 
 # Largest |b_ext| (tesla) a scan accepts: g mu_B B stays finite, about
-# 1e305 ueV at most, for every probe g within spincore._MAX_PROBE_G.
+# 1e305 ueV at most, for every g within spincore._MAX_G.
 _MAX_B_EXT = 1e300
 
 _EPS = np.finfo(float).eps
@@ -107,21 +108,11 @@ class ScanConfig:
     exchange_prefactor: str = "rydberg"
 
     def __post_init__(self):
-        values = (self.height, self.step, *self.x_range, *self.y_range, *self.b_ext)
-        if not np.all(np.isfinite(values)):
-            raise ValueError(
-                "scan height, step, ranges and field must be finite, got "
-                f"height={self.height}, step={self.step}, x_range={self.x_range}, "
-                f"y_range={self.y_range}, b_ext={self.b_ext}"
-            )
-        if math.hypot(*self.b_ext) > _MAX_B_EXT:
+        Grid.from_ranges(self.x_range, self.y_range, self.step)
+        if not math.hypot(*self.b_ext) <= _MAX_B_EXT:
             raise ValueError(f"|b_ext| must be at most {_MAX_B_EXT:g} T, "
                              f"got b_ext={self.b_ext}")
-        if self.step <= 0:
-            raise ValueError(f"scan step must be positive, got {self.step}")
         _check_height(self.height, "scan height")
-        if self.x_range[1] < self.x_range[0] or self.y_range[1] < self.y_range[0]:
-            raise ValueError("scan ranges must satisfy min <= max")
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         if self.exchange_prefactor not in _PREFACTORS:
@@ -404,14 +395,13 @@ def _unit_spin_stray(d, d2, pref, b, q, out):
             plane -= pref
 
 
-def _lattice_offsets(grid: Grid, tex: SpinTexture, height: float, planes: int):
-    """(ix, iy, kernel, shape, site): each site's whole-step offsets (float)
-    from the corner site, the Grid of pixel-site offsets, its padded FFT
-    shape and a unit +z spin at the corner site to walk over the offsets.
-    None, for the dense sum, unless all sites lie at one z at least 2 A
-    (J's validity bound, so no distance check can fire) below the tips,
-    their x and y differ by whole steps up to the rounding of the
-    coordinates, and `planes` padded planes fit _MAX_KERNEL_BYTES."""
+def _lattice_offsets(grid: Grid, tex: SpinTexture, height: float):
+    """(ix, iy, kernel, site): each site's whole-step offsets (float) from
+    the corner site, the Grid of pixel-site offsets and a unit +z spin at
+    the corner site to walk over the offsets.  None, for the dense sum,
+    unless all sites lie at one z at least 2 A (J's validity bound, so no
+    distance check can fire) below the tips and their x and y differ by
+    whole steps up to the rounding of the coordinates."""
     pos = tex.positions
     if np.any(pos[:, 2] != pos[0, 2]) or not height - pos[0, 2] >= 2.0:
         return None
@@ -420,30 +410,30 @@ def _lattice_offsets(grid: Grid, tex: SpinTexture, height: float, planes: int):
         k = np.round((c - c[0]) / grid.step)
         if np.any(np.abs(c - c[0] - k * grid.step) > 4.0 * _EPS * np.max(np.abs(c))):
             return None
-        index.append(k - k.min())  # cast to int once known to fit the budget
+        index.append(k - k.min())  # cast to int by the caller, once its budget holds
         corner.append(c[np.argmin(k)])
     mx, my = (int(i.max()) + 1 for i in index)
     # The (ny+my-1) x (nx+mx-1) grid of pixel-site offsets.
     kernel = Grid(grid.x0 - grid.step * (mx - 1), grid.y0 - grid.step * (my - 1),
                   grid.step, grid.nx + mx - 1, grid.ny + my - 1)
-    # Pad each axis to the next 2^i 3^j 5^k: numpy has no next_fast_len, and
-    # its FFTs run several times faster there than at nearby primes.
-    shape = tuple(min(q << (-(-n // q) - 1).bit_length() for q in _FFT_ODD if q < 2 * n)
-                  for n in (kernel.ny, kernel.nx))
-    if planes * 8 * shape[0] * shape[1] > _MAX_KERNEL_BYTES:
-        return None
     site = SpinTexture([[*corner, pos[0, 2]]], [[0.0, 0.0, 1.0]], 1.0, tex.g)
-    return *index, kernel, shape, site
+    return *index, kernel, site
 
 
 def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
     """(nx ny, 3) energy vectors g mu_B B_stray + b_ex (ueV) of the sample,
     each channel only if cfg.mode reads it and without b_ext, by exact FFT
-    convolution; None, for the dense sum, as _lattice_offsets."""
-    found = _lattice_offsets(grid, tex, cfg.height, 18)  # 7 images, 3 tip planes, 8 spectra
+    convolution; None, for the dense sum, as _lattice_offsets or over budget."""
+    found = _lattice_offsets(grid, tex, cfg.height)
     if found is None:
         return None
-    ix, iy, kernel, shape, site = found
+    ix, iy, kernel, site = found
+    # Pad each axis to the next 2^i 3^j 5^k: numpy has no next_fast_len, and
+    # its FFTs run several times faster there than at nearby primes.
+    shape = tuple(min(q << (-(-n // q) - 1).bit_length() for q in _FFT_ODD if q < 2 * n)
+                  for n in (kernel.ny, kernel.nx))
+    if 18 * 8 * shape[0] * shape[1] > _MAX_KERNEL_BYTES:  # 7 images, 3 tip planes, 8 spectra
+        return None
     my, mx = kernel.ny - grid.ny + 1, kernel.nx - grid.nx + 1
 
     # Images of one site at the corner: "j", J (ueV), unless the mode is
@@ -847,8 +837,10 @@ def distance_sweep(
         )
     if r_max > _MAX_HEIGHT:  # past it J's x^2.5 and the 1/r^3 columns overflow
         raise ValueError(f"r_max must be at most {_MAX_HEIGHT:g} A, got {r_max}")
-    if not 0.0 <= spin_mag < np.inf:
-        raise ValueError(f"spin magnitude must be finite and >= 0, got {spin_mag}")
+    if not 0.0 <= spin_mag <= _MAX_SPIN_MAG:
+        raise ValueError(f"spin magnitude must be finite and >= 0, at most "
+                         f"{_MAX_SPIN_MAG:g}, got {spin_mag}")
+    ProbeSpec(g=g_probe)  # refuses a g past spincore._MAX_G
     if not 2 <= n_points <= _MAX_SWEEP_POINTS:
         raise ValueError(
             f"need 2 to {_MAX_SWEEP_POINTS} sweep points, got {n_points}"

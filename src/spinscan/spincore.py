@@ -33,10 +33,10 @@ __all__ = [
 _HERMITICITY_TOL = 1e-10
 
 # Largest probe zero-field splitting (ueV), the end of the range the
-# closed-form resonances are tested over, and largest |g|, far past any
-# spin's (2 for electrons, below 20 for rare-earth ions), so that
-# g mu_B B stays finite for fields up to 1e300 T.
-_MAX_ZFS_UEV, _MAX_PROBE_G = 1e300, 1e3
+# closed-form resonances are tested over, and largest |g| of the probe or
+# a sample spin, far past any spin's (2 for electrons, below 20 for
+# rare-earth ions), so that g mu_B B stays finite for fields up to 1e300 T.
+_MAX_ZFS_UEV, _MAX_G = 1e300, 1e3
 
 
 @dataclass(frozen=True)
@@ -63,9 +63,8 @@ class ProbeSpec:
         if not 0.0 < self.d_zfs <= _MAX_ZFS_UEV:
             raise ValueError("zero-field splitting must be positive and at most "
                              f"{_MAX_ZFS_UEV:g} ueV, got {self.d_zfs}")
-        if not abs(self.g) <= _MAX_PROBE_G:
-            raise ValueError(f"probe g must be finite and within +/-{_MAX_PROBE_G:g}, "
-                             f"got {self.g}")
+        if not abs(self.g) <= _MAX_G:
+            raise ValueError(f"probe g must be finite and within +/-{_MAX_G:g}, got {self.g}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .spincore import _MAX_G
+
 __all__ = [
     "SampleSite",
     "Lattice",
@@ -29,6 +31,12 @@ _MIN_SITE_SEPARATION = 0.1
 # is allocated.  The duplicate-site check's work grows as the square of
 # the sites: 5e9 pair distances at the budget, a 316 x 316 square lattice.
 _MAX_SITES = 100_000
+
+# Largest spin magnitude, far past any ion's (7/2 for Gd3+).  With |g| <=
+# spincore._MAX_G, tips 0.1 A or more from the sites and the site budget,
+# |B_stray| <= 1e5 x 2 x 1e3 x 0.93 T A^3 x 1e3 / (0.1 A)^3 = 1.9e14 T and
+# |b_ex| <= 1e5 x 6.4e6 ueV (J's peak) x 1e3 = 6.4e14 ueV: the sums stay finite.
+_MAX_SPIN_MAG = 1e3
 
 _LATTICES = ("square", "triangular", "honeycomb")
 _PATTERNS = ("FM", "AFM-Neel", "stripe")
@@ -104,10 +112,11 @@ class SpinTexture:
             raise ValueError("positions and spin_dirs must have equal length")
         if positions.shape[0] == 0:
             raise ValueError("texture must contain at least one site")
-        if not 0.0 <= spin_mag < np.inf:
-            raise ValueError(f"spin magnitude must be finite and >= 0, got {spin_mag}")
-        if not np.isfinite(g):
-            raise ValueError(f"sample g must be finite, got {g}")
+        if not 0.0 <= spin_mag <= _MAX_SPIN_MAG:
+            raise ValueError(f"spin magnitude must be finite and >= 0, at most "
+                             f"{_MAX_SPIN_MAG:g}, got {spin_mag}")
+        if not abs(g) <= _MAX_G:
+            raise ValueError(f"sample g must be finite and within +/-{_MAX_G:g}, got {g}")
         inside = np.abs(positions) <= (_MAX_LATERAL, _MAX_LATERAL, _MAX_HEIGHT)
         if not inside.all():
             k = np.argmin(inside.all(axis=1))

@@ -384,6 +384,29 @@ def test_reconstruct_neel_signs(workdir):
     assert "cond" in r.stdout
 
 
+def test_reconstruct_map_inverts_a_scan_at_its_own_height_and_mode(workdir):
+    # The map holds f_plus = D/h + |A m| and the inversion reads f_plus -
+    # D/h, so an FM texture's moments come back (a Neel map is sign-blind)
+    # at the height and mode of the map's header; the flags override both.
+    r = run_cli("scan", "--texture", "t.spintex", "--height", 4, "--mode", "exchange",
+                "--step", 0.75, "--out", "fm-map.csv", cwd=workdir)
+    assert r.returncode == 0, r.stderr
+    moments = []
+    for flags, height, mode in (([], 4, "exchange"), (["--height", 5, "--mode", "both"], 5,
+                                                       "both")):
+        r = run_cli("reconstruct", "--texture", "t.spintex", "--map", "fm-map.csv", *flags,
+                    "--out", "fm-map.txt", cwd=workdir)
+        assert r.returncode == 0, r.stderr
+        lines = (workdir / "fm-map.txt").read_text().splitlines()
+        assert {f"# height_angstrom = {height}", f"# mode = {mode}",
+                "# observations = fm-map.csv"} <= set(lines)
+        moments.append(np.array([float(ln.split()[2]) for ln in lines
+                                 if not ln.startswith("#")]))
+    assert moments[0].size == 25
+    assert np.all(np.abs(moments[0] - 0.5) <= 1e-6)
+    assert not np.allclose(moments[1], 0.5)
+
+
 @pytest.mark.parametrize("a, cells", [
     ("3", [(k % 3, k // 3) for k in range(9)]),
     ("0.001", [(k, 0) for k in range(9)]),  # labels up to 6000, outside 3 x 3

@@ -127,6 +127,13 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
       "--spin-mag", "nan"], None, "spin magnitude must be finite and >= 0"),
     (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
       "--sample-g", "nan"], None, "sample g must be finite"),
+    # Sample spins and g whose field sums would overflow.
+    (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
+      "--sample-g", "1e308"], None, "sample g must be finite and within +/-1000"),
+    (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
+      "--spin-mag", "1e308"], None, "spin magnitude must be finite and >= 0, at most 1000"),
+    (["sweep", "--rmin", "0.1", "--rmax", "10", "--points", "5", "--spin-mag=1e308"], None,
+     "spin magnitude must be finite and >= 0, at most 1000"),
     # A linewidth whose square underflows, and a direction that is not finite.
     (["spectrum", "--resonances", "3.3,3.6", "--linewidth=1e-200"], None,
      "linewidth_fwhm must be at least"),
@@ -156,7 +163,8 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
         "spectrum-nan-linewidth", "spectrum-nan-resonance", "spectrum-nan-only",
         "spectrum-nan-in-window", "spectrum-negative-mean",
         "sweep-nan-spin-mag", "sweep-inf-spin-mag", "sweep-negative-spin-mag",
-        "texture-nan-spin-mag", "texture-nan-sample-g", "spectrum-tiny-linewidth",
+        "texture-nan-spin-mag", "texture-nan-sample-g", "texture-huge-sample-g",
+        "texture-huge-spin-mag", "sweep-huge-spin-mag", "spectrum-tiny-linewidth",
         "texture-inf-dir", "isoscan-inf-probe-g", "isoscan-inf-d-zfs",
         "reconstruct-inf-probe-g", "scan-subnormal-step", "spectrum-zero-counts",
         "scan-huge-bext", "isoscan-huge-bext", "spectrum-huge-bext", "config-huge-bext-norm"])
@@ -243,6 +251,28 @@ def test_bad_header_lines_are_input_errors_at_their_line(texture, suffix, line, 
     code, stderr, caught = run([*argv, "--out", path.with_suffix(".out")])
     assert code == 3
     assert len(stderr) == 1 and f"{path}:{k + 1}: " in stderr[0] and key in stderr[0], stderr
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("edited, argv", [
+    ("g_factor 1e308", ["scan", "--mode", "dipolar", "--step", "1"]),
+    ("g_factor 1e200", ["reconstruct", "--synthetic", "--mode", "dipolar", "--step", "1"]),
+    ("spin_magnitude 1e308", ["scan", "--mode", "dipolar", "--step", "1"]),
+    ("spin_magnitude 1e308", ["isoscan", "--fsource", "120", "--zmin", "2", "--zmax", "12",
+                              "--step", "1"]),
+], ids=["scan-huge-g", "reconstruct-huge-g", "scan-huge-spin-mag", "isoscan-huge-spin-mag"])
+def test_spintex_spins_past_their_bounds_are_input_errors(texture, edited, argv):
+    # A file edited past the texture command's own bounds is refused at its
+    # header line, before any field sum could overflow.
+    path = texture.with_name("huge.spintex")
+    lines = texture.read_text(encoding="utf-8").splitlines()
+    k = next(i for i, ln in enumerate(lines) if ln.split()[0] == edited.split()[0])
+    lines[k] = edited
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, stderr, caught = run([argv[0], "--texture", path, *argv[1:],
+                                "--out", path.with_suffix(".out")])
+    assert code == 3
+    assert len(stderr) == 1 and f"{path}:{k + 1}: malformed header" in stderr[0], stderr
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 

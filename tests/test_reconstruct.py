@@ -136,11 +136,14 @@ def test_forward_both_is_the_sum_of_its_channels(neel_5x5, height):
 )
 @example(a=4.2, multiple=1, signs=[-1.0] * 20, frac=(0.0, 0.5), start=(-29, 0), size=(1, 1),
          height=40.0, mode="exchange")
+@example(a=3.0, multiple=2, signs=[1.0, -1.0] * 10, frac=(0.3, 0.7), start=(-5, -3),
+         size=(40, 40), height=4.0, mode="both")
 def test_forward_gather_matches_dense_oracle(a, multiple, signs, frac, start, size,
                                              height, mode):
     # A 5x4 square lattice with vacancies (sign 0) and +/-z moments, steps a
     # whole fraction of the lattice constant, pixels offset from the sites
-    # by any sub-step fraction, windows on, around and off the lattice.
+    # by any sub-step fraction, windows on, around and off the lattice.  The
+    # examples walk the pixels (one pixel, 20 sites) and gather (40x40).
     assume(any(signs))
     lat = build_lattice("square", a, 5, 4)
     kept = np.flatnonzero(signs)
@@ -151,9 +154,12 @@ def test_forward_gather_matches_dense_oracle(a, multiple, signs, frac, start, si
     grid = Grid(x0, y0, step, *size)
     with _walk_spy() as walk:
         fwd = build_forward(tex, grid.x_range, grid.y_range, step, height, mode)
-    # The gather walks one site over the (ny+my-1) x (nx+mx-1) offset grid.
+    # The gather walks one site over the (ny+my-1) x (nx+mx-1) offset grid
+    # if its four planes fit pixels x sites; else every site walks the pixels.
     mx, my = np.round(np.ptp(tex.positions[:, :2], axis=0) / step).astype(int) + 1
-    assert _walked(walk) == [((size[0] + mx - 1) * (size[1] + my - 1), 1)]
+    offsets, pixels = (size[0] + mx - 1) * (size[1] + my - 1), size[0] * size[1]
+    gathers = 4 * offsets <= pixels * tex.n_sites
+    assert _walked(walk) == [(offsets, 1) if gathers else (pixels, tex.n_sites)]
     tips = grid.tips(height)
     want = _dense_forward(tex, tips, mode)
     # One ulp of r moves J(r) by about (2r/a_B + 2.5) u relative.  Far off
@@ -187,9 +193,9 @@ def _off_lattice_textures(fm_5x5):
 
 @pytest.mark.parametrize("case", range(5))
 def test_forward_falls_back_to_the_dense_walk(fm_5x5, case):
-    # Off the pixel lattice, or with the image over budget (the far pair's
-    # offset grid is about 4,000 pixels a side), the walk takes every site
-    # over the 17x17 pixels; for the control it takes one site over the
+    # Off the pixel lattice, or with more offset tips than pairs (the far
+    # pair's offset grid is about 4,000 pixels a side), the walk takes every
+    # site over the 17x17 pixels; for the control it takes one site over the
     # 33x33 offset grid.
     name, tex, height = _off_lattice_textures(fm_5x5)[case]
     with _walk_spy() as walk:
@@ -205,14 +211,14 @@ def test_forward_falls_back_to_the_dense_walk(fm_5x5, case):
 
 
 def test_forward_gathers_where_the_fft_map_is_over_budget(fm_5x5, monkeypatch):
-    # The gather counts one image row and its three tip planes, the FFT map
-    # 18 planes.  At a budget between the two, which the 17x17 x 25 kernel
-    # fits exactly, build_forward gathers over the 33x33 offset grid (36x36
-    # padded), while the scan of the same texture and grid takes the dense
-    # sum: every site over the pixels, in row chunks.
+    # The gather's four planes of the 33x33 offset grid fit the 17x17 x 25
+    # kernel, while the FFT map's 18 planes, 36x36 padded, do not.  At a
+    # budget the kernel fits exactly, build_forward gathers, while the scan
+    # of the same texture and grid takes the dense sum: every site over the
+    # pixels, in row chunks.
     for module in (scan, reconstruct):
         monkeypatch.setattr(module, "_MAX_KERNEL_BYTES", 8 * 17 * 17 * 25)
-    assert 4 * 8 * 36 * 36 < 8 * 17 * 17 * 25 < 18 * 8 * 36 * 36
+    assert 4 * 33 * 33 <= 17 * 17 * 25 < 18 * 36 * 36
     with _walk_spy() as walk:
         build_forward(fm_5x5, height=4.0, mode="both", **GRID)
     assert _walked(walk) == [(33 * 33, 1)]
@@ -221,6 +227,20 @@ def test_forward_gathers_where_the_fft_map_is_over_budget(fm_5x5, monkeypatch):
     walked = _walked(walk)
     assert sum(tips for tips, _ in walked) == 17 * 17
     assert {sites for _, sites in walked} == {25}
+
+
+def test_forward_walks_a_far_pair_over_its_pixels():
+    # A +/-z pair 450 A apart under a 79x79 window at 0.5 A: the offset grid
+    # holds 979x979 tips, far more than the 6,241 pixels x 2 sites, so both
+    # sites walk the pixels, and the kernel is the dense walk's.
+    tex = SpinTexture([[0.0, 0.0, 0.0], [450.0, 450.0, 0.0]],
+                      [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]], 0.5, 2.0)
+    window = dict(x_range=(-19.5, 19.5), y_range=(-19.5, 19.5), step=0.5)
+    with _walk_spy() as walk:
+        fwd = build_forward(tex, height=4.0, mode="both", **window)
+    assert _walked(walk) == [(79 * 79, 2)]
+    with _dense_path():
+        assert np.array_equal(fwd.a, build_forward(tex, height=4.0, mode="both", **window).a)
 
 
 def test_forward_rejects_transverse_texture():
@@ -245,6 +265,13 @@ def test_forward_rejects_height_above_ceiling(fm_5x5):
 def test_forward_rejects_non_finite_height(fm_5x5, height):
     with pytest.raises(ValueError, match="finite"):
         build_forward(fm_5x5, height=height, mode="exchange", **GRID)
+
+
+@pytest.mark.parametrize("g_probe", [1e308, np.nan, -1e4])
+def test_forward_rejects_probe_g_past_its_bound(fm_5x5, g_probe):
+    # g mu_B Bz of 1e308 would overflow into a non-finite kernel.
+    with pytest.raises(ValueError, match="probe g must be finite and within"):
+        build_forward(fm_5x5, height=4.0, mode="both", g_probe=g_probe, **GRID)
 
 
 def test_forward_checks_grid_and_kernel_budget(fm_5x5):
@@ -653,8 +680,8 @@ def test_gram_path_matches_thin_svd_oracle(neel_5x5, rng, monkeypatch, mode):
 def test_gram_gate_takes_kernels_inside_it_only(rng, monkeypatch, cond, path):
     # A = Q diag(s) V^T with a known cond: just inside the gate the Gram
     # path meets the oracle tolerance; just outside, the eigenvalue ratio
-    # sends it to the tree, and far outside the Cholesky diagonal does so
-    # before any eigensolve.
+    # sends it to the tree, and far outside its first 8 columns do so
+    # before A^T A is formed.
     assert 29.0 < reconstruct._GRAM_COND < 31.0
     m, n = 400, 20
     q = np.linalg.qr(rng.standard_normal((m, n)))[0]
@@ -717,10 +744,11 @@ def test_gram_path_makes_no_kernel_sized_copy(rng, monkeypatch):
 def test_gram_refusal_of_a_dipolar_kernel_forms_no_sites_gram(neel_5x5, monkeypatch):
     # cond(A) >= cond(A_S) for any columns S, so the first 8 columns refuse
     # the ill-conditioned 100 A dipolar kernel before A^T A is formed; the
-    # 4 A exchange kernel goes on to the Cholesky of its full Gram matrix.
+    # 4 A exchange kernel goes on to the eigendecomposition of its full
+    # Gram matrix.
     shapes = []
-    cholesky = np.linalg.cholesky
-    monkeypatch.setattr(np.linalg, "cholesky", lambda g: shapes.append(g.shape) or cholesky(g))
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda g: shapes.append(g.shape) or eigh(g))
     moments = neel_5x5.spin_mag * neel_5x5.spin_dirs[:, 2]
     n = neel_5x5.n_sites
     for mode, height, want in (("dipolar", 100.0, []), ("exchange", 4.0, [(n, n)])):

@@ -628,14 +628,15 @@ def test_lattice_images_match_unit_spin_field_sums(monkeypatch, axes, mode, pref
     # Each kernel image is, to the bit, a field sum of one unit spin along b
     # at the corner site over the offset grid: B_a for (a, b), J for "j".
     # The scan transforms B_a for b in axes (0, 1, 2) and a >= b, then J;
-    # build_forward takes windows of J/h + g mu_B B_z/h for b = 2.  Blocks
-    # of 32 to 49 tips, by mode and path, so several blocks run and the
-    # last one is short.
+    # build_forward takes windows of J/h + g mu_B B_z/h for b = 2, and
+    # gathers since 4 x 28 x 20 offset tips are fewer than 16 x 12 pixels
+    # x 12 sites.  Blocks of 32 to 49 tips, by mode and path, so several
+    # blocks run and the last one is short.
     monkeypatch.setattr(scan, "_BLOCK_BYTES", 64 * 37)
     tex = SpinTexture(build_lattice("square", 3.0, 4, 3).positions + (1.5, -2.25, 0.5),
                       [[0.0, 0.0, 1.0]] * 12, 0.5, 2.3)  # build_forward takes +/-z only
-    grid = Grid(-0.6 * 0.75, 0.3 * 0.75, 0.75, 12, 9)
-    ix, iy, kernel, _, _ = scan._lattice_offsets(grid, tex, 3.1, 18)
+    grid = Grid(-0.6 * 0.75, 0.3 * 0.75, 0.75, 16, 12)
+    ix, iy, kernel, _ = scan._lattice_offsets(grid, tex, 3.1)
     corner = [tex.positions[np.argmin(ix), 0], tex.positions[np.argmin(iy), 1], 0.5]
     tips = kernel.tips(3.1)
     assert len(tips) > 10 * 37
@@ -894,6 +895,13 @@ def test_scan_config_validation():
         ScanConfig(step=float("nan"))
     with pytest.raises(ValueError, match="finite"):
         ScanConfig(x_range=(0.0, float("inf")))
+
+
+def test_scan_config_refuses_a_raster_over_the_pixel_budget():
+    # The config checks its raster as Grid.from_ranges does, when it is
+    # built rather than when a scan first reads it.
+    with pytest.raises(ValueError, match="pixel budget"):
+        ScanConfig(x_range=(0.0, 2000.0), y_range=(0.0, 2000.0), step=1.0)
 
 
 # ---------------------------------------------------------------- iso scans
@@ -1357,6 +1365,17 @@ def test_sweep_rejects_bad_args():
         distance_sweep(20.0, 2.0, 10)
     with pytest.raises(ValueError):
         distance_sweep(-1.0, 2.0, 10)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"g_probe": np.nan}, "probe g must be finite"), ({"g_probe": 1e308}, "probe g"),
+    ({"g_sample": -1e4}, "sample g"), ({"spin_mag": 1e308}, "spin magnitude"),
+])
+def test_sweep_rejects_spins_past_their_bounds(kw, message):
+    # A NaN or huge g or spin magnitude would fill e_dd or b_stray with
+    # NaN or inf.
+    with pytest.raises(ValueError, match=message):
+        distance_sweep(2.0, 10.0, 5, **kw)
 
 
 def test_sweep_rejects_distances_outside_the_tip_bounds():

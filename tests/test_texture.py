@@ -265,6 +265,19 @@ def test_texture_rejects_negative_spin_mag():
         apply_pattern(lat, "FM", direction=(0.0, 0.0, 1.0), spin_mag=-0.5, g=2.0)
 
 
+@pytest.mark.parametrize("spin_mag, g, message", [
+    (1e308, 2.0, "spin magnitude must be finite and >= 0, at most 1000"),
+    (1000.5, 2.0, "at most 1000"), (0.5, 1e200, "sample g must be finite and within"),
+    (0.5, -1000.5, "within \\+/-1000"),
+])
+def test_texture_rejects_spins_past_their_bounds(spin_mag, g, message):
+    # Past these bounds the field sums of a texture at the site budget
+    # could overflow.
+    with pytest.raises(ValueError, match=message):
+        SpinTexture([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], spin_mag, g)
+    SpinTexture([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], 1e3, -1e3)
+
+
 def test_zero_spin_mag_skips_direction_check():
     # spin_mag = 0 is legal and lifts the unit-direction invariant.
     tex = SpinTexture(
