@@ -25,7 +25,6 @@ from .reconstruct import build_forward, lcurve, solve_tikhonov
 from .scan import (
     _CONVENTIONS,
     _MODES,
-    _PREFACTORS,
     ResonanceMap,
     ScanConfig,
     _check_height,
@@ -42,7 +41,7 @@ from .spectrum import (
     measure_map,
     synthesize,
 )
-from .spincore import ProbeSpec, ResonancePair, probe_resonances
+from .spincore import _PREFACTORS, ProbeSpec, ResonancePair, probe_resonances
 from .texture import _LATTICES, _PATTERNS, apply_pattern, build_lattice
 
 EXIT_OK = 0
@@ -276,6 +275,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    if not args.measure and (args.measured_out or args.error_out):
+        raise ValueError("--measured-out and --error-out need --measure")
     tex = fileio.load_texture(args.texture)
     cfg = _probe_config(args, height=args.height, **_grid(args, tex))
     spec_cfg = _spectrum_config(args) if args.measure else None
@@ -391,6 +392,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_reconstruct(args) -> int:
+    if args.map is not None and args.synthetic:
+        raise ValueError("--map and --synthetic are mutually exclusive")
     tex = fileio.load_texture(args.texture)
     if not 0 <= args.lam < np.inf:
         raise ValueError(f"--lam must be finite and >= 0, got {args.lam}")

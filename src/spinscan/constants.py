@@ -35,11 +35,9 @@ class Constants:
     # Default electron g-factor; every operation still takes g explicitly.
     g_e_default: float = 2.0023
 
-    # Stray-field prefactor for a g = 2 moment of one Bohr magneton:
-    # 2 * mu_B * (mu0 / 4 pi), expressed in T * A^3 (1 m^3 = 1e30 A^3).
-    mu0_over_4pi_moment: float = (
-        2.0 * _MU_B_J_PER_T * (_MU0_SI / (4.0 * math.pi)) * 1e30
-    )
+    # Stray-field prefactor (mu0 / 4 pi) * mu_B in T * A^3 (1 m^3 = 1e30
+    # A^3), i.e. per unit g and unit moment.
+    stray_prefactor_per_mu_b: float = _MU_B_J_PER_T * (_MU0_SI / (4.0 * math.pi)) * 1e30
 
     # Rydberg energy (e^2 / 2 a_B in Gaussian units), eV.
     rydberg: float = 13.605693122994
@@ -49,11 +47,6 @@ class Constants:
 
     # Bohr radius, angstrom.
     bohr_radius: float = 0.529177210903
-
-    @property
-    def stray_prefactor_per_mu_b(self) -> float:
-        """(mu0 / 4 pi) * mu_B in T * A^3, i.e. per unit g and unit moment."""
-        return self.mu0_over_4pi_moment / 2.0
 
     @property
     def dipole_energy_prefactor(self) -> float:

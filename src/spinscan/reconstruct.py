@@ -22,8 +22,8 @@ import warnings
 import numpy as np
 
 from .constants import CONSTANTS
-from .scan import (_MAX_KERNEL_BYTES, _MODES, Grid, _check_height, _lattice_offsets,
-                   _unit_spin_stray, _walk_pairs)
+from .scan import (_MAX_KERNEL_BYTES, Grid, ScanConfig, _lattice_offsets, _unit_spin_stray,
+                   _walk_pairs)
 from .spincore import ProbeSpec, _check_exchange_range
 from .texture import SpinTexture
 
@@ -120,11 +120,9 @@ def build_forward(
     QR leaves copy its row segments.
     """
     _check_collinear(tex)
-    _check_height(height, "height")
-    ProbeSpec(g=g_probe)  # refuses a g past spincore._MAX_G
-    if mode not in _MODES:
-        raise ValueError(f"unknown forward mode {mode!r}")
-
+    # Refuses the raster, height, mode, prefactor and g as a scan would.
+    ScanConfig(height, x_range, y_range, step, mode, probe=ProbeSpec(g=g_probe),
+               exchange_prefactor=exchange_prefactor)
     grid = Grid.from_ranges(x_range, y_range, step)
     n_pixels = grid.nx * grid.ny
     if 8 * n_pixels * tex.n_sites > _MAX_KERNEL_BYTES:

@@ -25,6 +25,7 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .spincore import (
+    _PREFACTORS,
     ProbeSpec,
     ResonancePair,
     _SPIN1,
@@ -57,7 +58,6 @@ __all__ = [
 
 _MODES = ("dipolar", "exchange", "both")
 _CONVENTIONS = ("transition", "splitting")
-_PREFACTORS = ("rydberg", "hartree")
 
 # Tip positions closer than this (angstrom) to a site are invalid input.
 _MIN_TIP_SITE_DISTANCE = 0.1
@@ -77,6 +77,10 @@ _MAX_SWEEP_POINTS = 1_000_000
 # Largest working set (bytes) of one interaction kernel, checked before
 # allocating: _lattice_fields' images and spectra, or build_forward's kernel.
 _MAX_KERNEL_BYTES = 1 << 26
+
+# Largest worker count of scan_constant_height, checked before any thread
+# starts: each worker is one OS thread over at most 4 row chunks.
+_MAX_WORKERS = 64
 
 # Largest |b_ext| (tesla) a scan accepts: g mu_B B stays finite, about
 # 1e305 ueV at most, for every g within spincore._MAX_G.
@@ -477,10 +481,7 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
     acc *= cfg.probe.g * CONSTANTS.mu_b
     if "j" in images:
         acc += spectrum("j") * spin_hat
-    # irfft2's two passes by hand, the second (along x) over only the rows
-    # that pixels read: the bits of irfft2(acc, shape)[valid].
-    rows = np.fft.ifft(acc, axis=1)[:, my - 1 : my - 1 + grid.ny]
-    e_vec = np.fft.irfft(rows, shape[1], axis=2)[..., mx - 1 : mx - 1 + grid.nx]
+    e_vec = np.fft.irfft2(acc, shape)[:, my - 1 : my - 1 + grid.ny, mx - 1 : mx - 1 + grid.nx]
     return e_vec.reshape(3, -1).T
 
 
@@ -558,6 +559,8 @@ def scan_constant_height(
     bit-identical for any worker count.  J below its validity range
     warns once, at the closest tip-site pair.
     """
+    if not 1 <= workers <= _MAX_WORKERS:
+        raise ValueError(f"workers must be within [1, {_MAX_WORKERS}], got {workers}")
     grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
     n = grid.nx * grid.ny
     f_minus, f_plus = np.empty(n), np.empty(n)
@@ -574,7 +577,7 @@ def scan_constant_height(
         )
         return np.inf  # the FFT path applies only 2 A or more above the sites
 
-    workers = max(1, int(workers))
+    workers = int(workers)
     row_chunks = np.array_split(np.arange(grid.ny), min(workers * 4, grid.ny))
     blocks = [slice(rows[0] * grid.nx, (rows[-1] + 1) * grid.nx) for rows in row_chunks]
     if workers == 1:

@@ -38,6 +38,9 @@ _HERMITICITY_TOL = 1e-10
 # rare-earth ions), so that g mu_B B stays finite for fields up to 1e300 T.
 _MAX_ZFS_UEV, _MAX_G = 1e300, 1e3
 
+# Exchange energy scales E0, each named by its CONSTANTS field.
+_PREFACTORS = ("rydberg", "hartree")
+
 
 @dataclass(frozen=True)
 class SpinOperatorSet:
@@ -149,13 +152,9 @@ def _exchange_formula(r: np.ndarray, prefactor: str, out=None) -> np.ndarray:
     without range checks; callers check the distances.  x^2.5 as np.power
     took J from 5 to 7 ns an element.  Given out, J is written there and
     r, a float64 array, is overwritten, by the same operations as without."""
-    if prefactor == "rydberg":
-        e0_uev = CONSTANTS.rydberg * 1e6
-    elif prefactor == "hartree":
-        e0_uev = CONSTANTS.hartree * 1e6
-    else:
-        raise ValueError(f"prefactor must be 'rydberg' or 'hartree', got {prefactor!r}")
-    c = 1.641 * e0_uev
+    if prefactor not in _PREFACTORS:
+        raise ValueError(f"prefactor must be one of {_PREFACTORS}, got {prefactor!r}")
+    c = 1.641 * (getattr(CONSTANTS, prefactor) * 1e6)
     x = np.divide(r, CONSTANTS.bohr_radius, out=np.empty(np.shape(r)) if out is None else r)
     out = np.sqrt(x, out=out)
     out *= x

@@ -76,7 +76,7 @@ class Lattice:
 
     positions: (n, 3) angstrom; cell_index: (n, 2) integer Bravais cell
     (i, j); sublattice: (n,) basis index within the cell.  meta records
-    the construction, including the nearest-neighbor convention.
+    the construction: type, a, nx and ny.
     """
 
     positions: np.ndarray
@@ -225,8 +225,7 @@ def build_lattice(lattice_type: str, a: float, nx: int, ny: int) -> Lattice:
 
     jj, ii = (g.ravel() for g in np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij"))
     cells = ii[:, None] * a1 + jj[:, None] * a2
-    meta = {"type": lattice_type, "a": float(a), "nx": int(nx), "ny": int(ny),
-            "nearest_neighbor": float(a / np.sqrt(3.0) if lattice_type == "honeycomb" else a)}
+    meta = {"type": lattice_type, "a": float(a), "nx": int(nx), "ny": int(ny)}
     n_basis = basis.shape[0]
     positions = (cells[:, None, :] + basis[None, :, :]).reshape(-1, 3)
     cell_index = np.repeat(np.column_stack([ii, jj]), n_basis, axis=0)

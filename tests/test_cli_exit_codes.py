@@ -14,8 +14,10 @@ import math
 from hypothesis import given, settings, strategies as st
 import pytest
 
+import numpy as np
+
 from conftest import run_main as run
-from spinscan import cli
+from spinscan import cli, scan
 
 CONTRACT = {0, 2, 3, 4}
 
@@ -89,6 +91,14 @@ def test_far_texture_site_is_an_input_error(texture):
 
 
 TEXTURE = object()  # stands for the texture fixture's path in an argv
+MAP = object()  # stands for the map fixture's path in an argv
+
+
+@pytest.fixture(scope="module")
+def scan_map(texture):
+    path = texture.with_name("scan-map.csv")
+    assert run(["scan", "--texture", texture, "--step", "1.5", "--out", path])[0] == 0
+    return path
 
 
 @pytest.mark.parametrize("argv, config, message", [
@@ -157,6 +167,30 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
      "|b_ext| must be at most"),
     (["scan", "--texture", TEXTURE], "[scan]\nb_ext = 1e300,1e300,0\n",
      "|b_ext| must be at most"),
+    # Worker counts outside [1, _MAX_WORKERS], refused before any thread starts.
+    *[(["scan", "--texture", TEXTURE, f"--workers={w}"], None,
+       f"workers must be within [1, {scan._MAX_WORKERS}]")
+      for w in (0, -1, scan._MAX_WORKERS + 1)],
+    (["scan", "--texture", TEXTURE], "[scan]\nworkers = 0\n",
+     f"workers must be within [1, {scan._MAX_WORKERS}]"),
+    # Flags that the command would otherwise ignore, or that conflict.
+    (["reconstruct", "--texture", TEXTURE, "--map", MAP, "--synthetic"], None,
+     "--map and --synthetic are mutually exclusive"),
+    (["reconstruct", "--texture", TEXTURE, "--map", MAP], "[reconstruct]\nsynthetic = yes\n",
+     "--map and --synthetic are mutually exclusive"),
+    (["scan", "--texture", TEXTURE, "--error-out", "e.csv", "--measured-out", "mm.csv"],
+     None, "--measured-out and --error-out need --measure"),
+    (["scan", "--texture", TEXTURE, "--error-out", "e.csv"], None,
+     "--measured-out and --error-out need --measure"),
+    (["reconstruct", "--texture", TEXTURE], None, "either --map or --synthetic is required"),
+    (["spectrum", "--resonances", "3.4", "--texture", TEXTURE, "--tip=1,1,4"], None,
+     "--resonances and --texture are mutually exclusive"),
+    (["spectrum", "--resonances", "1,2,3"], None,
+     "--resonances takes one or two frequencies"),
+    # Values that their argparse type cannot read.
+    (["texture", "--lattice", "square", "--a", "3", "--nx", "2", "--ny", "2",
+      "--dir=1,0,x"], None, "non-numeric vector '1,0,x'"),
+    (["spectrum", "--resonances", "3.4,x"], None, "non-numeric list '3.4,x'"),
 ], ids=["texture-sites", "sweep-points", "spectrum-points", "measure-points",
         "isoscan-nan", "isoscan-inf", "sweep-inf", "sweep-rmin", "sweep-rmax", "texture-far",
         "measure-nan-linewidth",
@@ -167,10 +201,16 @@ TEXTURE = object()  # stands for the texture fixture's path in an argv
         "texture-huge-spin-mag", "sweep-huge-spin-mag", "spectrum-tiny-linewidth",
         "texture-inf-dir", "isoscan-inf-probe-g", "isoscan-inf-d-zfs",
         "reconstruct-inf-probe-g", "scan-subnormal-step", "spectrum-zero-counts",
-        "scan-huge-bext", "isoscan-huge-bext", "spectrum-huge-bext", "config-huge-bext-norm"])
-def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message):
+        "scan-huge-bext", "isoscan-huge-bext", "spectrum-huge-bext", "config-huge-bext-norm",
+        "scan-zero-workers", "scan-negative-workers", "scan-workers-past-cap",
+        "config-zero-workers", "reconstruct-map-and-synthetic",
+        "reconstruct-map-and-config-synthetic", "scan-outputs-without-measure",
+        "scan-error-out-without-measure", "reconstruct-no-observations",
+        "spectrum-resonances-and-texture", "spectrum-three-resonances",
+        "texture-non-numeric-dir", "spectrum-non-numeric-resonances"])
+def test_refused_inputs_are_one_line_usage_errors(texture, scan_map, argv, config, message):
     out = texture.with_name("refused.out")
-    argv = [texture if a is TEXTURE else a for a in argv] + ["--out", out]
+    argv = [{TEXTURE: texture, MAP: scan_map}.get(a, a) for a in argv] + ["--out", out]
     if config is not None:
         cfg = texture.with_name("refused.cfg")
         cfg.write_text(config, encoding="utf-8")
@@ -180,6 +220,22 @@ def test_refused_inputs_are_one_line_usage_errors(texture, argv, config, message
     assert len(stderr) == 1 and message in stderr[0], stderr
     assert not caught
     assert not out.exists()
+
+
+@pytest.mark.parametrize("error", [np.linalg.LinAlgError("SVD did not converge"),
+                                   ArithmeticError("non-finite kernel"),
+                                   FloatingPointError("overflow in multiply")],
+                         ids=["linalg", "arithmetic", "floating-point"])
+def test_numerical_failures_exit_4_in_one_line(monkeypatch, texture, error):
+    # Any command's numerical failure is mapped to exit 4 by cli.main.
+    def fail(args):
+        raise error
+
+    monkeypatch.setattr(cli, "cmd_sweep", fail)
+    code, stderr, _ = run(["sweep", "--rmin", "2", "--rmax", "10", "--points", "5",
+                           "--out", texture.with_name("numerical.csv")])
+    assert code == 4
+    assert stderr == [f"numerical error: {error}"]
 
 
 @pytest.mark.parametrize("flag", ["--d-zfs=1e300", "--fsource=1e308"],

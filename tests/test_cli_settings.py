@@ -160,6 +160,25 @@ def test_bad_config_value_names_its_key(workdir, command, section, key, value):
     assert not (workdir / "b.out").exists()
 
 
+def test_boolean_config_values_act_as_their_flags(workdir):
+    # A store_true setting reads true/yes/on/1 and false/no/off/0 from config.
+    out, flagged = workdir / "bool.csv", workdir / "bool-flag.csv"
+    base = ["spectrum", "--resonances", "3.482"]
+    cfg = config(workdir, "noiseless.cfg", "[spectrum]\nnoiseless = true\n")
+    assert run_main([*base, "--config", cfg, "--out", out])[0] == 0
+    assert run_main([*base, "--noiseless", "--out", flagged])[0] == 0
+    assert header(out)["noiseless"] == "true"
+    assert out.read_text() == flagged.read_text()
+
+    sweep = ["sweep", "--rmin", 2, "--rmax", 10, "--points", 5, "--out", out]
+    for text, log in (("no", "false"), ("Yes", "true"), ("off", "false"), ("1", "true")):
+        cfg = config(workdir, "log.cfg", f"[sweep]\nlog = {text}\n")
+        assert run_main([*sweep, "--config", cfg])[0] == 0
+        assert header(out)["log"] == log
+    rows = [line for line in out.read_text().splitlines() if line[:1].isdigit()]
+    assert [row.split(",")[0] for row in rows[:2]] == ["2", "2.99069756"]
+
+
 def test_missing_required_setting_names_flag_and_key(workdir):
     code, stderr, _ = run_main(["sweep", "--rmin", 2, "--rmax", 10,
                                 "--out", workdir / "s.csv"])

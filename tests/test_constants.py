@@ -32,10 +32,6 @@ def test_stray_prefactor_per_bohr_magneton():
     assert CONSTANTS.stray_prefactor_per_mu_b == pytest.approx(
         0.9274010083348547, rel=1e-12
     )
-    # g = 2 convention doubles it.
-    assert CONSTANTS.mu0_over_4pi_moment == pytest.approx(
-        1.8548020166697095, rel=1e-12
-    )
 
 
 def test_dipole_energy_prefactor():

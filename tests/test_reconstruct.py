@@ -274,6 +274,13 @@ def test_forward_rejects_probe_g_past_its_bound(fm_5x5, g_probe):
         build_forward(fm_5x5, height=4.0, mode="both", g_probe=g_probe, **GRID)
 
 
+@pytest.mark.parametrize("mode", ["dipolar", "exchange", "both"])
+def test_forward_rejects_an_unknown_prefactor_in_every_mode(fm_5x5, mode):
+    # A dipolar kernel reads no J, but its inputs are refused as a scan's are.
+    with pytest.raises(ValueError, match="exchange_prefactor must be one of"):
+        build_forward(fm_5x5, height=4.0, mode=mode, exchange_prefactor="bogus", **GRID)
+
+
 def test_forward_checks_grid_and_kernel_budget(fm_5x5):
     # 641 x 641 pixels is inside the scan's pixel budget, but the kernel
     # over 25 sites (78 MiB) is refused before anything is allocated.
@@ -410,6 +417,13 @@ def test_rank_deficient_unregularized_warns(fm_5x5):
     with pytest.warns(UserWarning):
         res = solve_tikhonov(fwd, y, lam=0.0)
     assert np.all(np.isfinite(res.m_z))
+
+
+def test_observations_of_the_wrong_length_rejected(fm_5x5):
+    fwd = build_forward(fm_5x5, height=4.0, mode="exchange", **GRID)
+    n = fwd.a.shape[0]
+    with pytest.raises(ValueError, match=f"has {n - 1} entries, kernel has {n} pixels"):
+        solve_tikhonov(fwd, np.zeros(n - 1), lam=1e-6)
 
 
 def test_negative_lam_rejected(fm_5x5):

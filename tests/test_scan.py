@@ -8,6 +8,7 @@ closed-form field sums and a 9-level exact pair diagonalization.
 import contextlib
 import dataclasses
 import math
+import threading
 import tracemalloc
 import warnings
 from unittest import mock
@@ -554,10 +555,9 @@ _FFT_CALLS = ("rfft2", "rfftn", "fft2", "fftn", "irfft2", "irfftn", "ifft2", "if
 def test_fft_map_takes_three_inverse_transforms(monkeypatch, tilted_neel, mode, images):
     # e is linear in both channels, so every mode adds its spectra into one
     # accumulator per axis: forward, the 3 spin planes and one per kernel
-    # image the mode reads; inverse, 3, whose x pass covers only the
-    # grid.ny rows that pixels read.  Each call is counted once, top level,
-    # by the 2-D planes it transforms (a 1-D ifft is a 2-D inverse's first
-    # pass).
+    # image the mode reads; inverse, 3, by 2-D transforms with no 1-D pass
+    # of their own.  Each call is counted once, top level, by the 2-D
+    # planes it transforms.
     calls = []
     for name in _FFT_CALLS:
         def spy(a, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
@@ -568,15 +568,13 @@ def test_fft_map_takes_three_inverse_transforms(monkeypatch, tilted_neel, mode, 
     cfg = ScanConfig(height=4.0, x_range=(-3.0, 15.0), y_range=(-1.5, 9.0), step=0.75,
                      mode=mode)
     scan_constant_height(cfg, tilted_neel)
-    grid = Grid.from_ranges(cfg.x_range, cfg.y_range, cfg.step)
 
     def planes(*names):
         return sum(math.prod(shape[:-2]) for name, shape in calls if name in names)
 
     assert planes("rfft2", "rfftn", "fft2", "fftn") == 3 + images
     assert planes("irfft2", "irfftn", "ifft2", "ifftn", "ifft") == 3
-    assert sum(math.prod(shape[:-1]) for name, shape in calls if name == "irfft") == (
-        3 * grid.ny)
+    assert not planes("irfft", "ifft")
     assert not planes("rfft", "fft")
 
 
@@ -805,6 +803,20 @@ def test_map_bytes_independent_of_workers(tilted_neel, path):
         maps = [scan_constant_height(cfg, tilted_neel, workers=w) for w in (1, 4)]
     for key in ("f_minus", "f_plus"):
         assert getattr(maps[0], key).tobytes() == getattr(maps[1], key).tobytes()
+
+
+@pytest.mark.parametrize("workers", [0, -1, scan._MAX_WORKERS + 1])
+def test_worker_count_out_of_bounds_starts_no_thread(monkeypatch, fm_5x5, workers):
+    # Refused before the energy vectors are computed or any thread starts.
+    def start(thread):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", start)
+    fields = mock.Mock(return_value=None)
+    monkeypatch.setattr(scan, "_lattice_fields", fields)
+    with pytest.raises(ValueError, match=rf"workers must be within \[1, {scan._MAX_WORKERS}\]"):
+        scan_constant_height(ScanConfig(height=4.0, step=3.0), fm_5x5, workers=workers)
+    fields.assert_not_called()
 
 
 def test_worker_count_determinism(fm_5x5):
@@ -1298,6 +1310,11 @@ def test_pair_mode_far_site_in_oblique_field_is_the_bare_probe():
     for pair in res.sectors.values():
         assert pair.f_minus == pytest.approx(bare.f_minus, rel=1e-9)
         assert pair.f_plus == pytest.approx(bare.f_plus, rel=1e-9)
+
+
+def test_pair_mode_rejects_a_tip_on_its_site():
+    with pytest.raises(ValueError, match="tip-site distance 0.05 A below validity minimum"):
+        pair_mode_resonance((0.0, 0.0, 0.05), ORIGIN_SITE, ScanConfig())
 
 
 def test_pair_mode_rejects_non_half_integer_spin():

@@ -198,6 +198,8 @@ def test_spectrum_validation():
         Spectrum(frequencies=np.array([1.0, 1.0]), counts=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         Spectrum(frequencies=np.array([1.0, 2.0]), counts=np.array([1.0, -1.0]))
+    with pytest.raises(ValueError, match="frequencies and counts must have equal length"):
+        Spectrum(frequencies=np.array([1.0, 2.0, 3.0]), counts=np.array([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -581,6 +583,9 @@ def test_fit_argument_validation():
         fit_lorentzians(spec, 0)
     with pytest.raises(ValueError):
         fit_lorentzians(spec, 2, initial_guess=[(3.4, 0.1, 0.1)])
+    short = Spectrum(frequencies=np.linspace(3.0, 4.0, 9), counts=np.full(9, 1e5))
+    with pytest.raises(ValueError, match="spectrum has 9 points; need at least 10 for 2 peaks"):
+        fit_lorentzians(short, 2)
 
 
 _ONE_GHZ = SpectrumConfig(f_start=3.0, f_stop=4.0, seed=2)
