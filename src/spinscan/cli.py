@@ -28,7 +28,6 @@ from .scan import (
     ResonanceMap,
     ScanConfig,
     _check_height,
-    _check_lateral,
     distance_sweep,
     probe_hamiltonian_at,
     scan_constant_height,
@@ -338,8 +337,6 @@ def cmd_spectrum(args) -> int:
     elif args.texture is not None:
         if args.tip is None:
             raise ValueError("--tip x,y,z is required with --texture")
-        _check_lateral(args.tip[0], "--tip x")
-        _check_lateral(args.tip[1], "--tip y")
         _check_height(args.tip[2], "--tip z")
         tex = fileio.load_texture(args.texture)
         cfg = _probe_config(args)
@@ -637,7 +634,7 @@ def main(argv=None) -> int:
     except (fileio.TextureParseError, fileio.MapParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ArithmeticError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except ValueError as exc:
@@ -646,9 +643,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ArithmeticError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

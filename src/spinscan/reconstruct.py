@@ -154,7 +154,7 @@ def build_forward(
 
     r_min = _walk_pairs(kernel.tips(float(height)), sites, exchange_prefactor, mode,
                         fill_block, 1 if mode == "exchange" else 2)
-    _check_exchange_range(r_min, stacklevel=2)
+    _check_exchange_range(r_min)
     if found is not None:
         # Site i's window starts at (my-1-iy, mx-1-ix) of the offset grid.
         windows = np.lib.stride_tricks.sliding_window_view(

@@ -38,8 +38,7 @@ from .spincore import (
     zeeman_hamiltonian,
     zfs_hamiltonian,
 )
-from .texture import (_BLOCK_BYTES, _MAX_HEIGHT, _MAX_LATERAL, _MAX_SPIN_MAG, SampleSite,
-                      SpinTexture)
+from .texture import _BLOCK_BYTES, _MAX_HEIGHT, _MAX_LATERAL, SampleSite, SpinTexture
 
 __all__ = [
     "Grid",
@@ -481,7 +480,9 @@ def _lattice_fields(grid: Grid, tex: SpinTexture, cfg: ScanConfig):
     acc *= cfg.probe.g * CONSTANTS.mu_b
     if "j" in images:
         acc += spectrum("j") * spin_hat
-    e_vec = np.fft.irfft2(acc, shape)[:, my - 1 : my - 1 + grid.ny, mx - 1 : mx - 1 + grid.nx]
+    # irfft2's two passes, the x pass only over the pixel rows.
+    rows = np.fft.ifft(acc, axis=1)[:, my - 1 : my - 1 + grid.ny]
+    e_vec = np.fft.irfft(rows, shape[1])[..., mx - 1 : mx - 1 + grid.nx]
     return e_vec.reshape(3, -1).T
 
 
@@ -510,11 +511,13 @@ def _batch_hamiltonians(
 
 
 def _tip(tip_pos) -> np.ndarray:
-    """One tip position as a (1, 3) batch, refused unless finite (raster
-    tips are checked where their Grid is built)."""
+    """One tip position as a (1, 3) batch, refused unless finite and within
+    the tip bounds of texture sites (raster tips are checked where their
+    Grid is built)."""
     tip = np.asarray(tip_pos, dtype=float)[None, :]
-    if not np.all(np.isfinite(tip)):
-        raise ValueError(f"tip position must be finite, got {tuple(tip[0].tolist())} A")
+    if not np.all(np.abs(tip) <= (_MAX_LATERAL, _MAX_LATERAL, _MAX_HEIGHT)):
+        raise ValueError(f"tip position must be finite, |x|, |y| <= {_MAX_LATERAL:g} A and "
+                         f"|z| <= {_MAX_HEIGHT:g} A, got {tuple(tip[0].tolist())} A")
     return tip
 
 
@@ -526,7 +529,7 @@ def effective_fields_at(tip_pos, tex: SpinTexture, exchange_prefactor: str = "ry
     vectors spin_mag * spin_dir of the texture.
     """
     b_stray, b_ex, r_min = _batch_effective_fields(_tip(tip_pos), tex, exchange_prefactor)
-    _check_exchange_range(r_min, stacklevel=2)
+    _check_exchange_range(r_min)
     return b_stray[0], b_ex[0]
 
 
@@ -534,7 +537,7 @@ def probe_hamiltonian_at(tip_pos, tex: SpinTexture, cfg: ScanConfig) -> np.ndarr
     """3x3 probe Hamiltonian (ueV) at one tip position under cfg.mode."""
     b_stray, b_ex, r_min = _batch_effective_fields(_tip(tip_pos), tex,
                                                    cfg.exchange_prefactor, cfg.mode)
-    _check_exchange_range(r_min, stacklevel=2)
+    _check_exchange_range(r_min)
     return _batch_hamiltonians(b_stray, b_ex, cfg)[0]
 
 
@@ -587,7 +590,7 @@ def scan_constant_height(
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
             r_min = min(pool.map(run_chunk, blocks))
-    _check_exchange_range(r_min, stacklevel=2)
+    _check_exchange_range(r_min)
 
     if not (np.all(np.isfinite(f_minus)) and np.all(np.isfinite(f_plus))):
         raise ArithmeticError("scan produced non-finite resonance values")
@@ -728,7 +731,7 @@ def scan_iso_frequency(
         pix, za, fa, ga, zb, slope = (v[step] for v in (pix, za, fa, ga, zb, slope))
     # A NaN start, a third miss or a step that cannot move leaves no height.
     solve(fine[np.isnan(heights[fine])], (z_min, z_max))
-    _check_exchange_range(min(r_min), stacklevel=2)
+    _check_exchange_range(min(r_min))
 
     return IsoScanMap(
         **asdict(grid),
@@ -751,16 +754,11 @@ def pair_mode_resonance(
     overlap; each m_site sector yields one ResonancePair.
     """
     s_sample = site.spin_mag
-    if s_sample <= 0 or abs(2.0 * s_sample - round(2.0 * s_sample)) > 1e-9:
-        raise ValueError(
-            "pair mode quantizes the site spin: spin magnitude must be a "
-            f"positive half-integer, got {s_sample}"
-        )
     ops_s = spin_operators(s_sample)
     dist = float(np.linalg.norm(_tip(tip_pos)[0] - site.position))
     if dist < _MIN_TIP_SITE_DISTANCE:
         raise ValueError(f"tip-site distance {dist:.4g} A below validity minimum")
-    _check_exchange_range(dist, stacklevel=2)
+    _check_exchange_range(dist)
     j_uev = float(_exchange_formula(np.asarray(dist), cfg.exchange_prefactor))
 
     dim_t, dim_s = 3, ops_s.dim
@@ -840,9 +838,7 @@ def distance_sweep(
         )
     if r_max > _MAX_HEIGHT:  # past it J's x^2.5 and the 1/r^3 columns overflow
         raise ValueError(f"r_max must be at most {_MAX_HEIGHT:g} A, got {r_max}")
-    if not 0.0 <= spin_mag <= _MAX_SPIN_MAG:
-        raise ValueError(f"spin magnitude must be finite and >= 0, at most "
-                         f"{_MAX_SPIN_MAG:g}, got {spin_mag}")
+    SpinTexture([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], spin_mag, g_sample)  # checks spin_mag and g
     ProbeSpec(g=g_probe)  # refuses a g past spincore._MAX_G
     if not 2 <= n_points <= _MAX_SWEEP_POINTS:
         raise ValueError(
@@ -853,7 +849,7 @@ def distance_sweep(
     else:
         r = np.linspace(r_min, r_max, n_points)
 
-    _check_exchange_range(r_min, stacklevel=2)
+    _check_exchange_range(r_min)
     unit = SpinTexture([[0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], 1.0, g_sample)
     tips = np.column_stack([np.zeros((n_points, 2)), r])
     b_unit, b_ex, _ = _batch_effective_fields(tips, unit, exchange_prefactor)

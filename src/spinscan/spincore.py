@@ -131,19 +131,16 @@ def exchange_pair_hamiltonian(
     )
 
 
-def _check_exchange_range(r_min: float, stacklevel: int) -> None:
-    """Reject r_min <= 0; warn once when r_min is below the validity range.
-
-    stacklevel counts from the caller of this function, as in
-    warnings.warn.
-    """
+def _check_exchange_range(r_min: float) -> None:
+    """Reject r_min <= 0; warn once when r_min is below the validity range,
+    attributed to the caller of the public function that calls this one."""
     if r_min <= 0.0:
         raise ValueError(f"exchange constant requires r > 0, got {r_min}")
     if r_min < 2.0:
         warnings.warn(
             f"exchange constant evaluated at r = {r_min:g} A, below "
             "the 2 A validity range of the asymptotic form",
-            stacklevel=stacklevel + 1,
+            stacklevel=3,
         )
 
 
@@ -177,7 +174,7 @@ def exchange_constant(r, prefactor: str = "rydberg"):
     r_arr = np.asarray(r, dtype=float)
     if r_arr.size:
         # fmin skips NaN entries: a NaN distance neither raises nor warns.
-        _check_exchange_range(float(np.fmin.reduce(r_arr, axis=None)), stacklevel=2)
+        _check_exchange_range(float(np.fmin.reduce(r_arr, axis=None)))
     j = _exchange_formula(r_arr, prefactor)
     return float(j) if np.isscalar(r) else j
 

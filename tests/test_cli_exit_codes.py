@@ -75,6 +75,15 @@ def test_usage_errors_are_one_line(texture, argv):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def test_spectrum_reads_its_texture_before_its_tip(texture):
+    # The library refuses the tip, so a missing texture is reported first.
+    missing = texture.with_name("missing.spintex")
+    code, stderr, _ = run(["spectrum", "--texture", missing, "--tip=1e300,0,4",
+                           "--out", texture.with_name("missing.out")])
+    assert code == 3
+    assert len(stderr) == 1 and str(missing) in stderr[0], stderr
+
+
 def test_far_texture_site_is_an_input_error(texture):
     # A site past the engine's lateral bound is refused where the file
     # is read, before its squared distances can overflow.
@@ -208,11 +217,14 @@ def scan_map(texture):
         "scan-error-out-without-measure", "reconstruct-no-observations",
         "spectrum-resonances-and-texture", "spectrum-three-resonances",
         "texture-non-numeric-dir", "spectrum-non-numeric-resonances"])
-def test_refused_inputs_are_one_line_usage_errors(texture, scan_map, argv, config, message):
-    out = texture.with_name("refused.out")
+def test_refused_inputs_are_one_line_usage_errors(tmp_path, texture, scan_map, argv, config,
+                                                  message):
+    # Each id writes under its own directory, so an output one id leaves
+    # behind fails that id alone.
+    out = tmp_path / "refused.out"
     argv = [{TEXTURE: texture, MAP: scan_map}.get(a, a) for a in argv] + ["--out", out]
     if config is not None:
-        cfg = texture.with_name("refused.cfg")
+        cfg = tmp_path / "refused.cfg"
         cfg.write_text(config, encoding="utf-8")
         argv += ["--config", cfg]
     code, stderr, caught = run(argv)

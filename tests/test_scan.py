@@ -346,7 +346,7 @@ def test_near_range_warning_once_with_global_minimum(fm_5x5):
         warnings.simplefilter("always")
         r_min = _batch_effective_fields(tips, fm_5x5, "rydberg")[2]
         assert not caught
-        _check_exchange_range(r_min, stacklevel=1)
+        _check_exchange_range(r_min)
     messages = [str(w.message) for w in caught]
     assert len(messages) == 1
     assert "r = 1.3 A" in messages[0]
@@ -403,6 +403,23 @@ def test_single_point_entries_warn_once_at_the_caller(fm_5x5, call, r_min):
 def test_single_point_entries_refuse_a_non_finite_tip(fm_5x5, call):
     with pytest.raises(ValueError, match="tip position must be finite"):
         call(fm_5x5)
+
+
+@pytest.mark.parametrize("tip", [(1e200, 0.0, 4.0), (0.0, -2e6, 4.0), (0.0, 0.0, -2e4)],
+                         ids=["x-past-bound", "y-past-bound", "z-past-bound"])
+@pytest.mark.parametrize("call", [
+    lambda tip, tex: effective_fields_at(tip, tex),
+    lambda tip, tex: probe_hamiltonian_at(tip, tex, ScanConfig()),
+    lambda tip, tex: pair_mode_resonance(tip, ORIGIN_SITE, ScanConfig()),
+], ids=["effective_fields_at", "probe_hamiltonian_at", "pair_mode_resonance"])
+def test_single_point_entries_refuse_a_tip_past_the_bounds(fm_5x5, call, tip):
+    # Past the bounds of texture sites a tip's squared distances overflow,
+    # or its fields read 0; it is refused where it enters, with no warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="tip position must be finite, "
+                                             r"\|x\|, \|y\| <= 1e\+06 A and \|z\| <= 10000 A"):
+            call(tip, fm_5x5)
 
 
 def test_too_close_error_names_closest_pair(fm_5x5):
@@ -555,27 +572,31 @@ _FFT_CALLS = ("rfft2", "rfftn", "fft2", "fftn", "irfft2", "irfftn", "ifft2", "if
 def test_fft_map_takes_three_inverse_transforms(monkeypatch, tilted_neel, mode, images):
     # e is linear in both channels, so every mode adds its spectra into one
     # accumulator per axis: forward, the 3 spin planes and one per kernel
-    # image the mode reads; inverse, 3, by 2-D transforms with no 1-D pass
-    # of their own.  Each call is counted once, top level, by the 2-D
-    # planes it transforms.
+    # image the mode reads, by 2-D transforms; inverse, 3, by irfft2's two
+    # passes, one ifft along y over the padded planes and one irfft along
+    # x over the pixel rows alone.  Each call is counted once, top level,
+    # by the 2-D planes it transforms.
     calls = []
     for name in _FFT_CALLS:
         def spy(a, *args, _name=name, _real=getattr(np.fft, name), **kwargs):
-            calls.append((_name, np.shape(a)))
+            calls.append((_name, np.shape(a), kwargs.get("axis", -1)))
             return _real(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, spy)
     cfg = ScanConfig(height=4.0, x_range=(-3.0, 15.0), y_range=(-1.5, 9.0), step=0.75,
                      mode=mode)
-    scan_constant_height(cfg, tilted_neel)
+    rmap = scan_constant_height(cfg, tilted_neel)
 
     def planes(*names):
-        return sum(math.prod(shape[:-2]) for name, shape in calls if name in names)
+        return sum(math.prod(shape[:-2]) for name, shape, _ in calls if name in names)
 
     assert planes("rfft2", "rfftn", "fft2", "fftn") == 3 + images
-    assert planes("irfft2", "irfftn", "ifft2", "ifftn", "ifft") == 3
-    assert not planes("irfft", "ifft")
+    assert not planes("irfft2", "irfftn", "ifft2", "ifftn")
     assert not planes("rfft", "fft")
+    (_, padded, y_axis), = [c for c in calls if c[0] == "ifft"]
+    (_, rows, x_axis), = [c for c in calls if c[0] == "irfft"]
+    assert padded[0] == 3 and y_axis == 1 and padded[1] > rmap.ny
+    assert rows == (3, rmap.ny, padded[2]) and x_axis == -1
 
 
 def _off_lattice_cases(fm_5x5):

@@ -782,6 +782,25 @@ def test_measure_map_marks_short_windows_failed():
     assert np.all(np.isnan(want)) and np.all(np.isnan(fitted.f_plus))
 
 
+def test_measure_map_skips_short_windows_beside_fitted_ones():
+    # At a 0.01 GHz step and a 0.001 GHz linewidth, branches 0.03 GHz apart
+    # get 8-point joint windows, fewer than the 10 two dips need; merged
+    # (0.005 GHz) and split (0.5 and 1.0 GHz) pixels of the same map fit.
+    gaps = [0.005, 0.03, 0.5, 1.0, 0.03]
+    rmap = _row_map([F0 - g / 2 for g in gaps], [F0 + g / 2 for g in gaps])
+    cfg = SpectrumConfig(seed=4, f_step=0.01, linewidth_fwhm=0.001)
+    fitted, error = measure_map(rmap, cfg)
+    short = np.array(gaps) == 0.03
+    assert np.all(np.isinf(error.ravel()[short]))
+    assert np.all(np.isnan(fitted.f_minus.ravel()[short]))
+    assert np.all(np.isnan(fitted.f_plus.ravel()[short]))
+    assert np.all(np.isfinite(error.ravel()[~short]))
+    want, want_error = _oracle_measure(rmap, cfg, _vp_centers)
+    got = np.column_stack([fitted.f_minus.ravel(), fitted.f_plus.ravel()])
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(error.ravel(), want_error)
+
+
 @pytest.fixture(scope="module")
 def window_block():
     """Twelve equal-length windows per peak count, as measure_map builds them."""

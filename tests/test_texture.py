@@ -256,6 +256,17 @@ def test_distinct_check_memory_is_linear_in_sites():
     assert peak < 16 * 2**20
 
 
+@pytest.mark.parametrize("positions, spin_dirs, message", [
+    ([[0.0, 0.0]], [[0.0, 0.0, 1.0]], "must be \\(n, 3\\) arrays"),
+    ([[0.0, 0.0, 0.0]], [[0.0, 1.0]], "must be \\(n, 3\\) arrays"),
+    ([[0.0, 0.0, 0.0], [3.0, 0.0, 0.0]], [[0.0, 0.0, 1.0]], "must have equal length"),
+    (np.zeros((0, 3)), np.zeros((0, 3)), "at least one site"),
+], ids=["positions-not-n-by-3", "dirs-not-n-by-3", "unequal-lengths", "no-sites"])
+def test_texture_rejects_malformed_site_arrays(positions, spin_dirs, message):
+    with pytest.raises(ValueError, match=message):
+        SpinTexture(positions, spin_dirs, 0.5, 2.0)
+
+
 def test_texture_rejects_negative_spin_mag():
     lat = build_lattice("square", 3.0, 2, 2)
     with pytest.raises(ValueError):
